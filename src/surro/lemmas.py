@@ -205,7 +205,11 @@ def check_rate_perturbation(trials: int = 1000, seed: int = 0, dims=DIMS) -> Sui
 
 
 def check_eigh_reconstruction(trials: int = 1000, seed: int = 0, dims=DIMS) -> SuiteResult:
-    """Jacobi output reconstructs the input and keeps eigenvectors orthonormal."""
+    """eigh output reconstructs the input and keeps eigenvectors orthonormal.
+
+    A guard on the LAPACK path: it checks the decomposition against its own
+    input rather than against a second eigensolver.
+    """
     rng = CounterRNG((seed, 5))
     out = SuiteResult("eigh_reconstruction", trials)
     for _ in range(trials):

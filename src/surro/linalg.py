@@ -1,9 +1,10 @@
-"""Dense symmetric linear algebra for small matrices (dim <= 32).
+"""Dense symmetric linear algebra.
 
 Everything downstream (curvature reduction, rate computation, spectrum
-transforms) funnels into the four operations here: a cyclic-Jacobi
-eigensolver, inverse square roots, spectral norms and the generalized
-rate pair rho_inf/rho_sup of a pencil (A, B) with A positive-definite.
+transforms) funnels into the four operations here: a LAPACK-backed symmetric
+eigensolver that rejects non-finite input, inverse square roots, spectral
+norms and the generalized rate pair rho_inf/rho_sup of a pencil (A, B) with
+A positive-definite.
 """
 
 from __future__ import annotations
@@ -11,13 +12,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-
-MAX_DIM = 32
-
-# Cyclic Jacobi: full sweeps until the off-diagonal Frobenius mass drops
-# below OFF_TOL * ||S||_F, capped at MAX_SWEEPS.
-MAX_SWEEPS = 100
-OFF_TOL = 1e-12
 
 # rho_inf is snapped to 0 when B is numerically singular (0/0 = 0 convention).
 SINGULAR_TOL = 1e-12
@@ -69,65 +63,23 @@ def asymmetry(m) -> float:
     return float(np.max(np.abs(a - a.T))) if a.size else 0.0
 
 
-def _check_dim(a: np.ndarray) -> None:
-    if a.shape[0] > MAX_DIM:
-        raise DimensionMismatch(f"dimension {a.shape[0]} exceeds supported maximum {MAX_DIM}")
-
-
 def eigh(s) -> Spectrum:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
 
-    Input is symmetrized defensively.  Returns ascending eigenvalues and an
+    Input is symmetrized defensively and must be finite: LAPACK does not
+    reject NaN (it returns plausible-looking eigenvalues for a NaN entry), so
+    non-finite input and LAPACK convergence failures both raise
+    InternalNumericalFailure.  Returns ascending eigenvalues and an
     orthonormal eigenvector matrix whose column i pairs with eigenvalue i.
     """
     a = symmetrize(s)
-    _check_dim(a)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return Spectrum(a[0].copy(), v)
-
-    frob = float(np.linalg.norm(a))
-    threshold = OFF_TOL * frob
-    for _ in range(MAX_SWEEPS):
-        off = float(np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0))
-        if off <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(diff) > 1e150 * abs(apq):
-                    t = apq / diff  # asymptotic rotation for a negligible pivot
-                else:
-                    tau = diff / (2.0 * apq)
-                    t = np.sign(tau) if tau != 0.0 else 1.0
-                    t = t / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                sn = t * c
-                # two-sided rotation on the (p, q) plane
-                ap, aq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * ap - sn * aq
-                a[:, q] = sn * ap + c * aq
-                ap, aq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * ap - sn * aq
-                a[q, :] = sn * ap + c * aq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - sn * vq
-                v[:, q] = sn * vp + c * vq
-    else:
-        off = float(np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0))
-        raise InternalNumericalFailure(
-            f"Jacobi sweep cap {MAX_SWEEPS} reached with off-diagonal mass {off:.3e}"
-        )
-
-    lam = np.diag(a).copy()
-    order = np.argsort(lam, kind="stable")
-    return Spectrum(lam[order], v[:, order])
+    if not np.all(np.isfinite(a)):
+        raise InternalNumericalFailure("eigh input has non-finite entries")
+    try:
+        lam, vec = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise InternalNumericalFailure(f"LAPACK eigh failed: {exc}") from exc
+    return Spectrum(lam, vec)
 
 
 def spectral_norm(m) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import Box, ConvexDomain, EuclideanBall, Simplex
+from .domains import Box, ConvexDomain, Simplex
 
 INTERIOR_MARGIN = 1e-9
 
@@ -243,22 +243,6 @@ def bregman_project(domain: ConvexDomain, phi: MirrorMap, zeta) -> np.ndarray:
         raise ProjectionFailed(str(exc)) from exc
 
 
-def make_mirror_map(kind: str, q: int, **kwargs) -> MirrorMap:
-    kind = kind.lower()
-    if kind == "quadratic":
-        return QuadraticMap(q)
-    if kind in ("neg_entropy", "entropy"):
-        return NegEntropyMap(q)
-    if kind == "ball":
-        return BallMap(q, float(kwargs["r2"]))
-    raise MirrorError(f"unknown mirror map kind {kind!r}")
-
-
-def default_ball_domain(phi: BallMap) -> EuclideanBall:
-    """The open ball the map lives on, usable directly as a feasible set."""
-    return EuclideanBall(np.zeros(phi.q), phi.radius(), open_boundary=True)
-
-
 __all__ = [
     "BallMap",
     "MirrorError",
@@ -269,6 +253,4 @@ __all__ = [
     "QuadraticMap",
     "bregman",
     "bregman_project",
-    "default_ball_domain",
-    "make_mirror_map",
 ]

@@ -13,8 +13,24 @@ from surro.rates import InfeasiblePerturbation, curvature_at, verdicts
 from surro.surrogate import StopRule, iterate
 
 
-def test_jacobi_sweep_cap_raises_internal_failure(monkeypatch):
-    monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_input_raises_internal_failure(bad):
+    # LAPACK itself returns finite-looking eigenvalues for a NaN entry
+    m = np.array([[bad, 1.0], [1.0, 2.0]])
+    with pytest.raises(linalg.InternalNumericalFailure):
+        linalg.eigh(m)
+    with pytest.raises(linalg.InternalNumericalFailure):
+        linalg.generalized_rate_pair(m, np.eye(2))
+    with pytest.raises(linalg.InternalNumericalFailure):
+        linalg.generalized_rate_pair(np.eye(2), m)
+
+
+def test_lapack_failure_raises_internal_failure(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(linalg.np.linalg, "eigh", fail)
     with pytest.raises(linalg.InternalNumericalFailure):
         linalg.eigh([[2.0, 1.0], [1.0, 2.0]])
 

@@ -162,6 +162,25 @@ def test_symmetrize_and_asymmetry():
     assert linalg.asymmetry(m) == pytest.approx(2.0)
 
 
-def test_dimension_cap():
-    with pytest.raises(linalg.DimensionMismatch):
-        linalg.eigh(np.eye(33))
+@pytest.mark.parametrize("d", [33, 64])
+def test_large_dimensions_decompose(d):
+    # same tolerances as lemmas.check_eigh_reconstruction
+    rng = np.random.default_rng(d)
+    for s in (np.eye(d), linalg.symmetrize(rng.normal(size=(d, d)))):
+        lam, vec = linalg.eigh(s)
+        scale = 1.0 + float(np.max(np.abs(s)))
+        assert np.max(np.abs((vec * lam) @ vec.T - s)) <= 1e-9 * scale
+        assert np.max(np.abs(vec.T @ vec - np.eye(d))) <= 1e-10
+        assert np.max(np.abs(s @ vec - vec * lam)) <= 1e-9 * (1.0 + np.max(np.abs(lam)))
+        assert np.all(np.diff(lam) >= 0)
+
+
+def test_rate_pair_matches_general_eigvals_at_d40():
+    rng = np.random.default_rng(40)
+    g = rng.normal(size=(40, 40))
+    a = linalg.symmetrize(g @ g.T + 40.0 * np.eye(40))
+    b = linalg.symmetrize(rng.normal(size=(40, 40)))
+    lo, hi = linalg.generalized_rate_pair(a, b)
+    mods = np.abs(np.linalg.eigvals(np.linalg.inv(a) @ b))
+    assert hi == pytest.approx(float(mods.max()), rel=1e-10)
+    assert lo == pytest.approx(float(mods.min()), rel=1e-6, abs=1e-12)

@@ -98,6 +98,27 @@ def test_curvature_newton_and_population_em():
     assert fd.b_tilde[0, 0] == pytest.approx(0.5, abs=1e-6)
 
 
+def _pencil_problem(b_diag):
+    """Analytic curvature A~ = I, B~ = diag(b_diag) on FullSpace(len(b_diag))."""
+    q = len(b_diag)
+    return SurrogateProblem(
+        q=q,
+        domain=FullSpace(q),
+        eval_q=lambda t, u: 0.0,
+        grad2=lambda t, u: np.zeros(q),
+        hess22=lambda t, u: np.eye(q),
+        hess12=lambda t, u: -np.diag(b_diag),
+    )
+
+
+@pytest.mark.parametrize("rho, expected", [(1.05, False), (0.999, True)])
+def test_h4_is_decided_exactly_on_a_thin_cone(rho, expected):
+    # u'Bu > u'Au only on a thin cone around e1, which sampled directions miss
+    frame = curvature_at(_pencil_problem([rho] + [0.0] * 7), np.zeros(8))
+    assert theoretical_rates(frame).rho_sup == pytest.approx(rho, rel=1e-14)
+    assert frame.h4_pass is expected
+
+
 def test_theoretical_rates_examples():
     prob = _gd([1.0, 4.0], 0.4)
     rates = theoretical_rates(curvature_at(prob, np.zeros(2)))
