@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import report
 from .config import ConfigInvalid, load_config, validate_sweep, build_latent_model
 from .latent import ModelError
-from .runner import run_experiment
+from .runner import run_experiment, write_suite, write_sweep
 from .suite import run_suite
 from .surrogate import SurrogateError
 from .sweep import SweepError, sample_rate_sweep
@@ -43,18 +42,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_suite(args) -> int:
     results = run_suite()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = [
-        {
-            "name": r.name,
-            "description": r.description,
-            "passed": r.passed,
-            "measured": r.measured,
-        }
-        for r in results
-    ]
-    path = report.write_text(out / "suite.json", report.dumps(payload))
+    path = write_suite(results, args.out)
     for r in results:
         print(r.line())
     failed = [r.name for r in results if not r.passed]
@@ -87,22 +75,7 @@ def _cmd_sweep(args) -> int:
     validate_sweep(cfg)
     model = build_latent_model(cfg["model"], context="model")
     table = sample_rate_sweep(model, [int(k) for k in cfg["ks"]], [int(s) for s in cfg["seeds"]])
-    out = Path(args.out)
-    rows = [
-        [str(r.k), str(r.seed), report.fmt(r.rho_samp), report.fmt(r.abs_dev),
-         report.fmt(r.theta_hat)]
-        for r in table.rows
-    ]
-    sweep_path = report.write_csv(
-        out / "sweep.csv", ["k", "seed", "rho_samp", "abs_dev", "theta_hat"], rows
-    )
-    summary_rows = [
-        [str(s.k), report.fmt(s.median_abs_dev), report.fmt(s.q90_abs_dev)]
-        for s in table.summary
-    ]
-    summary_path = report.write_csv(
-        out / "sweep_summary.csv", ["k", "median_abs_dev", "q90_abs_dev"], summary_rows
-    )
+    sweep_path, summary_path = write_sweep(table, args.out)
     print(f"{cfg['name']}: limiting rate {report.fmt(table.rho_pop)}")
     print(f"wrote {sweep_path} and {summary_path}")
     return EXIT_OK

@@ -116,11 +116,14 @@ def generalized_rate_pair(a, b) -> RatePair:
 
     rho_sup is the spectral norm of A^{-1/2} B A^{-1/2}; rho_inf the smallest
     absolute eigenvalue of the same matrix, snapped to 0 when B is singular.
+    Non-finite entries in either matrix raise InternalNumericalFailure.
     """
     a = symmetrize(a)
     b = symmetrize(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise InternalNumericalFailure("rate pair input B has non-finite entries")
     r = inv_sqrt(a)
     core = symmetrize(r @ b @ r)
     lam = eigh(core).eigenvalues

@@ -67,7 +67,8 @@ class CurvatureFrame:
     a_star/b_star live in the ambient space; a_tilde/b_tilde are the
     congruence reductions through the orthonormal basis columns.  When the
     derivatives were only probed along the direction space, the ambient
-    matrices are the lifted reductions.
+    matrices are the lifted reductions.  `rates` is the rate pair of the
+    reduced pencil, or None when a_tilde is not positive-definite.
     """
 
     a_star: np.ndarray
@@ -76,12 +77,17 @@ class CurvatureFrame:
     a_tilde: np.ndarray
     b_tilde: np.ndarray
     asymmetry_diag: float
-    h4_pass: bool
+    rates: Optional[RatePair]
     point: np.ndarray
 
     @property
     def d(self) -> int:
         return self.basis.shape[1]
+
+    @property
+    def h4_pass(self) -> bool:
+        """H4 (u'A~u > |u'B~u| for every u != 0): A~ is PD and rho_sup < 1."""
+        return self.rates is not None and self.rates.rho_sup < 1.0
 
 
 def direction_basis(domain: ConvexDomain, theta_star) -> np.ndarray:
@@ -126,9 +132,9 @@ def curvature_at(
     problems are only ever probed inside their affine hull.  The mixed block
     is symmetrized and its pre-symmetrization asymmetry retained.
 
-    H4 (u'A~u > |u'B~u| for every u != 0) is decided exactly: it holds iff
-    A~ is positive-definite and the rate pair's rho_sup is below 1, with the
-    same PD threshold theoretical_rates uses before raising H4Violated.
+    The rate pair of the reduced pencil is computed once here and carried
+    by the frame; it is None when A~ is not positive-definite, which is also
+    when theoretical_rates raises H4Violated and h4_pass is False.
     """
     star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     p = direction_basis(problem.domain, star)
@@ -166,9 +172,9 @@ def curvature_at(
         b_star = p @ b_tilde @ p.T
 
     try:
-        h4_pass = linalg.generalized_rate_pair(a_tilde, b_tilde).rho_sup < 1.0
+        rates = linalg.generalized_rate_pair(a_tilde, b_tilde)
     except NotPositiveDefinite:
-        h4_pass = False
+        rates = None
 
     return CurvatureFrame(
         a_star=a_star,
@@ -177,17 +183,16 @@ def curvature_at(
         a_tilde=a_tilde,
         b_tilde=b_tilde,
         asymmetry_diag=float(asym),
-        h4_pass=h4_pass,
+        rates=rates,
         point=star.copy(),
     )
 
 
 def theoretical_rates(frame: CurvatureFrame) -> RatePair:
     """Extreme absolute Rayleigh quotients of the reduced curvature pencil."""
-    try:
-        return linalg.generalized_rate_pair(frame.a_tilde, frame.b_tilde)
-    except NotPositiveDefinite as exc:
-        raise H4Violated(str(exc)) from exc
+    if frame.rates is None:
+        raise H4Violated("reduced curvature matrix A~ is not positive-definite")
+    return frame.rates
 
 
 @dataclass(frozen=True)

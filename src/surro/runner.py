@@ -1,4 +1,5 @@
-"""Run one configured experiment end to end and emit its report files."""
+"""The analysis pipeline (`analyze`) and the writers of every report file:
+trace.csv, rates.json (/ plot.svg), sweep.csv, sweep_summary.csv, suite.json."""
 
 from __future__ import annotations
 
@@ -8,25 +9,18 @@ from pathlib import Path
 import numpy as np
 
 from . import report
-from .config import Assembled, assemble
+from .config import assemble
 from .linalg import LinalgError
 from .rates import (
-    CurvatureFrame,
-    RateReport,
-    RatesError,
-    accelerate,
-    curvature_at,
-    verdicts,
+    CurvatureFrame, FDSpec, RateReport, RatesError, accelerate, curvature_at, verdicts
 )
 from .surrogate import Trace, iterate
 
 
 @dataclass
-class ReportBundle:
-    name: str
-    trace_csv_path: Path
-    rates_json_path: Path
-    plot_svg_path: Path | None
+class Analysis:
+    """A trace, the fixed point it is analysed at, the curvature there and the verdicts."""
+
     trace: Trace
     theta_star: np.ndarray
     frame: CurvatureFrame
@@ -35,6 +29,14 @@ class ReportBundle:
     @property
     def passed(self) -> bool:
         return self.report.passed
+
+
+@dataclass
+class ReportBundle(Analysis):
+    name: str
+    trace_csv_path: Path
+    rates_json_path: Path
+    plot_svg_path: Path | None
 
 
 def locate_fixed_point(problem, trace: Trace, fd) -> np.ndarray:
@@ -108,22 +110,32 @@ def rates_payload(name: str, algorithm: str, assembled_label: str, theta_star, f
     }
 
 
+def analyze(problem, theta0, theta_star=None, stop=None, fd: FDSpec = FDSpec()) -> Analysis:
+    """Iterate from theta0 and check the measured decay against the rate pair at theta*.
+
+    With theta_star None the fixed point is located from the trace.  Raises
+    H4Violated when the reduced A~ at theta* is not positive-definite.
+    """
+    trace = iterate(problem, theta0, stop)
+    if theta_star is None:
+        theta_star = locate_fixed_point(problem, trace, fd)
+    frame = curvature_at(problem, theta_star, fd)
+    rep = verdicts(trace, theta_star, frame, problem)
+    return Analysis(trace, np.asarray(theta_star, dtype=float), frame, rep)
+
+
 def run_experiment(cfg: dict, out_dir, plot: bool = False) -> ReportBundle:
-    """Assemble, iterate, analyze and write trace.csv / rates.json (/ plot.svg)."""
-    asm: Assembled = assemble(cfg)
+    """Assemble, analyze and write trace.csv / rates.json (/ plot.svg)."""
+    asm = assemble(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    trace = iterate(asm.problem, asm.theta0, asm.stop)
-    theta_star = asm.theta_star if asm.theta_star is not None else locate_fixed_point(
-        asm.problem, trace, asm.fd
-    )
-    frame = curvature_at(asm.problem, theta_star, asm.fd)
-    rep = verdicts(trace, theta_star, frame, asm.problem)
+    run = analyze(asm.problem, asm.theta0, asm.theta_star, asm.stop, asm.fd)
+    trace, theta_star, rep = run.trace, run.theta_star, run.report
 
     header, rows = _trace_csv(trace, theta_star, asm.problem)
     trace_path = report.write_csv(out / "trace.csv", header, rows)
-    payload = rates_payload(asm.name, asm.algorithm, asm.problem.label, theta_star, frame, rep)
+    payload = rates_payload(asm.name, asm.algorithm, asm.problem.label, theta_star, run.frame, rep)
     payload["stop_reason"] = trace.stop_reason.value
     payload["n_iterates"] = len(trace)
     rates_path = report.write_text(out / "rates.json", report.dumps(payload))
@@ -135,13 +147,33 @@ def run_experiment(cfg: dict, out_dir, plot: bool = False) -> ReportBundle:
         )
         plot_path = report.write_text(out / "plot.svg", svg)
 
-    return ReportBundle(
-        name=asm.name,
-        trace_csv_path=trace_path,
-        rates_json_path=rates_path,
-        plot_svg_path=plot_path,
-        trace=trace,
-        theta_star=np.asarray(theta_star, dtype=float),
-        frame=frame,
-        report=rep,
+    return ReportBundle(**vars(run), name=asm.name, trace_csv_path=trace_path,
+                        rates_json_path=rates_path, plot_svg_path=plot_path)
+
+
+def write_sweep(table, out_dir) -> tuple[Path, Path]:
+    """Write a SweepTable's rows to sweep.csv and its per-k summary to sweep_summary.csv."""
+    out = Path(out_dir)
+    rows = [
+        [str(r.k), str(r.seed), report.fmt(r.rho_samp), report.fmt(r.abs_dev),
+         report.fmt(r.theta_hat)]
+        for r in table.rows
+    ]
+    sweep_path = report.write_csv(
+        out / "sweep.csv", ["k", "seed", "rho_samp", "abs_dev", "theta_hat"], rows
     )
+    summary_rows = [
+        [str(s.k), report.fmt(s.median_abs_dev), report.fmt(s.q90_abs_dev)]
+        for s in table.summary
+    ]
+    summary_path = report.write_csv(
+        out / "sweep_summary.csv", ["k", "median_abs_dev", "q90_abs_dev"], summary_rows
+    )
+    return sweep_path, summary_path
+
+
+def write_suite(results, out_dir) -> Path:
+    """Write the suite's ExperimentResults to suite.json."""
+    payload = [{"name": r.name, "description": r.description, "passed": r.passed,
+                "measured": r.measured} for r in results]
+    return report.write_text(Path(out_dir) / "suite.json", report.dumps(payload))

@@ -28,9 +28,9 @@ from .rates import (
     optimal_alpha,
     reparam_invariance_check,
     theoretical_rates,
-    verdicts,
 )
 from .rng import CounterRNG
+from .runner import analyze
 from .surrogate import StopRule, SurrogateProblem, inner_minimize, iterate
 from .sweep import sample_rate_sweep
 
@@ -54,11 +54,7 @@ def _gd_problem(diag, eta):
 
 def e1_gradient_descent_rate() -> ExperimentResult:
     """Quadratic objective diag(1,4), step 0.4: both rates 0.6, measured to 5e-3."""
-    prob = _gd_problem([1.0, 4.0], 0.4)
-    star = np.zeros(2)
-    trace = iterate(prob, np.array([1.0, 1.0]))
-    frame = curvature_at(prob, star)
-    rep = verdicts(trace, star, frame, prob)
+    rep = analyze(_gd_problem([1.0, 4.0], 0.4), np.array([1.0, 1.0]), np.zeros(2)).report
     theory_gap = max(abs(rep.theory.rho_inf - 0.6), abs(rep.theory.rho_sup - 0.6))
     emp_gap = abs(rep.empirical_rate - 0.6)
     all_pass = all(v == "pass" for v in rep.verdicts.values())
@@ -77,11 +73,7 @@ def e1_gradient_descent_rate() -> ExperimentResult:
 
 def e2_exact_rate_regime() -> ExperimentResult:
     """diag(1,1.5), step 0.4: rate pair (0.4, 0.6) sits in the exact-rate regime."""
-    prob = _gd_problem([1.0, 1.5], 0.4)
-    star = np.zeros(2)
-    trace = iterate(prob, np.array([1.0, 1.0]))
-    frame = curvature_at(prob, star)
-    rep = verdicts(trace, star, frame, prob)
+    rep = analyze(_gd_problem([1.0, 1.5], 0.4), np.array([1.0, 1.0]), np.zeros(2)).report
     pair_ok = abs(rep.theory.rho_inf - 0.4) <= 1e-9 and abs(rep.theory.rho_sup - 0.6) <= 1e-9
     regime_ok = rep.theory.rho_sup**2 <= rep.theory.rho_inf
     emp_ok = abs(np.log(rep.empirical_rate) - np.log(0.6)) <= 0.02
@@ -98,19 +90,17 @@ def e2_exact_rate_regime() -> ExperimentResult:
     )
 
 
-def _prox_identity_case(f, phi, eta, domain, star, theta0, stop=None):
+def _prox_identity_case(f, phi, eta, domain, star, theta0):
     md = mirror_descent_problem(f, phi, eta, domain)
     prox = mirror_prox_problem(f, phi, eta, domain)
     md_frame = curvature_at(md, star)
-    prox_frame = curvature_at(prox, star)
+    run = analyze(prox, theta0, star)
     s = np.linalg.solve(md_frame.a_tilde, md_frame.b_tilde)
     predicted_pencil = s @ s - s + np.eye(md_frame.d)
-    actual_pencil = np.linalg.solve(prox_frame.a_tilde, prox_frame.b_tilde)
+    actual_pencil = np.linalg.solve(run.frame.a_tilde, run.frame.b_tilde)
     identity_gap = float(np.max(np.abs(actual_pencil - predicted_pencil)))
     pred = mirror_prox_spectrum_map(md_frame)
-    trace = iterate(prox, theta0, stop or StopRule())
-    rep = verdicts(trace, star, prox_frame, prox)
-    return identity_gap, pred, rep
+    return identity_gap, pred, run.report
 
 
 def e3_prox_spectrum_identity() -> ExperimentResult:
@@ -157,10 +147,9 @@ def e4_population_em_ratio() -> ExperimentResult:
     model = GaussianLatentModel(1.0, 1.0, theta_star=1.0)
     prob = em_population_problem(model)
     star = np.array([1.0])
-    trace = iterate(prob, np.array([2.0]))
-    frame = curvature_at(prob, star)
+    run = analyze(prob, np.array([2.0]), star)
+    frame, rep = run.frame, run.report
     frame_fd = curvature_at(prob, star, prefer_analytic=False)
-    rep = verdicts(trace, star, frame, prob)
     curv_gap = max(
         abs(frame.a_tilde[0, 0] - 1.0),
         abs(frame.b_tilde[0, 0] - 0.5),
@@ -282,10 +271,7 @@ def e8_surrogate_gap_decay() -> ExperimentResult:
             np.array([1.0]),
         ),
     ):
-        prob = builder()
-        trace = iterate(prob, theta0)
-        frame = curvature_at(prob, star)
-        rep = verdicts(trace, star, frame, prob)
+        rep = analyze(builder(), theta0, star).report
         results[f"{tag}_q_gap_rate"] = rep.q_gap_rate
         results[f"{tag}_rho_sup"] = rep.theory.rho_sup
         ok = ok and rep.q_gap_rate is not None and rep.q_gap_rate <= rep.theory.rho_sup + 0.02

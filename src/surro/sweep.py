@@ -2,23 +2,19 @@
 
 For each (sample size, seed) cell the sweep draws a fresh dataset, runs the
 model's sample surrogate to its own fixed point, measures the rate pair there
-and tabulates the absolute deviation from the infinite-data rate.  Cells are
-independent, so they fan out to a worker pool and are merged in sorted order.
+and tabulates the absolute deviation from the infinite-data rate.  Cells run
+one after another on the calling thread; rows are sorted by (sample size, seed).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import FDSpec, H4Violated, curvature_at, theoretical_rates
+from .rates import FDSpec, curvature_at
 from .rng import CounterRNG
 from .surrogate import StopRule, iterate
-
-THREADS_ENV = "SURRO_THREADS"
 
 
 class SweepError(Exception):
@@ -49,13 +45,9 @@ class SweepTable:
 
 
 def worker_count() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise SweepError(f"{THREADS_ENV} must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
+    """Threads a sweep runs its cells on: always 1.  The benchmark's span tracer
+    (bench/spans.py) reads it to report `sweep.workers`."""
+    return 1
 
 
 def _run_cell(model, k: int, seed: int, rho_pop: float, stop: StopRule, fd: FDSpec) -> SweepRow:
@@ -64,11 +56,8 @@ def _run_cell(model, k: int, seed: int, rho_pop: float, stop: StopRule, fd: FDSp
     problem = model.sample_problem(data)
     trace = iterate(problem, model.default_theta0(), stop)
     theta_hat = trace.final
-    frame = curvature_at(problem, theta_hat, fd)
-    try:
-        rho = theoretical_rates(frame).rho_sup
-    except H4Violated:
-        rho = 0.0  # indicator convention when the reduced pencil is not PD
+    rates = curvature_at(problem, theta_hat, fd).rates
+    rho = rates.rho_sup if rates is not None else 0.0  # 0 when the reduced A~ is not PD
     return SweepRow(
         k=int(k),
         seed=int(seed),
@@ -84,7 +73,6 @@ def sample_rate_sweep(
     seeds,
     stop: StopRule | None = None,
     fd: FDSpec = FDSpec(),
-    max_workers: int | None = None,
 ) -> SweepTable:
     """Measure the per-sample-size spread of fixed-point rates around the limit.
 
@@ -103,13 +91,7 @@ def sample_rate_sweep(
     stop = stop or StopRule()
     rho_pop = float(model.population_rate())
 
-    cells = [(k, s) for k in ks for s in seeds]
-    workers = max_workers or worker_count()
-    if workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda c: _run_cell(model, c[0], c[1], rho_pop, stop, fd), cells))
-    else:
-        rows = [_run_cell(model, k, s, rho_pop, stop, fd) for k, s in cells]
+    rows = [_run_cell(model, k, s, rho_pop, stop, fd) for k in ks for s in seeds]
     rows.sort(key=lambda r: (r.k, r.seed))
 
     summary = []

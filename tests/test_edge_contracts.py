@@ -14,7 +14,6 @@ from surro.surrogate import StopRule, iterate
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_input_raises_internal_failure(bad):
     # LAPACK itself returns finite-looking eigenvalues for a NaN entry
     m = np.array([[bad, 1.0], [1.0, 2.0]])

@@ -119,6 +119,28 @@ def test_h4_is_decided_exactly_on_a_thin_cone(rho, expected):
     assert frame.h4_pass is expected
 
 
+def test_non_pd_curvature_has_no_rate_pair():
+    prob = SurrogateProblem(
+        q=2,
+        domain=FullSpace(2),
+        eval_q=lambda t, u: 0.0,
+        grad2=lambda t, u: np.zeros(2),
+        hess22=lambda t, u: np.diag([1.0, -1.0]),
+        hess12=lambda t, u: np.zeros((2, 2)),
+    )
+    frame = curvature_at(prob, np.zeros(2))
+    assert frame.rates is None
+    assert frame.h4_pass is False
+    with pytest.raises(H4Violated):
+        theoretical_rates(frame)
+
+
+def test_frame_carries_the_rate_pair_of_its_pencil():
+    frame = curvature_at(_gd([1.0, 1.5], 0.4), np.zeros(2))
+    assert theoretical_rates(frame) is frame.rates
+    assert frame.rates == pytest.approx((0.4, 0.6), abs=1e-12)
+
+
 def test_theoretical_rates_examples():
     prob = _gd([1.0, 4.0], 0.4)
     rates = theoretical_rates(curvature_at(prob, np.zeros(2)))
@@ -140,7 +162,7 @@ def test_theoretical_rates_h4_violation():
         a_tilde=-frame.a_tilde,
         b_tilde=frame.b_tilde,
         asymmetry_diag=0.0,
-        h4_pass=False,
+        rates=None,
         point=frame.point,
     )
     with pytest.raises(H4Violated):
@@ -339,7 +361,7 @@ def test_accelerate_singular_map():
         a_tilde=frame.a_tilde,
         b_tilde=frame.a_tilde,
         asymmetry_diag=0.0,
-        h4_pass=False,
+        rates=None,
         point=frame.point,
     )
     with pytest.raises(SingularAcceleration):

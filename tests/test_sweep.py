@@ -37,12 +37,12 @@ def test_mixture_deviations_shrink_with_sample_size():
     assert med[1600] < med[100]
 
 
-def test_sweep_is_deterministic_and_worker_independent():
+def test_sweep_is_deterministic():
     model = TwoComponentMixture(theta_star=1.0)
-    one = sample_rate_sweep(model, [100, 400], [0, 1, 2], max_workers=1)
-    many = sample_rate_sweep(model, [100, 400], [0, 1, 2], max_workers=4)
-    assert one.rows == many.rows
-    assert one.summary == many.summary
+    one = sample_rate_sweep(model, [100, 400], [0, 1, 2])
+    two = sample_rate_sweep(model, [100, 400], [0, 1, 2])
+    assert one.rows == two.rows
+    assert one.summary == two.summary
 
 
 def test_sweep_argument_validation():
@@ -53,13 +53,3 @@ def test_sweep_argument_validation():
         sample_rate_sweep(model, [400, 100], [0])
     with pytest.raises(SweepError):
         sample_rate_sweep(model, [100], [])
-
-
-def test_thread_env_parsing(monkeypatch):
-    from surro import sweep
-
-    monkeypatch.setenv(sweep.THREADS_ENV, "3")
-    assert sweep.worker_count() == 3
-    monkeypatch.setenv(sweep.THREADS_ENV, "zero")
-    with pytest.raises(SweepError):
-        sweep.worker_count()
