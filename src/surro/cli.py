@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import report
-from .config import ConfigInvalid, load_config, validate_sweep, build_latent_model
+from .config import ConfigInvalid, assemble_sweep, load_config
 from .latent import ModelError
 from .runner import run_experiment, write_suite, write_sweep
 from .suite import run_suite
@@ -71,12 +71,10 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    validate_sweep(cfg)
-    model = build_latent_model(cfg["model"], context="model")
-    table = sample_rate_sweep(model, [int(k) for k in cfg["ks"]], [int(s) for s in cfg["seeds"]])
+    name, model, ks, seeds = assemble_sweep(load_config(args.config))
+    table = sample_rate_sweep(model, ks, seeds)
     sweep_path, summary_path = write_sweep(table, args.out)
-    print(f"{cfg['name']}: limiting rate {report.fmt(table.rho_pop)}")
+    print(f"{name}: limiting rate {report.fmt(table.rho_pop)}")
     print(f"wrote {sweep_path} and {summary_path}")
     return EXIT_OK
 
@@ -115,10 +113,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigInvalid as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (SurrogateError, SweepError, ModelError) as exc:
+    except (ConfigInvalid, SurrogateError, SweepError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -3,50 +3,34 @@
 Configs are single JSON objects.  Unknown fields are rejected everywhere (a
 typo in a math-heavy config should be an error, not a silent default), and
 algorithm-specific required fields are checked before any computation runs.
+Every object is read by `_parse`: a missing field, a value its coercer refuses
+or one its constructor rejects raises ConfigInvalid naming the field.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import dataclass
-from pathlib import Path
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .descent import mirror_descent_problem, mirror_prox_problem, newton_problem
-from .domains import AffineSlice, Box, ConvexDomain, EuclideanBall, FullSpace, Simplex
-from .latent import (
-    GaussianLatentModel,
-    TwoComponentMixture,
-    alpha_em_problem,
-    em_population_problem,
+from .descent import BuilderError, mirror_descent_problem, mirror_prox_problem, newton_problem
+from .domains import (
+    MEMBERSHIP_TOL, AffineSlice, Box, DomainError, EuclideanBall, FullSpace, Simplex
 )
-from .mirror_maps import BallMap, NegEntropyMap, QuadraticMap
-from .objectives import Quartic1D, QuadraticForm, ShiftedQuadratic, SmoothLogSumExp
-from .rates import FDSpec
+from .latent import (
+    GaussianLatentModel, ModelError, TwoComponentMixture, alpha_em_problem, em_population_problem
+)
+from .linalg import LinalgError
+from .mirror_maps import BallMap, MirrorError, NegEntropyMap, QuadraticMap
+from .objectives import ObjectiveError, Quartic1D, QuadraticForm, ShiftedQuadratic, SmoothLogSumExp
+from .rates import REFERENCE_TOL, FDSpec
 from .rng import CounterRNG
 from .surrogate import StopRule, SurrogateProblem
-
-ALGORITHMS = (
-    "gradient_descent",
-    "mirror_descent",
-    "mirror_prox",
-    "em_population",
-    "em_sample",
-    "alpha_em",
-    "newton",
-)
-
-_COMMON_FIELDS = {"name", "algorithm", "seed", "theta0", "theta_star", "stop", "fd"}
-_ALGO_FIELDS: dict[str, tuple[set[str], set[str]]] = {
-    "gradient_descent": ({"objective", "eta"}, {"domain"}),
-    "mirror_descent": ({"objective", "mirror_map", "eta", "domain"}, set()),
-    "mirror_prox": ({"objective", "mirror_map", "eta", "domain"}, set()),
-    "em_population": ({"latent_model"}, set()),
-    "em_sample": ({"latent_model", "data"}, set()),
-    "alpha_em": ({"latent_model", "alpha"}, {"mode", "data"}),
-    "newton": ({"objective"}, {"domain"}),
-}
 
 
 class ConfigInvalid(Exception):
@@ -55,130 +39,203 @@ class ConfigInvalid(Exception):
         self.field = field
 
 
+def _check(accept: Callable, what: str, convert: Callable | None = None) -> Callable:
+    """Coercer returning the value (or convert(value)) when accept(value) holds."""
+    def coerce(value):
+        if accept(value):
+            return value if convert is None else convert(value)
+        raise ValueError(f"must be {what}")
+    return coerce
+
+
+_is_int = lambda v: isinstance(v, int) and not isinstance(v, bool)
+_is_number = lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
+_int_list = lambda v, least: isinstance(v, list) and bool(v) and all(
+    _is_int(k) and k >= least for k in v)
+_int = _check(_is_int, "an integer")
+_count = _check(lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+_seed = _check(lambda v: _is_int(v) and v >= 0, "an integer >= 0")
+_float = _check(_is_number, "a finite number", float)
+_positive = _check(lambda v: _is_number(v) and v > 0, "a positive number", float)
+_bool = _check(lambda v: isinstance(v, bool), "true or false")
+_mode = _check(lambda v: v in ("population", "sample"), "'population' or 'sample'")
+_ks = _check(lambda v: _int_list(v, 1) and v == sorted(v),
+             "ascending integers >= 1 in a nonempty list")
+_seeds = _check(lambda v: _int_list(v, 0), "a nonempty list of integers >= 0")
+
+
+def _array(ndim: int, what: str) -> Callable:
+    def coerce(value) -> np.ndarray:
+        try:
+            a = np.asarray(value)
+            # object dtype holds integers beyond int64 as well as non-numbers
+            a = a.astype(float) if a.dtype.kind in "iufO" else None
+        except (TypeError, ValueError, OverflowError):
+            a = None
+        if a is None or a.ndim != ndim or a.size == 0 or not np.all(np.isfinite(a)):
+            raise ValueError(f"must be a nonempty finite numeric {what}")
+        return a
+    return coerce
+
+
+_vector, _matrix = _array(1, "vector"), _array(2, "matrix")
+
+
+class _Schema(NamedTuple):
+    make: Callable
+    fields: dict[str, Callable]  # field -> coercer
+    required: tuple[str, ...] = ()
+
+
+_REJECTED = (ValueError, ArithmeticError, LinalgError, ObjectiveError, DomainError, MirrorError,
+             ModelError, BuilderError)
+
+
 def _require_keys(obj: dict, allowed: set[str], context: str):
-    unknown = set(obj) - allowed
+    unknown = sorted(set(obj) - allowed)
     if unknown:
-        name = sorted(unknown)[0]
-        raise ConfigInvalid(f"unknown field {name!r} in {context}", field=name)
+        raise ConfigInvalid(f"unknown field {unknown[0]!r} in {context}", field=unknown[0])
 
 
-def _vector(value, context: str) -> np.ndarray:
+def _field(spec: dict, key: str, coerce: Callable, context: str, default=...):
+    """Coerce spec[key], or the JSON default when key is absent; errors name key."""
+    if key not in spec and default is ...:
+        raise ConfigInvalid(f"{context} requires field {key}", field=key)
     try:
-        v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"{context} must be a numeric vector") from exc
-    if v.ndim != 1 or v.size == 0:
-        raise ConfigInvalid(f"{context} must be a nonempty vector")
-    return v
+        return coerce(spec.get(key, default))
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigInvalid(f"{context}.{key} {exc}", field=key) from exc
 
 
-def _matrix(value, context: str) -> np.ndarray:
+def _call(make: Callable, field: str, *args, **kwargs):
+    """Run a constructor; its rejection of the values raises ConfigInvalid naming field."""
     try:
-        m = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"{context} must be a numeric matrix") from exc
-    if m.ndim != 2:
-        raise ConfigInvalid(f"{context} must be a matrix")
-    return m
+        return make(*args, **kwargs)
+    except _REJECTED as exc:
+        raise ConfigInvalid(f"invalid {field}: {exc}", field=field) from exc
 
 
-def build_objective(spec, context="objective"):
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigInvalid(f"{context} must be an object with a 'type' field")
-    kind = spec["type"]
-    if kind == "quadratic_form":
-        _require_keys(spec, {"type", "h", "c"}, context)
-        return QuadraticForm(_matrix(spec["h"], f"{context}.h"),
-                             _vector(spec["c"], f"{context}.c") if "c" in spec else None)
-    if kind == "shifted_quadratic":
-        _require_keys(spec, {"type", "target"}, context)
-        return ShiftedQuadratic(_vector(spec["target"], f"{context}.target"))
-    if kind == "log_sum_exp":
-        _require_keys(spec, {"type", "q", "scale"}, context)
-        return SmoothLogSumExp(int(spec["q"]), float(spec.get("scale", 1.0)))
-    if kind == "quartic_1d":
-        _require_keys(spec, {"type"}, context)
-        return Quartic1D()
-    raise ConfigInvalid(f"unknown objective type {kind!r}")
+def _parse(spec, schema: _Schema, context: str, *args):
+    """Check spec against schema, coerce its fields, then call make(*args, **fields)."""
+    if not isinstance(spec, dict):
+        raise ConfigInvalid(f"{context} must be a JSON object", field=context)
+    _require_keys(spec, set(schema.fields), context)
+    values = {key: _field(spec, key, coerce, context) for key, coerce in schema.fields.items()
+              if key in spec or key in schema.required}
+    return _call(schema.make, context, *args, **values)
 
 
-def build_mirror_map(spec, q: int, context="mirror_map"):
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigInvalid(f"{context} must be an object with a 'type' field")
-    kind = spec["type"]
-    if kind == "quadratic":
-        _require_keys(spec, {"type"}, context)
-        return QuadraticMap(q)
-    if kind == "neg_entropy":
-        _require_keys(spec, {"type"}, context)
-        return NegEntropyMap(q)
-    if kind == "ball":
-        _require_keys(spec, {"type", "r2"}, context)
-        if "r2" not in spec:
-            raise ConfigInvalid(f"{context} of type 'ball' requires field r2", field="r2")
-        return BallMap(q, float(spec["r2"]))
-    raise ConfigInvalid(f"unknown mirror map type {kind!r}")
+def _build(spec, table: dict[str, _Schema], context: str, *args):
+    """Construct the member of a typed kind that spec's 'type' selects."""
+    if not isinstance(spec, dict) or not isinstance(spec.get("type"), str):
+        raise ConfigInvalid(f"{context} must be an object with a 'type' field", field=context)
+    if spec["type"] not in table:
+        raise ConfigInvalid(f"unknown {context} type {spec['type']!r}", field="type")
+    rest = {key: value for key, value in spec.items() if key != "type"}
+    return _parse(rest, table[spec["type"]], context, *args)
 
 
-def build_domain(spec, context="domain") -> ConvexDomain:
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigInvalid(f"{context} must be an object with a 'type' field")
-    kind = spec["type"]
-    if kind == "full_space":
-        _require_keys(spec, {"type", "q"}, context)
-        return FullSpace(int(spec["q"]))
-    if kind == "box":
-        _require_keys(spec, {"type", "lower", "upper"}, context)
-        return Box(_vector(spec["lower"], f"{context}.lower"),
-                   _vector(spec["upper"], f"{context}.upper"))
-    if kind == "ball":
-        _require_keys(spec, {"type", "center", "radius", "open"}, context)
-        return EuclideanBall(_vector(spec["center"], f"{context}.center"),
-                             float(spec["radius"]), bool(spec.get("open", False)))
-    if kind == "simplex":
-        _require_keys(spec, {"type", "q", "face_eps"}, context)
-        if "face_eps" in spec:
-            return Simplex(int(spec["q"]), float(spec["face_eps"]))
-        return Simplex(int(spec["q"]))
-    if kind == "affine_slice":
-        _require_keys(spec, {"type", "c", "b", "lower", "upper"}, context)
-        return AffineSlice(
-            _matrix(spec["c"], f"{context}.c"),
-            _vector(spec["b"], f"{context}.b"),
-            Box(_vector(spec["lower"], f"{context}.lower"),
-                _vector(spec["upper"], f"{context}.upper")),
-        )
-    raise ConfigInvalid(f"unknown domain type {kind!r}")
+_OBJECTIVES = {
+    "quadratic_form": _Schema(QuadraticForm, {"h": _matrix, "c": _vector}, ("h",)),
+    "shifted_quadratic": _Schema(ShiftedQuadratic, {"target": _vector}, ("target",)),
+    "log_sum_exp": _Schema(SmoothLogSumExp, {"q": _int, "scale": _float}, ("q",)),
+    "quartic_1d": _Schema(Quartic1D, {}),
+}
+_MIRROR_MAPS = {  # constructed with the objective's dimension first
+    "quadratic": _Schema(QuadraticMap, {}),
+    "neg_entropy": _Schema(NegEntropyMap, {}),
+    "ball": _Schema(BallMap, {"r2": _float}, ("r2",)),
+}
+_DOMAINS = {
+    "full_space": _Schema(FullSpace, {"q": _int}, ("q",)),
+    "box": _Schema(Box, {"lower": _vector, "upper": _vector}, ("lower", "upper")),
+    "ball": _Schema(lambda center, radius, open=False: EuclideanBall(center, radius, open),
+                    {"center": _vector, "radius": _float, "open": _bool}, ("center", "radius")),
+    "simplex": _Schema(Simplex, {"q": _int, "face_eps": _float}, ("q",)),
+    "affine_slice": _Schema(lambda c, b, lower, upper: AffineSlice(c, b, Box(lower, upper)),
+                            dict(c=_matrix, b=_vector, lower=_vector, upper=_vector),
+                            ("c", "b", "lower", "upper")),
+}
+_GAUSSIAN = ("sigma_x2", "sigma_y2", "theta_star")
+_LATENT_MODELS = {
+    "gaussian_latent": _Schema(GaussianLatentModel, dict.fromkeys(_GAUSSIAN, _float), _GAUSSIAN),
+    "mixture": _Schema(TwoComponentMixture, {"theta_star": _float}, ("theta_star",)),
+}
+_STOP = _Schema(StopRule, {"max_iters": _int, "residual_tol": _float, "stall_window": _int})
+_FD = _Schema(FDSpec, {"step": _float, "richardson": _bool})
+# k observations drawn from the model on the stream (seed, k)
+_DATA = _Schema(lambda model, k, seed=0: model.sample_y(k, CounterRNG((seed, k))),
+                {"k": _count, "seed": _seed}, ("k",))
+_QUADRATIC_MAP = {"type": "quadratic"}  # gradient descent's mirror map
 
 
 def build_latent_model(spec, context="latent_model"):
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigInvalid(f"{context} must be an object with a 'type' field")
-    kind = spec["type"]
-    if kind == "gaussian_latent":
-        _require_keys(spec, {"type", "sigma_x2", "sigma_y2", "theta_star"}, context)
-        for key in ("sigma_x2", "sigma_y2", "theta_star"):
-            if key not in spec:
-                raise ConfigInvalid(f"{context} requires field {key}", field=key)
-        return GaussianLatentModel(float(spec["sigma_x2"]), float(spec["sigma_y2"]),
-                                   float(spec["theta_star"]))
-    if kind == "mixture":
-        _require_keys(spec, {"type", "theta_star"}, context)
-        if "theta_star" not in spec:
-            raise ConfigInvalid(f"{context} requires field theta_star", field="theta_star")
-        return TwoComponentMixture(float(spec["theta_star"]))
-    raise ConfigInvalid(f"unknown latent model type {kind!r}")
+    return _build(spec, _LATENT_MODELS, context)
 
 
-def _resolve_data(spec, model, context="data") -> np.ndarray:
+def _data(spec) -> Callable:
+    """Coercer for data (a vector, or {"k", "seed"} to draw): model -> observations."""
     if isinstance(spec, dict):
-        _require_keys(spec, {"k", "seed"}, context)
-        if "k" not in spec:
-            raise ConfigInvalid(f"{context} requires field k", field="k")
-        k = int(spec["k"])
-        seed = int(spec.get("seed", 0))
-        return model.sample_y(k, CounterRNG((seed, k)))
-    return _vector(spec, context)
+        return lambda model: _parse(spec, _DATA, "data", model)
+    observations = _vector(spec)
+    return lambda model: observations
+
+
+def _require_gaussian(model, algo: str) -> GaussianLatentModel:
+    if not isinstance(model, GaussianLatentModel):
+        raise ConfigInvalid(f"{algo} requires a gaussian_latent model", field="latent_model")
+    return model
+
+
+def _descent(make_problem, objective, eta, mirror_map=_QUADRATIC_MAP, domain=None):
+    phi = _build(mirror_map, _MIRROR_MAPS, "mirror_map", objective.q)
+    return _call(make_problem, "domain", objective, phi, eta, domain or FullSpace(objective.q))
+
+
+_newton = lambda objective, domain=None: _call(newton_problem, "domain", objective, domain)
+_em_population = lambda latent_model: _call(
+    em_population_problem, "latent_model", _require_gaussian(latent_model, "em_population"))
+_em_sample = lambda latent_model, data: _call(latent_model.sample_problem, "data",
+                                              data(latent_model))
+
+
+def _alpha_em(latent_model, alpha, mode="population", data=None) -> SurrogateProblem:
+    if mode == "sample" and data is None:
+        raise ConfigInvalid("alpha_em requires field data when mode is 'sample'", field="data")
+    model = _require_gaussian(latent_model, "alpha_em")
+    return _call(alpha_em_problem, "alpha", model, alpha, mode=mode, data=data and data(model))
+
+
+# the coercer of each algorithm-specific field; a mirror map is built by the
+# problem builder, once the objective's dimension is known
+_ALGO_COERCERS = {
+    "objective": lambda spec: _build(spec, _OBJECTIVES, "objective"),
+    "mirror_map": lambda spec: spec,
+    "domain": lambda spec: _build(spec, _DOMAINS, "domain"),
+    "eta": _positive,
+    "latent_model": build_latent_model,
+    "data": _data,
+    "alpha": _check(lambda v: _is_number(v) and v != 1, "a finite number other than 1", float),
+    "mode": _mode,
+}
+
+
+_algorithm = lambda make, required, optional=(): _Schema(
+    make, {key: _ALGO_COERCERS[key] for key in required + optional}, required)
+_DESCENT = ("objective", "mirror_map", "eta", "domain")
+_COMMON_FIELDS = {"name", "algorithm", "seed", "theta0", "theta_star", "stop", "fd"}
+# algorithm -> schema of its own fields, whose constructor builds the problem
+_ALGO_FIELDS = {
+    "gradient_descent": _algorithm(partial(_descent, mirror_descent_problem),
+                                   ("objective", "eta"), ("domain",)),
+    "mirror_descent": _algorithm(partial(_descent, mirror_descent_problem), _DESCENT),
+    "mirror_prox": _algorithm(partial(_descent, mirror_prox_problem), _DESCENT),
+    "em_population": _algorithm(_em_population, ("latent_model",)),
+    "em_sample": _algorithm(_em_sample, ("latent_model", "data")),
+    "alpha_em": _algorithm(_alpha_em, ("latent_model", "alpha"), ("mode", "data")),
+    "newton": _algorithm(_newton, ("objective",), ("domain",)),
+}
+ALGORITHMS = tuple(_ALGO_FIELDS)
 
 
 @dataclass
@@ -196,132 +253,74 @@ class Assembled:
 def validate(cfg: dict) -> None:
     """Schema-check a config dict; raises ConfigInvalid naming the bad field."""
     if not isinstance(cfg, dict):
-        raise ConfigInvalid("config must be a JSON object")
-    if "name" not in cfg:
-        raise ConfigInvalid("config requires field name", field="name")
-    if "algorithm" not in cfg:
-        raise ConfigInvalid("config requires field algorithm", field="algorithm")
+        raise ConfigInvalid("config must be a JSON object", field="config")
+    for key in ("name", "algorithm"):
+        if key not in cfg:
+            raise ConfigInvalid(f"config requires field {key}", field=key)
     algo = cfg["algorithm"]
-    if algo not in ALGORITHMS:
+    if not isinstance(algo, str) or algo not in _ALGO_FIELDS:
         raise ConfigInvalid(f"unknown algorithm {algo!r}", field="algorithm")
-    required, optional = _ALGO_FIELDS[algo]
-    _require_keys(cfg, _COMMON_FIELDS | required | optional, "config")
-    for key in sorted(required):
+    schema = _ALGO_FIELDS[algo]
+    _require_keys(cfg, _COMMON_FIELDS | set(schema.fields), "config")
+    for key in sorted(schema.required):
         if key not in cfg:
             raise ConfigInvalid(f"{algo} requires field {key}", field=key)
-    if "stop" in cfg:
-        _require_keys(cfg["stop"], {"max_iters", "residual_tol", "stall_window"}, "stop")
-    if "fd" in cfg:
-        _require_keys(cfg["fd"], {"step", "richardson"}, "fd")
+    _parse(cfg.get("stop", {}), _STOP, "stop")
+    _parse(cfg.get("fd", {}), _FD, "fd")
+
+
+def _point(problem: SurrogateProblem, tol: float, seed: int | None = None) -> Callable:
+    """Coercer for a vector of the problem's dimension in its domain (membership slack tol);
+    given a seed, 'random' and 'random(<seed>)' stand for a sample of the domain."""
+    def coerce(value) -> np.ndarray:
+        match = seed is not None and isinstance(value, str) and re.fullmatch(
+            r"random(?:\((\d+)\))?", value)
+        v = problem.domain.sample(CounterRNG(int(match[1] or seed))) if match else _vector(value)
+        if v.shape != (problem.q,) or not problem.domain.contains(v, tol=tol):
+            raise ValueError(f"must be a point of the {problem.q}-dimensional domain, got {v}")
+        return v
+    return coerce
 
 
 def assemble(cfg: dict) -> Assembled:
-    """Turn a validated config into a runnable problem and its run parameters."""
+    """Turn a validated config into a runnable problem and its run parameters.
+
+    Floating-point overflow raises while the problem is built, so such a config is rejected."""
     validate(cfg)
-    algo = cfg["algorithm"]
-    seed = int(cfg.get("seed", 0))
-
-    if algo in ("gradient_descent", "mirror_descent", "mirror_prox"):
-        objective = build_objective(cfg["objective"])
-        eta = float(cfg["eta"])
-        domain = build_domain(cfg["domain"]) if "domain" in cfg else FullSpace(objective.q)
-        if algo == "gradient_descent":
-            phi = QuadraticMap(objective.q)
-            problem = mirror_descent_problem(objective, phi, eta, domain)
-        else:
-            phi = build_mirror_map(cfg["mirror_map"], objective.q)
-            builder = mirror_descent_problem if algo == "mirror_descent" else mirror_prox_problem
-            problem = builder(objective, phi, eta, domain)
-    elif algo == "em_population":
-        model = build_latent_model(cfg["latent_model"])
-        if not isinstance(model, GaussianLatentModel):
-            raise ConfigInvalid("em_population requires a gaussian_latent model")
-        problem = em_population_problem(model)
-    elif algo == "em_sample":
-        model = build_latent_model(cfg["latent_model"])
-        data = _resolve_data(cfg["data"], model)
-        problem = model.sample_problem(data)
-    elif algo == "alpha_em":
-        model = build_latent_model(cfg["latent_model"])
-        if not isinstance(model, GaussianLatentModel):
-            raise ConfigInvalid("alpha_em requires a gaussian_latent model")
-        mode = cfg.get("mode", "population")
-        data = _resolve_data(cfg["data"], model) if "data" in cfg else None
-        if mode == "sample" and data is None:
-            raise ConfigInvalid("alpha_em requires field data when mode is 'sample'",
-                                field="data")
-        problem = alpha_em_problem(model, float(cfg["alpha"]), mode=mode, data=data)
-    elif algo == "newton":
-        objective = build_objective(cfg["objective"])
-        domain = build_domain(cfg["domain"]) if "domain" in cfg else None
-        problem = newton_problem(objective, domain)
-    else:  # pragma: no cover - guarded by validate
-        raise ConfigInvalid(f"unknown algorithm {algo!r}", field="algorithm")
-
-    theta0_spec = cfg.get("theta0", "random")
-    if isinstance(theta0_spec, str):
-        if theta0_spec == "random":
-            theta0 = problem.domain.sample(CounterRNG(seed))
-        elif theta0_spec.startswith("random(") and theta0_spec.endswith(")"):
-            theta0 = problem.domain.sample(CounterRNG(int(theta0_spec[7:-1])))
-        else:
-            raise ConfigInvalid(f"theta0 must be a vector, 'random' or 'random(seed)', "
-                                f"got {theta0_spec!r}", field="theta0")
-    else:
-        theta0 = _vector(theta0_spec, "theta0")
-
-    star_spec = cfg.get("theta_star", "auto")
-    if isinstance(star_spec, str):
-        if star_spec != "auto":
-            raise ConfigInvalid(f"theta_star must be a vector or 'auto', got {star_spec!r}",
-                                field="theta_star")
-        theta_star = None
-    else:
-        theta_star = _vector(star_spec, "theta_star")
-
-    stop_spec = cfg.get("stop", {})
-    stop = StopRule(
-        max_iters=int(stop_spec.get("max_iters", 10_000)),
-        residual_tol=float(stop_spec.get("residual_tol", 1e-13)),
-        stall_window=int(stop_spec.get("stall_window", 20)),
-    )
-    fd_spec = cfg.get("fd", {})
-    fd = FDSpec(step=float(fd_spec.get("step", 1e-4)),
-                richardson=bool(fd_spec.get("richardson", True)))
-
-    return Assembled(
-        name=str(cfg["name"]),
-        algorithm=algo,
-        problem=problem,
-        theta0=theta0,
-        theta_star=theta_star,
-        stop=stop,
-        fd=fd,
-        seed=seed,
-    )
+    schema = _ALGO_FIELDS[cfg["algorithm"]]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        seed = _field(cfg, "seed", _seed, "config", 0)
+        problem = _parse({k: cfg[k] for k in schema.fields if k in cfg}, schema, "config")
+        theta0 = _field(cfg, "theta0", _point(problem, MEMBERSHIP_TOL, seed), "config", "random")
+        near = _point(problem, REFERENCE_TOL)
+        theta_star = _field(cfg, "theta_star", lambda v: None if v == "auto" else near(v), "config",
+                            "auto")
+    stop, fd = _parse(cfg.get("stop", {}), _STOP, "stop"), _parse(cfg.get("fd", {}), _FD, "fd")
+    return Assembled(str(cfg["name"]), cfg["algorithm"], problem, theta0, theta_star, stop, fd,
+                     seed)
 
 
 def load_config(path) -> dict:
-    p = Path(path)
     try:
-        with open(p) as fh:
+        with open(path) as fh:
             return json.load(fh)
     except FileNotFoundError as exc:
-        raise ConfigInvalid(f"config file not found: {p}") from exc
+        raise ConfigInvalid(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config is not valid JSON: {exc}") from exc
 
 
+_SWEEP_FIELDS = {"name": str, "model": lambda spec: build_latent_model(spec, "model"),
+                 "ks": _ks, "seeds": _seeds}
+_SWEEP = _Schema(lambda **fields: tuple(fields.values()), _SWEEP_FIELDS, tuple(_SWEEP_FIELDS))
+
+
+def assemble_sweep(cfg: dict) -> tuple[str, object, list[int], list[int]]:
+    """Check a sweep config; return its name, latent model, sample sizes and data seeds."""
+    return _parse(cfg, _SWEEP, "sweep")
+
+
 def validate_sweep(cfg: dict) -> None:
-    if not isinstance(cfg, dict):
-        raise ConfigInvalid("sweep config must be a JSON object")
-    _require_keys(cfg, {"name", "model", "ks", "seeds"}, "sweep config")
-    for key in ("name", "model", "ks", "seeds"):
-        if key not in cfg:
-            raise ConfigInvalid(f"sweep requires field {key}", field=key)
-    if not isinstance(cfg["ks"], list) or not cfg["ks"]:
-        raise ConfigInvalid("ks must be a nonempty ascending list", field="ks")
-    if list(cfg["ks"]) != sorted(int(k) for k in cfg["ks"]):
-        raise ConfigInvalid("ks must be ascending", field="ks")
-    if not isinstance(cfg["seeds"], list) or not cfg["seeds"]:
-        raise ConfigInvalid("seeds must be a nonempty list", field="seeds")
+    assemble_sweep(cfg)

@@ -194,6 +194,8 @@ def newton_problem(f: Objective, domain: ConvexDomain | None = None) -> Surrogat
     exact minimizer is the Newton step.
     """
     dom = domain or FullSpace(f.q)
+    if dom.q != f.q:
+        raise IncompatibleDomain(f"dimension mismatch: objective {f.q}, domain {dom.q}")
 
     def step(theta):
         th = np.asarray(theta, dtype=float)

@@ -1,10 +1,10 @@
 """Dense symmetric linear algebra.
 
 Everything downstream (curvature reduction, rate computation, spectrum
-transforms) funnels into the four operations here: a LAPACK-backed symmetric
+transforms) funnels into the operations here: a LAPACK-backed symmetric
 eigensolver that rejects non-finite input, inverse square roots, spectral
-norms and the generalized rate pair rho_inf/rho_sup of a pencil (A, B) with
-A positive-definite.
+norms, the spectrum of a pencil (A, B) whitened by a positive-definite A, and
+the generalized rate pair rho_inf/rho_sup read off that spectrum.
 """
 
 from __future__ import annotations
@@ -92,23 +92,36 @@ def spectral_norm(m) -> float:
     return float(np.sqrt(max(lam[-1], 0.0)))
 
 
+def _clears_pd_threshold(lam: np.ndarray) -> bool:
+    """The PD test on an ascending spectrum: lam_min > 0 and above d * 1e-12 * |lam|_max."""
+    return bool(lam[0] > lam.size * 1e-12 * float(np.max(np.abs(lam))) and lam[0] > 0.0)
+
+
 def is_positive_definite(s) -> tuple[bool, float]:
     """PD test by eigenvalue threshold; returns (verdict, min eigenvalue)."""
     lam = eigh(s).eigenvalues
-    scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    ok = lam[0] > lam.size * 1e-12 * scale and lam[0] > 0.0
-    return bool(ok), float(lam[0])
+    return _clears_pd_threshold(lam), float(lam[0])
 
 
 def inv_sqrt(s) -> np.ndarray:
     """Inverse square root R of a symmetric positive-definite S, with R S R = I."""
-    a = symmetrize(s)
-    lam, vec = eigh(a)
-    scale = float(np.max(np.abs(lam)))
-    if not (lam[0] > a.shape[0] * 1e-12 * scale and lam[0] > 0.0):
+    lam, vec = eigh(s)
+    if not _clears_pd_threshold(lam):
         raise NotPositiveDefinite(float(lam[0]))
     r = (vec / np.sqrt(lam)) @ vec.T
     return symmetrize(r)
+
+
+def whitened_eigenvalues(a, b) -> np.ndarray:
+    """Ascending eigenvalues of A^{-1/2} B A^{-1/2}, the pencil (A, B) whitened by SPD A."""
+    a = symmetrize(a)
+    b = symmetrize(b)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise InternalNumericalFailure("rate pair input B has non-finite entries")
+    r = inv_sqrt(a)
+    return eigh(symmetrize(r @ b @ r)).eigenvalues
 
 
 def generalized_rate_pair(a, b) -> RatePair:
@@ -118,16 +131,7 @@ def generalized_rate_pair(a, b) -> RatePair:
     absolute eigenvalue of the same matrix, snapped to 0 when B is singular.
     Non-finite entries in either matrix raise InternalNumericalFailure.
     """
-    a = symmetrize(a)
-    b = symmetrize(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    if not np.all(np.isfinite(b)):
-        raise InternalNumericalFailure("rate pair input B has non-finite entries")
-    r = inv_sqrt(a)
-    core = symmetrize(r @ b @ r)
-    lam = eigh(core).eigenvalues
-    abs_lam = np.abs(lam)
+    abs_lam = np.abs(whitened_eigenvalues(a, b))
     hi = float(abs_lam.max())
     lo = float(abs_lam.min())
     if lo < SINGULAR_TOL * max(1.0, hi):

@@ -26,6 +26,7 @@ from .surrogate import SurrogateProblem, Trace
 DEFAULT_BURN_IN = 0.3
 MIN_WINDOW_POINTS = 10
 DEFAULT_RATE_TOL = 0.02
+REFERENCE_TOL = 1e-9  # membership slack of a fixed point theta* given for analysis
 
 
 class RatesError(Exception):
@@ -93,7 +94,7 @@ class CurvatureFrame:
 def direction_basis(domain: ConvexDomain, theta_star) -> np.ndarray:
     """Orthonormal basis of the feasible-difference span, as q x d columns."""
     point = np.atleast_1d(np.asarray(theta_star, dtype=float))
-    if not domain.contains(point, tol=1e-9):
+    if not domain.contains(point, tol=REFERENCE_TOL):
         raise RatesError(f"reference point {point} is outside the domain")
     return domain.direction_basis()
 
@@ -409,11 +410,9 @@ def mirror_prox_spectrum_map(md_frame: CurvatureFrame) -> ProxPrediction:
     anything outside is flagged as a non-contraction.
     """
     try:
-        r = linalg.inv_sqrt(md_frame.a_tilde)
+        spectrum = linalg.whitened_eigenvalues(md_frame.a_tilde, md_frame.b_tilde)
     except NotPositiveDefinite as exc:
         raise H4Violated(str(exc)) from exc
-    core = linalg.symmetrize(r @ md_frame.b_tilde @ r)
-    spectrum = linalg.eigh(core).eigenvalues
     mapped = spectrum**2 - spectrum + 1.0
     abs_mapped = np.abs(mapped)
     rates = RatePair(float(abs_mapped.min()), float(abs_mapped.max()))

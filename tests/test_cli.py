@@ -157,6 +157,18 @@ def test_sweep_empty_seeds_exits_one(tmp_path, capsys):
     assert "seeds" in capsys.readouterr().err
 
 
+def test_sweep_malformed_ks_exits_one(tmp_path, capsys):
+    cfg = _write(
+        tmp_path,
+        "sweep.json",
+        json.dumps({"name": "bad", "model": {"type": "mixture", "theta_star": 1.0},
+                    "ks": ["a"], "seeds": [0]}),
+    )
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "ks" in err
+
+
 def test_console_script_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "surro.cli", "lemmas", "--trials", "5"],

@@ -1,10 +1,20 @@
 """Config schema: fail-closed validation and problem assembly."""
 
+import copy
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from surro.config import ConfigInvalid, assemble, validate, validate_sweep
+from surro.cli import main
+from surro.config import ConfigInvalid, assemble, assemble_sweep, validate, validate_sweep
 from surro.domains import Simplex
+
+CONFIGS = Path(__file__).resolve().parents[1] / "src" / "surro" / "configs"
 
 
 def _base(algorithm, **extra):
@@ -149,3 +159,142 @@ def test_sweep_validation():
         validate_sweep(dict(good, ks=[20, 10]))
     with pytest.raises(ConfigInvalid, match="unknown field"):
         validate_sweep(dict(good, typo=1))
+
+
+def test_assemble_sweep_returns_typed_fields():
+    name, model, ks, seeds = assemble_sweep(
+        {"name": "s", "model": {"type": "mixture", "theta_star": 1.0}, "ks": [10, 20],
+         "seeds": [0, 3]}
+    )
+    assert (name, model.theta_star, ks, seeds) == ("s", 1.0, [10, 20], [0, 3])
+
+
+MD = dict(
+    objective={"type": "shifted_quadratic", "target": [0.5, 0.3, 0.2]},
+    mirror_map={"type": "neg_entropy"},
+    eta=0.2,
+    domain={"type": "simplex", "q": 3},
+    theta0=[0.2, 0.3, 0.5],
+    theta_star=[0.5, 0.3, 0.2],
+)
+GAUSS = {"type": "gaussian_latent", "sigma_x2": 1.0, "sigma_y2": 1.0, "theta_star": 1.0}
+AEM = dict(latent_model=GAUSS, alpha=0.25, theta0=[2.0], theta_star=[1.0])
+SWEEP = {"name": "s", "model": {"type": "mixture", "theta_star": 1.0}, "ks": [10, 20],
+         "seeds": [0]}
+
+
+def _gd(**changes):
+    return _base("gradient_descent", **dict(GD, **changes))
+
+
+# case -> (config, the field ConfigInvalid must name)
+MALFORMED = {
+    "box_without_upper": (_gd(domain={"type": "box", "lower": [-2.0, -2.0]}), "upper"),
+    "quadratic_form_without_h": (_gd(objective={"type": "quadratic_form"}), "h"),
+    "non_pd_h": (_gd(objective={"type": "quadratic_form", "h": [[1.0, 0.0], [0.0, -1.0]]}),
+                 "objective"),
+    "eta_string": (_gd(eta="fast"), "eta"),
+    "eta_zero": (_gd(eta=0), "eta"),
+    "full_space_wrong_q": (_gd(domain={"type": "full_space", "q": 3}), "domain"),
+    "stop_not_object": (_gd(stop=5), "stop"),
+    "stop_max_iters_zero": (_gd(stop={"max_iters": 0}), "stop"),
+    "fd_negative_step": (_gd(fd={"step": -1}), "fd"),
+    "seed_string": (_gd(seed="x"), "seed"),
+    "theta0_random_word": (_gd(theta0="random(x)"), "theta0"),
+    "theta_star_wrong_length": (_gd(theta_star=[0.0, 0.0, 0.0]), "theta_star"),
+    "theta_star_off_simplex": (_base("mirror_descent", **dict(MD, theta_star=[0.6, 0.3, 0.2])),
+                               "theta_star"),
+    "log_sum_exp_without_q": (_gd(objective={"type": "log_sum_exp"}), "q"),
+    "ball_domain_without_radius": (_gd(domain={"type": "ball", "center": [0.0, 0.0]}), "radius"),
+    "affine_slice_without_lower": (
+        _gd(domain={"type": "affine_slice", "c": [[1.0, 1.0]], "b": [0.0], "upper": [2.0, 2.0]}),
+        "lower",
+    ),
+    "simplex_face_eps_too_large": (
+        _base("mirror_descent", **dict(MD, domain={"type": "simplex", "q": 3, "face_eps": 0.5})),
+        "domain",
+    ),
+    "newton_domain_wrong_q": (
+        _base("newton", objective={"type": "quartic_1d"}, domain={"type": "full_space", "q": 2},
+              theta0=[1.0]),
+        "domain",
+    ),
+    "sweep_ks_string": (dict(SWEEP, ks=["a"]), "ks"),
+    "sweep_seeds_string": (dict(SWEEP, seeds=["a"]), "seeds"),
+    "sweep_seeds_negative": (dict(SWEEP, seeds=[-1]), "seeds"),
+    "objective_not_object": (_gd(objective=5), "objective"),
+    "h_string_entries": (_gd(objective={"type": "quadratic_form", "h": [["a", 0], [0, 1]]}), "h"),
+    "theta0_wrong_length": (_gd(theta0=[1.0]), "theta0"),
+    "theta0_outside_box": (
+        _gd(domain={"type": "box", "lower": [-0.5, -0.5], "upper": [0.5, 0.5]}), "theta0"
+    ),
+    "alpha_one": (_base("alpha_em", **dict(AEM, alpha=1)), "alpha"),
+    "mode_bogus": (_base("alpha_em", **dict(AEM, mode="bogus")), "mode"),
+    "sigma_negative": (
+        _base("alpha_em", **dict(AEM, latent_model=dict(GAUSS, sigma_x2=-1.0))), "latent_model"
+    ),
+    "em_population_mixture": (
+        _base("em_population", latent_model={"type": "mixture", "theta_star": 1.0}),
+        "latent_model",
+    ),
+    "data_k_zero": (_base("em_sample", latent_model=GAUSS, data={"k": 0}, theta0=[2.0]), "k"),
+    "sweep_ks_zero": (dict(SWEEP, ks=[0, 10]), "ks"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_names_its_field(case, tmp_path, capsys):
+    cfg, field = MALFORMED[case]
+    command, check = ("sweep", assemble_sweep) if "ks" in cfg else ("run", assemble)
+    with pytest.raises(ConfigInvalid) as info:
+        check(copy.deepcopy(cfg))
+    assert info.value.field == field
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+BUNDLED = [
+    (path.stem.startswith("sweep"), json.loads(path.read_text()))
+    for path in sorted(CONFIGS.glob("*.json"))
+]
+EDGE_NUMBERS = st.sampled_from([0, -1, 1, 2, 0.5, -0.5, 1e308, -1e308, math.nan, math.inf,
+                                -math.inf, 10**20])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 50) | st.floats() | EDGE_NUMBERS
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    if prefix:
+        yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(
+        node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_mutated_bundled_configs_assemble_or_name_the_field(data):
+    """Drop one key or replace one value anywhere in a bundled config."""
+    is_sweep, cfg = data.draw(st.sampled_from(BUNDLED))
+    cfg = copy.deepcopy(cfg)
+    path = data.draw(st.sampled_from(list(_paths(cfg))))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(JSON_VALUES)
+    try:
+        validate_sweep(cfg) if is_sweep else assemble(cfg)
+    except ConfigInvalid as exc:
+        assert exc.field is not None, str(exc)

@@ -86,6 +86,29 @@ def test_inv_sqrt_rejects_indefinite():
         linalg.inv_sqrt(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("lam_min, pd", [(3e-12, True), (1e-12, False), (0.0, False)])
+def test_pd_threshold_is_shared_by_inv_sqrt_and_is_positive_definite(lam_min, pd):
+    # d = 2: the threshold is lam_min > 2 * 1e-12 * |lam|_max
+    s = np.diag([1.0, lam_min])
+    assert linalg.is_positive_definite(s) == (pd, lam_min)
+    if pd:
+        np.testing.assert_allclose(linalg.inv_sqrt(s), np.diag([1.0, lam_min**-0.5]))
+    else:
+        with pytest.raises(linalg.NotPositiveDefinite):
+            linalg.inv_sqrt(s)
+
+
+def test_whitened_eigenvalues_match_the_pencil_eigenvalues():
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(4, 4))
+    a = linalg.symmetrize(g @ g.T + 0.5 * np.eye(4))
+    b = linalg.symmetrize(rng.normal(size=(4, 4)))
+    expected = np.sort(np.linalg.eigvals(np.linalg.solve(a, b)).real)
+    np.testing.assert_allclose(linalg.whitened_eigenvalues(a, b), expected, atol=1e-10)
+    pair = linalg.generalized_rate_pair(a, b)
+    assert pair.rho_sup == pytest.approx(np.max(np.abs(expected)), abs=1e-10)
+
+
 def test_spectral_norm_basics():
     assert linalg.spectral_norm(np.zeros((3, 3))) == 0.0
     assert linalg.spectral_norm(np.diag([-2.0, 1.0])) == pytest.approx(2.0)
