@@ -24,6 +24,7 @@ from .domains import (
     FullSpace,
     Simplex,
 )
+from .errors import SurroError
 from .latent import (
     AlphaIndex,
     EmptyData,
@@ -69,13 +70,11 @@ from .rates import (
     H4Violated,
     RateReport,
     SingularAcceleration,
-    WindowTooShort,
     accelerate,
     alpha_transform,
     curvature_at,
     decay_estimate,
     direction_basis,
-    empirical_rate,
     mirror_prox_spectrum_map,
     optimal_alpha,
     reparam_invariance_check,

@@ -1,7 +1,8 @@
 """Command-line driver: run, suite, lemmas, sweep.
 
 Exit codes: 0 on success, 2 when a verification verdict fails, 1 on usage or
-configuration errors.
+configuration errors and on any other surro error, such as a run whose
+iterates leave the floating-point range.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ import numpy as np
 
 from . import report
 from .config import ConfigInvalid, assemble_sweep, load_config
-from .latent import ModelError
+from .errors import SurroError
 from .runner import run_experiment, write_suite, write_sweep
 from .suite import run_suite
-from .surrogate import SurrogateError
-from .sweep import SweepError, sample_rate_sweep
+from .sweep import sample_rate_sweep
 from . import lemmas as lemma_suites
 
 EXIT_OK = 0
@@ -113,7 +113,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigInvalid, SurrogateError, SweepError, ModelError) as exc:
+    except (ConfigInvalid, SurroError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

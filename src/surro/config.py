@@ -18,16 +18,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .descent import BuilderError, mirror_descent_problem, mirror_prox_problem, newton_problem
-from .domains import (
-    MEMBERSHIP_TOL, AffineSlice, Box, DomainError, EuclideanBall, FullSpace, Simplex
-)
+from .descent import mirror_descent_problem, mirror_prox_problem, newton_problem
+from .domains import MEMBERSHIP_TOL, AffineSlice, Box, EuclideanBall, FullSpace, Simplex
+from .errors import SurroError
 from .latent import (
-    GaussianLatentModel, ModelError, TwoComponentMixture, alpha_em_problem, em_population_problem
+    GaussianLatentModel, TwoComponentMixture, alpha_em_problem, em_population_problem
 )
-from .linalg import LinalgError
-from .mirror_maps import BallMap, MirrorError, NegEntropyMap, QuadraticMap
-from .objectives import ObjectiveError, Quartic1D, QuadraticForm, ShiftedQuadratic, SmoothLogSumExp
+from .mirror_maps import BallMap, NegEntropyMap, QuadraticMap
+from .objectives import Quartic1D, QuadraticForm, ShiftedQuadratic, SmoothLogSumExp
 from .rates import REFERENCE_TOL, FDSpec
 from .rng import CounterRNG
 from .surrogate import StopRule, SurrogateProblem
@@ -87,8 +85,8 @@ class _Schema(NamedTuple):
     required: tuple[str, ...] = ()
 
 
-_REJECTED = (ValueError, ArithmeticError, LinalgError, ObjectiveError, DomainError, MirrorError,
-             ModelError, BuilderError)
+# ConfigInvalid stays outside: a nested field's rejection must keep its own name
+_REJECTED = (ValueError, ArithmeticError, SurroError)
 
 
 def _require_keys(obj: dict, allowed: set[str], context: str):

@@ -13,12 +13,13 @@ import numpy as np
 
 from . import linalg
 from .domains import ConvexDomain, FullSpace
+from .errors import SurroError
 from .mirror_maps import MirrorMap, NegEntropyMap, QuadraticMap, bregman
 from .objectives import Objective
 from .surrogate import SurrogateProblem, inner_minimize
 
 
-class BuilderError(Exception):
+class BuilderError(SurroError):
     pass
 
 
@@ -44,21 +45,45 @@ def _check_compat(f: Objective, phi: MirrorMap, eta: float, domain: ConvexDomain
         raise IncompatibleDomain("the feasible set does not meet the mirror-map domain")
 
 
-def _closed_step(phi: MirrorMap, domain: ConvexDomain, eta: float):
-    """Closed-form mirror step theta -> argmin eta g'u + D(u, theta), given g."""
+def _mirror_problem(f: Objective, phi: MirrorMap, eta: float, domain: ConvexDomain, at,
+                    **fields) -> SurrogateProblem:
+    """Surrogate eta grad f(at(theta))' u + D_Phi(u, theta), with hess22 = Hess Phi(u).
+
+    The gradient is taken at at(theta): theta for mirror descent, the memoized
+    half-step for mirror prox.  Closed-form steps: projected gradient for the
+    quadratic map, multiplicative weights for entropy on the simplex.
+    """
+
+    def eval_q(theta, u):
+        return eta * float(f.grad(at(theta)) @ u) + bregman(phi, u, theta)
+
+    def grad2(theta, u):
+        return eta * f.grad(at(theta)) + phi.grad(u) - phi.grad(theta)
+
+    def hess22(theta, u):
+        return phi.hess(u)
+
+    closed = None
+    uniform = np.full(phi.q, 1.0 / phi.q)
     if isinstance(phi, QuadraticMap):
-        return lambda theta, g: domain.project(theta - eta * g)
-    if isinstance(phi, NegEntropyMap):
-        if phi.closed_projection(domain, np.full(phi.q, 1.0 / phi.q)) is None:
-            return None
-
-        def step(theta, g):
+        def closed(theta):
+            return domain.project(theta - eta * f.grad(at(theta)))
+    elif isinstance(phi, NegEntropyMap) and phi.closed_projection(domain, uniform) is not None:
+        def closed(theta):
+            g = f.grad(at(theta))
             # multiplicative weights; the shift leaves the normalization unchanged
-            w = theta * np.exp(-eta * (g - np.min(g)))
-            return phi.closed_projection(domain, w)
+            return phi.closed_projection(domain, theta * np.exp(-eta * (g - np.min(g))))
 
-        return step
-    return None
+    return SurrogateProblem(
+        q=f.q,
+        domain=domain,
+        eval_q=eval_q,
+        grad2=grad2,
+        hess22=hess22,
+        closed_form_step=closed,
+        pull_inside=phi.pull_inside,
+        **fields,
+    )
 
 
 def mirror_descent_problem(
@@ -67,37 +92,12 @@ def mirror_descent_problem(
     """Surrogate for one mirror-descent step: eta grad f(theta)' u + D_Phi(u, theta).
 
     Carries analytic hess22 = Hessian of Phi at u and hess12 = eta Hess f(theta)
-    - Hess Phi(theta); closed-form steps exist for the quadratic map (projected
-    gradient step) and entropy on the simplex (multiplicative weights).
+    - Hess Phi(theta).
     """
     _check_compat(f, phi, eta, domain)
-
-    def eval_q(theta, u):
-        return eta * float(f.grad(theta) @ u) + bregman(phi, u, theta)
-
-    def grad2(theta, u):
-        return eta * f.grad(theta) + phi.grad(u) - phi.grad(theta)
-
-    def hess22(theta, u):
-        return phi.hess(u)
-
-    def hess12(theta, u):
-        return eta * f.hess(theta) - phi.hess(theta)
-
-    step_with_grad = _closed_step(phi, domain, eta)
-    closed = None
-    if step_with_grad is not None:
-        closed = lambda theta: step_with_grad(theta, f.grad(theta))
-
-    return SurrogateProblem(
-        q=f.q,
-        domain=domain,
-        eval_q=eval_q,
-        grad2=grad2,
-        hess22=hess22,
-        hess12=hess12,
-        closed_form_step=closed,
-        pull_inside=phi.pull_inside,
+    return _mirror_problem(
+        f, phi, eta, domain, lambda theta: theta,
+        hess12=lambda theta, u: eta * f.hess(theta) - phi.hess(theta),
         label=f"mirror_descent(eta={eta:g})",
     )
 
@@ -152,36 +152,11 @@ def mirror_prox_problem(
     per iteration through the problem's aux hook.
     """
     _check_compat(f, phi, eta, domain)
-    md = mirror_descent_problem(f, phi, eta, domain)
-    half_step = _MemoStep(md)
+    half_step = _MemoStep(_mirror_problem(f, phi, eta, domain, lambda theta: theta))
     gamma, beta = audit_prox_hypotheses(f, phi, eta, domain)
-
-    def eval_q(theta, u):
-        zeta = half_step(theta)
-        return eta * float(f.grad(zeta) @ u) + bregman(phi, u, theta)
-
-    def grad2(theta, u):
-        zeta = half_step(theta)
-        return eta * f.grad(zeta) + phi.grad(u) - phi.grad(theta)
-
-    def hess22(theta, u):
-        return phi.hess(u)
-
-    step_with_grad = _closed_step(phi, domain, eta)
-    closed = None
-    if step_with_grad is not None:
-        closed = lambda theta: step_with_grad(theta, f.grad(half_step(theta)))
-
-    return SurrogateProblem(
-        q=f.q,
-        domain=domain,
-        eval_q=eval_q,
-        grad2=grad2,
-        hess22=hess22,
-        hess12=None,
-        closed_form_step=closed,
+    return _mirror_problem(
+        f, phi, eta, domain, half_step,
         aux_step=half_step,
-        pull_inside=phi.pull_inside,
         label=f"mirror_prox(eta={eta:g}, gamma={gamma if gamma is not None else 'n/a'}, "
         f"beta={beta if beta is not None else 'n/a'})",
     )

@@ -13,11 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import SurroError
+
 MEMBERSHIP_TOL = 1e-12
 INTERIOR_MARGIN = 1e-9
 
 
-class DomainError(Exception):
+class DomainError(SurroError):
     pass
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import FullSpace
+from .errors import SurroError
 from .surrogate import SurrogateProblem
 
 QUAD_START_NODES = 20
@@ -23,7 +24,7 @@ QUAD_MAX_NODES = 200
 QUAD_TOL = 1e-10
 
 
-class ModelError(Exception):
+class ModelError(SurroError):
     pass
 
 

@@ -13,11 +13,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import SurroError
+
 # rho_inf is snapped to 0 when B is numerically singular (0/0 = 0 convention).
 SINGULAR_TOL = 1e-12
 
 
-class LinalgError(Exception):
+class LinalgError(SurroError):
     """Base class for numerical linear-algebra failures."""
 
 

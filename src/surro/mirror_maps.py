@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import Box, ConvexDomain, Simplex
+from .domains import INTERIOR_MARGIN, Box, ConvexDomain, Simplex
+from .errors import SurroError
 
-INTERIOR_MARGIN = 1e-9
 
-
-class MirrorError(Exception):
+class MirrorError(SurroError):
     pass
 
 
@@ -209,8 +208,9 @@ class BallMap(MirrorMap):
 
 def bregman(phi: MirrorMap, x, y) -> float:
     """Bregman divergence Phi(x) - Phi(y) - <grad Phi(y), x - y>."""
-    xv = phi._require(x)
-    yv = phi._require(y)
+    # value and grad validate both points
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    yv = np.atleast_1d(np.asarray(y, dtype=float))
     return float(phi.value(xv) - phi.value(yv) - phi.grad(yv) @ (xv - yv))
 
 

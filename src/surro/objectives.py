@@ -8,9 +8,10 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
+from .errors import SurroError
 
 
-class ObjectiveError(Exception):
+class ObjectiveError(SurroError):
     pass
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import linalg
 from .domains import ConvexDomain
+from .errors import SurroError
 from .linalg import NotPositiveDefinite, RatePair
 from .surrogate import SurrogateProblem, Trace
 
@@ -29,16 +30,12 @@ DEFAULT_RATE_TOL = 0.02
 REFERENCE_TOL = 1e-9  # membership slack of a fixed point theta* given for analysis
 
 
-class RatesError(Exception):
+class RatesError(SurroError):
     pass
 
 
 class H4Violated(RatesError):
     """The reduced curvature matrix A is not positive-definite."""
-
-
-class WindowTooShort(RatesError):
-    pass
 
 
 class SingularAcceleration(RatesError):
@@ -139,38 +136,21 @@ def curvature_at(
     """
     star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     p = direction_basis(problem.domain, star)
-    d = p.shape[1]
     h = fd.step * (1.0 + float(np.linalg.norm(star)))
 
-    if prefer_analytic and problem.hess22 is not None:
-        a_star = linalg.symmetrize(problem.hess22(star, star))
-        a_tilde = linalg.symmetrize(p.T @ a_star @ p)
-    else:
-        cols = np.column_stack(
-            [
-                _directional(lambda u: problem.grad2(star, u), star, p[:, j], h, fd.richardson)
-                for j in range(d)
-            ]
-        )
-        a_tilde = linalg.symmetrize(p.T @ cols)
-        a_star = p @ a_tilde @ p.T
+    def block(analytic, probed, sign):
+        """(ambient, reduced, asymmetry) of sign x one second-derivative block."""
+        if prefer_analytic and analytic is not None:
+            raw = sign * np.asarray(analytic(star, star), dtype=float)
+            ambient = linalg.symmetrize(raw)
+            return ambient, linalg.symmetrize(p.T @ ambient @ p), linalg.asymmetry(raw)
+        cols = [_directional(probed, star, p[:, j], h, fd.richardson) for j in range(p.shape[1])]
+        raw = sign * (p.T @ np.column_stack(cols))
+        reduced = linalg.symmetrize(raw)
+        return p @ reduced @ p.T, reduced, linalg.asymmetry(raw)
 
-    if prefer_analytic and problem.hess12 is not None:
-        b_raw = -np.asarray(problem.hess12(star, star), dtype=float)
-        asym = linalg.asymmetry(b_raw)
-        b_star = linalg.symmetrize(b_raw)
-        b_tilde = linalg.symmetrize(p.T @ b_star @ p)
-    else:
-        cols = np.column_stack(
-            [
-                _directional(lambda t: problem.grad2(t, star), star, p[:, j], h, fd.richardson)
-                for j in range(d)
-            ]
-        )
-        b_raw = -(p.T @ cols)
-        asym = linalg.asymmetry(b_raw)
-        b_tilde = linalg.symmetrize(b_raw)
-        b_star = p @ b_tilde @ p.T
+    a_star, a_tilde, _ = block(problem.hess22, lambda u: problem.grad2(star, u), 1.0)
+    b_star, b_tilde, asym = block(problem.hess12, lambda t: problem.grad2(t, star), -1.0)
 
     try:
         rates = linalg.generalized_rate_pair(a_tilde, b_tilde)
@@ -209,26 +189,22 @@ class DecayEstimate:
     window: tuple[int, int]
 
 
-def decay_estimate(
-    errors: np.ndarray,
-    floor: float,
-    burn_in: float = DEFAULT_BURN_IN,
-    min_points: int = MIN_WINDOW_POINTS,
-) -> DecayEstimate:
+def decay_estimate(errors: np.ndarray, floor: float) -> DecayEstimate:
     """Estimate the geometric decay of a positive error sequence.
 
-    The analysis window drops the burn-in fraction and everything at or below
-    the numerical floor.  When fewer than `min_points` samples survive but the
-    sequence has clearly collapsed, the estimate degrades gracefully to the
-    last observed contraction factor and is flagged superlinear.
+    The analysis window drops the DEFAULT_BURN_IN fraction and everything at or
+    below the numerical floor.  When fewer than MIN_WINDOW_POINTS samples
+    survive but the sequence has clearly collapsed, the estimate degrades
+    gracefully to the last observed contraction factor and is flagged
+    superlinear.
     """
     e = np.asarray(errors, dtype=float)
     n = e.size
-    start = int(math.floor(burn_in * n))
+    start = int(math.floor(DEFAULT_BURN_IN * n))
     usable = [i for i in range(start, n) if e[i] > floor]
 
     ratios_all = [e[i + 1] / e[i] for i in range(n - 1) if e[i] > floor]
-    if len(usable) >= max(min_points, 2):
+    if len(usable) >= MIN_WINDOW_POINTS:
         idx = np.array(usable)
         usable_set = set(usable)
         slope = float(np.polyfit(idx, np.log(e[idx]), 1)[0])
@@ -263,29 +239,6 @@ def decay_estimate(
 
 def default_floor(theta_star) -> float:
     return 1e-12 * (1.0 + float(np.linalg.norm(np.atleast_1d(theta_star))))
-
-
-def empirical_rate(
-    trace: Trace,
-    theta_star,
-    burn_in: float = DEFAULT_BURN_IN,
-    floor: float | None = None,
-) -> tuple[float, float]:
-    """Windowed (slope, median successive ratio) of log iterate errors.
-
-    Requires at least MIN_WINDOW_POINTS usable samples; superlinear traces
-    that collapse to the floor too quickly raise WindowTooShort (use
-    decay_estimate for the graceful variant).
-    """
-    errors = trace.errors(theta_star)
-    lim = floor if floor is not None else default_floor(theta_star)
-    est = decay_estimate(errors, lim, burn_in)
-    if est.n_usable < MIN_WINDOW_POINTS or est.slope is None:
-        raise WindowTooShort(
-            f"only {est.n_usable} usable points above the floor (need {MIN_WINDOW_POINTS})"
-        )
-    ratio = est.successive_ratio if est.successive_ratio is not None else est.rate
-    return est.slope, float(ratio)
 
 
 @dataclass(frozen=True)
@@ -327,53 +280,43 @@ def _span_warning(trace: Trace, theta_star, est: DecayEstimate, d: int) -> bool:
 
 
 def verdicts(
-    trace: Trace,
-    theta_star,
-    frame: CurvatureFrame,
-    problem: SurrogateProblem | None = None,
-    tol_rate: float = DEFAULT_RATE_TOL,
-    burn_in: float = DEFAULT_BURN_IN,
-    floor: float | None = None,
+    trace: Trace, theta_star, frame: CurvatureFrame, problem: SurrogateProblem
 ) -> RateReport:
     """Check the measured decay of a trace against its theoretical rate pair.
 
-    The surrogate-gap check needs the problem to evaluate Q at the fixed
-    point; without it that verdict is reported inapplicable.
+    Every rate comparison allows DEFAULT_RATE_TOL; the surrogate gap is
+    measured against Q at the fixed point, and is inapplicable without
+    recorded surrogate values.
     """
     star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     theory = theoretical_rates(frame)
-    errors = trace.errors(star)
-    lim = floor if floor is not None else default_floor(star)
-    est = decay_estimate(errors, lim, burn_in)
+    est = decay_estimate(trace.errors(star), default_floor(star))
     rate_emp = est.rate
-
-    domain = problem.domain if problem is not None else None
-    interior = bool(domain.is_interior(star)) if domain is not None else False
+    interior = bool(problem.domain.is_interior(star))
 
     out: dict[str, str] = {}
-    out["upper"] = "pass" if rate_emp <= theory.rho_sup + tol_rate else "fail"
+    out["upper"] = "pass" if rate_emp <= theory.rho_sup + DEFAULT_RATE_TOL else "fail"
 
     if not interior or est.window_empty:
         out["lower"] = "inapplicable"
     else:
-        out["lower"] = "pass" if rate_emp >= theory.rho_inf - tol_rate else "fail"
+        out["lower"] = "pass" if rate_emp >= theory.rho_inf - DEFAULT_RATE_TOL else "fail"
 
     exact_applicable = theory.rho_sup**2 <= theory.rho_inf + 1e-12 and interior
     if not exact_applicable or est.window_empty:
         out["exact"] = "inapplicable"
     else:
-        out["exact"] = "pass" if abs(rate_emp - theory.rho_sup) <= tol_rate else "fail"
+        out["exact"] = "pass" if abs(rate_emp - theory.rho_sup) <= DEFAULT_RATE_TOL else "fail"
 
-    q_gap_slope = None
-    q_gap_rate = None
-    if problem is not None and trace.q_values:
+    q_gap_slope = q_gap_rate = None
+    if trace.q_values:
         q_star = float(problem.eval_q(star, star))
         gaps = np.abs(np.asarray(trace.q_values) - q_star)
         q_floor = 1e-12 * (1.0 + abs(q_star))
-        est_q = decay_estimate(gaps, q_floor, burn_in)
+        est_q = decay_estimate(gaps, q_floor)
         q_gap_slope = est_q.slope
         q_gap_rate = est_q.rate
-        out["q_gap"] = "pass" if est_q.rate <= theory.rho_sup + tol_rate else "fail"
+        out["q_gap"] = "pass" if est_q.rate <= theory.rho_sup + DEFAULT_RATE_TOL else "fail"
     else:
         out["q_gap"] = "inapplicable"
 
@@ -387,7 +330,6 @@ def verdicts(
         superlinear=est.superlinear,
         span_warning=_span_warning(trace, star, est, frame.d),
         verdicts=out,
-        tol_rate=tol_rate,
     )
 
 
@@ -470,16 +412,15 @@ def reparam_invariance_check(
     psi: Callable,
     psi_inv: Callable,
     dpsi: Callable,
-    fd: FDSpec = FDSpec(),
     transformed_domain: ConvexDomain | None = None,
 ) -> tuple[RatePair, RatePair]:
     """Rate pairs of a problem and of its pullback through a smooth change of variables.
 
-    Both pairs are computed by finite differences.  At interior fixed points
+    Both pairs are computed by default finite differences.  At interior fixed points
     they agree; at boundary fixed points they need not.
     """
     star = np.atleast_1d(np.asarray(theta_star, dtype=float))
-    frame = curvature_at(problem, star, fd, prefer_analytic=False)
+    frame = curvature_at(problem, star, prefer_analytic=False)
     rates_original = theoretical_rates(frame)
 
     def t_eval(theta, u):
@@ -498,6 +439,6 @@ def reparam_invariance_check(
         label=problem.label + "|reparam",
     )
     star_pulled = np.atleast_1d(np.asarray(psi_inv(star), dtype=float))
-    frame_pulled = curvature_at(pulled, star_pulled, fd, prefer_analytic=False)
+    frame_pulled = curvature_at(pulled, star_pulled, prefer_analytic=False)
     rates_reparam = theoretical_rates(frame_pulled)
     return rates_original, rates_reparam

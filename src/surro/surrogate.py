@@ -14,14 +14,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .domains import ConvexDomain
+from .domains import ConvexDomain, DegenerateDomain
+from .errors import SurroError
 
 INNER_CAP = 500
 INNER_TOL = 1e-12
 ARMIJO_C = 1e-4
 
 
-class SurrogateError(Exception):
+class SurrogateError(SurroError):
     pass
 
 
@@ -121,14 +122,15 @@ def _project(domain, pull_inside, x):
     return y if pull_inside is None else pull_inside(y)
 
 
-def minimize_smooth(domain, fun, grad, hess, x0, pull_inside=None, cap=INNER_CAP, tol=INNER_TOL):
+def minimize_smooth(domain, fun, grad, hess, x0, pull_inside=None):
     """Projected descent for a smooth convex function over a convex set.
 
     Tries a damped Newton step when a Hessian is available and falls back to
     projected gradient with Barzilai-Borwein steps.  Steps are accepted either
     by Armijo decrease of the value or, once value differences drop below
     double-precision resolution, by halving of the projected-gradient
-    residual; termination is on that residual.
+    residual; termination is on that residual, at INNER_TOL relative to
+    1 + max|x|, within INNER_CAP iterations.
     """
 
     def residual_at(point, gradient):
@@ -157,19 +159,17 @@ def minimize_smooth(domain, fun, grad, hess, x0, pull_inside=None, cap=INNER_CAP
 
     x = _project(domain, pull_inside, np.asarray(x0, dtype=float))
     fx = fun(x)
-    from .domains import DegenerateDomain
-
     try:
         tangent = domain.direction_basis()  # Newton steps respect the affine hull
     except DegenerateDomain:
         tangent = None  # point domain: the gradient path settles it
     prev_x = None
     prev_g = None
-    for _ in range(cap):
+    for _ in range(INNER_CAP):
         g = grad(x)
         residual = residual_at(x, g)
         scale = 1.0 + float(np.max(np.abs(x)))
-        if residual <= tol * scale:
+        if residual <= INNER_TOL * scale:
             return x
 
         candidate = None
@@ -196,12 +196,12 @@ def minimize_smooth(domain, fun, grad, hess, x0, pull_inside=None, cap=INNER_CAP
         prev_x, prev_g = x, g
         if candidate is None:
             # both line searches stagnated; accept only within noise of the target
-            if residual <= 100.0 * tol * scale:
+            if residual <= 100.0 * INNER_TOL * scale:
                 return x
             raise SolveFailure(f"no descent direction found (residual {residual:.3e})")
         x, fx = candidate
 
-    raise SolveFailure(f"iteration cap {cap} reached (residual {residual:.3e})")
+    raise SolveFailure(f"iteration cap {INNER_CAP} reached (residual {residual:.3e})")
 
 
 def inner_minimize(problem: SurrogateProblem, theta, use_closed_form: bool = True) -> np.ndarray:
@@ -240,6 +240,7 @@ def iterate(problem: SurrogateProblem, theta0, stop: StopRule | None = None) -> 
     Records per-step surrogate values Q(theta_n, theta_{n+1}), residuals,
     optional auxiliary half-steps and optional Lyapunov values.  A start that
     is already an exact fixed point yields a single-point converged trace.
+    Floating-point overflow, invalid or divide errors in a step raise SurrogateError.
     """
     stop = stop or StopRule()
     th = problem.check_feasible(theta0)
@@ -254,40 +255,44 @@ def iterate(problem: SurrogateProblem, theta0, stop: StopRule | None = None) -> 
     reason = StopReason.MAX_ITERS
     best_residual = np.inf
     stalled_steps = 0
-    for n in range(stop.max_iters):
-        current = iterates[-1]
-        if aux is not None:
-            aux.append(np.atleast_1d(np.asarray(problem.aux_step(current), dtype=float)))
-        try:
-            nxt = inner_minimize(problem, current)
-        except InnerSolveFailed as exc:
-            raise InnerSolveFailed(str(exc), step_index=n) from exc
-        residual = float(np.linalg.norm(nxt - current))
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for n in range(stop.max_iters):
+                current = iterates[-1]
+                if aux is not None:
+                    aux.append(np.atleast_1d(np.asarray(problem.aux_step(current), dtype=float)))
+                try:
+                    nxt = inner_minimize(problem, current)
+                except InnerSolveFailed as exc:
+                    raise InnerSolveFailed(str(exc), step_index=n) from exc
+                residual = float(np.linalg.norm(nxt - current))
 
-        if residual <= stop.residual_tol and np.array_equal(nxt, current):
-            # exact fixed point: do not append a duplicate iterate
-            if aux is not None:
-                aux.pop()
-            reason = StopReason.CONVERGED
-            break
+                if residual <= stop.residual_tol and np.array_equal(nxt, current):
+                    # exact fixed point: do not append a duplicate iterate
+                    if aux is not None:
+                        aux.pop()
+                    reason = StopReason.CONVERGED
+                    break
 
-        iterates.append(nxt)
-        q_values.append(float(problem.eval_q(current, nxt)))
-        residuals.append(residual)
-        if lyap is not None:
-            lyap.append(float(problem.lyapunov(nxt)))
+                iterates.append(nxt)
+                q_values.append(float(problem.eval_q(current, nxt)))
+                residuals.append(residual)
+                if lyap is not None:
+                    lyap.append(float(problem.lyapunov(nxt)))
 
-        if residual <= stop.residual_tol:
-            reason = StopReason.CONVERGED
-            break
-        if residual < best_residual:
-            best_residual = residual
-            stalled_steps = 0
-        else:
-            stalled_steps += 1
-            if stalled_steps >= stop.stall_window:
-                reason = StopReason.STALLED
-                break
+                if residual <= stop.residual_tol:
+                    reason = StopReason.CONVERGED
+                    break
+                if residual < best_residual:
+                    best_residual = residual
+                    stalled_steps = 0
+                else:
+                    stalled_steps += 1
+                    if stalled_steps >= stop.stall_window:
+                        reason = StopReason.STALLED
+                        break
+    except FloatingPointError as exc:
+        raise SurrogateError(f"step {n} left the floating-point range: {exc}") from exc
 
     return Trace(
         iterates=iterates,

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import FDSpec, curvature_at
+from .errors import SurroError
+from .rates import curvature_at
 from .rng import CounterRNG
-from .surrogate import StopRule, iterate
+from .surrogate import iterate
 
 
-class SweepError(Exception):
+class SweepError(SurroError):
     pass
 
 
@@ -50,13 +51,13 @@ def worker_count() -> int:
     return 1
 
 
-def _run_cell(model, k: int, seed: int, rho_pop: float, stop: StopRule, fd: FDSpec) -> SweepRow:
+def _run_cell(model, k: int, seed: int, rho_pop: float) -> SweepRow:
     rng = CounterRNG((seed, k))
     data = model.sample_y(k, rng)
     problem = model.sample_problem(data)
-    trace = iterate(problem, model.default_theta0(), stop)
+    trace = iterate(problem, model.default_theta0())
     theta_hat = trace.final
-    rates = curvature_at(problem, theta_hat, fd).rates
+    rates = curvature_at(problem, theta_hat).rates
     rho = rates.rho_sup if rates is not None else 0.0  # 0 when the reduced A~ is not PD
     return SweepRow(
         k=int(k),
@@ -67,18 +68,13 @@ def _run_cell(model, k: int, seed: int, rho_pop: float, stop: StopRule, fd: FDSp
     )
 
 
-def sample_rate_sweep(
-    model,
-    ks,
-    seeds,
-    stop: StopRule | None = None,
-    fd: FDSpec = FDSpec(),
-) -> SweepTable:
+def sample_rate_sweep(model, ks, seeds) -> SweepTable:
     """Measure the per-sample-size spread of fixed-point rates around the limit.
 
     `ks` must be ascending and nonempty; `seeds` nonempty.  The model must
     provide sample_y / sample_problem / population_rate / default_theta0
-    (both shipped latent models do).
+    (both shipped latent models do).  Each cell iterates under the default
+    StopRule and takes its curvature with the default FDSpec.
     """
     ks = [int(k) for k in ks]
     seeds = [int(s) for s in seeds]
@@ -88,10 +84,9 @@ def sample_rate_sweep(
         raise SweepError("ks must be ascending")
     if not seeds:
         raise SweepError("seeds must be nonempty")
-    stop = stop or StopRule()
     rho_pop = float(model.population_rate())
 
-    rows = [_run_cell(model, k, s, rho_pop, stop, fd) for k in ks for s in seeds]
+    rows = [_run_cell(model, k, s, rho_pop) for k in ks for s in seeds]
     rows.sort(key=lambda r: (r.k, r.seed))
 
     summary = []

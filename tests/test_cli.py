@@ -176,3 +176,17 @@ def test_console_script_entry_point(tmp_path):
         text=True,
     )
     assert proc.returncode == 0
+
+
+def test_run_that_overflows_exits_one_without_traceback(tmp_path):
+    cfg = json.loads((CONFIGS / "gd_diag.json").read_text())
+    cfg["eta"] = 1e300  # accepted by the schema; the iterates overflow on the first step
+    path = _write(tmp_path, "huge_eta.json", json.dumps(cfg))
+    proc = subprocess.run(
+        [sys.executable, "-m", "surro.cli", "run", "--config", path, "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

@@ -58,10 +58,10 @@ def test_md_surrogate_value_at_diagonal():
         )
 
 
-def test_md_grad2_matches_finite_differences_of_eval():
-    prob = mirror_descent_problem(
-        ShiftedQuadratic(np.array([0.5, 0.3, 0.2])), NegEntropyMap(3), 0.2, Simplex(3)
-    )
+@pytest.mark.parametrize("build", [mirror_descent_problem, mirror_prox_problem],
+                         ids=lambda build: build.__name__)
+def test_md_grad2_matches_finite_differences_of_eval(build):
+    prob = build(ShiftedQuadratic(np.array([0.5, 0.3, 0.2])), NegEntropyMap(3), 0.2, Simplex(3))
     rng = CounterRNG(41)
     for _ in range(10):
         # stay away from the faces, where the entropy's third derivative

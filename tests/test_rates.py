@@ -1,26 +1,29 @@
 """Curvature frames, rate pairs, decay estimation, verdicts and transforms."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from surro.config import assemble
 from surro.descent import mirror_descent_problem, mirror_prox_problem, newton_problem
 from surro.domains import AffineSlice, Box, FullSpace, Simplex
 from surro.latent import GaussianLatentModel, em_population_problem
 from surro.mirror_maps import NegEntropyMap, QuadraticMap
 from surro.objectives import Quartic1D, QuadraticForm, ShiftedQuadratic
 from surro.rates import (
+    MIN_WINDOW_POINTS,
     FDSpec,
     H4Violated,
     RatesError,
     SingularAcceleration,
-    WindowTooShort,
     accelerate,
     alpha_transform,
     curvature_at,
     decay_estimate,
     default_floor,
     direction_basis,
-    empirical_rate,
     mirror_prox_spectrum_map,
     optimal_alpha,
     reparam_invariance_check,
@@ -96,6 +99,20 @@ def test_curvature_newton_and_population_em():
     fd = curvature_at(em, np.array([1.0]), prefer_analytic=False)
     assert fd.a_tilde[0, 0] == pytest.approx(1.0, abs=1e-6)
     assert fd.b_tilde[0, 0] == pytest.approx(0.5, abs=1e-6)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "src" / "surro" / "configs"
+ALGORITHM_CONFIGS = sorted(p for p in CONFIGS.glob("*.json") if not p.name.startswith("sweep_"))
+
+
+@pytest.mark.parametrize("path", ALGORITHM_CONFIGS, ids=lambda path: path.stem)
+def test_analytic_curvature_matches_finite_differences_on_bundled_configs(path):
+    asm = assemble(json.loads(path.read_text()))
+    assert asm.problem.hess22 is not None  # the analytic branch is exercised
+    analytic = curvature_at(asm.problem, asm.theta_star, asm.fd)
+    probed = curvature_at(asm.problem, asm.theta_star, asm.fd, prefer_analytic=False)
+    np.testing.assert_allclose(probed.a_tilde, analytic.a_tilde, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(probed.b_tilde, analytic.b_tilde, rtol=0, atol=1e-8)
 
 
 def _pencil_problem(b_diag):
@@ -184,13 +201,18 @@ def test_rate_definition_sampling_consistency():
     assert rates.rho_inf <= np.min(ratios) + 1e-9  # the reduced pencil is definite here
 
 
+def _full_window_decay(trace, star):
+    est = decay_estimate(trace.errors(star), default_floor(star))
+    assert est.n_usable >= MIN_WINDOW_POINTS  # a fitted window, not the short-window fallback
+    return est
+
+
 def test_empirical_rate_exact_geometric_inputs():
     star = np.zeros(2)
     direction = np.array([1.0, -1.0])
-    trace = _synthetic_trace(0.6, 60, direction, star)
-    slope, ratio = empirical_rate(trace, star)
-    assert slope == pytest.approx(np.log(0.6), abs=1e-9)
-    assert ratio == pytest.approx(0.6, abs=1e-12)
+    est = _full_window_decay(_synthetic_trace(0.6, 60, direction, star), star)
+    assert est.slope == pytest.approx(np.log(0.6), abs=1e-9)
+    assert est.successive_ratio == pytest.approx(0.6, abs=1e-12)
 
 
 def test_empirical_rate_calibration_sweep():
@@ -199,24 +221,22 @@ def test_empirical_rate_calibration_sweep():
         # size the trace so every point clears the floor even at r = 0.1
         n = min(240, int(16.0 / abs(np.log10(r))))
         trace = _synthetic_trace(r, max(n, 16), 1e4 * np.ones(1), star)
-        slope, _ = empirical_rate(trace, star)
-        assert abs(np.exp(slope) - r) <= 1e-6
+        assert abs(np.exp(_full_window_decay(trace, star).slope) - r) <= 1e-6
 
 
 def test_empirical_rate_gd_trace():
     prob = _gd([1.0, 4.0], 0.4)
     trace = iterate(prob, np.array([1.0, 1.0]))
-    slope, ratio = empirical_rate(trace, np.zeros(2))
-    assert np.exp(slope) == pytest.approx(0.6, abs=1e-3)
-    assert ratio == pytest.approx(0.6, abs=1e-3)
+    est = _full_window_decay(trace, np.zeros(2))
+    assert np.exp(est.slope) == pytest.approx(0.6, abs=1e-3)
+    assert est.successive_ratio == pytest.approx(0.6, abs=1e-3)
 
 
 def test_empirical_rate_window_too_short_for_newton():
     prob = newton_problem(Quartic1D())
     trace = iterate(prob, np.array([1.0]))
-    with pytest.raises(WindowTooShort):
-        empirical_rate(trace, np.zeros(1))
     est = decay_estimate(trace.errors(np.zeros(1)), default_floor(np.zeros(1)))
+    assert est.n_usable < MIN_WINDOW_POINTS
     assert est.superlinear
     assert est.rate < 0.05
 
