@@ -89,7 +89,6 @@ from .surrogate import (
     StopRule,
     SurrogateProblem,
     Trace,
-    fixed_point_residual,
     inner_minimize,
     iterate,
 )

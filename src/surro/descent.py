@@ -148,8 +148,8 @@ def mirror_prox_problem(
 ) -> SurrogateProblem:
     """Extragradient surrogate: gradient evaluated at the mirror-descent half-step.
 
-    The half-step zeta = argmin eta grad f(theta)'u + D(u, theta) is recorded
-    per iteration through the problem's aux hook.
+    The half-step zeta = argmin eta grad f(theta)'u + D(u, theta) is the
+    problem's aux_step, so the half-step of any iterate can be derived from it.
     """
     _check_compat(f, phi, eta, domain)
     half_step = _MemoStep(_mirror_problem(f, phi, eta, domain, lambda theta: theta))

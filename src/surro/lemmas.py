@@ -15,6 +15,7 @@ from . import linalg
 from .rng import CounterRNG
 
 DIMS = (1, 8)
+ASCENT_STEPS = 200
 
 
 @dataclass
@@ -41,17 +42,17 @@ def random_symmetric(rng: CounterRNG, d: int) -> np.ndarray:
     return linalg.symmetrize(rng.gaussian(d * d).reshape(d, d))
 
 
-def _dim(rng: CounterRNG, dims) -> int:
-    lo, hi = dims
+def _dim(rng: CounterRNG) -> int:
+    lo, hi = DIMS
     return lo + int(rng.uniform(1)[0] * (hi - lo + 1))
 
 
-def _ratio_ascent(a: np.ndarray, b: np.ndarray, v0: np.ndarray, steps: int = 200) -> float:
+def _ratio_ascent(a: np.ndarray, b: np.ndarray, v0: np.ndarray) -> float:
     """Hill-climb |v'Bv| / v'Av from v0; derivative ascent, no eigensolver."""
     v = v0 / np.linalg.norm(v0)
     sign = 1.0 if float(v @ b @ v) >= 0 else -1.0
     value = sign * float(v @ b @ v) / float(v @ a @ v)
-    for _ in range(steps):
+    for _ in range(ASCENT_STEPS):
         bv, av = b @ v, a @ v
         p, q = float(v @ bv), float(v @ av)
         grad = sign * 2.0 * (bv * q - p * av) / q**2
@@ -73,7 +74,7 @@ def _ratio_ascent(a: np.ndarray, b: np.ndarray, v0: np.ndarray, steps: int = 200
     return abs(value)
 
 
-def check_rate_identity(trials: int = 1000, seed: int = 0, dims=DIMS) -> SuiteResult:
+def check_rate_identity(trials: int = 1000, seed: int = 0) -> SuiteResult:
     """Four routes to the sup rate agree: two spectral radii, one norm, one searched sup.
 
     The direction search draws random candidates and polishes the best of each
@@ -83,7 +84,7 @@ def check_rate_identity(trials: int = 1000, seed: int = 0, dims=DIMS) -> SuiteRe
     rng = CounterRNG((seed, 1))
     out = SuiteResult("rate_identity", trials)
     for _ in range(trials):
-        d = _dim(rng, dims)
+        d = _dim(rng)
         a = random_spd(rng, d)
         b = random_symmetric(rng, d)
         a_inv = np.linalg.inv(a)
@@ -114,7 +115,7 @@ def check_rate_identity(trials: int = 1000, seed: int = 0, dims=DIMS) -> SuiteRe
     return out
 
 
-def check_domination(trials: int = 1000, seed: int = 0, dims=DIMS) -> SuiteResult:
+def check_domination(trials: int = 1000, seed: int = 0) -> SuiteResult:
     """x'Ax <= x'By forces |x|_A <= rho |y|_A with rho the weighted norm of B."""
     rng = CounterRNG((seed, 2))
     out = SuiteResult("domination", trials)
@@ -122,7 +123,7 @@ def check_domination(trials: int = 1000, seed: int = 0, dims=DIMS) -> SuiteResul
     attempts = 0
     while done < trials and attempts < 100 * trials:
         attempts += 1
-        d = _dim(rng, dims)
+        d = _dim(rng)
         a = random_spd(rng, d)
         b = rng.gaussian(d * d).reshape(d, d)
         x = 0.3 * rng.gaussian(d)
@@ -143,12 +144,12 @@ def check_domination(trials: int = 1000, seed: int = 0, dims=DIMS) -> SuiteResul
     return out
 
 
-def check_norm_perturbation(trials: int = 1000, seed: int = 0, dims=DIMS) -> SuiteResult:
+def check_norm_perturbation(trials: int = 1000, seed: int = 0) -> SuiteResult:
     """Nearby SPD matrices induce norms sandwiched within a relative epsilon."""
     rng = CounterRNG((seed, 3))
     out = SuiteResult("norm_perturbation", trials)
     for _ in range(trials):
-        d = _dim(rng, dims)
+        d = _dim(rng)
         s_star = random_spd(rng, d)
         min_eig = linalg.eigh(s_star).eigenvalues[0]
         for eps in (0.5, 0.1, 0.01):
@@ -169,7 +170,7 @@ def check_norm_perturbation(trials: int = 1000, seed: int = 0, dims=DIMS) -> Sui
     return out
 
 
-def check_rate_perturbation(trials: int = 1000, seed: int = 0, dims=DIMS) -> SuiteResult:
+def check_rate_perturbation(trials: int = 1000, seed: int = 0) -> SuiteResult:
     """The sup rate is locally Lipschitz in (A, B), with an explicit envelope.
 
     For |M| below half the smallest eigenvalue of A, comparing Rayleigh
@@ -182,7 +183,7 @@ def check_rate_perturbation(trials: int = 1000, seed: int = 0, dims=DIMS) -> Sui
     out = SuiteResult("rate_perturbation", trials)
     scales = (1e-2, 1e-3, 1e-4)
     for _ in range(trials):
-        d = _dim(rng, dims)
+        d = _dim(rng)
         a = random_spd(rng, d, cond_range=(0.5, 2.0))
         b = random_symmetric(rng, d)
         base = linalg.generalized_rate_pair(a, b).rho_sup
@@ -204,7 +205,7 @@ def check_rate_perturbation(trials: int = 1000, seed: int = 0, dims=DIMS) -> Sui
     return out
 
 
-def check_eigh_reconstruction(trials: int = 1000, seed: int = 0, dims=DIMS) -> SuiteResult:
+def check_eigh_reconstruction(trials: int = 1000, seed: int = 0) -> SuiteResult:
     """eigh output reconstructs the input and keeps eigenvectors orthonormal.
 
     A guard on the LAPACK path: it checks the decomposition against its own
@@ -213,7 +214,7 @@ def check_eigh_reconstruction(trials: int = 1000, seed: int = 0, dims=DIMS) -> S
     rng = CounterRNG((seed, 5))
     out = SuiteResult("eigh_reconstruction", trials)
     for _ in range(trials):
-        d = _dim(rng, dims)
+        d = _dim(rng)
         s = random_symmetric(rng, d) * float(np.exp(2.0 * rng.gaussian(1)[0]))
         lam, vec = linalg.eigh(s)
         recon = (vec * lam) @ vec.T
@@ -240,5 +241,5 @@ ALL_SUITES = (
 )
 
 
-def run_all(trials: int = 1000, seed: int = 0, dims=DIMS) -> list[SuiteResult]:
-    return [suite(trials=trials, seed=seed, dims=dims) for suite in ALL_SUITES]
+def run_all(trials: int = 1000, seed: int = 0) -> list[SuiteResult]:
+    return [suite(trials=trials, seed=seed) for suite in ALL_SUITES]

@@ -15,6 +15,8 @@ import numpy as np
 from .domains import INTERIOR_MARGIN, Box, ConvexDomain, Simplex
 from .errors import SurroError
 
+CLOSURE_TOL = 1e-12  # slack of the domain-closure membership checks
+
 
 class MirrorError(SurroError):
     pass
@@ -45,7 +47,7 @@ class MirrorMap:
     def in_domain(self, x) -> bool:
         raise NotImplementedError
 
-    def in_closure(self, x, tol: float = 1e-12) -> bool:
+    def in_closure(self, x) -> bool:
         """Membership in the closure of the map's domain."""
         return self.in_domain(x)
 
@@ -123,9 +125,9 @@ class NegEntropyMap(MirrorMap):
         v = np.atleast_1d(x)
         return bool(np.all(np.isfinite(v)) and np.all(v > 0.0))
 
-    def in_closure(self, x, tol=1e-12):
+    def in_closure(self, x):
         v = np.atleast_1d(x)
-        return bool(np.all(np.isfinite(v)) and np.all(v >= -tol))
+        return bool(np.all(np.isfinite(v)) and np.all(v >= -CLOSURE_TOL))
 
     def pull_inside(self, x):
         return np.maximum(np.atleast_1d(np.asarray(x, dtype=float)), self.floor)
@@ -187,9 +189,9 @@ class BallMap(MirrorMap):
         v = np.atleast_1d(x)
         return bool(np.all(np.isfinite(v)) and float(v @ v) < self.r2)
 
-    def in_closure(self, x, tol=1e-12):
+    def in_closure(self, x):
         v = np.atleast_1d(x)
-        return bool(np.all(np.isfinite(v)) and float(v @ v) <= self.r2 * (1.0 + tol))
+        return bool(np.all(np.isfinite(v)) and float(v @ v) <= self.r2 * (1.0 + CLOSURE_TOL))
 
     def pull_inside(self, x):
         v = np.atleast_1d(np.asarray(x, dtype=float))

@@ -22,7 +22,7 @@ from . import linalg
 from .domains import ConvexDomain
 from .errors import SurroError
 from .linalg import NotPositiveDefinite, RatePair
-from .surrogate import SurrogateProblem, Trace
+from .surrogate import StopReason, SurrogateProblem, Trace
 
 DEFAULT_BURN_IN = 0.3
 MIN_WINDOW_POINTS = 10
@@ -248,7 +248,8 @@ class RateReport:
     Verdict keys: "upper" (measured decay bounded by the sup rate), "lower"
     (bounded below by the inf rate, interior limits only), "exact" (the two
     coincide when sup^2 <= inf) and "q_gap" (surrogate values converge at
-    least as fast as the iterates).
+    least as fast as the iterates).  q_gaps holds the signed surrogate gap
+    Q(theta_n, theta_{n+1}) - Q(theta*, theta*) of every step.
     """
 
     theory: RatePair
@@ -260,6 +261,7 @@ class RateReport:
     superlinear: bool
     span_warning: bool
     verdicts: dict[str, str]
+    q_gaps: tuple[float, ...]
     tol_rate: float = DEFAULT_RATE_TOL
 
     @property
@@ -285,8 +287,8 @@ def verdicts(
     """Check the measured decay of a trace against its theoretical rate pair.
 
     Every rate comparison allows DEFAULT_RATE_TOL; the surrogate gap is
-    measured against Q at the fixed point, and is inapplicable without
-    recorded surrogate values.
+    measured against Q at the fixed point, and is inapplicable on a trace
+    without steps.  A trace that did not converge fails every verdict.
     """
     star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     theory = theoretical_rates(frame)
@@ -309,16 +311,19 @@ def verdicts(
         out["exact"] = "pass" if abs(rate_emp - theory.rho_sup) <= DEFAULT_RATE_TOL else "fail"
 
     q_gap_slope = q_gap_rate = None
-    if trace.q_values:
+    q_gaps: tuple[float, ...] = ()
+    if len(trace) > 1:
         q_star = float(problem.eval_q(star, star))
-        gaps = np.abs(np.asarray(trace.q_values) - q_star)
-        q_floor = 1e-12 * (1.0 + abs(q_star))
-        est_q = decay_estimate(gaps, q_floor)
+        q_gaps = tuple((trace.q_values(problem) - q_star).tolist())
+        est_q = decay_estimate(np.abs(q_gaps), 1e-12 * (1.0 + abs(q_star)))
         q_gap_slope = est_q.slope
         q_gap_rate = est_q.rate
         out["q_gap"] = "pass" if est_q.rate <= theory.rho_sup + DEFAULT_RATE_TOL else "fail"
     else:
         out["q_gap"] = "inapplicable"
+
+    if trace.stop_reason is not StopReason.CONVERGED:
+        out = dict.fromkeys(out, "fail")
 
     return RateReport(
         theory=theory,
@@ -330,6 +335,7 @@ def verdicts(
         superlinear=est.superlinear,
         span_warning=_span_warning(trace, star, est, frame.d),
         verdicts=out,
+        q_gaps=q_gaps,
     )
 
 

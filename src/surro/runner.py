@@ -63,20 +63,15 @@ def locate_fixed_point(problem, trace: Trace, fd) -> np.ndarray:
     return refined
 
 
-def _trace_csv(trace: Trace, theta_star, problem) -> tuple[list[str], list[list[str]]]:
+def _trace_csv(trace: Trace, theta_star, q_gaps) -> tuple[list[str], list[list[str]]]:
     q = trace.iterates[0].shape[0]
     header = ["n"] + [f"theta_{i}" for i in range(q)] + ["err_l2", "q_gap", "residual"]
-    q_star = float(problem.eval_q(theta_star, theta_star))
     errors = trace.errors(theta_star)
+    steps = [[report.fmt(g), report.fmt(r)] for g, r in zip(q_gaps, trace.residuals())]
     rows = []
     for n, point in enumerate(trace.iterates):
         row = [str(n)] + [report.fmt(c) for c in point] + [report.fmt(errors[n])]
-        if n < len(trace.q_values):
-            row.append(report.fmt(trace.q_values[n] - q_star))
-            row.append(report.fmt(trace.residuals[n]))
-        else:
-            row.extend(["", ""])
-        rows.append(row)
+        rows.append(row + (steps[n] if n < len(steps) else ["", ""]))
     return header, rows
 
 
@@ -133,7 +128,7 @@ def run_experiment(cfg: dict, out_dir, plot: bool = False) -> ReportBundle:
     run = analyze(asm.problem, asm.theta0, asm.theta_star, asm.stop, asm.fd)
     trace, theta_star, rep = run.trace, run.theta_star, run.report
 
-    header, rows = _trace_csv(trace, theta_star, asm.problem)
+    header, rows = _trace_csv(trace, theta_star, rep.q_gaps)
     trace_path = report.write_csv(out / "trace.csv", header, rows)
     payload = rates_payload(asm.name, asm.algorithm, asm.problem.label, theta_star, run.frame, rep)
     payload["stop_reason"] = trace.stop_reason.value

@@ -419,6 +419,5 @@ def run_experiment(name: str) -> ExperimentResult:
     return REGISTRY[name]()
 
 
-def run_suite(names=None) -> list[ExperimentResult]:
-    chosen = names or list(REGISTRY)
-    return [run_experiment(name) for name in chosen]
+def run_suite() -> list[ExperimentResult]:
+    return [run_experiment(name) for name in REGISTRY]

@@ -3,7 +3,10 @@
 A `SurrogateProblem` packages the surrogate Q(theta, theta'), its partial
 derivatives in the second argument, the feasible set and optional extras
 (closed-form step, Lyapunov diagnostic, auxiliary half-step).  `iterate`
-repeatedly applies the inner minimizer and records the full trajectory.
+repeatedly applies the inner minimizer and keeps the iterates and the reason
+it stopped.  Every other per-step series (residuals, surrogate values,
+half-steps, Lyapunov values) is a function of consecutive iterates and is
+derived where it is read.
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ from .errors import SurroError
 INNER_CAP = 500
 INNER_TOL = 1e-12
 ARMIJO_C = 1e-4
+STALL_RESOLUTION = 1e-8  # residuals at or below this, relative to 1 + max|theta|, may stall
+CERTIFICATE_PROBES = 32
+CERTIFICATE_STEP = 1e-6
 
 
 class SurrogateError(SurroError):
@@ -48,6 +54,11 @@ class StopReason(enum.Enum):
 
 @dataclass(frozen=True)
 class StopRule:
+    """Stop at max_iters steps, at a residual <= residual_tol, or after
+    stall_window steps without a new best residual once the best residual is
+    at floating-point resolution (STALL_RESOLUTION relative to 1 + max|theta|).
+    """
+
     max_iters: int = 10_000
     residual_tol: float = 1e-13
     stall_window: int = 20
@@ -96,14 +107,10 @@ class SurrogateProblem:
 
 @dataclass
 class Trace:
-    """Iterates theta_n, per-step surrogate values and residuals."""
+    """The iterates theta_0, theta_1, ... of a run and the reason it stopped."""
 
     iterates: list[np.ndarray]
-    q_values: list[float]
-    residuals: list[float]
     stop_reason: StopReason
-    aux_iterates: Optional[list[np.ndarray]] = None
-    lyapunov_values: Optional[list[float]] = None
 
     def __len__(self):
         return len(self.iterates)
@@ -115,6 +122,20 @@ class Trace:
     def errors(self, theta_star) -> np.ndarray:
         ref = np.asarray(theta_star, dtype=float)
         return np.array([float(np.linalg.norm(t - ref)) for t in self.iterates])
+
+    def residuals(self) -> list[float]:
+        """|theta_{n+1} - theta_n| for every step."""
+        pts = self.iterates
+        return [float(np.linalg.norm(nxt - cur)) for cur, nxt in zip(pts, pts[1:])]
+
+    def q_values(self, problem: SurrogateProblem) -> np.ndarray:
+        """Q(theta_n, theta_{n+1}) for every step, under iterate's floating-point guard."""
+        pts = self.iterates
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return np.array([float(problem.eval_q(cur, nxt)) for cur, nxt in zip(pts, pts[1:])])
+        except FloatingPointError as exc:
+            raise SurrogateError(f"a surrogate value left the floating-point range: {exc}") from exc
 
 
 def _project(domain, pull_inside, x):
@@ -228,30 +249,16 @@ def inner_minimize(problem: SurrogateProblem, theta, use_closed_form: bool = Tru
         raise InnerSolveFailed(f"inner minimization failed at theta={th}: {exc}") from exc
 
 
-def fixed_point_residual(problem: SurrogateProblem, theta) -> float:
-    """Distance between theta and its image under the minimization map."""
-    th = problem.check_feasible(theta)
-    return float(np.linalg.norm(inner_minimize(problem, th) - th))
-
-
 def iterate(problem: SurrogateProblem, theta0, stop: StopRule | None = None) -> Trace:
     """Run theta_{n+1} = argmin Q(theta_n, .) until the stop rule fires.
 
-    Records per-step surrogate values Q(theta_n, theta_{n+1}), residuals,
-    optional auxiliary half-steps and optional Lyapunov values.  A start that
-    is already an exact fixed point yields a single-point converged trace.
+    Each step is one inner minimization, its residual and the stop rule; the
+    trace keeps only the iterates and the stop reason.  A start that is
+    already an exact fixed point yields a single-point converged trace.
     Floating-point overflow, invalid or divide errors in a step raise SurrogateError.
     """
     stop = stop or StopRule()
-    th = problem.check_feasible(theta0)
-    iterates = [th.copy()]
-    q_values: list[float] = []
-    residuals: list[float] = []
-    aux: Optional[list[np.ndarray]] = [] if problem.aux_step is not None else None
-    lyap: Optional[list[float]] = None
-    if problem.lyapunov is not None:
-        lyap = [float(problem.lyapunov(th))]
-
+    iterates = [problem.check_feasible(theta0).copy()]
     reason = StopReason.MAX_ITERS
     best_residual = np.inf
     stalled_steps = 0
@@ -259,8 +266,6 @@ def iterate(problem: SurrogateProblem, theta0, stop: StopRule | None = None) -> 
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for n in range(stop.max_iters):
                 current = iterates[-1]
-                if aux is not None:
-                    aux.append(np.atleast_1d(np.asarray(problem.aux_step(current), dtype=float)))
                 try:
                     nxt = inner_minimize(problem, current)
                 except InnerSolveFailed as exc:
@@ -269,16 +274,9 @@ def iterate(problem: SurrogateProblem, theta0, stop: StopRule | None = None) -> 
 
                 if residual <= stop.residual_tol and np.array_equal(nxt, current):
                     # exact fixed point: do not append a duplicate iterate
-                    if aux is not None:
-                        aux.pop()
                     reason = StopReason.CONVERGED
                     break
-
                 iterates.append(nxt)
-                q_values.append(float(problem.eval_q(current, nxt)))
-                residuals.append(residual)
-                if lyap is not None:
-                    lyap.append(float(problem.lyapunov(nxt)))
 
                 if residual <= stop.residual_tol:
                     reason = StopReason.CONVERGED
@@ -286,7 +284,8 @@ def iterate(problem: SurrogateProblem, theta0, stop: StopRule | None = None) -> 
                 if residual < best_residual:
                     best_residual = residual
                     stalled_steps = 0
-                else:
+                elif best_residual <= STALL_RESOLUTION * (1.0 + float(np.max(np.abs(nxt)))):
+                    # a pre-asymptotic rise of the residual never counts as a stall
                     stalled_steps += 1
                     if stalled_steps >= stop.stall_window:
                         reason = StopReason.STALLED
@@ -294,19 +293,10 @@ def iterate(problem: SurrogateProblem, theta0, stop: StopRule | None = None) -> 
     except FloatingPointError as exc:
         raise SurrogateError(f"step {n} left the floating-point range: {exc}") from exc
 
-    return Trace(
-        iterates=iterates,
-        q_values=q_values,
-        residuals=residuals,
-        stop_reason=reason,
-        aux_iterates=aux,
-        lyapunov_values=lyap,
-    )
+    return Trace(iterates=iterates, stop_reason=reason)
 
 
-def descent_certificate(
-    problem: SurrogateProblem, theta, theta_opt, rng, probes: int = 32, t: float = 1e-6
-) -> bool:
+def descent_certificate(problem: SurrogateProblem, theta, theta_opt, rng) -> bool:
     """Probe feasible directions around theta_opt for surrogate decrease.
 
     Returns True when no probe improves Q(theta, .) by more than 1e-10, the
@@ -314,12 +304,12 @@ def descent_certificate(
     """
     th = problem.check_feasible(theta)
     base = problem.eval_q(th, theta_opt)
-    for _ in range(probes):
+    for _ in range(CERTIFICATE_PROBES):
         d = rng.gaussian(problem.q)
         norm = float(np.linalg.norm(d))
         if norm == 0.0:
             continue
-        point = problem.domain.project(theta_opt + t * d / norm)
+        point = problem.domain.project(theta_opt + CERTIFICATE_STEP * d / norm)
         if problem.pull_inside is not None:
             point = problem.pull_inside(point)
         if problem.eval_q(th, point) < base - 1e-10:

@@ -131,10 +131,10 @@ def test_prox_records_half_steps_in_trace():
     f = QuadraticForm(np.eye(1))
     prox = mirror_prox_problem(f, QuadraticMap(1), 0.4, FullSpace(1))
     trace = iterate(prox, np.array([1.0]))
-    assert trace.aux_iterates is not None
-    assert len(trace.aux_iterates) == len(trace) - 1
+    assert prox.aux_step is not None and len(trace) > 1
+    half_steps = [prox.aux_step(t) for t in trace.iterates[:-1]]
     # the half step is the plain gradient step
-    assert trace.aux_iterates[0][0] == pytest.approx(0.6, abs=1e-12)
+    assert half_steps[0][0] == pytest.approx(0.6, abs=1e-12)
 
 
 def test_prox_reduced_curvature_identity():

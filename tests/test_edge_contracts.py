@@ -38,16 +38,16 @@ def test_prox_aux_iterates_stay_feasible():
     center = np.array([0.5, 0.3, 0.2])
     prox = mirror_prox_problem(ShiftedQuadratic(center), NegEntropyMap(3), 0.2, Simplex(3))
     trace = iterate(prox, np.array([0.2, 0.3, 0.5]), StopRule(max_iters=60))
-    for zeta in trace.aux_iterates:
-        assert Simplex(3).contains(zeta, tol=1e-12)
+    for point in trace.iterates[:-1]:
+        assert Simplex(3).contains(prox.aux_step(point), tol=1e-12)
 
     ball = EuclideanBall(np.zeros(2), 1.0)
     prox = mirror_prox_problem(ShiftedQuadratic(np.array([0.3, -0.2])), BallMap(2, 4.0), 0.4, ball)
     trace = iterate(prox, np.array([0.9, 0.0]), StopRule(max_iters=40))
     for point in trace.iterates:
         assert ball.contains(point, tol=1e-12)
-    for zeta in trace.aux_iterates:
-        assert ball.contains(zeta, tol=1e-12)
+    for point in trace.iterates[:-1]:
+        assert ball.contains(prox.aux_step(point), tol=1e-12)
 
 
 def test_curvature_infeasible_perturbation_is_reported():

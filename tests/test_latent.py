@@ -147,7 +147,7 @@ def test_mixture_em_lyapunov_monotone():
     data = mix.sample_y(200, rng)
     prob = mix.sample_problem(data)
     trace = iterate(prob, np.array([2.5]), StopRule(max_iters=100))
-    ly = trace.lyapunov_values
+    ly = [float(prob.lyapunov(t)) for t in trace.iterates]
     assert all(b <= a + 1e-10 for a, b in zip(ly, ly[1:]))
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from surro.config import assemble
+from surro.runner import analyze
 from surro.descent import mirror_descent_problem, mirror_prox_problem, newton_problem
 from surro.domains import AffineSlice, Box, FullSpace, Simplex
 from surro.latent import GaussianLatentModel, em_population_problem
@@ -42,12 +43,7 @@ def _gd(diag, eta, q=None):
 
 def _synthetic_trace(ratio, n, direction, theta_star):
     pts = [theta_star + ratio**k * direction for k in range(n)]
-    return Trace(
-        iterates=pts,
-        q_values=[0.0] * (n - 1),
-        residuals=[float(np.linalg.norm(pts[k + 1] - pts[k])) for k in range(n - 1)],
-        stop_reason=StopReason.MAX_ITERS,
-    )
+    return Trace(iterates=pts, stop_reason=StopReason.MAX_ITERS)
 
 
 def test_direction_basis_variants():
@@ -287,6 +283,35 @@ def test_verdicts_boundary_point_marks_lower_inapplicable():
     frame = curvature_at(prob, np.zeros(1))
     rep = verdicts(trace, np.zeros(1), frame, prob)  # limit on the box boundary
     assert rep.verdicts["lower"] == "inapplicable"
+
+
+def _entropy_from(start, theta_star):
+    cfg = json.loads((CONFIGS / "entropy_simplex_md.json").read_text())
+    return assemble(dict(cfg, theta0=f"random({start})", theta_star=theta_star))
+
+
+@pytest.mark.parametrize("given", [True, False], ids=["given", "auto"])
+@pytest.mark.parametrize("start", [15, 23, 37])
+def test_entropy_random_starts_converge_and_pass(start, given):
+    # near a face the residual rises for a while before it decays; that
+    # transient once stopped these runs as stalled, far from the minimiser
+    cfg_star = json.loads((CONFIGS / "entropy_simplex_md.json").read_text())["theta_star"]
+    asm = _entropy_from(start, cfg_star if given else "auto")
+    run = analyze(asm.problem, asm.theta0, asm.theta_star, asm.stop, asm.fd)
+    assert run.trace.stop_reason is StopReason.CONVERGED
+    assert np.linalg.norm(run.trace.final - np.array(cfg_star)) <= 1e-9
+    assert run.passed, run.report.verdicts
+
+
+def test_verdicts_fail_on_a_trace_that_did_not_converge():
+    # the first 28 steps from random(15), where a transient once stalled the run
+    asm = _entropy_from(15, [0.5, 0.3, 0.2])
+    trace = iterate(asm.problem, asm.theta0, StopRule(max_iters=28))
+    assert len(trace) == 29 and trace.stop_reason is not StopReason.CONVERGED
+    frame = curvature_at(asm.problem, asm.theta_star, asm.fd)
+    rep = verdicts(trace, asm.theta_star, frame, asm.problem)
+    assert rep.verdicts == {k: "fail" for k in ("upper", "lower", "exact", "q_gap")}
+    assert not rep.passed
 
 
 def test_span_warning_on_concentrated_trace():

@@ -1,9 +1,16 @@
 """Inner minimization and the outer iteration loop."""
 
+import dataclasses
+import json
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import surro
+from surro import surrogate
+from surro.config import assemble
 from surro.descent import mirror_descent_problem, newton_problem
 from surro.domains import FullSpace, Simplex
 from surro.latent import GaussianLatentModel, em_population_problem, em_sample_problem
@@ -14,8 +21,8 @@ from surro.surrogate import (
     InfeasibleInput,
     StopReason,
     StopRule,
+    SurrogateError,
     descent_certificate,
-    fixed_point_residual,
     inner_minimize,
     iterate,
 )
@@ -120,7 +127,7 @@ def test_iterate_fixed_point_start_gives_single_point_trace():
     trace = iterate(prob, np.array([2.5]))
     assert len(trace) == 1
     assert trace.stop_reason is StopReason.CONVERGED
-    assert trace.q_values == [] and trace.residuals == []
+    assert trace.residuals() == [] and trace.q_values(prob).size == 0
 
 
 def test_iterate_2d_gradient_descent_closed_recursion():
@@ -137,8 +144,8 @@ def test_trace_length_invariants_and_feasibility():
         ShiftedQuadratic(np.array([0.5, 0.3, 0.2])), NegEntropyMap(3), 0.2, dom
     )
     trace = iterate(prob, np.array([0.2, 0.3, 0.5]), StopRule(max_iters=50))
-    assert len(trace.q_values) == len(trace) - 1
-    assert len(trace.residuals) == len(trace) - 1
+    assert len(trace.q_values(prob)) == len(trace) - 1
+    assert len(trace.residuals()) == len(trace) - 1
     for point in trace.iterates:
         assert dom.contains(point, tol=1e-12)
 
@@ -153,9 +160,10 @@ def test_monotone_surrogate_descent_along_traces():
     ]
     for prob, theta0 in cases:
         trace = iterate(prob, theta0, StopRule(max_iters=60))
+        q_values = trace.q_values(prob)
         for n in range(len(trace) - 1):
             q_self = prob.eval_q(trace.iterates[n], trace.iterates[n])
-            assert trace.q_values[n] <= q_self + 1e-10
+            assert q_values[n] <= q_self + 1e-10
 
 
 def test_lyapunov_values_monotone_for_em():
@@ -163,29 +171,52 @@ def test_lyapunov_values_monotone_for_em():
     data = np.array([0.4, -0.2, 1.1, 0.9])
     prob = em_sample_problem(model, data)
     trace = iterate(prob, np.array([5.0]), StopRule(max_iters=80))
-    ly = trace.lyapunov_values
-    assert ly is not None and len(ly) == len(trace)
+    assert prob.lyapunov is not None
+    ly = [float(prob.lyapunov(t)) for t in trace.iterates]
     assert all(b <= a + 1e-10 for a, b in zip(ly, ly[1:]))
 
 
-def test_stall_detection_terminates():
-    # a surrogate whose map is a fixed translation never meets the tolerance
-    prob = surro.SurrogateProblem(
+def _map_problem(step):
+    return surro.SurrogateProblem(
         q=1,
         domain=FullSpace(1),
-        eval_q=lambda t, u: float((u[0] - t[0] - 1.0) ** 2),
-        grad2=lambda t, u: np.array([2.0 * (u[0] - t[0] - 1.0)]),
-        closed_form_step=lambda t: np.array([t[0] + 1.0]),
+        eval_q=lambda t, u: float((u[0] - step(t)[0]) ** 2),
+        grad2=lambda t, u: np.array([2.0 * (u[0] - step(t)[0])]),
+        closed_form_step=step,
     )
-    trace = iterate(prob, np.array([0.0]), StopRule(max_iters=500, stall_window=20))
+
+
+def test_stall_detection_terminates():
+    # a sign flip at 1e-10 never meets the tolerance, and its residual sits at
+    # floating-point resolution, where a run without progress stalls
+    prob = _map_problem(lambda t: -t)
+    trace = iterate(prob, np.array([1e-10]), StopRule(max_iters=500, stall_window=20))
     assert trace.stop_reason is StopReason.STALLED
     assert len(trace) <= 30
+
+    # a fixed translation keeps its residual far above resolution: no stall
+    prob = _map_problem(lambda t: t + 1.0)
+    trace = iterate(prob, np.array([0.0]), StopRule(max_iters=500, stall_window=20))
+    assert trace.stop_reason is StopReason.MAX_ITERS
+    assert len(trace) == 501
 
 
 def test_fixed_point_residual_examples():
     prob = _gd_1d(0.5)
-    assert fixed_point_residual(prob, np.array([1.0])) == pytest.approx(0.5, abs=1e-12)
-    assert fixed_point_residual(prob, np.array([0.0])) <= 1e-12
+
+    def residual(theta):
+        return float(np.linalg.norm(inner_minimize(prob, theta) - theta))
+
+    assert residual(np.array([1.0])) == pytest.approx(0.5, abs=1e-12)
+    assert residual(np.array([0.0])) <= 1e-12
+
+
+def test_q_values_that_overflow_raise_surrogate_error():
+    # the steps stay finite, but Q along them overflows
+    prob = dataclasses.replace(_gd_1d(0.5), eval_q=lambda t, u: float(np.exp(1e3 * u[0] + 1e3)))
+    trace = iterate(prob, np.array([1.0]), StopRule(max_iters=3))
+    with pytest.raises(SurrogateError, match="floating-point range"):
+        trace.q_values(prob)
 
 
 def test_inner_solve_failure_carries_step_index():
@@ -198,3 +229,45 @@ def test_inner_solve_failure_carries_step_index():
     with pytest.raises(surro.InnerSolveFailed) as err:
         iterate(bad, np.array([1.0]), StopRule(max_iters=5))
     assert err.value.step_index == 0
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "src" / "surro" / "configs"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in CONFIGS.glob("*.json") if not p.name.startswith("sweep_")),
+    ids=lambda p: p.stem,
+)
+def test_iterate_makes_one_inner_step_per_step_and_derives_nothing(path, monkeypatch):
+    asm = assemble(json.loads(path.read_text()))
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    problem = asm.problem
+    watched = dataclasses.replace(
+        problem,
+        eval_q=counted("eval_q", problem.eval_q),
+        lyapunov=counted("lyapunov", problem.lyapunov or (lambda theta: 0.0)),
+        aux_step=counted("aux_step", problem.aux_step or (lambda theta: theta)),
+    )
+    original = surrogate.inner_minimize
+    steps = []
+
+    def inner(prob, theta):
+        assert prob is watched
+        steps.append((theta, original(problem, theta)))  # the solve reads unwatched callbacks
+        return steps[-1][1]
+
+    monkeypatch.setattr(surrogate, "inner_minimize", inner)
+    trace = iterate(watched, asm.theta0, asm.stop)
+    assert calls == Counter()
+    # one inner step per appended iterate, plus the step that found an exact fixed point
+    assert all(np.array_equal(theta, point) for (theta, _), point in zip(steps, trace.iterates))
+    assert len(steps) == len(trace) - 1 or (
+        len(steps) == len(trace) and np.array_equal(steps[-1][1], trace.final)
+    )
