@@ -14,7 +14,7 @@ import numpy as np
 from . import linalg
 from .domains import ConvexDomain, FullSpace
 from .errors import SurroError
-from .mirror_maps import MirrorMap, NegEntropyMap, QuadraticMap, bregman
+from .mirror_maps import MirrorMap, NegEntropyMap, QuadraticMap
 from .objectives import Objective
 from .surrogate import SurrogateProblem, inner_minimize
 
@@ -52,13 +52,34 @@ def _mirror_problem(f: Objective, phi: MirrorMap, eta: float, domain: ConvexDoma
     The gradient is taken at at(theta): theta for mirror descent, the memoized
     half-step for mirror prox.  Closed-form steps: projected gradient for the
     quadratic map, multiplicative weights for entropy on the simplex.
+
+    An inner solve evaluates Q(theta, .) many times at one theta, so the
+    theta-only terms (grad f(at(theta)), Phi(theta), grad Phi(theta)) are kept
+    for the last theta seen, keyed by its bytes; eval_q and grad2 then map
+    only u.  Each value is computed by the same expression, in the same
+    order, as bregman(phi, u, theta) and the unmemoized gradient.
     """
+    # (theta bytes, eta grad f(at(theta)), grad f(at(theta)), Phi(theta), grad Phi(theta))
+    anchor = (None,)
+
+    def anchored(theta):
+        nonlocal anchor
+        th = np.atleast_1d(np.asarray(theta, dtype=float))
+        key = th.tobytes()
+        memo = anchor
+        if memo[0] != key:
+            g = f.grad(at(theta))
+            memo = anchor = (key, eta * g, g, phi.value(th), phi.grad(th))
+        return th, memo
 
     def eval_q(theta, u):
-        return eta * float(f.grad(at(theta)) @ u) + bregman(phi, u, theta)
+        th, (_, _, g, phi_theta, dphi_theta) = anchored(theta)
+        uv = np.atleast_1d(np.asarray(u, dtype=float))
+        return eta * float(g @ u) + float(phi.value(uv) - phi_theta - dphi_theta @ (uv - th))
 
     def grad2(theta, u):
-        return eta * f.grad(at(theta)) + phi.grad(u) - phi.grad(theta)
+        _, (_, eta_g, _, _, dphi_theta) = anchored(theta)
+        return eta_g + phi.grad(u) - dphi_theta
 
     def hess22(theta, u):
         return phi.hess(u)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SurroError
+from .linalg import vector_norm
 
 MEMBERSHIP_TOL = 1e-12
 INTERIOR_MARGIN = 1e-9
@@ -155,13 +156,13 @@ class EuclideanBall(ConvexDomain):
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         v = _as_vector(x, self.q)
-        r = float(np.linalg.norm(v - self.center))
+        r = vector_norm(v - self.center)
         return r < self.radius if self.open_boundary else r <= self.radius + tol
 
     def project(self, x):
         v = _as_vector(x, self.q)
         d = v - self.center
-        r = float(np.linalg.norm(d))
+        r = vector_norm(d)
         reach = self._reach()
         if r <= reach:
             return v.copy()
@@ -169,7 +170,7 @@ class EuclideanBall(ConvexDomain):
 
     def is_interior(self, x, margin=INTERIOR_MARGIN):
         v = _as_vector(x, self.q)
-        return float(np.linalg.norm(v - self.center)) < self.radius * (1.0 - margin)
+        return vector_norm(v - self.center) < self.radius * (1.0 - margin)
 
     def interior_point(self):
         return self.center.copy()

@@ -150,8 +150,8 @@ def check_rate_identity(trials: int = 1000, seed: int = 0) -> SuiteResult:
         rho_ba = float(np.max(np.abs(np.linalg.eigvals(b @ a_inv))))
         norm_route = linalg.generalized_rate_pair(a, b).rho_sup
         v = rng.gaussian(2000 * d).reshape(2000, d)
-        quad_b = np.einsum("ij,jk,ik->i", v, b, v)
-        quad_a = np.einsum("ij,jk,ik->i", v, a, v)
+        quad_b = _rows_dot(v @ b, v)
+        quad_a = _rows_dot(v @ a, v)
         ratios = np.abs(quad_b) / quad_a
         sampled.append(float(np.max(ratios)))
         for branch in (quad_b >= 0, quad_b < 0):
@@ -222,8 +222,8 @@ def check_norm_perturbation(trials: int = 1000, seed: int = 0) -> SuiteResult:
             m *= delta * 0.999 / max(linalg.spectral_norm(m), 1e-300)
             s = linalg.symmetrize(s_star + m)
             xs = rng.gaussian(100 * d).reshape(100, d)
-            ns = np.sqrt(np.einsum("ij,jk,ik->i", xs, s, xs))
-            nstar = np.sqrt(np.einsum("ij,jk,ik->i", xs, s_star, xs))
+            ns = np.sqrt(_rows_dot(xs @ s, xs))
+            nstar = np.sqrt(_rows_dot(xs @ s_star, xs))
             good = np.all(nstar >= (1 - eps) * ns - 1e-12) and np.all(
                 nstar <= (1 + eps) * ns + 1e-12
             )

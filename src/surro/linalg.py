@@ -9,6 +9,7 @@ the generalized rate pair rho_inf/rho_sup read off that spectrum.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -82,6 +83,12 @@ def eigh(s) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise InternalNumericalFailure(f"LAPACK eigh failed: {exc}") from exc
     return Spectrum(lam, vec)
+
+
+def vector_norm(v) -> float:
+    """Euclidean norm of a real 1-D array: sqrt(v.dot(v)), the same floating-point
+    operations as np.linalg.norm(v) without its dispatch."""
+    return math.sqrt(float(v.dot(v)))
 
 
 def spectral_norm(m) -> float:

@@ -154,7 +154,10 @@ class BallMap(MirrorMap):
     """Phi(x) = |x|^2 / (r2 - |x|^2) on the open ball of squared radius r2.
 
     The gradient norm diverges at the boundary, so Bregman steps can never
-    leave the ball regardless of the step size.
+    leave the ball regardless of the step size.  value, grad and hess check a
+    point with one squared norm s = x'x, which the formula then reuses: a NaN
+    or infinite coordinate makes s NaN or infinite, so `s < r2` also rejects
+    non-finite points.
     """
 
     q: int
@@ -164,22 +167,31 @@ class BallMap(MirrorMap):
         if not self.r2 > 0:
             raise MirrorError("squared radius must be positive")
 
-    def _s(self, v):
-        return float(v @ v)
+    def _point(self, x) -> tuple[np.ndarray, float]:
+        """The point as a length-q vector and its squared norm; raises outside the ball."""
+        v = np.asarray(x, dtype=float)
+        if v.ndim == 0:
+            v = v.reshape(1)
+        if v.shape != (self.q,):
+            raise MirrorError(f"expected a vector of length {self.q}, got shape {v.shape}")
+        s = float(v @ v)
+        if not s < self.r2:
+            raise OutsideMirrorDomain(f"point {v} is outside the mirror-map domain")
+        return v, s
+
+    def _require(self, x):
+        return self._point(x)[0]
 
     def value(self, x):
-        v = self._require(x)
-        s = self._s(v)
+        _, s = self._point(x)
         return s / (self.r2 - s)
 
     def grad(self, x):
-        v = self._require(x)
-        s = self._s(v)
+        v, s = self._point(x)
         return 2.0 * self.r2 * v / (self.r2 - s) ** 2
 
     def hess(self, x):
-        v = self._require(x)
-        s = self._s(v)
+        v, s = self._point(x)
         den = self.r2 - s
         return (2.0 * self.r2 / den**2) * np.eye(self.q) + (8.0 * self.r2 / den**3) * np.outer(
             v, v

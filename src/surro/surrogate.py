@@ -19,6 +19,7 @@ import numpy as np
 
 from .domains import ConvexDomain, DegenerateDomain
 from .errors import SurroError
+from .linalg import vector_norm
 
 INNER_CAP = 500
 INNER_TOL = 1e-12
@@ -121,12 +122,12 @@ class Trace:
 
     def errors(self, theta_star) -> np.ndarray:
         ref = np.asarray(theta_star, dtype=float)
-        return np.array([float(np.linalg.norm(t - ref)) for t in self.iterates])
+        return np.array([vector_norm(t - ref) for t in self.iterates])
 
     def residuals(self) -> list[float]:
         """|theta_{n+1} - theta_n| for every step."""
         pts = self.iterates
-        return [float(np.linalg.norm(nxt - cur)) for cur, nxt in zip(pts, pts[1:])]
+        return [vector_norm(nxt - cur) for cur, nxt in zip(pts, pts[1:])]
 
     def q_values(self, problem: SurrogateProblem) -> np.ndarray:
         """Q(theta_n, theta_{n+1}) for every step, under iterate's floating-point guard."""
@@ -151,11 +152,13 @@ def minimize_smooth(domain, fun, grad, hess, x0, pull_inside=None):
     by Armijo decrease of the value or, once value differences drop below
     double-precision resolution, by halving of the projected-gradient
     residual; termination is on that residual, at INNER_TOL relative to
-    1 + max|x|, within INNER_CAP iterations.
+    1 + max|x|, within INNER_CAP iterations.  When the domain's direction
+    basis is the identity, the Newton system is solved in full coordinates:
+    the reduction T'HT and the lift T @ d would only multiply by 1 and add 0.
     """
 
     def residual_at(point, gradient):
-        return float(np.linalg.norm(point - _project(domain, pull_inside, point - gradient)))
+        return vector_norm(point - _project(domain, pull_inside, point - gradient))
 
     def backtrack(x, fx, g, res, direction, halvings):
         t = 1.0
@@ -184,6 +187,7 @@ def minimize_smooth(domain, fun, grad, hess, x0, pull_inside=None):
         tangent = domain.direction_basis()  # Newton steps respect the affine hull
     except DegenerateDomain:
         tangent = None  # point domain: the gradient path settles it
+    identity_basis = tangent is not None and np.array_equal(tangent, np.eye(x.shape[0]))
     prev_x = None
     prev_g = None
     for _ in range(INNER_CAP):
@@ -196,8 +200,12 @@ def minimize_smooth(domain, fun, grad, hess, x0, pull_inside=None):
         candidate = None
         if hess is not None and tangent is not None:
             try:
-                reduced = tangent.T @ hess(x) @ tangent
-                direction = tangent @ np.linalg.solve(reduced, -(tangent.T @ g))
+                if identity_basis:
+                    # + 0.0 turns -0.0 into 0.0, as the lift T @ d does
+                    direction = np.linalg.solve(hess(x), -g) + 0.0
+                else:
+                    reduced = tangent.T @ hess(x) @ tangent
+                    direction = tangent @ np.linalg.solve(reduced, -(tangent.T @ g))
             except np.linalg.LinAlgError:
                 direction = None
             if direction is not None and np.all(np.isfinite(direction)):
@@ -208,10 +216,10 @@ def minimize_smooth(domain, fun, grad, hess, x0, pull_inside=None):
                 s = x - prev_x
                 y = g - prev_g
                 sy = float(s @ y)
-                t = float(s @ s) / sy if sy > 0 else 1.0 / (1.0 + float(np.linalg.norm(g)))
+                t = float(s @ s) / sy if sy > 0 else 1.0 / (1.0 + vector_norm(g))
                 t = min(max(t, 1e-12), 1e12)
             else:
-                t = 1.0 / (1.0 + float(np.linalg.norm(g)))
+                t = 1.0 / (1.0 + vector_norm(g))
             candidate = backtrack(x, fx, g, residual, -t * g, halvings=60)
 
         prev_x, prev_g = x, g
@@ -270,7 +278,7 @@ def iterate(problem: SurrogateProblem, theta0, stop: StopRule | None = None) -> 
                     nxt = inner_minimize(problem, current)
                 except InnerSolveFailed as exc:
                     raise InnerSolveFailed(str(exc), step_index=n) from exc
-                residual = float(np.linalg.norm(nxt - current))
+                residual = vector_norm(nxt - current)
 
                 if residual <= stop.residual_tol and np.array_equal(nxt, current):
                     # exact fixed point: do not append a duplicate iterate
