@@ -28,10 +28,13 @@ class DegenerateDomain(DomainError):
     """Raised when the direction space of the domain is {0}."""
 
 
-def _as_vector(x, q: int) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(x, dtype=float))
+def as_vector(x, q: int, error: type[Exception] = DomainError) -> np.ndarray:
+    """x as a float vector of length q, a 0-d value counting as length 1; raises error otherwise."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim == 0:
+        v = v.reshape(1)
     if v.shape != (q,):
-        raise DomainError(f"expected a vector of length {q}, got shape {v.shape}")
+        raise error(f"expected a vector of length {q}, got shape {v.shape}")
     return v
 
 
@@ -41,14 +44,19 @@ class ConvexDomain:
     q: int
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
+        """Membership with slack tol: the one feasibility test of a point.
+
+        Every NaN or infinite point is rejected, without raising, also under
+        np.errstate(all="raise"), so callers need no finiteness test of their own.
+        """
         raise NotImplementedError
 
     def project(self, x) -> np.ndarray:
         """Euclidean projection, pulled into the interior of any open part."""
         raise NotImplementedError
 
-    def is_interior(self, x, margin: float = INTERIOR_MARGIN) -> bool:
-        """True when x sits in the relative interior with the given margin."""
+    def is_interior(self, x) -> bool:
+        """True when x sits in the relative interior with INTERIOR_MARGIN to spare."""
         raise NotImplementedError
 
     def interior_point(self) -> np.ndarray:
@@ -72,12 +80,12 @@ class FullSpace(ConvexDomain):
             raise DomainError("dimension must be >= 1")
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
-        return bool(np.all(np.isfinite(_as_vector(x, self.q))))
+        return bool(np.all(np.isfinite(as_vector(x, self.q))))
 
     def project(self, x):
-        return _as_vector(x, self.q).copy()
+        return as_vector(x, self.q).copy()
 
-    def is_interior(self, x, margin=INTERIOR_MARGIN):
+    def is_interior(self, x):
         return self.contains(x)
 
     def interior_point(self):
@@ -110,15 +118,15 @@ class Box(ConvexDomain):
         return self.lower.shape[0]
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
-        v = _as_vector(x, self.q)
+        v = as_vector(x, self.q)
         return bool(np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol))
 
     def project(self, x):
-        return np.clip(_as_vector(x, self.q), self.lower, self.upper)
+        return np.clip(as_vector(x, self.q), self.lower, self.upper)
 
-    def is_interior(self, x, margin=INTERIOR_MARGIN):
-        v = _as_vector(x, self.q)
-        pad = margin * (self.upper - self.lower)
+    def is_interior(self, x):
+        v = as_vector(x, self.q)
+        pad = INTERIOR_MARGIN * (self.upper - self.lower)
         return bool(np.all(v > self.lower + pad) and np.all(v < self.upper - pad))
 
     def interior_point(self):
@@ -155,12 +163,12 @@ class EuclideanBall(ConvexDomain):
         return self.radius * (1.0 - INTERIOR_MARGIN) if self.open_boundary else self.radius
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
-        v = _as_vector(x, self.q)
+        v = as_vector(x, self.q)
         r = vector_norm(v - self.center)
         return r < self.radius if self.open_boundary else r <= self.radius + tol
 
     def project(self, x):
-        v = _as_vector(x, self.q)
+        v = as_vector(x, self.q)
         d = v - self.center
         r = vector_norm(d)
         reach = self._reach()
@@ -168,9 +176,9 @@ class EuclideanBall(ConvexDomain):
             return v.copy()
         return self.center + d * (reach / r)
 
-    def is_interior(self, x, margin=INTERIOR_MARGIN):
-        v = _as_vector(x, self.q)
-        return vector_norm(v - self.center) < self.radius * (1.0 - margin)
+    def is_interior(self, x):
+        v = as_vector(x, self.q)
+        return vector_norm(v - self.center) < self.radius * (1.0 - INTERIOR_MARGIN)
 
     def interior_point(self):
         return self.center.copy()
@@ -199,14 +207,14 @@ class Simplex(ConvexDomain):
             raise DomainError("face epsilon too large for this dimension")
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
-        v = _as_vector(x, self.q)
+        v = as_vector(x, self.q)
         return bool(
             np.all(v >= self.face_eps - tol) and abs(float(np.sum(v)) - 1.0) <= MEMBERSHIP_TOL
         )
 
     def project(self, x):
         # shift by the face bound, project onto the shrunk standard simplex, shift back
-        v = _as_vector(x, self.q) - self.face_eps
+        v = as_vector(x, self.q) - self.face_eps
         total = 1.0 - self.q * self.face_eps
         u = np.sort(v)[::-1]
         css = np.cumsum(u) - total
@@ -216,11 +224,11 @@ class Simplex(ConvexDomain):
         tau = css[k - 1] / k
         return np.maximum(v - tau, 0.0) + self.face_eps
 
-    def is_interior(self, x, margin=INTERIOR_MARGIN):
-        v = _as_vector(x, self.q)
+    def is_interior(self, x):
+        v = as_vector(x, self.q)
         if abs(float(np.sum(v)) - 1.0) > MEMBERSHIP_TOL:
             return False
-        return bool(np.all(v > self.face_eps + margin))
+        return bool(np.all(v > self.face_eps + INTERIOR_MARGIN))
 
     def interior_point(self):
         return np.full(self.q, 1.0 / self.q)
@@ -274,16 +282,19 @@ class AffineSlice(ConvexDomain):
         resid = c @ v - b
         return v - c.T @ np.linalg.solve(c @ c.T, resid)
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        v = _as_vector(x, self.q)
+    def _on_affine(self, v, tol) -> bool:
         scale = 1.0 + float(np.max(np.abs(self.offsets), initial=0.0))
-        if float(np.max(np.abs(self.constraints @ v - self.offsets))) > tol * scale:
-            return False
-        return self.inside.contains(v, tol)
+        return float(np.max(np.abs(self.constraints @ v - self.offsets))) <= tol * scale
+
+    def contains(self, x, tol=MEMBERSHIP_TOL):
+        v = as_vector(x, self.q)
+        # finiteness first: C @ v would meet inf - inf or 0 * inf
+        finite = bool(np.all(np.isfinite(v)))
+        return finite and self._on_affine(v, tol) and self.inside.contains(v, tol)
 
     def project(self, x):
         # Dykstra's alternating projections onto the affine set and the box
-        v = _as_vector(x, self.q)
+        v = as_vector(x, self.q)
         p = np.zeros_like(v)
         qcorr = np.zeros_like(v)
         y = v.copy()
@@ -298,12 +309,9 @@ class AffineSlice(ConvexDomain):
             y = yb
         return self._project_affine(y)
 
-    def is_interior(self, x, margin=INTERIOR_MARGIN):
-        v = _as_vector(x, self.q)
-        scale = 1.0 + float(np.max(np.abs(self.offsets), initial=0.0))
-        if float(np.max(np.abs(self.constraints @ v - self.offsets))) > MEMBERSHIP_TOL * scale:
-            return False
-        return self.inside.is_interior(v, margin)
+    def is_interior(self, x):
+        v = as_vector(x, self.q)
+        return self._on_affine(v, MEMBERSHIP_TOL) and self.inside.is_interior(v)
 
     def interior_point(self):
         return self.project(self.inside.interior_point())

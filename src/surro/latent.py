@@ -62,10 +62,6 @@ class GaussianLatentModel:
     def posterior_var(self) -> float:
         return self.sigma_x2 * self.sigma_y2 / self.marginal_var
 
-    def posterior_mean(self, theta: float, y):
-        wx = self.sigma_x2 / self.marginal_var
-        return theta + wx * (np.asarray(y, dtype=float) - theta)
-
     def observed_loglik(self, theta: float, y) -> float:
         s = self.marginal_var
         r = np.asarray(y, dtype=float) - theta
@@ -161,6 +157,7 @@ def em_sample_problem(model: GaussianLatentModel, data) -> SurrogateProblem:
     w = model.shrinkage
     wx = sx2 / s
     v = model.posterior_var
+    y_bar = float(np.mean(y))
     log_norm = 0.5 * math.log(2.0 * math.pi * sx2) + 0.5 * math.log(2.0 * math.pi * sy2)
 
     def eval_q(theta, u):
@@ -172,12 +169,12 @@ def em_sample_problem(model: GaussianLatentModel, data) -> SurrogateProblem:
 
     def grad2(theta, u):
         t = float(theta[0])
-        m_bar = t + wx * (float(np.mean(y)) - t)
+        m_bar = t + wx * (y_bar - t)
         return np.array([(float(u[0]) - m_bar) / sx2])
 
     def step(theta):
         t = float(theta[0])
-        return np.array([(sy2 * t + sx2 * float(np.mean(y))) / s])
+        return np.array([(sy2 * t + sx2 * y_bar) / s])
 
     return SurrogateProblem(
         q=1,

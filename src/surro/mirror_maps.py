@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import INTERIOR_MARGIN, Box, ConvexDomain, Simplex
+from .domains import INTERIOR_MARGIN, Box, ConvexDomain, Simplex, as_vector
 from .errors import SurroError
 
 CLOSURE_TOL = 1e-12  # slack of the domain-closure membership checks
@@ -45,6 +45,11 @@ class MirrorMap:
         raise NotImplementedError
 
     def in_domain(self, x) -> bool:
+        """Membership in the open domain: the one test of a map point.
+
+        Every NaN or infinite point is rejected, without raising, so _require,
+        which value, grad and hess call, has no finiteness test of its own.
+        """
         raise NotImplementedError
 
     def in_closure(self, x) -> bool:
@@ -64,9 +69,7 @@ class MirrorMap:
         return None
 
     def _require(self, x) -> np.ndarray:
-        v = np.atleast_1d(np.asarray(x, dtype=float))
-        if v.shape != (self.q,):
-            raise MirrorError(f"expected a vector of length {self.q}, got shape {v.shape}")
+        v = as_vector(x, self.q, MirrorError)
         if not self.in_domain(v):
             raise OutsideMirrorDomain(f"point {v} is outside the mirror-map domain")
         return v
@@ -107,7 +110,6 @@ class NegEntropyMap(MirrorMap):
     """Phi(x) = sum x_i log x_i on the open positive orthant."""
 
     q: int
-    floor: float = INTERIOR_MARGIN
 
     def value(self, x):
         v = self._require(x)
@@ -130,7 +132,7 @@ class NegEntropyMap(MirrorMap):
         return bool(np.all(np.isfinite(v)) and np.all(v >= -CLOSURE_TOL))
 
     def pull_inside(self, x):
-        return np.maximum(np.atleast_1d(np.asarray(x, dtype=float)), self.floor)
+        return np.maximum(np.atleast_1d(np.asarray(x, dtype=float)), INTERIOR_MARGIN)
 
     def strong_convexity(self, domain):
         if isinstance(domain, Simplex):
@@ -157,7 +159,7 @@ class BallMap(MirrorMap):
     leave the ball regardless of the step size.  value, grad and hess check a
     point with one squared norm s = x'x, which the formula then reuses: a NaN
     or infinite coordinate makes s NaN or infinite, so `s < r2` also rejects
-    non-finite points.
+    non-finite points, there and in in_domain / in_closure.
     """
 
     q: int
@@ -169,11 +171,7 @@ class BallMap(MirrorMap):
 
     def _point(self, x) -> tuple[np.ndarray, float]:
         """The point as a length-q vector and its squared norm; raises outside the ball."""
-        v = np.asarray(x, dtype=float)
-        if v.ndim == 0:
-            v = v.reshape(1)
-        if v.shape != (self.q,):
-            raise MirrorError(f"expected a vector of length {self.q}, got shape {v.shape}")
+        v = as_vector(x, self.q, MirrorError)
         s = float(v @ v)
         if not s < self.r2:
             raise OutsideMirrorDomain(f"point {v} is outside the mirror-map domain")
@@ -199,11 +197,11 @@ class BallMap(MirrorMap):
 
     def in_domain(self, x):
         v = np.atleast_1d(x)
-        return bool(np.all(np.isfinite(v)) and float(v @ v) < self.r2)
+        return float(v @ v) < self.r2
 
     def in_closure(self, x):
         v = np.atleast_1d(x)
-        return bool(np.all(np.isfinite(v)) and float(v @ v) <= self.r2 * (1.0 + CLOSURE_TOL))
+        return float(v @ v) <= self.r2 * (1.0 + CLOSURE_TOL)
 
     def pull_inside(self, x):
         v = np.atleast_1d(np.asarray(x, dtype=float))

@@ -57,11 +57,6 @@ class QuadraticForm(Objective):
     def beta(self):
         return float(linalg.eigh(self.h).eigenvalues[-1])
 
-    @property
-    def alpha(self):
-        """Smallest Hessian eigenvalue (strong-convexity constant)."""
-        return float(linalg.eigh(self.h).eigenvalues[0])
-
     def value(self, x):
         v = np.asarray(x, dtype=float)
         return 0.5 * float(v @ self.h @ v) + float(self.c @ v)

@@ -12,7 +12,8 @@ from . import report
 from .config import assemble
 from .linalg import LinalgError
 from .rates import (
-    CurvatureFrame, FDSpec, RateReport, RatesError, accelerate, curvature_at, verdicts
+    REFERENCE_TOL, CurvatureFrame, FDSpec, RateReport, RatesError, accelerate, curvature_at,
+    verdicts
 )
 from .surrogate import Trace, iterate
 
@@ -56,10 +57,8 @@ def locate_fixed_point(problem, trace: Trace, fd) -> np.ndarray:
         return last.copy()
     jump = float(np.linalg.norm(refined - last))
     step = float(np.linalg.norm(last - prev))
-    if not np.all(np.isfinite(refined)) or jump > 10.0 * step + 1e-9:
-        return last.copy()  # extrapolation is untrustworthy this far out
-    if not problem.domain.contains(refined, tol=1e-9):
-        return last.copy()
+    if jump > 10.0 * step + 1e-9 or not problem.domain.contains(refined, tol=REFERENCE_TOL):
+        return last.copy()  # too far out to trust, or infeasible (a non-finite point included)
     return refined
 
 

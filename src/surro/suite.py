@@ -21,6 +21,7 @@ from .mirror_maps import BallMap, NegEntropyMap, QuadraticMap
 from .objectives import Quartic1D, QuadraticForm, ShiftedQuadratic
 from .rates import (
     accelerate,
+    alpha_transform,
     curvature_at,
     decay_estimate,
     default_floor,
@@ -211,7 +212,7 @@ def e6_alpha_em_optimum() -> ExperimentResult:
     prob_quarter = alpha_em_problem(model, 0.25, mode="population")
     trace_quarter = iterate(prob_quarter, np.array([2.0]))
     est_quarter = decay_estimate(trace_quarter.errors(star), default_floor(star))
-    predicted_quarter = 1.0 / 3.0
+    predicted_quarter = alpha_transform(em_rates, 0.25)
 
     ok = (
         abs(alpha_opt - 0.5) <= 1e-9

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .domains import ConvexDomain, DegenerateDomain
+from .domains import ConvexDomain, DegenerateDomain, as_vector
 from .errors import SurroError
 from .linalg import vector_norm
 
@@ -96,12 +96,15 @@ class SurrogateProblem:
     label: str = ""
 
     def check_feasible(self, x) -> np.ndarray:
-        v = np.atleast_1d(np.asarray(x, dtype=float))
-        if v.shape != (self.q,):
-            raise InfeasibleInput(f"expected a vector of length {self.q}, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise InfeasibleInput("point has non-finite coordinates")
+        """x as a length-q vector in the feasible set; raises InfeasibleInput otherwise.
+
+        `domain.contains` is the one membership test and rejects every
+        non-finite point; finiteness is looked at only to word the message.
+        """
+        v = as_vector(x, self.q, InfeasibleInput)
         if not self.domain.contains(v):
+            if not np.all(np.isfinite(v)):
+                raise InfeasibleInput("point has non-finite coordinates")
             raise InfeasibleInput(f"point {v} is outside the feasible set")
         return v
 
@@ -233,14 +236,14 @@ def minimize_smooth(domain, fun, grad, hess, x0, pull_inside=None):
     raise SolveFailure(f"iteration cap {INNER_CAP} reached (residual {residual:.3e})")
 
 
-def inner_minimize(problem: SurrogateProblem, theta, use_closed_form: bool = True) -> np.ndarray:
+def inner_minimize(problem: SurrogateProblem, theta) -> np.ndarray:
     """One application of the minimization map: argmin of Q(theta, .) over the domain.
 
     The problem's closed-form step is used when present; otherwise a projected
     Newton/gradient solve on theta' -> Q(theta, theta').
     """
     th = problem.check_feasible(theta)
-    if use_closed_form and problem.closed_form_step is not None:
+    if problem.closed_form_step is not None:
         out = np.atleast_1d(np.asarray(problem.closed_form_step(th), dtype=float))
         return out
 

@@ -5,12 +5,12 @@ import pytest
 
 import surro.linalg as linalg
 from surro.descent import mirror_prox_problem
-from surro.domains import EuclideanBall, Simplex
+from surro.domains import AffineSlice, Box, EuclideanBall, FullSpace, Simplex
 from surro.latent import GaussianLatentModel, em_population_problem
-from surro.mirror_maps import BallMap, NegEntropyMap
+from surro.mirror_maps import BallMap, NegEntropyMap, OutsideMirrorDomain, QuadraticMap
 from surro.objectives import ShiftedQuadratic
 from surro.rates import InfeasiblePerturbation, curvature_at, verdicts
-from surro.surrogate import StopRule, iterate
+from surro.surrogate import InfeasibleInput, StopRule, SurrogateProblem, iterate
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -23,6 +23,55 @@ def test_non_finite_input_raises_internal_failure(bad):
         linalg.generalized_rate_pair(m, np.eye(2))
     with pytest.raises(linalg.InternalNumericalFailure):
         linalg.generalized_rate_pair(np.eye(2), m)
+
+
+def _non_finite_points():
+    base = np.array([0.3, 0.3, 0.4])
+    for bad in (np.nan, np.inf, -np.inf):
+        yield np.full(3, bad)
+        for i in range(3):
+            point = base.copy()
+            point[i] = bad
+            yield point
+    yield np.array([np.inf, -np.inf, 0.5])
+
+
+_UNIT_BOX = Box(np.zeros(3), np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        FullSpace(3),
+        _UNIT_BOX,
+        EuclideanBall(np.zeros(3), 1.0),
+        EuclideanBall(np.zeros(3), 1.0, open_boundary=True),
+        Simplex(3),
+        # the zero in C meets an infinite third coordinate as 0 * inf
+        AffineSlice(np.array([[1.0, 1.0, 0.0]]), np.array([0.6]), _UNIT_BOX),
+    ],
+    ids=["full", "box", "ball", "open_ball", "simplex", "affine_slice"],
+)
+def test_contains_alone_rejects_non_finite_points(domain):
+    problem = SurrogateProblem(
+        q=3, domain=domain, eval_q=lambda t, u: 0.0, grad2=lambda t, u: np.zeros(3)
+    )
+    with np.errstate(all="raise"):
+        for point in _non_finite_points():
+            assert domain.contains(point) is False
+            with pytest.raises(InfeasibleInput, match="non-finite coordinates"):
+                problem.check_feasible(point)
+
+
+@pytest.mark.parametrize("phi", [QuadraticMap(3), NegEntropyMap(3), BallMap(3, 1.0)],
+                         ids=["quadratic", "neg_entropy", "ball"])
+def test_in_domain_alone_rejects_non_finite_points(phi):
+    with np.errstate(all="raise"):
+        for point in _non_finite_points():
+            assert not phi.in_domain(point)
+            assert not phi.in_closure(point)
+            with pytest.raises(OutsideMirrorDomain):
+                phi._require(point)
 
 
 def test_lapack_failure_raises_internal_failure(monkeypatch):

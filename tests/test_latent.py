@@ -1,5 +1,6 @@
 """Gaussian latent model: EM surrogates, Fisher informations, mixture demo."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -137,7 +138,7 @@ def test_mixture_em_step_matches_responsibility_formula():
     theta = np.array([0.8])
     out = prob.closed_form_step(theta)
     assert out[0] == pytest.approx(float(np.mean(np.tanh(0.8 * data) * data)))
-    numeric = inner_minimize(prob, theta, use_closed_form=False)
+    numeric = inner_minimize(dataclasses.replace(prob, closed_form_step=None), theta)
     assert numeric[0] == pytest.approx(out[0], abs=1e-8)
 
 
