@@ -12,9 +12,9 @@ import warnings
 import numpy as np
 
 from . import linalg
-from .domains import ConvexDomain, FullSpace
+from .domains import ConvexDomain, FullSpace, as_vector
 from .errors import SurroError
-from .mirror_maps import MirrorMap, NegEntropyMap, QuadraticMap
+from .mirror_maps import MirrorError, MirrorMap, NegEntropyMap, QuadraticMap
 from .objectives import Objective
 from .surrogate import SurrogateProblem, inner_minimize
 
@@ -64,7 +64,7 @@ def _mirror_problem(f: Objective, phi: MirrorMap, eta: float, domain: ConvexDoma
 
     def anchored(theta):
         nonlocal anchor
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
+        th = as_vector(theta, phi.q, MirrorError)
         key = th.tobytes()
         memo = anchor
         if memo[0] != key:
@@ -74,8 +74,8 @@ def _mirror_problem(f: Objective, phi: MirrorMap, eta: float, domain: ConvexDoma
 
     def eval_q(theta, u):
         th, (_, _, g, phi_theta, dphi_theta) = anchored(theta)
-        uv = np.atleast_1d(np.asarray(u, dtype=float))
-        return eta * float(g @ u) + float(phi.value(uv) - phi_theta - dphi_theta @ (uv - th))
+        uv = as_vector(u, phi.q, MirrorError)
+        return eta * float(g @ uv) + float(phi.value(uv) - phi_theta - dphi_theta @ (uv - th))
 
     def grad2(theta, u):
         _, (_, eta_g, _, _, dphi_theta) = anchored(theta)

@@ -28,8 +28,19 @@ class DegenerateDomain(DomainError):
     """Raised when the direction space of the domain is {0}."""
 
 
+_FLOAT = np.dtype(float)
+
+
 def as_vector(x, q: int, error: type[Exception] = DomainError) -> np.ndarray:
-    """x as a float vector of length q, a 0-d value counting as length 1; raises error otherwise."""
+    """x as a float vector of length q, a 0-d value counting as length 1; raises error otherwise.
+
+    A float64 ndarray of shape (q,) is returned as is, the object np.asarray
+    would return; anything else is converted.  No value is looked at, so a
+    NaN or infinite vector passes: finiteness is decided by the caller's
+    membership test.
+    """
+    if type(x) is np.ndarray and x.shape == (q,) and x.dtype == _FLOAT:
+        return x
     v = np.asarray(x, dtype=float)
     if v.ndim == 0:
         v = v.reshape(1)
@@ -80,7 +91,7 @@ class FullSpace(ConvexDomain):
             raise DomainError("dimension must be >= 1")
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
-        return bool(np.all(np.isfinite(as_vector(x, self.q))))
+        return bool(np.isfinite(as_vector(x, self.q)).all())
 
     def project(self, x):
         return as_vector(x, self.q).copy()
@@ -209,7 +220,7 @@ class Simplex(ConvexDomain):
     def contains(self, x, tol=MEMBERSHIP_TOL):
         v = as_vector(x, self.q)
         return bool(
-            np.all(v >= self.face_eps - tol) and abs(float(np.sum(v)) - 1.0) <= MEMBERSHIP_TOL
+            (v >= self.face_eps - tol).all() and abs(float(v.sum()) - 1.0) <= MEMBERSHIP_TOL
         )
 
     def project(self, x):

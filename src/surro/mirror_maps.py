@@ -8,6 +8,7 @@ convergent extragradient runs on compact sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +94,7 @@ class QuadraticMap(MirrorMap):
         return np.eye(self.q)
 
     def in_domain(self, x):
-        return bool(np.all(np.isfinite(np.atleast_1d(x))))
+        return bool(np.isfinite(x).all())
 
     def pull_inside(self, x):
         return np.atleast_1d(np.asarray(x, dtype=float)).copy()
@@ -113,7 +114,7 @@ class NegEntropyMap(MirrorMap):
 
     def value(self, x):
         v = self._require(x)
-        return float(np.sum(v * np.log(v)))
+        return float((v * np.log(v)).sum())
 
     def grad(self, x):
         v = self._require(x)
@@ -124,12 +125,12 @@ class NegEntropyMap(MirrorMap):
         return np.diag(1.0 / v)
 
     def in_domain(self, x):
-        v = np.atleast_1d(x)
-        return bool(np.all(np.isfinite(v)) and np.all(v > 0.0))
+        v = np.asarray(x)
+        return bool(np.isfinite(v).all() and (v > 0.0).all())
 
     def in_closure(self, x):
-        v = np.atleast_1d(x)
-        return bool(np.all(np.isfinite(v)) and np.all(v >= -CLOSURE_TOL))
+        v = np.asarray(x)
+        return bool(np.isfinite(v).all() and (v >= -CLOSURE_TOL).all())
 
     def pull_inside(self, x):
         return np.maximum(np.atleast_1d(np.asarray(x, dtype=float)), INTERIOR_MARGIN)
@@ -143,9 +144,9 @@ class NegEntropyMap(MirrorMap):
 
     def closed_projection(self, domain, zeta):
         if isinstance(domain, Simplex):
-            z = np.atleast_1d(np.asarray(zeta, dtype=float))
-            out = z / float(np.sum(z))  # exact entropy projection of a positive vector
-            if np.min(out) < domain.face_eps:
+            z = as_vector(zeta, self.q, MirrorError)
+            out = z / float(z.sum())  # exact entropy projection of a positive vector
+            if out.min() < domain.face_eps:
                 out = domain.project(out)
             return out
         return None
@@ -189,11 +190,17 @@ class BallMap(MirrorMap):
         return 2.0 * self.r2 * v / (self.r2 - s) ** 2
 
     def hess(self, x):
+        # (2 r2/den^2) I + (8 r2/den^3) vv', rounded entry by entry as that sum is:
+        # (8 r2/den^3)(v_i v_j), plus 2 r2/den^2 on the diagonal and 0.0 off it,
+        # which turns -0.0 into 0.0
         v, s = self._point(x)
         den = self.r2 - s
-        return (2.0 * self.r2 / den**2) * np.eye(self.q) + (8.0 * self.r2 / den**3) * np.outer(
-            v, v
-        )
+        a = 2.0 * self.r2 / den**2
+        h = v[:, None] * v
+        h *= 8.0 * self.r2 / den**3
+        h += 0.0
+        h.ravel()[:: self.q + 1] += a
+        return h
 
     def in_domain(self, x):
         v = np.atleast_1d(x)
@@ -204,11 +211,11 @@ class BallMap(MirrorMap):
         return float(v @ v) <= self.r2 * (1.0 + CLOSURE_TOL)
 
     def pull_inside(self, x):
-        v = np.atleast_1d(np.asarray(x, dtype=float))
+        v = as_vector(x, self.q, MirrorError)
         s = float(v @ v)
         cap = self.r2 * (1.0 - INTERIOR_MARGIN)
         if s >= cap:
-            v = v * np.sqrt(cap / s)
+            v = v * math.sqrt(cap / s)
         return v
 
     def strong_convexity(self, domain):

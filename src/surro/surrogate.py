@@ -12,6 +12,7 @@ derived where it is read.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -103,7 +104,7 @@ class SurrogateProblem:
         """
         v = as_vector(x, self.q, InfeasibleInput)
         if not self.domain.contains(v):
-            if not np.all(np.isfinite(v)):
+            if not np.isfinite(v).all():
                 raise InfeasibleInput("point has non-finite coordinates")
             raise InfeasibleInput(f"point {v} is outside the feasible set")
         return v
@@ -155,32 +156,44 @@ def minimize_smooth(domain, fun, grad, hess, x0, pull_inside=None):
     by Armijo decrease of the value or, once value differences drop below
     double-precision resolution, by halving of the projected-gradient
     residual; termination is on that residual, at INNER_TOL relative to
-    1 + max|x|, within INNER_CAP iterations.  When the domain's direction
-    basis is the identity, the Newton system is solved in full coordinates:
-    the reduction T'HT and the lift T @ d would only multiply by 1 and add 0.
+    1 + max|x|, within INNER_CAP iterations.  A point accepted by the residual
+    test brings the gradient and residual computed for it, so grad is called
+    once per point.  When the domain's direction basis is the identity, the
+    Newton system is solved in full coordinates: the reduction T'HT and the
+    lift T @ d would only multiply by 1 and add 0.
+
+    fun returns a real number and grad a float vector shaped as x.
     """
 
     def residual_at(point, gradient):
         return vector_norm(point - _project(domain, pull_inside, point - gradient))
 
     def backtrack(x, fx, g, res, direction, halvings):
+        """(point, value, known) of the first accepted step, or None.
+
+        known is (gradient, residual) at the point when the residual test
+        accepted it, and None when the Armijo test did.
+        """
         t = 1.0
         for _ in range(halvings):
             xn = _project(domain, pull_inside, x + t * direction)
-            if not np.all(np.isfinite(xn)) or np.array_equal(xn, x):
+            if not np.isfinite(xn).all() or (xn == x).all():
                 t *= 0.5
                 continue
             fn = fun(xn)
-            if np.isfinite(fn) and fn <= fx + ARMIJO_C * float(g @ (xn - x)):
-                return xn, fn
+            if not math.isfinite(fn):
+                t *= 0.5
+                continue
+            if fn <= fx + ARMIJO_C * float(g @ (xn - x)):
+                return xn, fn, None
             # value comparison is resolution-limited near the minimum; fall
             # back to requiring genuine stationarity progress
-            if np.isfinite(fn):
-                resn = residual_at(xn, grad(xn))
-                if resn <= 0.5 * res:
-                    return xn, fn
-                if fn <= fx + 1e-12 * (1.0 + abs(fx)) and resn <= res * (1.0 - 1e-6):
-                    return xn, fn
+            gn = grad(xn)
+            resn = residual_at(xn, gn)
+            if resn <= 0.5 * res or (
+                fn <= fx + 1e-12 * (1.0 + abs(fx)) and resn <= res * (1.0 - 1e-6)
+            ):
+                return xn, fn, (gn, resn)
             t *= 0.5
         return None
 
@@ -190,13 +203,23 @@ def minimize_smooth(domain, fun, grad, hess, x0, pull_inside=None):
         tangent = domain.direction_basis()  # Newton steps respect the affine hull
     except DegenerateDomain:
         tangent = None  # point domain: the gradient path settles it
-    identity_basis = tangent is not None and np.array_equal(tangent, np.eye(x.shape[0]))
+    q = x.shape[0]
+    identity_basis = (
+        tangent is not None
+        and tangent.shape == (q, q)
+        and np.count_nonzero(tangent) == q
+        and (tangent.diagonal() == 1.0).all()
+    )
     prev_x = None
     prev_g = None
+    known = None
     for _ in range(INNER_CAP):
-        g = grad(x)
-        residual = residual_at(x, g)
-        scale = 1.0 + float(np.max(np.abs(x)))
+        if known is None:
+            g = grad(x)
+            residual = residual_at(x, g)
+        else:
+            g, residual = known
+        scale = 1.0 + float(abs(x).max())
         if residual <= INNER_TOL * scale:
             return x
 
@@ -211,7 +234,7 @@ def minimize_smooth(domain, fun, grad, hess, x0, pull_inside=None):
                     direction = tangent @ np.linalg.solve(reduced, -(tangent.T @ g))
             except np.linalg.LinAlgError:
                 direction = None
-            if direction is not None and np.all(np.isfinite(direction)):
+            if direction is not None and np.isfinite(direction).all():
                 candidate = backtrack(x, fx, g, residual, direction, halvings=30)
 
         if candidate is None:
@@ -231,7 +254,7 @@ def minimize_smooth(domain, fun, grad, hess, x0, pull_inside=None):
             if residual <= 100.0 * INNER_TOL * scale:
                 return x
             raise SolveFailure(f"no descent direction found (residual {residual:.3e})")
-        x, fx = candidate
+        x, fx, known = candidate
 
     raise SolveFailure(f"iteration cap {INNER_CAP} reached (residual {residual:.3e})")
 
@@ -244,14 +267,13 @@ def inner_minimize(problem: SurrogateProblem, theta) -> np.ndarray:
     """
     th = problem.check_feasible(theta)
     if problem.closed_form_step is not None:
-        out = np.atleast_1d(np.asarray(problem.closed_form_step(th), dtype=float))
-        return out
+        return as_vector(problem.closed_form_step(th), problem.q, SurrogateError)
 
     try:
         return minimize_smooth(
             domain=problem.domain,
             fun=lambda x: problem.eval_q(th, x),
-            grad=lambda x: np.atleast_1d(np.asarray(problem.grad2(th, x), dtype=float)),
+            grad=lambda x: as_vector(problem.grad2(th, x), problem.q, SurrogateError),
             hess=(lambda x: problem.hess22(th, x)) if problem.hess22 is not None else None,
             x0=th,
             pull_inside=problem.pull_inside,
@@ -295,7 +317,7 @@ def iterate(problem: SurrogateProblem, theta0, stop: StopRule | None = None) -> 
                 if residual < best_residual:
                     best_residual = residual
                     stalled_steps = 0
-                elif best_residual <= STALL_RESOLUTION * (1.0 + float(np.max(np.abs(nxt)))):
+                elif best_residual <= STALL_RESOLUTION * (1.0 + float(abs(nxt).max())):
                     # a pre-asymptotic rise of the residual never counts as a stall
                     stalled_steps += 1
                     if stalled_steps >= stop.stall_window:

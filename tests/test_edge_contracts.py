@@ -1,13 +1,29 @@
 """Smaller contract points: error types, open-domain safety, edge verdicts."""
 
+import re
+
 import numpy as np
 import pytest
 
 import surro.linalg as linalg
 from surro.descent import mirror_prox_problem
-from surro.domains import AffineSlice, Box, EuclideanBall, FullSpace, Simplex
+from surro.domains import (
+    AffineSlice,
+    Box,
+    DomainError,
+    EuclideanBall,
+    FullSpace,
+    Simplex,
+    as_vector,
+)
 from surro.latent import GaussianLatentModel, em_population_problem
-from surro.mirror_maps import BallMap, NegEntropyMap, OutsideMirrorDomain, QuadraticMap
+from surro.mirror_maps import (
+    BallMap,
+    MirrorError,
+    NegEntropyMap,
+    OutsideMirrorDomain,
+    QuadraticMap,
+)
 from surro.objectives import ShiftedQuadratic
 from surro.rates import InfeasiblePerturbation, curvature_at, verdicts
 from surro.surrogate import InfeasibleInput, StopRule, SurrogateProblem, iterate
@@ -144,3 +160,49 @@ def test_asymmetry_diagnostic_recorded_on_fd_route():
     frame = curvature_at(em, np.array([1.0]), prefer_analytic=False)
     assert frame.asymmetry_diag >= 0.0
     assert frame.asymmetry_diag <= 1e-6  # scalar problems are exactly symmetric
+
+
+def test_as_vector_returns_a_float_vector_itself_and_converts_the_rest():
+    v = np.array([0.5, -1.0, 2.0])
+    assert as_vector(v, 3) is v
+    converted = [[1, 2, 3], (0.5, -1.0, 2.0), np.array([1, 2, 3]),
+                 np.array([0.1, 0.2, 0.3], dtype=np.float32),
+                 np.array([0.5, -1.0, 2.0], dtype=">f8")]  # not the native byte order
+    for x in converted:
+        out = as_vector(x, 3)
+        assert out is not x and out.dtype == np.float64 and out.shape == (3,)
+        assert out.tobytes() == np.asarray(x, dtype=float).tobytes()
+    for x in (0.5, 2, np.float64(0.5), np.array(0.5), np.array(2, dtype=np.int32)):
+        out = as_vector(x, 1)  # a 0-d value counts as length 1
+        assert out.shape == (1,) and out.dtype == np.float64 and out[0] == float(x)
+
+
+@pytest.mark.parametrize("bad", [np.zeros(2), np.zeros(4), np.zeros((1, 3)), np.zeros((3, 1)),
+                                 [1.0, 2.0], 0.5],
+                         ids=["short", "long", "row", "column", "list", "scalar"])
+def test_a_wrong_shape_has_one_message_under_every_error_type(bad):
+    shape = np.atleast_1d(bad).shape
+    message = re.escape(f"expected a vector of length 3, got shape {shape}")
+    problem = SurrogateProblem(q=3, domain=FullSpace(3), eval_q=lambda t, u: 0.0,
+                               grad2=lambda t, u: np.zeros(3))
+    for error, call in ((DomainError, FullSpace(3).contains), (DomainError, Simplex(3).project),
+                        (MirrorError, BallMap(3, 4.0).value), (MirrorError, NegEntropyMap(3).grad),
+                        (InfeasibleInput, problem.check_feasible)):
+        with pytest.raises(error, match=message):
+            as_vector(bad, 3, error)
+        with pytest.raises(error, match=message):
+            call(bad)
+
+
+def test_a_non_finite_vector_passes_as_vector_and_fails_membership():
+    problem = SurrogateProblem(q=3, domain=Simplex(3), eval_q=lambda t, u: 0.0,
+                               grad2=lambda t, u: np.zeros(3))
+    with np.errstate(all="raise"):
+        for point in _non_finite_points():
+            assert as_vector(point, 3) is point
+            for domain in (FullSpace(3), Simplex(3), EuclideanBall(np.zeros(3), 1.0)):
+                assert domain.contains(point) is False
+            for phi in (QuadraticMap(3), NegEntropyMap(3), BallMap(3, 1.0)):
+                assert not phi.in_domain(point)
+            with pytest.raises(InfeasibleInput, match="non-finite coordinates"):
+                problem.check_feasible(point)

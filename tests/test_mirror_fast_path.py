@@ -2,7 +2,10 @@
 
 Bitwise: the ball map with one squared-norm check, the theta-anchor memo of
 the mirror surrogates and the identity-basis Newton solve must reproduce the
-generic formulas exactly, so every iterate is compared with `==`.
+generic formulas exactly, so every iterate is compared with `==`.  The inner
+solve itself, with its reuse of the gradient and residual of a point the
+line search accepted and its coercions of float vectors, is compared byte
+for byte with a copy of the earlier solve that re-evaluates and re-wraps.
 
 Radial closed form: the ball map is radial and the shipped balls are centered
 at the origin, so the mirror step argmin eta g'u + D_Phi(u, theta) over
@@ -22,19 +25,25 @@ import pytest
 from surro import linalg
 from surro.config import assemble, load_config
 from surro.descent import _MemoStep, mirror_descent_problem, mirror_prox_problem
-from surro.domains import EuclideanBall, FullSpace
+from surro.domains import INTERIOR_MARGIN, DomainError, EuclideanBall, FullSpace, Simplex
 from surro.mirror_maps import (
     BallMap,
     MirrorError,
-    MirrorMap,
+    NegEntropyMap,
     OutsideMirrorDomain,
+    ProjectionFailed,
     bregman,
     bregman_project,
 )
 from surro.objectives import CustomObjective, ShiftedQuadratic
 from surro.rng import CounterRNG
 from surro.surrogate import (
+    ARMIJO_C,
+    INNER_CAP,
+    INNER_TOL,
+    InfeasibleInput,
     InnerSolveFailed,
+    SolveFailure,
     StopRule,
     SurrogateProblem,
     inner_minimize,
@@ -45,11 +54,25 @@ from surro.surrogate import (
 CONFIGS = Path(__file__).resolve().parents[1] / "src" / "surro" / "configs"
 
 
+def _converting_as_vector(x, q, error):
+    """domains.as_vector converting every input, the float vectors it returns as is too."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim == 0:
+        v = v.reshape(1)
+    if v.shape != (q,):
+        raise error(f"expected a vector of length {q}, got shape {v.shape}")
+    return v
+
+
 class _GenericBallMap(BallMap):
-    """The ball map through the generic MirrorMap._require, recomputing |x|^2 per call."""
+    """The ball map through the generic MirrorMap._require, recomputing |x|^2 per call,
+    with the Hessian as the array sum a I + b vv' and pull_inside converting its input."""
 
     def _require(self, x):
-        return MirrorMap._require(self, x)
+        v = _converting_as_vector(x, self.q, MirrorError)
+        if not self.in_domain(v):
+            raise OutsideMirrorDomain(f"point {v} is outside the mirror-map domain")
+        return v
 
     def value(self, x):
         v = self._require(x)
@@ -68,6 +91,14 @@ class _GenericBallMap(BallMap):
         return (2.0 * self.r2 / den**2) * np.eye(self.q) + (8.0 * self.r2 / den**3) * np.outer(
             v, v
         )
+
+    def pull_inside(self, x):
+        v = np.atleast_1d(np.asarray(x, dtype=float))
+        s = float(v @ v)
+        cap = self.r2 * (1.0 - INTERIOR_MARGIN)
+        if s >= cap:
+            v = v * np.sqrt(cap / s)
+        return v
 
 
 class _ReducedBall(EuclideanBall):
@@ -172,6 +203,23 @@ def test_ball_map_rejects_non_finite_overflowing_and_misshaped_points():
     assert BallMap(1, r2=4.0).value(0.5) == _GenericBallMap(1, r2=4.0).value([0.5])
 
 
+def test_ball_map_hessian_and_pull_inside_are_bitwise_the_earlier_formulas():
+    rng = CounterRNG(3)
+    points = [np.array(v) for v in ([0.0, 0.5], [-0.0, 0.5], [0.3, -0.0], [-0.2, 0.0],
+                                    [0.0, -0.0], [-0.0, -0.0], [1.9, -0.0])]
+    points += [EuclideanBall(np.zeros(q), 1.999).sample(rng) for q in (1, 2, 3) for _ in range(50)]
+    for v in points:
+        q = v.shape[0]
+        fast, earlier = BallMap(q, r2=4.0), _GenericBallMap(q, r2=4.0)
+        assert fast.hess(v).tobytes() == earlier.hess(v).tobytes()
+        assert fast.pull_inside(v).tobytes() == earlier.pull_inside(v).tobytes()
+        norm = linalg.vector_norm(v)
+        # pull_inside scales points at or beyond the interior margin of the map's ball
+        for radius in (2.0 - 1e-9 * float(rng.uniform(1)[0]), 2.0, 3.0) if norm > 0.0 else ():
+            x = v * (radius / norm)
+            assert fast.pull_inside(x).tobytes() == earlier.pull_inside(x).tobytes()
+
+
 def test_identity_basis_newton_step_keeps_the_signed_zeros_of_the_reduction():
     class ReducedSpace(FullSpace):
         def direction_basis(self):
@@ -185,6 +233,28 @@ def test_identity_basis_newton_step_keeps_the_signed_zeros_of_the_reduction():
             for dom in (FullSpace(2), ReducedSpace(2))]
     assert outs[0].tobytes() == outs[1].tobytes()
     assert outs[0].tobytes() == np.array([0.0, 1.0]).tobytes()
+
+
+@pytest.mark.parametrize("basis", [
+    [[1.0, -0.0], [0.0, 1.0]],  # the identity, with a signed zero
+    [[0.6, -0.8], [0.8, 0.6]],
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[1.0, 0.0], [0.0, -1.0]],
+], ids=["signed_identity", "rotation", "permutation", "reflection"])
+def test_only_an_identity_basis_takes_the_full_coordinate_newton_solve(basis):
+    class Basis(FullSpace):
+        def direction_basis(self):
+            return np.array(basis)
+
+    rng = CounterRNG(19)
+    for _ in range(20):
+        m = rng.gaussian(4).reshape(2, 2)
+        h = m @ m.T + 0.1 * np.eye(2)
+        c = rng.gaussian(2)
+        args = (lambda x: 0.5 * float(x @ h @ x) - float(c @ x), lambda x: h @ x - c,
+                lambda x: h, rng.gaussian(2))
+        got = minimize_smooth(Basis(2), *args)
+        assert got.tobytes() == _re_evaluating_minimize_smooth(Basis(2), *args, None, []).tobytes()
 
 
 def test_vector_norm_is_bitwise_np_linalg_norm():
@@ -269,3 +339,239 @@ def test_bregman_projection_on_the_ball_matches_the_radial_closed_form():
         np.testing.assert_allclose(out, want, rtol=0, atol=ORACLE_TOL)
         outside += linalg.vector_norm(zeta) > reach
     assert 0 < outside < 60
+
+
+# --- the inner solve against a copy of the solve that re-evaluates and re-wraps ---
+
+
+def _re_evaluating_minimize_smooth(domain, fun, grad, hess, x0, pull_inside, residual_accepts):
+    """minimize_smooth as it was before it kept the gradient and residual of an
+    accepted point, with numpy's dispatching reductions and an identity matrix
+    built per call, on domains that are never degenerate.  residual_accepts counts
+    the steps the residual test takes."""
+
+    def project(x):
+        y = domain.project(x)
+        return y if pull_inside is None else pull_inside(y)
+
+    def residual_at(point, gradient):
+        return linalg.vector_norm(point - project(point - gradient))
+
+    def backtrack(x, fx, g, res, direction, halvings):
+        t = 1.0
+        for _ in range(halvings):
+            xn = project(x + t * direction)
+            if not np.all(np.isfinite(xn)) or np.array_equal(xn, x):
+                t *= 0.5
+                continue
+            fn = fun(xn)
+            if np.isfinite(fn) and fn <= fx + ARMIJO_C * float(g @ (xn - x)):
+                return xn, fn
+            if np.isfinite(fn):
+                resn = residual_at(xn, grad(xn))
+                if resn <= 0.5 * res:
+                    residual_accepts.append(resn)
+                    return xn, fn
+                if fn <= fx + 1e-12 * (1.0 + abs(fx)) and resn <= res * (1.0 - 1e-6):
+                    residual_accepts.append(resn)
+                    return xn, fn
+            t *= 0.5
+        return None
+
+    x = project(np.asarray(x0, dtype=float))
+    fx = fun(x)
+    tangent = domain.direction_basis()
+    identity_basis = np.array_equal(tangent, np.eye(x.shape[0]))
+    prev_x = None
+    prev_g = None
+    for _ in range(INNER_CAP):
+        g = grad(x)
+        residual = residual_at(x, g)
+        scale = 1.0 + float(np.max(np.abs(x)))
+        if residual <= INNER_TOL * scale:
+            return x
+
+        candidate = None
+        if hess is not None:
+            try:
+                if identity_basis:
+                    direction = np.linalg.solve(hess(x), -g) + 0.0
+                else:
+                    reduced = tangent.T @ hess(x) @ tangent
+                    direction = tangent @ np.linalg.solve(reduced, -(tangent.T @ g))
+            except np.linalg.LinAlgError:
+                direction = None
+            if direction is not None and np.all(np.isfinite(direction)):
+                candidate = backtrack(x, fx, g, residual, direction, halvings=30)
+
+        if candidate is None:
+            if prev_x is not None:
+                s = x - prev_x
+                y = g - prev_g
+                sy = float(s @ y)
+                t = float(s @ s) / sy if sy > 0 else 1.0 / (1.0 + linalg.vector_norm(g))
+                t = min(max(t, 1e-12), 1e12)
+            else:
+                t = 1.0 / (1.0 + linalg.vector_norm(g))
+            candidate = backtrack(x, fx, g, residual, -t * g, halvings=60)
+
+        prev_x, prev_g = x, g
+        if candidate is None:
+            if residual <= 100.0 * INNER_TOL * scale:
+                return x
+            raise SolveFailure(f"no descent direction found (residual {residual:.3e})")
+        x, fx = candidate
+
+    raise SolveFailure(f"iteration cap {INNER_CAP} reached (residual {residual:.3e})")
+
+
+class _ConvertingBall(EuclideanBall):
+    """EuclideanBall with every point converted on entry."""
+
+    def contains(self, x, tol=1e-12):
+        r = linalg.vector_norm(_converting_as_vector(x, self.q, DomainError) - self.center)
+        return r < self.radius if self.open_boundary else r <= self.radius + tol
+
+    def project(self, x):
+        v = _converting_as_vector(x, self.q, DomainError)
+        d = v - self.center
+        r = linalg.vector_norm(d)
+        reach = self._reach()
+        if r <= reach:
+            return v.copy()
+        return self.center + d * (reach / r)
+
+
+def _re_evaluating_inner_minimize(problem, theta, residual_accepts):
+    th = _converting_as_vector(theta, problem.q, InfeasibleInput)
+    assert problem.domain.contains(th)
+    try:
+        return _re_evaluating_minimize_smooth(
+            problem.domain,
+            lambda x: problem.eval_q(th, x),
+            lambda x: np.atleast_1d(np.asarray(problem.grad2(th, x), dtype=float)),
+            lambda x: problem.hess22(th, x),
+            th,
+            problem.pull_inside,
+            residual_accepts,
+        )
+    except SolveFailure as exc:
+        raise InnerSolveFailed(f"inner minimization failed at theta={th}: {exc}") from exc
+
+
+def _outcome(solve, *args):
+    """The returned bytes, or the type and message of the solve failure."""
+    try:
+        return solve(*args).tobytes()
+    except (InnerSolveFailed, ProjectionFailed) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.filterwarnings("ignore:step size eta")
+def test_inner_solves_are_bitwise_the_re_evaluating_solve():
+    """200 mirror descent and prox steps on random balls, two in three near the boundary.
+
+    Stalls on the active sphere (the xfail above) must fail with the same
+    message, residual included."""
+    rng = CounterRNG(13)
+    accepts: list[float] = []
+    outcomes = []
+    for q, r2, reach, theta in _ball_draws(rng, 100):
+        eta = 0.05 + 2.0 * float(rng.uniform(1)[0])
+        g = rng.gaussian(q) * 10.0 ** float(2.0 * rng.uniform(1)[0] - 1.0)
+        linear = CustomObjective(q, lambda x, g=g: float(g @ x), lambda x, g=g: g)
+        f = ShiftedQuadratic(g)
+        phi, dom = BallMap(q, r2=r2), EuclideanBall(np.zeros(q), reach)
+        ref_phi, ref_dom = _GenericBallMap(q, r2=r2), _ConvertingBall(np.zeros(q), reach)
+
+        half_steps = {}
+        ref_half = _generic_mirror_problem(f, ref_phi, eta, ref_dom, lambda t: t)
+
+        def at(t):
+            key = t.tobytes()
+            if key not in half_steps:
+                half_steps[key] = _re_evaluating_inner_minimize(ref_half, t, accepts)
+            return half_steps[key]
+
+        for fast, ref in (
+            (mirror_descent_problem(linear, phi, eta, dom),
+             _generic_mirror_problem(linear, ref_phi, eta, ref_dom, lambda t: t)),
+            (mirror_prox_problem(f, phi, eta, dom),
+             _generic_mirror_problem(f, ref_phi, eta, ref_dom, at)),
+        ):
+            got = _outcome(inner_minimize, fast, theta)
+            assert got == _outcome(_re_evaluating_inner_minimize, ref, theta, accepts)
+            outcomes.append(got)
+    failed = sum(isinstance(o, str) for o in outcomes)
+    assert len(outcomes) == 200 and 0 < failed < 40, failed
+    assert len(accepts) > 0  # the gradient and residual of an accepted point are reused
+
+
+def _re_evaluating_bregman_project(domain, phi, zeta):
+    z = phi._require(zeta)
+    target = phi.grad(z)
+    try:
+        return _re_evaluating_minimize_smooth(domain, lambda x: phi.value(x) - float(target @ x),
+                                       lambda x: phi.grad(x) - target, phi.hess,
+                                       phi.pull_inside(domain.project(z)), phi.pull_inside, [])
+    except SolveFailure as exc:
+        raise ProjectionFailed(str(exc)) from exc
+
+
+def test_bregman_projections_are_bitwise_the_re_evaluating_solve():
+    rng = CounterRNG(17)
+    for q, r2, reach, theta in _ball_draws(rng, 60):
+        zeta = theta * (math.sqrt(r2) / reach)
+        got = _outcome(bregman_project, EuclideanBall(np.zeros(q), reach), BallMap(q, r2=r2), zeta)
+        want = _outcome(_re_evaluating_bregman_project, _ConvertingBall(np.zeros(q), reach),
+                        _GenericBallMap(q, r2=r2), zeta)
+        assert got == want
+
+
+class _ConvertingEntropyMap(NegEntropyMap):
+    """Negative entropy with numpy's dispatching reductions and every point converted."""
+
+    def _require(self, x):
+        v = _converting_as_vector(x, self.q, MirrorError)
+        if not self.in_domain(v):
+            raise OutsideMirrorDomain(f"point {v} is outside the mirror-map domain")
+        return v
+
+    def value(self, x):
+        v = self._require(x)
+        return float(np.sum(v * np.log(v)))
+
+    def in_domain(self, x):
+        v = np.atleast_1d(x)
+        return bool(np.all(np.isfinite(v)) and np.all(v > 0.0))
+
+    def closed_projection(self, domain, zeta):
+        z = np.atleast_1d(np.asarray(zeta, dtype=float))
+        out = z / float(np.sum(z))
+        if np.min(out) < domain.face_eps:
+            out = domain.project(out)
+        return out
+
+
+class _ConvertingSimplex(Simplex):
+    def contains(self, x, tol=1e-12):
+        v = _converting_as_vector(x, self.q, DomainError)
+        return bool(np.all(v >= self.face_eps - tol) and abs(float(np.sum(v)) - 1.0) <= 1e-12)
+
+
+def test_entropy_simplex_run_is_bitwise_the_converting_formulas():
+    cfg = load_config(CONFIGS / "entropy_simplex_md.json")
+    assert cfg["mirror_map"]["type"] == "neg_entropy" and cfg["domain"]["type"] == "simplex"
+    run = assemble(cfg)
+    f, eta = ShiftedQuadratic(np.array(cfg["objective"]["target"], dtype=float)), cfg["eta"]
+    phi, dom = _ConvertingEntropyMap(3), _ConvertingSimplex(3)
+
+    def closed(theta):
+        g = f.grad(theta)
+        return phi.closed_projection(dom, theta * np.exp(-eta * (g - np.min(g))))
+
+    ref = _generic_mirror_problem(f, phi, eta, dom, lambda t: t, closed_form_step=closed)
+    got, want = iterate(run.problem, run.theta0, run.stop), iterate(ref, run.theta0, run.stop)
+    assert got.stop_reason == want.stop_reason and len(got) == len(want) > 100
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got.iterates, want.iterates))
+    assert got.q_values(run.problem).tobytes() == want.q_values(ref).tobytes()

@@ -10,7 +10,7 @@ from surro.config import assemble
 from surro.runner import analyze
 from surro.descent import mirror_descent_problem, mirror_prox_problem, newton_problem
 from surro.domains import AffineSlice, Box, FullSpace, Simplex
-from surro.latent import GaussianLatentModel, em_population_problem
+from surro.latent import GaussianLatentModel, alpha_em_problem, em_population_problem
 from surro.mirror_maps import NegEntropyMap, QuadraticMap
 from surro.objectives import Quartic1D, QuadraticForm, ShiftedQuadratic
 from surro.rates import (
@@ -109,6 +109,90 @@ def test_analytic_curvature_matches_finite_differences_on_bundled_configs(path):
     probed = curvature_at(asm.problem, asm.theta_star, asm.fd, prefer_analytic=False)
     np.testing.assert_allclose(probed.a_tilde, analytic.a_tilde, rtol=0, atol=1e-8)
     np.testing.assert_allclose(probed.b_tilde, analytic.b_tilde, rtol=0, atol=1e-8)
+
+
+def _e12_boundary_problem():
+    """E12's boundary counterexample, argmin over [1, 10] of t^2 - t u + u^2, with its
+    derivatives by hand: hess22 = 2, hess12 = -1.  Its fixed point 1 is on a face."""
+    return SurrogateProblem(
+        q=1,
+        domain=Box([1.0], [10.0]),
+        eval_q=lambda t, u: float(t[0] ** 2 - t[0] * u[0] + u[0] ** 2),
+        grad2=lambda t, u: np.array([2.0 * u[0] - t[0]]),
+        hess22=lambda t, u: np.array([[2.0]]),
+        hess12=lambda t, u: np.array([[-1.0]]),
+    )
+
+
+def _registry_problems():
+    """(problem, point) for every problem E1-E4, E6-E8, E11 and E12 take curvature of,
+    built as suite.py builds them; E11 takes it away from the fixed point."""
+    model = GaussianLatentModel(1.0, 1.0, theta_star=1.0)
+    em = em_population_problem(model)
+    center = np.array([0.5, 0.3, 0.2])
+    quadratic = (QuadraticForm(np.diag([1.0, 1.25])), QuadraticMap(2), 0.5, FullSpace(2))
+    entropy = (ShiftedQuadratic(center), NegEntropyMap(3), 0.2, Simplex(3))
+    return {
+        "E1_E8_gd": (_gd([1.0, 4.0], 0.4), np.zeros(2)),
+        "E2": (_gd([1.0, 1.5], 0.4), np.zeros(2)),
+        "E3_md_quadratic": (mirror_descent_problem(*quadratic), np.zeros(2)),
+        "E3_prox_quadratic": (mirror_prox_problem(*quadratic), np.zeros(2)),
+        "E3_md_entropy": (mirror_descent_problem(*entropy), center),
+        "E3_prox_entropy": (mirror_prox_problem(*entropy), center),
+        "E4_E6_E8_E12_em": (em, np.array([1.0])),
+        "E6_alpha_half": (alpha_em_problem(model, 0.5, mode="population"), np.array([1.0])),
+        "E6_alpha_quarter": (alpha_em_problem(model, 0.25, mode="population"), np.array([1.0])),
+        "E7": (newton_problem(Quartic1D()), np.zeros(1)),
+        "E11_em": (em, np.array([1.1])),
+        "E11_gd": (_gd([1.0, 4.0], 0.4), np.array([1.0, 1.0])),
+        "E12_boundary": (_e12_boundary_problem(), np.array([1.0])),
+    }
+
+
+@pytest.mark.filterwarnings("ignore:step size eta")
+@pytest.mark.parametrize("name", list(_registry_problems()))
+def test_analytic_curvature_matches_finite_differences_on_registry_problems(name):
+    """Without an analytic hess12 (mirror prox, Newton, alpha-EM) B~ is a finite
+    difference both ways, so there only A~ is compared."""
+    problem, point = _registry_problems()[name]
+    assert problem.hess22 is not None  # alpha-EM's comes from its quadrature
+    analytic = curvature_at(problem, point)
+    probed = curvature_at(problem, point, prefer_analytic=False)
+    np.testing.assert_allclose(probed.a_tilde, analytic.a_tilde, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(probed.b_tilde, analytic.b_tilde, rtol=0, atol=1e-8)
+
+
+# relative to 1 + |theta*|: small enough for the h^2 term of Newton's map (2h^2), large
+# enough for the 1e-12 residual of the numeric inner solves
+MAP_STEP = 1e-5
+
+
+def _fixed_point_case(name):
+    if name == "e12_boundary":
+        return _e12_boundary_problem(), np.array([1.0]), FDSpec()
+    asm = assemble(json.loads((CONFIGS / f"{name}.json").read_text()))
+    return asm.problem, asm.theta_star, asm.fd
+
+
+@pytest.mark.parametrize("name", [p.stem for p in ALGORITHM_CONFIGS] + ["e12_boundary"])
+def test_map_jacobian_spectrum_is_the_pencil_spectrum(name):
+    """Central differences of the map M(theta) = argmin Q(theta, .) along the frame
+    basis at theta*: at an interior fixed point DM = A^-1 B, so the reduced Jacobian
+    has the eigenvalues of A~^-1 B~ that the frame's curvature gives."""
+    problem, star, fd = _fixed_point_case(name)
+    if not problem.domain.is_interior(star):
+        pytest.skip("theta* is on the boundary, where the map is not differentiable")
+    frame = curvature_at(problem, star, fd)
+    p, h = frame.basis, MAP_STEP * (1.0 + float(np.linalg.norm(star)))
+
+    def step(offset):
+        return inner_minimize(problem, star + offset)
+
+    cols = [(step(h * p[:, j]) - step(-h * p[:, j])) / (2.0 * h) for j in range(frame.d)]
+    measured = np.linalg.eigvals(p.T @ np.column_stack(cols))
+    predicted = np.linalg.eigvals(np.linalg.solve(frame.a_tilde, frame.b_tilde))
+    assert np.abs(measured.imag).max() <= 1e-8 and np.abs(predicted.imag).max() <= 1e-8
+    np.testing.assert_allclose(np.sort(measured.real), np.sort(predicted.real), rtol=0, atol=1e-8)
 
 
 def _pencil_problem(b_diag):
