@@ -28,5 +28,8 @@ class CounterRNG:
         u1 = 1.0 - self.uniform(m)  # in (0, 1], keeps the log finite
         u2 = self.uniform(m)
         r = np.sqrt(-2.0 * np.log(u1))
-        z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])
+        angle = 2.0 * np.pi * u2
+        z = np.empty(2 * m)
+        np.multiply(r, np.cos(angle), out=z[:m])
+        np.multiply(r, np.sin(angle), out=z[m:])
         return z[: int(n)]

@@ -26,8 +26,6 @@ INNER_CAP = 500
 INNER_TOL = 1e-12
 ARMIJO_C = 1e-4
 STALL_RESOLUTION = 1e-8  # residuals at or below this, relative to 1 + max|theta|, may stall
-CERTIFICATE_PROBES = 32
-CERTIFICATE_STEP = 1e-6
 
 
 class SurrogateError(SurroError):
@@ -328,23 +326,3 @@ def iterate(problem: SurrogateProblem, theta0, stop: StopRule | None = None) -> 
 
     return Trace(iterates=iterates, stop_reason=reason)
 
-
-def descent_certificate(problem: SurrogateProblem, theta, theta_opt, rng) -> bool:
-    """Probe feasible directions around theta_opt for surrogate decrease.
-
-    Returns True when no probe improves Q(theta, .) by more than 1e-10, the
-    first-order certificate that theta_opt is a constrained minimizer.
-    """
-    th = problem.check_feasible(theta)
-    base = problem.eval_q(th, theta_opt)
-    for _ in range(CERTIFICATE_PROBES):
-        d = rng.gaussian(problem.q)
-        norm = float(np.linalg.norm(d))
-        if norm == 0.0:
-            continue
-        point = problem.domain.project(theta_opt + CERTIFICATE_STEP * d / norm)
-        if problem.pull_inside is not None:
-            point = problem.pull_inside(point)
-        if problem.eval_q(th, point) < base - 1e-10:
-            return False
-    return True

@@ -22,7 +22,6 @@ from surro.surrogate import (
     StopReason,
     StopRule,
     SurrogateError,
-    descent_certificate,
     inner_minimize,
     iterate,
 )
@@ -89,6 +88,24 @@ def test_numeric_inner_minimize_agrees_with_closed_form():
             closed = inner_minimize(prob, theta)
             numeric = inner_minimize(numeric_prob, theta)
             assert np.linalg.norm(closed - numeric) <= 1e-6
+
+
+def descent_certificate(problem, theta, theta_opt, rng) -> bool:
+    """Probe 32 feasible directions 1e-6 around theta_opt for surrogate decrease.
+
+    Returns True when no probe improves Q(theta, .) by more than 1e-10, the
+    first-order certificate that theta_opt is a constrained minimizer.
+    """
+    th = problem.check_feasible(theta)
+    base = problem.eval_q(th, theta_opt)
+    for _ in range(32):
+        d = rng.gaussian(problem.q)
+        point = problem.domain.project(theta_opt + 1e-6 * d / np.linalg.norm(d))
+        if problem.pull_inside is not None:
+            point = problem.pull_inside(point)
+        if problem.eval_q(th, point) < base - 1e-10:
+            return False
+    return True
 
 
 def test_descent_certificate_on_inner_solutions():
