@@ -64,22 +64,12 @@ def _lower_solve(l, g1, g2, g3):
     return y1, y2, (g3 - l31 * y1 - l32 * y2) / l33
 
 
-def _sym3_top(c11, c12, c13, c22, c23, c33):
-    """Row-wise largest eigenvalue of a symmetric 3x3 and an eigenvector, with no eigensolver.
+def _adjugate_column(c11, c12, c13, c22, c23, c33, lam):
+    """Row-wise largest-diagonal column of adj(C - lam I), a null vector of C - lam I.
 
-    The root is trigonometric: lam = mean + 2s cos(arccos(det(C - mean I) / 2s^3) / 3), with
-    6s^2 = |C - mean I|_F^2. The vector is the largest-diagonal column of adj(C - lam I),
-    whose columns are cross products of rows of C - lam I, so null vectors of it. It needs
-    a simple top root: where the top two roots agree to about 1e-8 of the spread it can
-    point anywhere, and where C is a multiple of I it is 0.
+    The columns of the adjugate are cross products of rows of C - lam I; where lam is
+    a simple root, the largest-diagonal one is well away from 0.
     """
-    mean = (c11 + c22 + c33) / 3.0
-    d1, d2, d3 = c11 - mean, c22 - mean, c33 - mean
-    s = np.sqrt((d1**2 + d2**2 + d3**2 + 2.0 * (c12**2 + c13**2 + c23**2)) / 6.0)
-    det = d1 * (d2 * d3 - c23**2) - c12 * (c12 * d3 - c23 * c13) + c13 * (c12 * c23 - d2 * c13)
-    s3 = 2.0 * s**3
-    half = np.divide(det, s3, out=np.ones_like(det), where=s3 > 0)  # C = mean I: lam = mean
-    lam = mean + 2.0 * s * np.cos(np.arccos(np.clip(half, -1.0, 1.0)) / 3.0)
     m11, m22, m33 = c11 - lam, c22 - lam, c33 - lam
     j11, j22, j33 = m22 * m33 - c23**2, m11 * m33 - c13**2, m11 * m22 - c12**2
     j12, j13, j23 = c13 * c23 - c12 * m33, c12 * c23 - c13 * m22, c12 * c13 - m11 * c23
@@ -89,24 +79,73 @@ def _sym3_top(c11, c12, c13, c22, c23, c33):
                  for x1, x2, x3 in ((j11, j12, j13), (j12, j22, j23), (j13, j23, j33)))
 
 
-def _ratio_ascent(a: np.ndarray, b: np.ndarray, v0: np.ndarray) -> np.ndarray:
-    """Per row, climb |v'Bv| / v'Av from v0 within its sign branch; no eigensolver.
+def _plane_top(c, x):
+    """Row-wise top eigenvector of symmetric C on the plane orthogonal to x (nonzero rows).
 
-    a (n, d, d) SPD, b (n, d, d) symmetric, v0 (n, d); returns the n climbed values.
+    The exact 2x2 Rayleigh-Ritz step on an orthonormal basis p, q of the plane: columns
+    2 and 3 of the reflector I - w w' / k, w = x + sign(x1) e1, k = 1 + |x1|, for unit x.
+    """
+    c11, c12, c13, c22, c23, c33 = c
+    x1, x2, x3 = x / np.sqrt(x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
+    sign, k = np.where(x1 >= 0, 1.0, -1.0), 1.0 + np.abs(x1)
+    p = (-sign * x2, 1.0 - x2**2 / k, -x2 * x3 / k)
+    q = (-sign * x3, p[2], 1.0 - x3**2 / k)
+    cp, cq = ((c11 * y1 + c12 * y2 + c13 * y3, c12 * y1 + c22 * y2 + c23 * y3,
+               c13 * y1 + c23 * y2 + c33 * y3) for y1, y2, y3 in (p, q))
+    pcp, pcq, qcq = (y1 * w1 + y2 * w2 + y3 * w3
+                     for (y1, y2, y3), (w1, w2, w3) in ((p, cp), (p, cq), (q, cq)))
+    t = 0.5 * np.arctan2(2.0 * pcq, pcp - qcq)
+    return tuple(np.cos(t) * pj + np.sin(t) * qj for pj, qj in zip(p, q))
+
+
+def _sym3_top(c11, c12, c13, c22, c23, c33):
+    """Row-wise eigenvector for the largest eigenvalue of a symmetric 3x3, with no eigensolver.
+
+    The roots are trigonometric: mean + 2s cos((arccos(h) + 2 pi k) / 3), with
+    h = det(C - mean I) / 2s^3 and 6s^2 = |C - mean I|_F^2; k = 0 is the top root and
+    k = 1 the bottom one. The vector is `_adjugate_column` at the top root. Where the
+    top two roots are closer than 1.7% of the spread (h < -0.999), that vector can be
+    rounding noise; the bottom root is then simple, and the top vector is `_plane_top`
+    on the complement of the bottom root's vector. Where C is a multiple of I the
+    vector is 0.
+    """
+    c = (c11, c12, c13, c22, c23, c33)
+    mean = (c11 + c22 + c33) / 3.0
+    d1, d2, d3 = c11 - mean, c22 - mean, c33 - mean
+    s = np.sqrt((d1**2 + d2**2 + d3**2 + 2.0 * (c12**2 + c13**2 + c23**2)) / 6.0)
+    det = d1 * (d2 * d3 - c23**2) - c12 * (c12 * d3 - c23 * c13) + c13 * (c12 * c23 - d2 * c13)
+    s3 = 2.0 * s**3
+    half = np.divide(det, s3, out=np.ones_like(det), where=s3 > 0)  # C = mean I: lam = mean
+    angle = np.arccos(np.clip(half, -1.0, 1.0)) / 3.0
+    z = _adjugate_column(*c, mean + 2.0 * s * np.cos(angle))
+    pair = np.flatnonzero(half < -0.999)
+    if len(pair):
+        c = tuple(x[pair] for x in c)
+        bottom = mean[pair] + 2.0 * s[pair] * np.cos(angle[pair] + 2.0 * np.pi / 3.0)
+        for zj, wj in zip(z, _plane_top(c, np.array(_adjugate_column(*c, bottom)))):
+            zj[pair] = wj
+    return z
+
+
+def _ratio_ascent(a: np.ndarray, b: np.ndarray, v0: np.ndarray) -> np.ndarray:
+    """Per row, climb v'Bv / v'Av from v0; pass -B for the lower branch. No eigensolver.
+
+    a (n, d, d) SPD, b (n, d, d) symmetric, v0 (n, d) nonzero; returns the n climbed
+    values, signed. Any start reaches the top of the pencil (A, B), so the top of (A, B)
+    and of (A, -B) climbed from one start give rho_sup = max(lam_max, -lam_min).
     Exact 3-term Rayleigh-Ritz steps (the LOBPCG step, Knyazev, SIAM J. Sci. Comput.
     2001), one padded batch per call: each step moves a row to the maximiser of
-    sign * v'Bv / v'Av on span{v, u, r}, u the gradient with its v component removed
-    and r the previous iterate with its v and u components removed. On the basis
+    v'Bv / v'Av on span{v, u, r}, u the gradient with its v component removed and r
+    the previous iterate with its v and u components removed. On the basis
     S = [v, u, r] the step is closed form: a scalar Cholesky L L' of the A-Gram S'AS
-    whitens the B-Gram to C = L^-1 S'(sign B)S L^-T, `_sym3_top` gives C's largest
-    root and a null vector z, and L^-T z are the Ritz vector's coordinates. Where r
-    adds no direction (the first step, d <= 2, a previous iterate inside span{v, u}),
-    r is 0 and its slot in C gets a value below the 2x2 block's roots, so the step is
-    the 2x2 step on span{v, u}. A row stops when its gradient vanishes, when a step
-    does not strictly improve it, or after ASCENT_STEPS steps.
+    whitens the B-Gram to C = L^-1 S'BS L^-T, `_sym3_top` gives a vector z for C's
+    largest root, and L^-T z are the Ritz vector's coordinates. Where r adds no
+    direction (the first step, d <= 2, a previous iterate inside span{v, u}), r is 0
+    and its slot in C gets a value below the 2x2 block's roots, so the step is the 2x2
+    step on span{v, u}. A row stops when its gradient vanishes, when a step does not
+    strictly improve it, or after ASCENT_STEPS steps.
     """
     v = v0 / np.linalg.norm(v0, axis=1, keepdims=True)
-    b = b * np.where(_rows_dot(v, _apply(b, v)) >= 0, 1.0, -1.0)[:, None, None]
     av, bv = _apply(a, v), _apply(b, v)
     p, q = _rows_dot(v, bv), _rows_dot(v, av)
     out = p / q
@@ -164,7 +203,7 @@ def _ratio_ascent(a: np.ndarray, b: np.ndarray, v0: np.ndarray) -> np.ndarray:
             a, b, v, prev, av, bv, p, q, rows = (
                 x[better] for x in (a, b, v, prev, av, bv, p, q, rows))
         out[rows] = p / q
-    return np.abs(out)
+    return out
 
 
 def _padded(pencils) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -186,18 +225,18 @@ def _padded(pencils) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def check_rate_identity(trials: int = 1000, seed: int = 0) -> SuiteResult:
     """Four routes to the sup rate agree: two spectral radii, one norm, one searched sup.
 
-    The direction search draws random candidates and polishes the best of each
-    sign branch by exact 3-term Rayleigh-Ritz steps on the generalized Rayleigh
-    quotient (span{v, u, v_prev}, a closed-form 3x3 pencil per row, the 2x2 step
-    on span{v, u} where v_prev adds no direction), one padded batch per call: the
-    start rows of every trial climb together in one `_ratio_ascent` call. The
-    climb reaches the branch extreme to rounding, so the searched sup must come
-    within 1e-6 (1 + rho) of the norm route, the bound the exact routes meet.
+    The searched sup calls no eigensolver: each trial draws one start v and climbs it
+    to the top of the pencil (A, B) and of (A, -B) by exact 3-term Rayleigh-Ritz steps
+    (`_ratio_ascent`), the larger of the two being max(lam_max, -lam_min). The rows of
+    every trial climb together in one padded batch. The climb reaches the top to
+    rounding, so the searched sup must come within 1e-6 (1 + rho) of the norm route,
+    the bound the exact routes meet. A failure records A, B and the start, from which
+    `_ratio_ascent` on the padded rows (A, B, v) and (A, -B, v) replays the searched sup.
     """
     rng = CounterRNG((seed, 1))
     out = SuiteResult("rate_identity", trials)
-    routes, sampled, pencils, owners = [], [], [], []
-    for trial in range(trials):
+    routes, pencils = [], []
+    for _ in range(trials):
         d = _dim(rng)
         a = random_spd(rng, d)
         b = random_symmetric(rng, d)
@@ -205,21 +244,11 @@ def check_rate_identity(trials: int = 1000, seed: int = 0) -> SuiteResult:
         rho_ab = float(np.max(np.abs(np.linalg.eigvals(a_inv @ b))))
         rho_ba = float(np.max(np.abs(np.linalg.eigvals(b @ a_inv))))
         norm_route = linalg.generalized_rate_pair(a, b).rho_sup
-        v = rng.gaussian(2000 * d).reshape(2000, d)
-        quad_b = _rows_dot(v @ b, v)
-        quad_a = _rows_dot(v @ a, v)
-        ratios = np.abs(quad_b) / quad_a
-        sampled.append(float(np.max(ratios)))
-        for branch in (quad_b >= 0, quad_b < 0):
-            if np.any(branch):
-                # a copy: a view would keep the whole 2000 x d sample alive
-                pencils.append((a, b, v[np.argmax(np.where(branch, ratios, -np.inf))].copy()))
-                owners.append(trial)
-        routes.append((a, b, rho_ab, rho_ba, norm_route))
-    searched = np.array(sampled)
-    np.maximum.at(searched, owners, _ratio_ascent(*_padded(pencils)))
-    for (a, b, rho_ab, rho_ba, norm_route), sampled_sup, searched_sup in zip(
-            routes, sampled, searched.tolist()):
+        v = rng.gaussian(d)
+        pencils += [(a, b, v), (a, -b, v)]
+        routes.append((a, b, v, rho_ab, rho_ba, norm_route))
+    searched = _ratio_ascent(*_padded(pencils)).reshape(-1, 2).max(axis=1)
+    for (a, b, v, rho_ab, rho_ba, norm_route), searched_sup in zip(routes, searched.tolist()):
         exact_gap = max(abs(rho_ab - norm_route), abs(rho_ba - norm_route))
         ok = (
             exact_gap <= 1e-6 * (1.0 + norm_route)
@@ -229,7 +258,7 @@ def check_rate_identity(trials: int = 1000, seed: int = 0) -> SuiteResult:
         if not ok:
             out.failures.append(
                 {"a": a.tolist(), "b": b.tolist(), "rho_ab": rho_ab, "rho_ba": rho_ba,
-                 "norm_route": norm_route, "sampled_sup": sampled_sup,
+                 "norm_route": norm_route, "start": v.tolist(),
                  "searched_sup": searched_sup}
             )
     return out

@@ -69,14 +69,14 @@ def asymmetry(m) -> float:
 def eigh(s) -> Spectrum:
     """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
 
-    Input is symmetrized defensively and must be finite: LAPACK does not
-    reject NaN (it returns plausible-looking eigenvalues for a NaN entry), so
-    non-finite input and LAPACK convergence failures both raise
-    InternalNumericalFailure.  Returns ascending eigenvalues and an
+    Input is symmetrized here, so callers need not symmetrize it, and must
+    be finite: LAPACK does not reject NaN (it returns plausible-looking
+    eigenvalues for a NaN entry), so non-finite input and LAPACK convergence
+    failures both raise InternalNumericalFailure.  Returns ascending eigenvalues and an
     orthonormal eigenvector matrix whose column i pairs with eigenvalue i.
     """
     a = symmetrize(s)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InternalNumericalFailure("eigh input has non-finite entries")
     try:
         lam, vec = np.linalg.eigh(a)
@@ -96,8 +96,7 @@ def spectral_norm(m) -> float:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got shape {a.shape}")
-    gram = symmetrize(a.T @ a)
-    lam = eigh(gram).eigenvalues
+    lam = eigh(a.T @ a).eigenvalues
     return float(np.sqrt(max(lam[-1], 0.0)))
 
 
@@ -127,10 +126,10 @@ def whitened_eigenvalues(a, b) -> np.ndarray:
     b = symmetrize(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    if not np.all(np.isfinite(b)):
+    if not np.isfinite(b).all():
         raise InternalNumericalFailure("rate pair input B has non-finite entries")
     r = inv_sqrt(a)
-    return eigh(symmetrize(r @ b @ r)).eigenvalues
+    return eigh(r @ b @ r).eigenvalues
 
 
 def generalized_rate_pair(a, b) -> RatePair:

@@ -39,6 +39,8 @@ def test_non_finite_input_raises_internal_failure(bad):
         linalg.generalized_rate_pair(m, np.eye(2))
     with pytest.raises(linalg.InternalNumericalFailure):
         linalg.generalized_rate_pair(np.eye(2), m)
+    with pytest.raises(linalg.InternalNumericalFailure):
+        linalg.whitened_eigenvalues(np.eye(2), m)
 
 
 def _non_finite_points():

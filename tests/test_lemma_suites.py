@@ -33,21 +33,25 @@ def test_domination_counts_only_valid_hypotheses():
 
 
 def test_ratio_ascent_reaches_known_extremes():
-    a = np.eye(3)
-    b = np.diag([0.9, -0.2, 0.1])
+    # starts on both sides of v'Bv = 0 reach the top of (A, B), and of (A, -B)
+    a = np.repeat(np.eye(3)[None], 8, 0)
+    b = np.repeat(np.diag([0.9, -0.2, 0.1])[None], 8, 0)
     starts = CounterRNG(6).gaussian(3 * 8).reshape(8, 3)
-    positive = np.einsum("ij,jk,ik->i", starts, b, starts) >= 0
+    positive = np.einsum("ij,ijk,ik->i", starts, b, starts) >= 0
     assert positive.any() and not positive.all()
-    found = lemmas._ratio_ascent(np.repeat(a[None], 8, 0), np.repeat(b[None], 8, 0), starts)
-    np.testing.assert_allclose(found, np.where(positive, 0.9, 0.2), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(lemmas._ratio_ascent(a, b, starts), 0.9, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(lemmas._ratio_ascent(a, -b, starts), 0.2, rtol=0, atol=1e-12)
 
 
-def _branch_extremes(pencils) -> np.ndarray:
-    """Each row's branch extreme from np.linalg.eigvals(inv(A) @ B): max, or -min if v0'Bv0 < 0."""
+def _tops(pencils) -> np.ndarray:
+    """Each row's top root of (A, B), np.linalg.eigvals(inv(A) @ B).max(), unpadded.
+
+    A padded row's start is 0 exactly on the padding, which its climb never leaves.
+    """
     want = []
     for a, b, v0 in pencils:
-        lam = np.linalg.eigvals(np.linalg.inv(a) @ b).real
-        want.append(lam.max() if v0 @ b @ v0 >= 0 else -lam.min())
+        d = np.count_nonzero(v0)
+        want.append(np.linalg.eigvals(np.linalg.inv(a[:d, :d]) @ b[:d, :d]).real.max())
     return np.array(want)
 
 
@@ -58,23 +62,24 @@ def test_ratio_ascent_matches_eigvals_oracle_padded_or_not():
         for _ in range(10):
             a = lemmas.random_spd(rng, d)
             b = lemmas.random_symmetric(rng, d)
-            pencils += [(a, b, v0) for v0 in rng.gaussian(6 * d).reshape(6, d)]
-    want = _branch_extremes(pencils)
+            pencils += [(a, sign * b, v0) for sign, v0 in
+                        zip((1.0, -1.0) * 3, rng.gaussian(6 * d).reshape(6, d))]
+    want = _tops(pencils)
     dims = np.array([len(v0) for _, _, v0 in pencils])
     unpadded = np.empty(len(pencils))
     for d in range(1, 9):
         rows = [pencils[i] for i in np.flatnonzero(dims == d)]
         unpadded[dims == d] = lemmas._ratio_ascent(*(np.array(x) for x in zip(*rows)))
-    # within ASCENT_STEPS every row reaches its branch extreme, and never passes it
+    # within ASCENT_STEPS every row reaches its top, and never passes it
     np.testing.assert_allclose(unpadded, want, rtol=1e-9, atol=0)
-    assert np.all(unpadded <= want * (1.0 + 1e-12))
+    assert np.all(unpadded <= want + 1e-12 * np.abs(want))
     padded = lemmas._ratio_ascent(*lemmas._padded(pencils))
     np.testing.assert_allclose(padded, unpadded, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_rate_identity_witness_rows_reach_the_extreme(monkeypatch, seed):
-    # every start row the suite batches, against the eigvals extreme of its padded pencil
+    # every row the suite batches, (A, B, v) and (A, -B, v), against its pencil's eigvals top
     batches = []
     ascent = lemmas._ratio_ascent
 
@@ -85,24 +90,56 @@ def test_rate_identity_witness_rows_reach_the_extreme(monkeypatch, seed):
     monkeypatch.setattr(lemmas, "_ratio_ascent", capture)
     assert lemmas.check_rate_identity(trials=200, seed=seed).passed
     (a, b, v0), = batches
-    want = _branch_extremes(zip(a, b, v0))
+    np.testing.assert_array_equal(b[::2], -b[1::2])
+    want = _tops(zip(a, b, v0))
     climbed = ascent(a, b, v0)
-    assert np.max((want - climbed) / want) <= 1e-9
-    assert np.max((climbed - want) / want) <= 1e-12
+    assert np.max((want - climbed) / np.abs(want)) <= 1e-9
+    assert np.max((climbed - want) / np.abs(want)) <= 1e-12
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_ratio_ascent_on_repeated_extremes():
-    # both branch extremes are double roots; the first 10 rows stay in span{e1, e3},
-    # where every previous iterate lies in span{v, u} and the step falls back to 2x2
-    a = np.eye(5)
-    b = np.diag([1.0, 1.0, 0.25, -0.5, -0.5])
+    # the tops of (A, B) and (A, -B) are double roots; the first 10 rows stay in
+    # span{e1, e4}, where every previous iterate lies in span{v, u} and the step falls
+    # back to 2x2
+    a = np.repeat(np.eye(5)[None], 40, 0)
+    b = np.repeat(np.diag([1.0, 1.0, 0.25, -0.5, -0.5])[None], 40, 0)
     starts = CounterRNG(13).gaussian(5 * 40).reshape(40, 5)
-    starts[:10, [1, 3, 4]] = 0.0
-    positive = np.einsum("ij,jk,ik->i", starts, b, starts) >= 0
-    assert positive[:10].all() and not positive.all()
-    found = lemmas._ratio_ascent(np.repeat(a[None], 40, 0), np.repeat(b[None], 40, 0), starts)
-    np.testing.assert_allclose(found, np.where(positive, 1.0, 0.5), rtol=1e-12, atol=0)
+    starts[:10, [1, 2, 4]] = 0.0
+    positive = np.einsum("ij,ijk,ik->i", starts, b, starts) >= 0
+    assert positive[:10].any() and not positive[:10].all()
+    np.testing.assert_allclose(lemmas._ratio_ascent(a, b, starts), 1.0, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(lemmas._ratio_ascent(a, -b, starts), 0.5, rtol=1e-12, atol=0)
+
+
+def test_ratio_ascent_finds_a_sup_in_a_thin_cone():
+    # B = diag(-1.05, 1, ..., 1): v'Bv < 0 only in a thin cone around e1, where the sup
+    # lies; a -B row started outside that cone still climbs to it
+    starts = CounterRNG(17).gaussian(8 * 16).reshape(16, 8)
+    starts = starts[starts[:, 0] ** 2 * 1.05 < np.sum(starts[:, 1:] ** 2, axis=1)]
+    assert len(starts) == 15
+    a = np.repeat(np.eye(8)[None], 15, 0)
+    b = np.repeat(np.diag([-1.05] + [1.0] * 7)[None], 15, 0)
+    np.testing.assert_allclose(lemmas._ratio_ascent(a, -b, starts), 1.05, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(lemmas._ratio_ascent(a, b, starts), 1.0, rtol=1e-12, atol=0)
+    assert linalg.generalized_rate_pair(a[0], b[0]).rho_sup == pytest.approx(1.05, rel=1e-15)
+
+
+def test_rate_identity_draws_one_start_per_trial(monkeypatch):
+    # per trial: d * d for A, d * d for B, then the d values of the one start
+    sizes = []
+    gaussian = CounterRNG.gaussian
+
+    def counted(self, n):
+        sizes.append(int(n))
+        return gaussian(self, n)
+
+    monkeypatch.setattr(CounterRNG, "gaussian", counted)
+    assert lemmas.check_rate_identity(trials=50, seed=3).passed
+    assert len(sizes) == 3 * 50
+    dims = [round(n**0.5) for n in sizes[::3]]
+    assert sizes[::3] == sizes[1::3] == [d * d for d in dims]
+    assert sizes[2::3] == dims and len(set(dims)) > 1
 
 
 def test_sym3_top_matches_eigvalsh_and_gives_a_null_vector():
@@ -117,6 +154,22 @@ def test_sym3_top_matches_eigvalsh_and_gives_a_null_vector():
     assert np.all(np.array(lemmas._sym3_top(*scalar)) == 0)
 
 
+@pytest.mark.parametrize("gap", [0.0, 1e-14, 1e-10, 1e-6, 0.02, 0.05])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_sym3_top_on_a_near_double_root(gap, sign):
+    # rotated copies of diag(1, 1 - gap, -0.5): a near-double top (sign 1) or bottom (-1)
+    roots = sign * np.array([1.0, 1.0 - gap, -0.5])
+    c = []
+    for i in range(20):
+        q, _ = np.linalg.qr(CounterRNG((15, i)).gaussian(9).reshape(3, 3))
+        c.append((q * roots) @ q.T)
+    c = np.array(c)
+    z = np.stack(lemmas._sym3_top(*c[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]].T), axis=1)
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    top = np.linalg.eigvalsh(c)[:, -1]
+    assert np.all(np.einsum("ni,nij,nj->n", z, c, z) >= top - 1e-12)
+
+
 def test_rate_identity_witness_catches_a_planted_norm_route_defect(monkeypatch):
     # 1e-6 low passes the exact-gap route (1e-6 * (1 + rho)), so only the witness can object
     exact = linalg.generalized_rate_pair
@@ -128,7 +181,12 @@ def test_rate_identity_witness_catches_a_planted_norm_route_defect(monkeypatch):
     monkeypatch.setattr(lemmas.linalg, "generalized_rate_pair", low)
     result = lemmas.check_rate_identity(trials=40, seed=0)
     assert len(result.failures) == 40
-    assert all(f["searched_sup"] > f["norm_route"] for f in result.failures)
+    for f in result.failures:
+        assert f["searched_sup"] > f["norm_route"]
+        # the record alone replays the witness, bit for bit
+        a, b, start = (np.array(f[key]) for key in ("a", "b", "start"))
+        rows = lemmas._padded([(a, b, start), (a, -b, start)])
+        assert lemmas._ratio_ascent(*rows).max() == f["searched_sup"]
 
 
 def test_rate_identity_witness_catches_a_high_sup_from_every_eigensolver(monkeypatch):
@@ -172,4 +230,4 @@ def test_ratio_ascent_stops_at_step_zero_without_eigensolver(monkeypatch):
     climbed = lemmas._ratio_ascent(*stacks)
     monkeypatch.setattr(lemmas, "ASCENT_STEPS", 0)
     np.testing.assert_array_equal(climbed, lemmas._ratio_ascent(*stacks))
-    np.testing.assert_allclose(climbed[-3:], [1.8, 0.6, 0.6], rtol=1e-15)
+    np.testing.assert_allclose(climbed[-3:], [1.8, -0.6, -0.6], rtol=1e-15)

@@ -207,3 +207,28 @@ def test_rate_pair_matches_general_eigvals_at_d40():
     mods = np.abs(np.linalg.eigvals(np.linalg.inv(a) @ b))
     assert hi == pytest.approx(float(mods.max()), rel=1e-10)
     assert lo == pytest.approx(float(mods.min()), rel=1e-6, abs=1e-12)
+
+
+def _same_bits(x, y) -> bool:
+    return np.asarray(x, dtype=float).tobytes() == np.asarray(y, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+def test_symmetrizing_once_is_bitwise_the_old_composition(scale):
+    # eigh symmetrizes its input, and 0.5 (S + S') returns a finite symmetric S unchanged,
+    # so the compositions below, which symmetrized before calling eigh, agree to the bit
+    rng = np.random.default_rng(150)
+    for d in range(1, 9):
+        for _ in range(10):
+            g = rng.normal(size=(d, d))
+            a = (g @ g.T + 0.5 * np.eye(d) + 1e-3 * rng.normal(size=(d, d))) * scale
+            b = rng.normal(size=(d, d)) * scale
+            gram = linalg.eigh(linalg.symmetrize(b.T @ b)).eigenvalues
+            assert _same_bits(linalg.spectral_norm(b), np.sqrt(max(gram[-1], 0.0)))
+            r = linalg.inv_sqrt(linalg.symmetrize(a))
+            lam = linalg.eigh(linalg.symmetrize(r @ linalg.symmetrize(b) @ r)).eigenvalues
+            assert _same_bits(linalg.whitened_eigenvalues(a, b), lam)
+            hi, lo = float(np.abs(lam).max()), float(np.abs(lam).min())
+            lo = 0.0 if lo < linalg.SINGULAR_TOL * max(1.0, hi) else lo
+            assert _same_bits(linalg.generalized_rate_pair(a, b), (lo, hi))
+
