@@ -59,15 +59,13 @@ def _cmd_lemmas(args) -> int:
         print("error: --trials must be >= 1", file=sys.stderr)
         return EXIT_ERROR
     results = lemma_suites.run_all(trials=args.trials, seed=args.seed)
-    clean = True
     for res in results:
         status = "ok" if res.passed else f"{len(res.failures)} counterexample(s)"
         print(f"{res.name:22s} trials={res.trials:<6d} {status}")
         for failure in res.failures:
-            clean = False
             for key, value in failure.items():
                 print(f"  {key} = {np.array2string(np.asarray(value), precision=17)}")
-    return EXIT_OK if clean else EXIT_VERDICT_FAIL
+    return EXIT_OK if all(res.passed for res in results) else EXIT_VERDICT_FAIL
 
 
 def _cmd_sweep(args) -> int:

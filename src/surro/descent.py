@@ -11,7 +11,6 @@ import warnings
 
 import numpy as np
 
-from . import linalg
 from .domains import ConvexDomain, FullSpace, as_vector
 from .errors import SurroError
 from .mirror_maps import MirrorError, MirrorMap, NegEntropyMap, QuadraticMap
@@ -38,11 +37,10 @@ def _check_compat(f: Objective, phi: MirrorMap, eta: float, domain: ConvexDomain
         raise IncompatibleDomain(
             f"dimension mismatch: objective {f.q}, mirror map {phi.q}, domain {domain.q}"
         )
-    anchor = domain.interior_point()
-    if not phi.in_closure(anchor):
+    # pull_inside moves a point of the closure into the open domain, so the
+    # feasible set meets the domain once its interior point is in the closure
+    if not phi.in_closure(domain.interior_point()):
         raise IncompatibleDomain("the feasible set does not lie in the mirror-map domain closure")
-    if not phi.in_domain(phi.pull_inside(anchor)):
-        raise IncompatibleDomain("the feasible set does not meet the mirror-map domain")
 
 
 def _mirror_problem(f: Objective, phi: MirrorMap, eta: float, domain: ConvexDomain, at,
@@ -127,14 +125,12 @@ def audit_prox_hypotheses(f: Objective, phi: MirrorMap, eta: float, domain: Conv
     """Return (gamma, beta) and warn when eta is not below gamma/beta.
 
     gamma is the mirror map's strong-convexity constant on the domain and beta
-    the objective's smoothness constant; the extragradient scheme is only
-    guaranteed to contract for eta < gamma/beta.
+    the objective's declared smoothness constant; the extragradient scheme is
+    only guaranteed to contract for eta < gamma/beta.  Either may be None
+    (unknown), and then nothing is checked.
     """
     gamma = phi.strong_convexity(domain)
     beta = f.beta
-    if beta is None:
-        samples = [domain.interior_point()]
-        beta = max(linalg.spectral_norm(f.hess(x)) for x in samples)
     if gamma is not None and beta is not None and not eta < gamma / beta:
         warnings.warn(
             f"step size eta={eta:g} is not below gamma/beta={gamma / beta:g}; "
@@ -186,14 +182,15 @@ def mirror_prox_problem(
 def newton_problem(f: Objective, domain: ConvexDomain | None = None) -> SurrogateProblem:
     """Newton's method as surrogate minimization of half a squared distance.
 
-    Q(theta, u) = |u - theta + Hess f(theta)^{-1} grad f(theta)|^2 / 2, whose
-    exact minimizer is the Newton step.
+    Q(theta, u) = |u - theta + Hess f(theta)^{-1} grad f(theta)|^2 / 2.  Its
+    minimizer over the domain, the closed-form step, is the Euclidean
+    projection of the Newton point onto the domain.
     """
     dom = domain or FullSpace(f.q)
     if dom.q != f.q:
         raise IncompatibleDomain(f"dimension mismatch: objective {f.q}, domain {dom.q}")
 
-    def step(theta):
+    def newton_point(theta):
         th = np.asarray(theta, dtype=float)
         h = f.hess(th)
         try:
@@ -205,11 +202,11 @@ def newton_problem(f: Objective, domain: ConvexDomain | None = None) -> Surrogat
         return th + dx
 
     def eval_q(theta, u):
-        d = np.asarray(u, dtype=float) - step(theta)
+        d = np.asarray(u, dtype=float) - newton_point(theta)
         return 0.5 * float(d @ d)
 
     def grad2(theta, u):
-        return np.asarray(u, dtype=float) - step(theta)
+        return np.asarray(u, dtype=float) - newton_point(theta)
 
     def hess22(theta, u):
         return np.eye(f.q)
@@ -220,7 +217,6 @@ def newton_problem(f: Objective, domain: ConvexDomain | None = None) -> Surrogat
         eval_q=eval_q,
         grad2=grad2,
         hess22=hess22,
-        hess12=None,
-        closed_form_step=step,
+        closed_form_step=lambda theta: dom.project(newton_point(theta)),
         label="newton",
     )

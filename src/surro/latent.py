@@ -335,12 +335,10 @@ def alpha_em_problem(
         n = fine.n
     rule = _GaussHermite(min(2 * n, QUAD_MAX_NODES))
 
-    lyapunov = None
     if mode == "sample":
         lyapunov = lambda theta: -model.observed_loglik(float(theta[0]), data)
     else:
-        pop = em_population_problem(model)
-        lyapunov = pop.lyapunov
+        lyapunov = em_population_problem(model).lyapunov
 
     return SurrogateProblem(
         q=1,
@@ -348,8 +346,6 @@ def alpha_em_problem(
         eval_q=make_eval(rule),
         grad2=make_grad(rule),
         hess22=make_hess(rule),
-        hess12=None,
-        closed_form_step=None,
         lyapunov=lyapunov,
         label=f"alpha_em(alpha={al:g}, mode={mode})",
     )
@@ -405,7 +401,6 @@ class TwoComponentMixture:
             eval_q=eval_q,
             grad2=grad2,
             hess22=lambda theta, u: np.array([[1.0]]),
-            hess12=None,
             closed_form_step=lambda theta: np.array([responsibility_mean(float(theta[0]))]),
             lyapunov=lyapunov,
             label=f"mixture_em(k={y.size})",

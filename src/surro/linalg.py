@@ -96,6 +96,8 @@ def spectral_norm(m) -> float:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():  # before M'M, where an inf meeting a 0 warns
+        raise InternalNumericalFailure("spectral_norm input has non-finite entries")
     lam = eigh(a.T @ a).eigenvalues
     return float(np.sqrt(max(lam[-1], 0.0)))
 

@@ -221,9 +221,6 @@ class BallMap(MirrorMap):
     def strong_convexity(self, domain):
         return 2.0 / self.r2  # attained at the origin
 
-    def radius(self) -> float:
-        return float(np.sqrt(self.r2))
-
 
 def bregman(phi: MirrorMap, x, y) -> float:
     """Bregman divergence Phi(x) - Phi(y) - <grad Phi(y), x - y>."""

@@ -274,11 +274,9 @@ def _span_warning(trace: Trace, theta_star, est: DecayEstimate, d: int) -> bool:
         return False
     lo, hi = est.window
     deltas = np.array([t - theta_star for t in trace.iterates[lo : hi + 1]])
-    if deltas.shape[0] < d:
-        return True
+    # a window of k < d rows has at most k singular values; all are 0 when sv[0] is
     sv = np.linalg.svd(deltas, compute_uv=False)
-    rank = int(np.sum(sv > sv[0] * 1e-8)) if sv.size and sv[0] > 0 else 0
-    return rank < d
+    return int(np.sum(sv > sv[0] * 1e-8)) < d
 
 
 def verdicts(
@@ -343,8 +341,6 @@ def verdicts(
 class ProxPrediction:
     """Extragradient rates predicted from the underlying descent spectrum."""
 
-    base_spectrum: np.ndarray
-    mapped_spectrum: np.ndarray
     rates: RatePair
     contraction: bool
 
@@ -361,15 +357,9 @@ def mirror_prox_spectrum_map(md_frame: CurvatureFrame) -> ProxPrediction:
         spectrum = linalg.whitened_eigenvalues(md_frame.a_tilde, md_frame.b_tilde)
     except NotPositiveDefinite as exc:
         raise H4Violated(str(exc)) from exc
-    mapped = spectrum**2 - spectrum + 1.0
-    abs_mapped = np.abs(mapped)
+    abs_mapped = np.abs(spectrum**2 - spectrum + 1.0)
     rates = RatePair(float(abs_mapped.min()), float(abs_mapped.max()))
-    return ProxPrediction(
-        base_spectrum=spectrum,
-        mapped_spectrum=mapped,
-        rates=rates,
-        contraction=bool(abs_mapped.max() < 1.0),
-    )
+    return ProxPrediction(rates=rates, contraction=rates.rho_sup < 1.0)
 
 
 def alpha_transform(md_rates: RatePair, alpha: float) -> float:

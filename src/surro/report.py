@@ -88,9 +88,7 @@ def svg_log_error_plot(errors, rho_sup: float | None, title: str = "") -> str:
 
     x_lo, x_hi = 0.0, float(max(xs.max(), 1))
     y_lo = math.floor(float(ys.min()))
-    y_hi = math.ceil(float(ys.max()) + 1e-9)
-    if y_hi == y_lo:
-        y_hi += 1
+    y_hi = math.ceil(float(ys.max()) + 1e-9)  # > y_lo, also for a flat series on a decade
 
     def sx(x):
         return ml + (x - x_lo) / (x_hi - x_lo) * (width - ml - mr)

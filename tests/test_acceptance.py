@@ -4,12 +4,13 @@ Run with `pytest tests/test_acceptance.py -s` to see one pass/fail line per
 criterion; the same experiments back `surro suite`.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from surro import report
+from surro import cli
 from surro.suite import REGISTRY, run_suite
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
@@ -112,17 +113,18 @@ def test_registry_is_complete(results):
     assert set(results) == set(REGISTRY)
 
 
-def test_suite_payload_validates_against_documented_schema(results, tmp_path):
+def test_suite_payload_validates_against_documented_schema(results, tmp_path, monkeypatch,
+                                                          capsys):
+    """`surro suite` in process, on the fixture's results: suite.json matches its schema."""
     jsonschema = pytest.importorskip("jsonschema")
-    payload = [
-        {
-            "name": r.name,
-            "description": r.description,
-            "passed": r.passed,
-            "measured": r.measured,
-        }
-        for r in results.values()
-    ]
-    text = report.dumps(payload)
-    schema = json.loads((DOCS / "suite.schema.json").read_text())
-    jsonschema.validate(json.loads(text), schema)
+    monkeypatch.setattr(cli, "run_suite", lambda: list(results.values()))
+    assert cli.main(["suite", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.endswith(f"all {len(results)} experiments pass\n")
+    payload = json.loads((tmp_path / "suite.json").read_text())
+    jsonschema.validate(payload, json.loads((DOCS / "suite.schema.json").read_text()))
+    assert [entry["name"] for entry in payload] == list(results)
+
+    failing = [dataclasses.replace(r, passed=r.name != "E3") for r in results.values()]
+    monkeypatch.setattr(cli, "run_suite", lambda: failing)
+    assert cli.main(["suite", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().out.endswith("FAILED: E3\n")

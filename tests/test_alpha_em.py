@@ -49,16 +49,19 @@ def test_alpha_index_properties():
         AlphaIndex(1.0)
 
 
-@pytest.mark.parametrize("alpha", [0.25, 0.5, -0.3])
-def test_population_eval_matches_closed_form(alpha):
-    prob = alpha_em_problem(MODEL, alpha, mode="population")
-    wx = MODEL.sigma_x2 / MODEL.marginal_var
+# theta_star = 5 with alpha = 0.75 needs 80 nodes: the rule doubles once past the start
+@pytest.mark.parametrize("alpha, model", [
+    (0.25, MODEL), (0.5, MODEL), (-0.3, MODEL), (0.75, GaussianLatentModel(1.0, 1.0, 5.0)),
+], ids=["0.25", "0.5", "-0.3", "0.75-doubled"])
+def test_population_eval_matches_closed_form(alpha, model):
+    prob = alpha_em_problem(model, alpha, mode="population")
+    wx = model.sigma_x2 / model.marginal_var
     rng = CounterRNG(60)
     for _ in range(15):
-        t = float(1.0 + rng.gaussian(1)[0] * 0.5)
-        u = float(1.0 + rng.gaussian(1)[0] * 0.5)
-        centers = np.array([t + wx * (MODEL.theta_star - t)])
-        expected = _closed_form_q(MODEL, alpha, t, u, centers, MODEL.sigma_x2)
+        t = float(model.theta_star + rng.gaussian(1)[0] * 0.5)
+        u = float(model.theta_star + rng.gaussian(1)[0] * 0.5)
+        centers = np.array([t + wx * (model.theta_star - t)])
+        expected = _closed_form_q(model, alpha, t, u, centers, model.sigma_x2)
         got = prob.eval_q(np.array([t]), np.array([u]))
         assert got == pytest.approx(expected, rel=1e-9, abs=1e-10)
 

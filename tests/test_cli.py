@@ -9,6 +9,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from surro import cli, lemmas
 from surro.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -95,6 +96,29 @@ def test_run_verdict_failure_exits_two(tmp_path):
 def test_run_nonexistent_config_exits_one(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 1
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read config"),  # a directory
+    (b"\xff\xfe{}", "cannot read config"),  # not UTF-8
+    (b'{"name": ', "config is not valid JSON"),
+], ids=["directory", "undecodable", "invalid_json"])
+def test_unreadable_config_exits_one(tmp_path, capsys, content, message):
+    path = tmp_path / "cfg.json"
+    path.mkdir() if content is None else path.write_bytes(content)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_lemmas_prints_each_counterexample_and_exits_two(monkeypatch, capsys):
+    found = lemmas.SuiteResult("domination", 3, [{"x": [0.5, 0.25], "norm_x": 1.5}])
+    monkeypatch.setattr(cli.lemma_suites, "run_all",
+                        lambda trials, seed: [lemmas.SuiteResult("rate_identity", 3), found])
+    assert main(["lemmas", "--trials", "3"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("trials=3      ok")
+    assert lines[1].endswith("trials=3      1 counterexample(s)")
+    assert lines[2:] == ["  x = [0.5  0.25]", "  norm_x = 1.5"]
 
 
 def test_lemmas_usage_and_success(capsys):

@@ -124,6 +124,21 @@ def test_assemble_em_sample_with_drawn_data():
     )
 
 
+def test_assemble_em_sample_with_literal_data():
+    """data given as the observations themselves is used as is, for em_sample and alpha_em."""
+    y = [0.5, 2.0, 4.0]
+    asm = assemble(_base("em_sample", latent_model=GAUSS, data=y, theta0=[0.0]))
+    assert "k=3" in asm.problem.label
+    # the EM fixed point is the sample mean
+    np.testing.assert_allclose(asm.problem.closed_form_step(np.array([13 / 6])), [13 / 6],
+                               rtol=1e-15)
+    aem = assemble(_base("alpha_em", **dict(AEM, mode="sample", data=y)))
+    assert aem.problem.label == "alpha_em(alpha=0.25, mode=sample)"
+    assert asm.problem.eval_q(np.ones(1), np.ones(1)) == assemble(
+        _base("em_sample", latent_model=GAUSS, data=[0.5, 2, 4], theta0=[0.0])
+    ).problem.eval_q(np.ones(1), np.ones(1))
+
+
 def test_assemble_alpha_em_requires_data_in_sample_mode():
     cfg = _base(
         "alpha_em",
@@ -239,6 +254,9 @@ MALFORMED = {
     ),
     "data_k_zero": (_base("em_sample", latent_model=GAUSS, data={"k": 0}, theta0=[2.0]), "k"),
     "sweep_ks_zero": (dict(SWEEP, ks=[0, 10]), "ks"),
+    "objective_type_unknown": (_gd(objective={"type": "cubic"}), "type"),
+    "config_not_object": ([_gd()], "config"),
+    "data_literal_empty": (_base("em_sample", latent_model=GAUSS, data=[], theta0=[2.0]), "data"),
 }
 
 

@@ -8,17 +8,18 @@ import pytest
 from surro.descent import (
     IncompatibleDomain,
     SingularHessian,
+    _MemoStep,
     audit_prox_hypotheses,
     mirror_descent_problem,
     mirror_prox_problem,
     newton_problem,
 )
-from surro.domains import FullSpace, Simplex
-from surro.mirror_maps import NegEntropyMap, QuadraticMap
-from surro.objectives import CustomObjective, QuadraticForm, ShiftedQuadratic
+from surro.domains import Box, FullSpace, Simplex
+from surro.mirror_maps import MirrorMap, NegEntropyMap, QuadraticMap
+from surro.objectives import CustomObjective, QuadraticForm, Quartic1D, ShiftedQuadratic
 from surro.rates import curvature_at
 from surro.rng import CounterRNG
-from surro.surrogate import inner_minimize, iterate
+from surro.surrogate import StopReason, SurrogateProblem, inner_minimize, iterate
 
 
 def test_md_quadratic_step_is_projected_gradient_step():
@@ -78,8 +79,6 @@ def test_md_grad2_matches_finite_differences_of_eval(build):
 
 def test_md_incompatible_domain_rejected():
     f = QuadraticForm(np.eye(2))
-    from surro.domains import Box
-
     with pytest.raises(IncompatibleDomain):
         mirror_descent_problem(f, NegEntropyMap(2), 0.1, Box([-2.0, -2.0], [-1.0, -1.0]))
     with pytest.raises(IncompatibleDomain):
@@ -155,6 +154,26 @@ def test_prox_hypothesis_audit_warns_on_large_step():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         audit_prox_hypotheses(f, QuadraticMap(2), 0.2, FullSpace(2))
+        # without a declared beta nothing is checked, however large the step
+        undeclared = CustomObjective(2, f.value, f.grad, f.hess)
+        gamma_beta = audit_prox_hypotheses(undeclared, QuadraticMap(2), 50.0, FullSpace(2))
+        assert gamma_beta == (1.0, None)
+        prox = mirror_prox_problem(undeclared, QuadraticMap(2), 50.0, FullSpace(2))
+        assert prox.label == "mirror_prox(eta=50, gamma=1.0, beta=n/a)"
+    # nor without a known strong-convexity constant: the base map knows none
+    assert MirrorMap().strong_convexity(FullSpace(2)) is None
+
+
+def test_half_step_memo_keeps_at_most_4097_points():
+    memo = _MemoStep(SurrogateProblem(q=1, domain=FullSpace(1), eval_q=None, grad2=None,
+                                      closed_form_step=lambda t: 0.5 * t))
+    first = memo(np.array([0.0]))
+    assert memo(np.array([0.0])) is first
+    for i in range(1, 4097):
+        memo(np.array([float(i)]))
+    assert len(memo.cache) == 4097
+    assert memo(np.array([-8.0])).tolist() == [-4.0]
+    assert list(memo.cache) == [np.array([-8.0]).tobytes()]
 
 
 def test_newton_one_step_on_quadratics():
@@ -173,6 +192,14 @@ def test_newton_curvature_at_stationary_point():
     frame = curvature_at(prob, np.zeros(2))
     np.testing.assert_allclose(frame.a_tilde, np.eye(2), atol=1e-9)
     np.testing.assert_allclose(frame.b_tilde, np.zeros((2, 2)), atol=1e-9)
+
+
+def test_newton_on_a_box_steps_to_the_projected_newton_point():
+    # from 1.0 the Newton point of x^4/4 + x^2/2 is 0.5, then 1/7, which the box clips to 0.5
+    prob = newton_problem(Quartic1D(), Box([0.5], [2.0]))
+    trace = iterate(prob, np.array([1.0]))
+    assert trace.stop_reason is StopReason.CONVERGED
+    assert [t.tolist() for t in trace.iterates] == [[1.0], [0.5]]
 
 
 def test_newton_singular_hessian():

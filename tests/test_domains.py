@@ -132,6 +132,23 @@ def test_interior_tests():
     simplex = domains.Simplex(3)
     assert simplex.is_interior([0.3, 0.3, 0.4])
     assert not simplex.is_interior([0.0, 0.5, 0.5])
+    assert not simplex.is_interior([0.3, 0.3, 0.3])  # off the plane sum = 1
+    plane = domains.AffineSlice([[1.0, 1.0, 1.0]], [1.0], domains.Box([0.0] * 3, [1.0] * 3))
+    middle = plane.interior_point()
+    np.testing.assert_allclose(middle, [1 / 3] * 3, rtol=1e-15)
+    assert plane.is_interior(middle)
+    assert not plane.is_interior([0.0, 0.5, 0.5])  # on a box face
+    assert not plane.is_interior([0.3, 0.3, 0.3])
+
+
+def test_ball_sample_of_a_zero_draw_is_the_center():
+    # a Box-Muller draw is exactly 0 when its uniform is 0, with probability 2^-53 per pair
+    class ZeroDraw:
+        def gaussian(self, n):
+            return np.zeros(n)
+
+    ball = domains.EuclideanBall([1.0, -1.0], 0.5)
+    assert ball.sample(ZeroDraw()).tolist() == [1.0, -1.0]
 
 
 def test_samples_are_feasible():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import surro.linalg as linalg
-from surro.descent import mirror_prox_problem
+from surro.descent import (
+    BuilderError, SingularHessian, mirror_descent_problem, mirror_prox_problem, newton_problem
+)
 from surro.domains import (
     AffineSlice,
     Box,
@@ -16,7 +18,10 @@ from surro.domains import (
     Simplex,
     as_vector,
 )
-from surro.latent import GaussianLatentModel, em_population_problem
+from surro.latent import (
+    EmptyData, GaussianLatentModel, ModelError, TwoComponentMixture, alpha_em_problem,
+    em_population_problem
+)
 from surro.mirror_maps import (
     BallMap,
     MirrorError,
@@ -24,9 +29,57 @@ from surro.mirror_maps import (
     OutsideMirrorDomain,
     QuadraticMap,
 )
-from surro.objectives import ShiftedQuadratic
-from surro.rates import InfeasiblePerturbation, curvature_at, verdicts
+from surro.objectives import (
+    CustomObjective, ObjectiveError, QuadraticForm, ShiftedQuadratic, SmoothLogSumExp
+)
+from surro.rates import FDSpec, InfeasiblePerturbation, curvature_at, verdicts
+from surro.rng import CounterRNG
 from surro.surrogate import InfeasibleInput, StopRule, SurrogateProblem, iterate
+
+
+_SQUARE = Box(np.zeros(2), np.ones(2))
+_LINE = CustomObjective(1, lambda x: float(x[0]), lambda x: np.ones(1))
+# id -> (call, error, message): each constructor or validation refusal in src/surro
+REFUSALS = {
+    "full_space_dimension": (lambda: FullSpace(0), DomainError, "dimension must be >= 1"),
+    "simplex_dimension": (lambda: Simplex(0), DomainError, "dimension must be >= 1"),
+    "box_shapes": (lambda: Box([0.0, 0.0], [1.0]), DomainError, "equal length"),
+    "ball_center": (lambda: EuclideanBall(np.zeros((2, 2)), 1.0), DomainError,
+                    "center must be a vector"),
+    "ball_radius": (lambda: EuclideanBall([0.0], 0.0), DomainError, "radius must be positive"),
+    "slice_rows": (lambda: AffineSlice([[1.0, 1.0]], [1.0, 2.0], _SQUARE), DomainError,
+                   "row count of C"),
+    "slice_columns": (lambda: AffineSlice([[1.0, 1.0, 1.0]], [1.0], _SQUARE), DomainError,
+                      "C column count"),
+    "ball_map_r2": (lambda: BallMap(2, 0.0), MirrorError, "squared radius must be positive"),
+    "quadratic_c": (lambda: QuadraticForm(np.eye(2), np.ones(3)), ObjectiveError,
+                    "c must match"),
+    "log_sum_exp_scale": (lambda: SmoothLogSumExp(2, scale=0.0), ObjectiveError,
+                          "scale must be positive"),
+    "custom_without_hessian": (lambda: _LINE.hess(np.zeros(1)), ObjectiveError, "no Hessian"),
+    "stop_residual_tol": (lambda: StopRule(residual_tol=0.0), ValueError, "residual_tol"),
+    "stop_stall_window": (lambda: StopRule(stall_window=0), ValueError, "stall_window"),
+    "spectral_norm_vector": (lambda: linalg.spectral_norm(np.ones(3)), linalg.DimensionMismatch,
+                             "expected a matrix"),
+    "eta_zero": (lambda: mirror_descent_problem(_LINE, QuadraticMap(1), 0.0, FullSpace(1)),
+                 BuilderError, "eta must be positive"),
+    "newton_overflow": (  # a finite Hessian of 1e-320 makes the Newton step infinite
+        lambda: newton_problem(CustomObjective(1, float, lambda x: np.ones(1),
+                                               lambda x: np.array([[1e-320]])))
+        .closed_form_step(np.zeros(1)),
+        SingularHessian, "non-finite step"),
+    "alpha_em_mode": (lambda: alpha_em_problem(GaussianLatentModel(1.0, 1.0, 0.0), 0.5, "mean"),
+                      ModelError, "unknown mode 'mean'"),
+    "mixture_without_data": (lambda: TwoComponentMixture(1.0).sample_problem([]), EmptyData,
+                             "at least one observation"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_invalid_arguments_are_refused_with_their_reason(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -41,6 +94,11 @@ def test_non_finite_input_raises_internal_failure(bad):
         linalg.generalized_rate_pair(np.eye(2), m)
     with pytest.raises(linalg.InternalNumericalFailure):
         linalg.whitened_eigenvalues(np.eye(2), m)
+    # M'M would meet bad * 0 and warn before eigh saw the entry
+    d = np.diag([1.0, 2.0, 3.0])
+    d[2, 0] = bad
+    with pytest.raises(linalg.InternalNumericalFailure):
+        linalg.spectral_norm(d)
 
 
 def _non_finite_points():
@@ -119,14 +177,15 @@ def test_prox_aux_iterates_stay_feasible():
 
 def test_curvature_infeasible_perturbation_is_reported():
     center = np.array([0.5, 0.3, 0.2])
-    from surro.descent import mirror_descent_problem
-
     prob = mirror_descent_problem(ShiftedQuadratic(center), NegEntropyMap(3), 0.2, Simplex(3))
     corner = Simplex(3).project(np.array([1.0, 0.0, 0.0]))  # face point
-    from surro.rates import FDSpec
-
     with pytest.raises(InfeasiblePerturbation):
         curvature_at(prob, corner, FDSpec(step=1e-2), prefer_analytic=False)
+    # a probe that evaluates but returns an infinite gradient is reported the same way
+    wall = SurrogateProblem(q=1, domain=FullSpace(1), eval_q=lambda t, u: 0.0,
+                            grad2=lambda t, u: np.array([np.inf]) if u[0] > 0 else u - t)
+    with pytest.raises(InfeasiblePerturbation, match="non-finite derivative probe"):
+        curvature_at(wall, np.zeros(1))
 
 
 def test_empty_window_marks_lower_verdict_inapplicable():
@@ -149,12 +208,22 @@ def test_entropy_strong_convexity_on_simplex():
     dom = Simplex(3)
     gamma = phi.strong_convexity(dom)
     assert gamma == 1.0
-    from surro.rng import CounterRNG
-
     rng = CounterRNG(80)
     for _ in range(100):
         x = dom.sample(rng)
         assert np.linalg.eigvalsh(phi.hess(x)).min() >= gamma - 1e-9
+
+
+def test_entropy_strong_convexity_on_a_positive_box():
+    phi, box = NegEntropyMap(2), Box([0.5, 0.25], [2.0, 4.0])
+    gamma = phi.strong_convexity(box)
+    assert gamma == 0.25  # 1 / max upper
+    rng = CounterRNG(81)
+    for _ in range(50):
+        assert np.linalg.eigvalsh(phi.hess(box.sample(rng))).min() >= gamma - 1e-12
+    # a box that reaches 0, or the whole space, has no positive lower bound
+    assert phi.strong_convexity(Box([0.0, 0.25], [2.0, 4.0])) is None
+    assert phi.strong_convexity(FullSpace(2)) is None
 
 
 def test_asymmetry_diagnostic_recorded_on_fd_route():

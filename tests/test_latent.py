@@ -125,6 +125,18 @@ def test_sample_em_lyapunov_is_negative_observed_loglik():
     assert prob.lyapunov(theta) == pytest.approx(direct)
 
 
+def test_population_em_lyapunov_is_the_expected_negative_loglik():
+    # E[-log p_theta(Y)] for Y ~ N(theta_star, s), by Gauss-Hermite nodes (exact for a quadratic)
+    model = GaussianLatentModel(2.0, 0.5, theta_star=-1.0)
+    prob = em_population_problem(model)
+    z, w = np.polynomial.hermite_e.hermegauss(4)
+    y = model.theta_star + math.sqrt(model.marginal_var) * z
+    for theta in (-1.0, 0.0, 2.5):
+        expected = -sum(wi * model.observed_loglik(theta, [yi]) for wi, yi in zip(w, y))
+        expected /= math.sqrt(2.0 * math.pi)
+        assert prob.lyapunov(np.array([theta])) == pytest.approx(expected, rel=1e-14)
+
+
 def test_sample_em_empty_data():
     with pytest.raises(EmptyData):
         em_sample_problem(GaussianLatentModel(1.0, 1.0, 0.0), [])

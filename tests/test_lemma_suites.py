@@ -231,3 +231,72 @@ def test_ratio_ascent_stops_at_step_zero_without_eigensolver(monkeypatch):
     monkeypatch.setattr(lemmas, "ASCENT_STEPS", 0)
     np.testing.assert_array_equal(climbed, lemmas._ratio_ascent(*stacks))
     np.testing.assert_allclose(climbed[-3:], [1.8, -0.6, -0.6], rtol=1e-15)
+
+
+_EXACT = {name: getattr(linalg, name)
+          for name in ("spectral_norm", "symmetrize", "generalized_rate_pair", "eigh")}
+
+
+def _shrunk_norm(m):
+    return 0.5 * _EXACT["spectral_norm"](m)
+
+
+def _scaled_symmetrize(m):
+    return 1.05 * _EXACT["symmetrize"](m)
+
+
+def _truncated_pair(a, b):
+    pair = _EXACT["generalized_rate_pair"](a, b)
+    return pair._replace(rho_sup=float(np.floor(pair.rho_sup * 1e3) / 1e3))
+
+
+def _inflated_eigh(s):
+    lam, vec = _EXACT["eigh"](s)
+    return linalg.Spectrum(lam * (1.0 + 1e-6), vec)
+
+
+def _domination_is_the_plant(f):
+    a, b, y = (np.array(f[k]) for k in ("a", "b", "y"))
+    r = linalg.inv_sqrt(a)
+    rho_norm_y = _EXACT["spectral_norm"](r @ b @ r) * float(np.sqrt(y @ a @ y))
+    return f["rho_norm_y"] + 1e-9 < f["norm_x"] <= rho_norm_y + 1e-9
+
+
+def _norm_perturbation_is_the_plant(f):
+    # S is 1.05 (S* + M): far outside the hypothesis |S - S*| < delta
+    gap = np.array(f["s"]) - np.array(f["s_star"])
+    return f["eps"] == 0.01 and np.linalg.norm(gap, 2) > f["delta"]
+
+
+def _rate_perturbation_is_the_plant(f):
+    a, b, m, n, t = (np.array(f[k]) for k in ("a", "b", "m", "n", "scale"))
+    pair = _EXACT["generalized_rate_pair"]
+    dev = abs(pair(a + t * m, b + t * n).rho_sup - pair(a, b).rho_sup)
+    return f["deviation"] > f["envelope"] + 1e-9 >= dev
+
+
+def _eigh_reconstruction_is_the_plant(f):
+    s = np.array(f["s"])
+    lam, vec = _EXACT["eigh"](s)
+    exact_residual = float(np.max(np.abs(s @ vec - vec * lam)))
+    return f["ortho"] <= 1e-10 and f["residual"] > 1e-9 > exact_residual
+
+
+@pytest.mark.parametrize("suite, target, plant, is_the_plant, count", [
+    (lemmas.check_domination, "spectral_norm", _shrunk_norm, _domination_is_the_plant, 2),
+    (lemmas.check_norm_perturbation, "symmetrize", _scaled_symmetrize,
+     _norm_perturbation_is_the_plant, 20),
+    (lemmas.check_rate_perturbation, "generalized_rate_pair", _truncated_pair,
+     _rate_perturbation_is_the_plant, 2),
+    (lemmas.check_eigh_reconstruction, "eigh", _inflated_eigh, _eigh_reconstruction_is_the_plant,
+     20),
+], ids=["domination", "norm_perturbation", "rate_perturbation", "eigh_reconstruction"])
+def test_each_suite_records_a_planted_defect(monkeypatch, suite, target, plant, is_the_plant,
+                                             count):
+    """A planted linalg defect yields failure records: each violates the suite's bound,
+    and exact linalg on the record's own fields shows that the plant, not the lemma, broke it."""
+    monkeypatch.setattr(linalg, target, plant)
+    result = suite(trials=20, seed=0)
+    monkeypatch.undo()
+    assert not result.passed and len(result.failures) == count
+    assert all(is_the_plant(f) for f in result.failures)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from surro import mirror_maps
+from surro import mirror_maps, surrogate
 from surro.domains import Box, EuclideanBall, Simplex
 from surro.mirror_maps import BallMap, NegEntropyMap, QuadraticMap, bregman, bregman_project
 from surro.rng import CounterRNG
@@ -49,7 +49,7 @@ def test_hessian_positive_definite_at_interior_points(phi, draw):
 
 def test_ball_map_gradient_diverges_at_boundary():
     phi = BallMap(2, r2=4.0)
-    radius = phi.radius()
+    radius = math.sqrt(phi.r2)
     x = np.array([radius - 1e-6 * phi.r2, 0.0])
     assert np.linalg.norm(phi.grad(x)) > 1e6
 
@@ -143,3 +143,21 @@ def test_bregman_project_ball_map_numeric():
     for _ in range(300):
         y = dom.sample(rng)
         assert bregman(phi, y, zeta) >= base - 1e-8
+
+
+def test_entropy_closed_projection_keeps_the_face_bound():
+    phi, dom = NegEntropyMap(3), Simplex(3, face_eps=0.05)
+    out = phi.closed_projection(dom, np.array([1e-4, 0.5, 1.0]))
+    assert dom.contains(out) and out[0] == 0.05
+    assert 0.05 < out[1] < out[2]
+    # off the simplex there is no closed form, and bregman_project solves numerically
+    assert phi.closed_projection(Box([0.1, 0.1, 0.1], [1.0, 1.0, 1.0]), out) is None
+
+
+def test_a_failed_numeric_projection_raises_projection_failed(monkeypatch):
+    def stall(**kwargs):
+        raise surrogate.SolveFailure("iteration cap 500 reached (residual 1.000e-08)")
+
+    monkeypatch.setattr(surrogate, "minimize_smooth", stall)
+    with pytest.raises(mirror_maps.ProjectionFailed, match="iteration cap 500 reached"):
+        bregman_project(Box([0.0, 0.0], [1.0, 1.0]), BallMap(2, r2=4.0), np.array([1.5, 0.2]))

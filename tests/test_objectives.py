@@ -5,6 +5,7 @@ import pytest
 
 from surro import linalg
 from surro.objectives import (
+    CustomObjective,
     ObjectiveError,
     Quartic1D,
     QuadraticForm,
@@ -18,6 +19,9 @@ CASES = [
     ShiftedQuadratic(np.array([1.0, -2.0, 0.5])),
     SmoothLogSumExp(3, scale=0.7),
     Quartic1D(),
+    CustomObjective(2, lambda x: float(np.cosh(x[0]) + x[0] * x[1] ** 2),
+                    lambda x: np.array([np.sinh(x[0]) + x[1] ** 2, 2.0 * x[0] * x[1]]),
+                    lambda x: np.array([[np.cosh(x[0]), 2.0 * x[1]], [2.0 * x[1], 2.0 * x[0]]])),
 ]
 
 

@@ -1,5 +1,6 @@
 """Curvature frames, rate pairs, decay estimation, verdicts and transforms."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -230,6 +231,8 @@ def test_non_pd_curvature_has_no_rate_pair():
     assert frame.h4_pass is False
     with pytest.raises(H4Violated):
         theoretical_rates(frame)
+    with pytest.raises(H4Violated):
+        mirror_prox_spectrum_map(frame)
 
 
 def test_frame_carries_the_rate_pair_of_its_pencil():
@@ -495,6 +498,10 @@ def test_accelerate_singular_map():
     )
     with pytest.raises(SingularAcceleration):
         accelerate(np.zeros(1), np.ones(1), degenerate)
+    # a singular A~ fails inside the solve itself
+    singular = dataclasses.replace(degenerate, a_tilde=np.zeros((1, 1)))
+    with pytest.raises(SingularAcceleration, match="Singular matrix"):
+        accelerate(np.zeros(1), np.ones(1), singular)
 
 
 def test_reparam_identity_map_is_exactly_invariant():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ def test_dumps_is_valid_json_and_handles_numpy():
         "b": [1, 2.5, None],
         "c": {"nested": True, "m": np.array([[1.0, 2.0], [3.0, 4.0]])},
         "d": "quote\"and\nnewline",
+        "e": [],
+        "f": {},
     }
     text = report.dumps(payload)
     assert text.endswith("\n")
@@ -33,6 +36,14 @@ def test_dumps_is_valid_json_and_handles_numpy():
     assert back["a"] == 0.5
     assert back["c"]["m"] == [[1.0, 2.0], [3.0, 4.0]]
     assert back["d"] == 'quote"and\nnewline'
+    assert (back["e"], back["f"]) == ([], {})
+    assert '"e": [],\n  "f": {}\n}' in text
+
+
+def test_dumps_refuses_what_json_cannot_hold():
+    for bad in ({1, 2}, object(), b"bytes"):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            report.dumps({"bad": bad})
 
 
 def test_dumps_refuses_non_finite():
@@ -60,3 +71,8 @@ def test_svg_plot_degenerate_inputs():
     assert "no positive errors" in report.svg_log_error_plot([0.0, 0.0], 0.5)
     svg = report.svg_log_error_plot([1.0, 0.5, 0.25], None)
     assert "reference rate" not in svg
+    # a flat series, on a decade or between two, still spans one decade
+    for level, decades in ((1.0, (0, 1)), (100.0, (2, 3)), (0.003, (-3, -2))):
+        svg = report.svg_log_error_plot([level] * 4, 1.0)
+        ticks = [int(t) for t in re.findall(r">1e(-?\d+)</text>", svg)]
+        assert tuple(ticks) == decades

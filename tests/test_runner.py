@@ -5,11 +5,11 @@ import pytest
 
 from surro import runner
 from surro.descent import mirror_descent_problem, mirror_prox_problem
-from surro.domains import FullSpace, Simplex
+from surro.domains import Box, FullSpace, Simplex
 from surro.mirror_maps import NegEntropyMap, QuadraticMap
 from surro.objectives import QuadraticForm, ShiftedQuadratic
 from surro.rates import FDSpec, H4Violated, curvature_at, verdicts
-from surro.surrogate import StopRule, SurrogateProblem, iterate
+from surro.surrogate import StopReason, StopRule, SurrogateProblem, Trace, iterate
 
 
 def _entropy_prox():
@@ -68,3 +68,28 @@ def test_analyze_raises_when_a_tilde_is_not_positive_definite():
     )
     with pytest.raises(H4Violated):
         runner.analyze(prob, np.array([1.0, 1.0]), np.zeros(2))
+
+
+def _toward_two(eta, domain):
+    """Gradient descent on (x - 2)^2 / 2: the affine map x -> x - eta (x - 2)."""
+    return mirror_descent_problem(ShiftedQuadratic(np.array([2.0])), QuadraticMap(1), eta, domain)
+
+
+# the identity map: A~ = B~, so I - A~^{-1} B~ is singular
+_STILL = SurrogateProblem(
+    q=1, domain=FullSpace(1), eval_q=lambda t, u: 0.5 * float((u - t) @ (u - t)),
+    grad2=lambda t, u: u - t, hess22=lambda t, u: np.eye(1), hess12=lambda t, u: -np.eye(1))
+
+
+@pytest.mark.parametrize("problem, points, expected", [
+    (_toward_two(0.5, FullSpace(1)), [0.0, 1.0], 2.0),  # extrapolated to the fixed point
+    (_toward_two(0.5, FullSpace(1)), [1.0], 1.0),  # too short to extrapolate
+    (_STILL, [0.0, 1.0], 1.0),  # singular acceleration
+    (_toward_two(0.01, FullSpace(1)), [0.0, 0.02], 0.02),  # a jump of 1.98 over a step of 0.02
+    (_toward_two(0.5, Box([-1.0], [1.0])), [0.0, 1.0], 1.0),  # 2.0 is outside the domain
+], ids=["extrapolated", "short_trace", "singular", "jump", "infeasible"])
+def test_locate_fixed_point_extrapolates_or_keeps_the_last_iterate(problem, points, expected):
+    trace = Trace([np.array([x]) for x in points], StopReason.CONVERGED)
+    located = runner.locate_fixed_point(problem, trace, FDSpec())
+    assert located.tolist() == [expected]
+    assert located is not trace.final

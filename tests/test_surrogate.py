@@ -12,18 +12,20 @@ import surro
 from surro import surrogate
 from surro.config import assemble
 from surro.descent import mirror_descent_problem, newton_problem
-from surro.domains import FullSpace, Simplex
+from surro.domains import AffineSlice, Box, FullSpace, Simplex
 from surro.latent import GaussianLatentModel, em_population_problem, em_sample_problem
 from surro.mirror_maps import NegEntropyMap, QuadraticMap, bregman
 from surro.objectives import Quartic1D, QuadraticForm, ShiftedQuadratic
 from surro.rng import CounterRNG
 from surro.surrogate import (
     InfeasibleInput,
+    SolveFailure,
     StopReason,
     StopRule,
     SurrogateError,
     inner_minimize,
     iterate,
+    minimize_smooth,
 )
 
 
@@ -187,11 +189,12 @@ def test_monotone_surrogate_descent_along_traces():
 def test_lyapunov_values_monotone_for_em():
     model = GaussianLatentModel(1.0, 1.0, 0.0)
     data = np.array([0.4, -0.2, 1.1, 0.9])
-    prob = em_sample_problem(model, data)
-    trace = iterate(prob, np.array([5.0]), StopRule(max_iters=80))
-    assert prob.lyapunov is not None
-    ly = [float(prob.lyapunov(t)) for t in trace.iterates]
-    assert all(b <= a + 1e-10 for a, b in zip(ly, ly[1:]))
+    for prob in (em_sample_problem(model, data), em_population_problem(model)):
+        trace = iterate(prob, np.array([5.0]), StopRule(max_iters=80))
+        assert prob.lyapunov is not None
+        ly = [float(prob.lyapunov(t)) for t in trace.iterates]
+        assert all(b <= a + 1e-10 for a, b in zip(ly, ly[1:]))
+        assert ly[-1] < ly[0]
 
 
 def _map_problem(step):
@@ -235,6 +238,47 @@ def test_q_values_that_overflow_raise_surrogate_error():
     trace = iterate(prob, np.array([1.0]), StopRule(max_iters=3))
     with pytest.raises(SurrogateError, match="floating-point range"):
         trace.q_values(prob)
+
+
+def test_a_step_that_overflows_raises_surrogate_error():
+    prob = _map_problem(lambda t: t * 1e300)
+    with pytest.raises(SurrogateError, match="step 0 left the floating-point range"):
+        iterate(prob, np.array([1e5]), StopRule(max_iters=5))
+
+
+def _unreachable_hessian(x):
+    raise AssertionError("no Newton step exists on this domain")
+
+
+def _value_off_a_wall(x):
+    # (x - 0.5)^2, undefined past 1.2: the first Newton trial lands at 2.0
+    return float((x[0] - 0.5) ** 2) if x[0] < 1.2 else np.inf
+
+
+_PINNED = AffineSlice(np.eye(2), [0.3, 0.4], Box([0.0, 0.0], [1.0, 1.0]))
+
+
+@pytest.mark.parametrize("domain, fun, grad, hess, x0, expected", [
+    # a non-finite value halves the step: 2.0 -> 1.0 -> 0.5
+    (FullSpace(1), _value_off_a_wall, lambda x: 2.0 * (x - 0.5), lambda x: np.array([[0.5]]),
+     [0.0], [0.5]),
+    # a singular Hessian raises LinAlgError in the Newton solve: gradient steps take over
+    (FullSpace(2), lambda x: 0.5 * float((x - 1.0) @ (x - 1.0)), lambda x: x - 1.0,
+     lambda x: np.zeros((2, 2)), [3.0, -2.0], [1.0, 1.0]),
+    # a point domain has no direction basis: its point is the answer, with no Newton step
+    (_PINNED, lambda x: float(x @ x), lambda x: 2.0 * x, _unreachable_hessian, [0.9, 0.9],
+     [0.3, 0.4]),
+], ids=["non_finite_value", "singular_hessian", "point_domain"])
+def test_minimize_smooth_falls_back_and_still_converges(domain, fun, grad, hess, x0, expected):
+    x = minimize_smooth(domain, fun, grad, hess, np.array(x0))
+    np.testing.assert_allclose(x, expected, rtol=0.0, atol=1e-11)
+
+
+def test_minimize_smooth_without_a_descent_direction_raises():
+    # the gradient has the wrong sign: no step along -g decreases x^2 or its residual
+    with pytest.raises(SolveFailure, match="no descent direction found"):
+        minimize_smooth(FullSpace(1), lambda x: float(x @ x), lambda x: -2.0 * x, None,
+                        np.array([1.0]))
 
 
 def test_inner_solve_failure_carries_step_index():
