@@ -147,8 +147,7 @@ _MIRROR_MAPS = {  # constructed with the objective's dimension first
 _DOMAINS = {
     "full_space": _Schema(FullSpace, {"q": _int}, ("q",)),
     "box": _Schema(Box, {"lower": _vector, "upper": _vector}, ("lower", "upper")),
-    "ball": _Schema(lambda center, radius, open=False: EuclideanBall(center, radius, open),
-                    {"center": _vector, "radius": _float, "open": _bool}, ("center", "radius")),
+    "ball": _Schema(EuclideanBall, {"center": _vector, "radius": _float}, ("center", "radius")),
     "simplex": _Schema(Simplex, {"q": _int, "face_eps": _float}, ("q",)),
     "affine_slice": _Schema(lambda c, b, lower, upper: AffineSlice(c, b, Box(lower, upper)),
                             dict(c=_matrix, b=_vector, lower=_vector, upper=_vector),

@@ -13,7 +13,7 @@ import numpy as np
 
 from .domains import ConvexDomain, FullSpace, as_vector
 from .errors import SurroError
-from .mirror_maps import MirrorError, MirrorMap, NegEntropyMap, QuadraticMap
+from .mirror_maps import MirrorError, MirrorMap, NegEntropyMap, QuadraticMap, extended_value
 from .objectives import Objective
 from .surrogate import SurrogateProblem, inner_minimize
 
@@ -37,10 +37,9 @@ def _check_compat(f: Objective, phi: MirrorMap, eta: float, domain: ConvexDomain
         raise IncompatibleDomain(
             f"dimension mismatch: objective {f.q}, mirror map {phi.q}, domain {domain.q}"
         )
-    # pull_inside moves a point of the closure into the open domain, so the
-    # feasible set meets the domain once its interior point is in the closure
-    if not phi.in_closure(domain.interior_point()):
-        raise IncompatibleDomain("the feasible set does not lie in the mirror-map domain closure")
+    # the surrogate is +inf off the map's open domain, so the feasible set must meet it
+    if not phi.in_domain(domain.interior_point()):
+        raise IncompatibleDomain("the feasible set does not meet the mirror-map domain")
 
 
 def _mirror_problem(f: Objective, phi: MirrorMap, eta: float, domain: ConvexDomain, at,
@@ -73,7 +72,8 @@ def _mirror_problem(f: Objective, phi: MirrorMap, eta: float, domain: ConvexDoma
     def eval_q(theta, u):
         th, (_, _, g, phi_theta, dphi_theta) = anchored(theta)
         uv = as_vector(u, phi.q, MirrorError)
-        return eta * float(g @ uv) + float(phi.value(uv) - phi_theta - dphi_theta @ (uv - th))
+        phi_u = extended_value(phi, uv)  # +inf off the map's domain makes Q +inf there
+        return eta * float(g @ uv) + float(phi_u - phi_theta - dphi_theta @ (uv - th))
 
     def grad2(theta, u):
         _, (_, eta_g, _, _, dphi_theta) = anchored(theta)
@@ -100,7 +100,6 @@ def _mirror_problem(f: Objective, phi: MirrorMap, eta: float, domain: ConvexDoma
         grad2=grad2,
         hess22=hess22,
         closed_form_step=closed,
-        pull_inside=phi.pull_inside,
         **fields,
     )
 

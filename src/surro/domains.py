@@ -3,8 +3,9 @@
 Every domain knows how to project a point onto itself, test membership with a
 1e-12 slack consistent with that projection, and produce an orthonormal basis
 of the span of its feasible differences (the direction space of its affine
-hull).  Open pieces are handled with a small interior margin so iterates never
-touch boundaries where mirror-map gradients diverge.
+hull).  Every domain is closed.  A mirror map's open domain is not a feasible
+set: the mirror surrogates are +inf off it, so their numeric solves stay
+inside it without any margin here.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class ConvexDomain:
         raise NotImplementedError
 
     def project(self, x) -> np.ndarray:
-        """Euclidean projection, pulled into the interior of any open part."""
+        """Euclidean projection onto the set."""
         raise NotImplementedError
 
     def is_interior(self, x) -> bool:
@@ -155,7 +156,6 @@ class Box(ConvexDomain):
 class EuclideanBall(ConvexDomain):
     center: np.ndarray
     radius: float
-    open_boundary: bool = False
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
@@ -169,23 +169,17 @@ class EuclideanBall(ConvexDomain):
     def q(self):
         return self.center.shape[0]
 
-    def _reach(self):
-        # open balls are shrunk by a relative margin so projections stay interior
-        return self.radius * (1.0 - INTERIOR_MARGIN) if self.open_boundary else self.radius
-
     def contains(self, x, tol=MEMBERSHIP_TOL):
         v = as_vector(x, self.q)
-        r = vector_norm(v - self.center)
-        return r < self.radius if self.open_boundary else r <= self.radius + tol
+        return vector_norm(v - self.center) <= self.radius + tol
 
     def project(self, x):
         v = as_vector(x, self.q)
         d = v - self.center
         r = vector_norm(d)
-        reach = self._reach()
-        if r <= reach:
+        if r <= self.radius:
             return v.copy()
-        return self.center + d * (reach / r)
+        return self.center + d * (self.radius / r)
 
     def is_interior(self, x):
         v = as_vector(x, self.q)
@@ -203,7 +197,7 @@ class EuclideanBall(ConvexDomain):
         if n == 0.0:
             return self.center.copy()
         u = float(rng.uniform(1)[0])
-        return self.center + d / n * self._reach() * u ** (1.0 / self.q)
+        return self.center + d / n * self.radius * u ** (1.0 / self.q)
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import INTERIOR_MARGIN, Box, ConvexDomain, Simplex, as_vector
+from .domains import Box, ConvexDomain, Simplex, as_vector
 from .errors import SurroError
-
-CLOSURE_TOL = 1e-12  # slack of the domain-closure membership checks
 
 
 class MirrorError(SurroError):
@@ -32,7 +30,11 @@ class ProjectionFailed(MirrorError):
 
 
 class MirrorMap:
-    """Strictly convex map with value/grad/hess callables on an open domain."""
+    """Strictly convex map with value/grad/hess callables on an open domain.
+
+    A map implements value, grad, hess and in_domain; value raises
+    OutsideMirrorDomain off the domain, which extended_value reads as +inf.
+    """
 
     q: int
 
@@ -51,14 +53,6 @@ class MirrorMap:
         Every NaN or infinite point is rejected, without raising, so _require,
         which value, grad and hess call, has no finiteness test of its own.
         """
-        raise NotImplementedError
-
-    def in_closure(self, x) -> bool:
-        """Membership in the closure of the map's domain."""
-        return self.in_domain(x)
-
-    def pull_inside(self, x) -> np.ndarray:
-        """Move x into the open domain by the interior margin if needed."""
         raise NotImplementedError
 
     def strong_convexity(self, domain: ConvexDomain) -> float | None:
@@ -96,9 +90,6 @@ class QuadraticMap(MirrorMap):
     def in_domain(self, x):
         return bool(np.isfinite(x).all())
 
-    def pull_inside(self, x):
-        return np.atleast_1d(np.asarray(x, dtype=float)).copy()
-
     def strong_convexity(self, domain):
         return 1.0
 
@@ -128,13 +119,6 @@ class NegEntropyMap(MirrorMap):
         v = np.asarray(x)
         return bool(np.isfinite(v).all() and (v > 0.0).all())
 
-    def in_closure(self, x):
-        v = np.asarray(x)
-        return bool(np.isfinite(v).all() and (v >= -CLOSURE_TOL).all())
-
-    def pull_inside(self, x):
-        return np.maximum(np.atleast_1d(np.asarray(x, dtype=float)), INTERIOR_MARGIN)
-
     def strong_convexity(self, domain):
         if isinstance(domain, Simplex):
             return 1.0  # coordinates are <= 1, so 1/x_i >= 1
@@ -147,7 +131,13 @@ class NegEntropyMap(MirrorMap):
             z = as_vector(zeta, self.q, MirrorError)
             out = z / float(z.sum())  # exact entropy projection of a positive vector
             if out.min() < domain.face_eps:
-                out = domain.project(out)
+                # x_i = max(face_eps, c z_i) with c fixing the sum: the top k
+                # coordinates stay free for the largest k whose c_k z_(k) clears the bound
+                eps, u = domain.face_eps, np.sort(z)[::-1]
+                ks = np.arange(1, self.q + 1)
+                c = (1.0 - (self.q - ks) * eps) / np.cumsum(u)
+                k = int(ks[c * u > eps][-1])
+                out = np.maximum(eps, c[k - 1] * z)
             return out
         return None
 
@@ -160,7 +150,7 @@ class BallMap(MirrorMap):
     leave the ball regardless of the step size.  value, grad and hess check a
     point with one squared norm s = x'x, which the formula then reuses: a NaN
     or infinite coordinate makes s NaN or infinite, so `s < r2` also rejects
-    non-finite points, there and in in_domain / in_closure.
+    non-finite points, there and in in_domain.
     """
 
     q: int
@@ -206,20 +196,20 @@ class BallMap(MirrorMap):
         v = np.atleast_1d(x)
         return float(v @ v) < self.r2
 
-    def in_closure(self, x):
-        v = np.atleast_1d(x)
-        return float(v @ v) <= self.r2 * (1.0 + CLOSURE_TOL)
-
-    def pull_inside(self, x):
-        v = as_vector(x, self.q, MirrorError)
-        s = float(v @ v)
-        cap = self.r2 * (1.0 - INTERIOR_MARGIN)
-        if s >= cap:
-            v = v * math.sqrt(cap / s)
-        return v
-
     def strong_convexity(self, domain):
         return 2.0 / self.r2  # attained at the origin
+
+
+def extended_value(phi: MirrorMap, x) -> float:
+    """Phi(x), and +inf off the map's open domain: the extended-value convention.
+
+    The mirror surrogates and bregman_project's objective read Phi through it,
+    so a numeric solve refuses every trial point off the domain.
+    """
+    try:
+        return phi.value(x)
+    except OutsideMirrorDomain:
+        return math.inf
 
 
 def bregman(phi: MirrorMap, x, y) -> float:
@@ -249,11 +239,10 @@ def bregman_project(domain: ConvexDomain, phi: MirrorMap, zeta) -> np.ndarray:
     try:
         return minimize_smooth(
             domain=domain,
-            fun=lambda x: phi.value(x) - float(target @ x),
+            fun=lambda x: extended_value(phi, x) - float(target @ x),
             grad=lambda x: phi.grad(x) - target,
             hess=phi.hess,
-            x0=phi.pull_inside(domain.project(z)),
-            pull_inside=phi.pull_inside,
+            x0=domain.project(z),
         )
     except SolveFailure as exc:
         raise ProjectionFailed(str(exc)) from exc
@@ -269,4 +258,5 @@ __all__ = [
     "QuadraticMap",
     "bregman",
     "bregman_project",
+    "extended_value",
 ]

@@ -7,6 +7,11 @@ repeatedly applies the inner minimizer and keeps the iterates and the reason
 it stopped.  Every other per-step series (residuals, surrogate values,
 half-steps, Lyapunov values) is a function of consecutive iterates and is
 derived where it is read.
+
+A surrogate defined only on an open set, such as a mirror map's domain, is
++inf outside it (the extended-value convention of convex analysis).  The
+numeric inner solve refuses trial points of infinite value, so it keeps the
+iterates inside that set without moving any point.
 """
 
 from __future__ import annotations
@@ -91,7 +96,6 @@ class SurrogateProblem:
     closed_form_step: Optional[Callable] = None
     lyapunov: Optional[Callable] = None
     aux_step: Optional[Callable] = None
-    pull_inside: Optional[Callable] = None  # open-domain safeguard for numeric solves
     label: str = ""
 
     def check_feasible(self, x) -> np.ndarray:
@@ -141,12 +145,7 @@ class Trace:
             raise SurrogateError(f"a surrogate value left the floating-point range: {exc}") from exc
 
 
-def _project(domain, pull_inside, x):
-    y = domain.project(x)
-    return y if pull_inside is None else pull_inside(y)
-
-
-def minimize_smooth(domain, fun, grad, hess, x0, pull_inside=None):
+def minimize_smooth(domain, fun, grad, hess, x0):
     """Projected descent for a smooth convex function over a convex set.
 
     Tries a damped Newton step when a Hessian is available and falls back to
@@ -160,11 +159,14 @@ def minimize_smooth(domain, fun, grad, hess, x0, pull_inside=None):
     Newton system is solved in full coordinates: the reduction T'HT and the
     lift T @ d would only multiply by 1 and add 0.
 
-    fun returns a real number and grad a float vector shaped as x.
+    fun returns a real number, or +inf off an open set it is defined on: a
+    trial point of infinite value is refused by halving the step, so iterates
+    never leave that set and grad is called only at points of finite value.
+    grad returns a float vector shaped as x.
     """
 
     def residual_at(point, gradient):
-        return vector_norm(point - _project(domain, pull_inside, point - gradient))
+        return vector_norm(point - domain.project(point - gradient))
 
     def backtrack(x, fx, g, res, direction, halvings):
         """(point, value, known) of the first accepted step, or None.
@@ -174,7 +176,7 @@ def minimize_smooth(domain, fun, grad, hess, x0, pull_inside=None):
         """
         t = 1.0
         for _ in range(halvings):
-            xn = _project(domain, pull_inside, x + t * direction)
+            xn = domain.project(x + t * direction)
             if not np.isfinite(xn).all() or (xn == x).all():
                 t *= 0.5
                 continue
@@ -195,7 +197,7 @@ def minimize_smooth(domain, fun, grad, hess, x0, pull_inside=None):
             t *= 0.5
         return None
 
-    x = _project(domain, pull_inside, np.asarray(x0, dtype=float))
+    x = domain.project(np.asarray(x0, dtype=float))
     fx = fun(x)
     try:
         tangent = domain.direction_basis()  # Newton steps respect the affine hull
@@ -274,7 +276,6 @@ def inner_minimize(problem: SurrogateProblem, theta) -> np.ndarray:
             grad=lambda x: as_vector(problem.grad2(th, x), problem.q, SurrogateError),
             hess=(lambda x: problem.hess22(th, x)) if problem.hess22 is not None else None,
             x0=th,
-            pull_inside=problem.pull_inside,
         )
     except SolveFailure as exc:
         raise InnerSolveFailed(f"inner minimization failed at theta={th}: {exc}") from exc

@@ -67,6 +67,9 @@ def test_unknown_fields_rejected_everywhere():
     cfg = _base("gradient_descent", **dict(GD, objective={"type": "quartic_1d", "junk": 2}))
     with pytest.raises(ConfigInvalid, match="unknown field 'junk'"):
         assemble(cfg)
+    ball = {"type": "ball", "center": [0.0, 0.0], "radius": 5.0, "open": True}
+    with pytest.raises(ConfigInvalid, match="unknown field 'open'"):  # every domain is closed
+        assemble(_base("gradient_descent", **dict(GD, domain=ball)))
 
 
 def test_unknown_algorithm_rejected():

@@ -1,5 +1,6 @@
 """Mirror descent / prox / Newton problem builders and their curvature."""
 
+import math
 import warnings
 
 import numpy as np
@@ -14,8 +15,8 @@ from surro.descent import (
     mirror_prox_problem,
     newton_problem,
 )
-from surro.domains import Box, FullSpace, Simplex
-from surro.mirror_maps import MirrorMap, NegEntropyMap, QuadraticMap
+from surro.domains import AffineSlice, Box, EuclideanBall, FullSpace, Simplex
+from surro.mirror_maps import BallMap, MirrorMap, NegEntropyMap, QuadraticMap
 from surro.objectives import CustomObjective, QuadraticForm, Quartic1D, ShiftedQuadratic
 from surro.rates import curvature_at
 from surro.rng import CounterRNG
@@ -83,6 +84,40 @@ def test_md_incompatible_domain_rejected():
         mirror_descent_problem(f, NegEntropyMap(2), 0.1, Box([-2.0, -2.0], [-1.0, -1.0]))
     with pytest.raises(IncompatibleDomain):
         mirror_descent_problem(f, QuadraticMap(3), 0.1, FullSpace(2))
+    with pytest.raises(IncompatibleDomain):  # centred on the sphere that bounds the map's ball
+        mirror_descent_problem(f, BallMap(2, r2=4.0), 0.1, EuclideanBall([0.0, 2.0], 0.5))
+
+
+def test_mirror_surrogate_is_infinite_off_the_map_domain():
+    ball = mirror_descent_problem(ShiftedQuadratic(np.array([0.3, -0.2])), BallMap(2, r2=4.0),
+                                  0.4, EuclideanBall(np.zeros(2), 1.0))
+    theta = np.array([0.1, 0.2])
+    assert math.isfinite(ball.eval_q(theta, np.array([1.9, 0.0])))
+    for u in ([2.0, 0.0], [0.0, -2.0], [3.0, 1.0]):  # |u|^2 >= r2
+        assert ball.eval_q(theta, np.array(u)) == math.inf
+    entropy = mirror_descent_problem(ShiftedQuadratic(np.array([0.5, 0.3, 0.2])),
+                                     NegEntropyMap(3), 0.2, Simplex(3))
+    theta = np.full(3, 1.0 / 3.0)
+    for u in ([0.0, 0.5, 0.5], [0.5, 0.5, 0.0], [-0.1, 0.6, 0.5]):
+        assert entropy.eval_q(theta, np.array(u)) == math.inf
+
+
+def test_entropy_descent_on_an_affine_slice_stays_on_the_plane():
+    """The simplex written as {x : x1 + x2 + x3 = 1} in [0, 1]^3 has no closed form,
+    and the numeric steps must stay on the plane while a coordinate tends to 0.
+
+    Each step is the multiplicative-weights step on the simplex without a face bound."""
+    f = ShiftedQuadratic(np.array([-0.5, 0.8, 0.7]))
+    plane = AffineSlice(np.ones((1, 3)), np.ones(1), Box(np.zeros(3), np.ones(3)))
+    problem = mirror_descent_problem(f, NegEntropyMap(3), 2.0, plane)
+    assert problem.closed_form_step is None
+    closed = mirror_descent_problem(f, NegEntropyMap(3), 2.0, Simplex(3, face_eps=0.0))
+    trace = iterate(problem, np.full(3, 1.0 / 3.0))
+    assert trace.stop_reason is StopReason.CONVERGED and len(trace) == 19
+    for theta, step in zip(trace.iterates, trace.iterates[1:]):
+        assert plane.contains(step) and (step > 0.0).all()
+        np.testing.assert_allclose(step, closed.closed_form_step(theta), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(trace.final, [0.0, 0.55, 0.45], rtol=0, atol=1e-12)
 
 
 def test_closed_form_step_first_order_condition():

@@ -31,8 +31,6 @@ def test_ball_projection_radial():
     ball = domains.EuclideanBall([1.0, 0.0], 2.0)
     np.testing.assert_allclose(ball.project([5.0, 0.0]), [3.0, 0.0])
     assert ball.contains(ball.project([10.0, 10.0]), tol=1e-12)
-    open_ball = domains.EuclideanBall([0.0, 0.0], 1.0, open_boundary=True)
-    assert np.linalg.norm(open_ball.project([2.0, 0.0])) < 1.0
 
 
 def test_simplex_projection_against_variational_inequality():
@@ -157,7 +155,6 @@ def test_samples_are_feasible():
         domains.FullSpace(2),
         domains.Box([0.0, -1.0], [2.0, 1.0]),
         domains.EuclideanBall([1.0, 1.0], 0.5),
-        domains.EuclideanBall([0.0, 0.0], 1.0, open_boundary=True),
         domains.Simplex(5),
         domains.AffineSlice([[1.0, -1.0, 0.0]], [0.0], domains.Box([-1.0] * 3, [1.0] * 3)),
     ]

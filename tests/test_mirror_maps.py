@@ -145,6 +145,29 @@ def test_bregman_project_ball_map_numeric():
         assert bregman(phi, y, zeta) >= base - 1e-8
 
 
+def test_bregman_projection_refuses_trial_points_off_the_map_domain():
+    """The box reaches past the map's unit ball; a Newton step towards the sphere
+    overshoots it, and the objective's +inf there halves the step."""
+    refused = []
+
+    class CountingBall(BallMap):
+        def value(self, x):
+            try:
+                return super().value(x)
+            except mirror_maps.OutsideMirrorDomain:
+                refused.append(x)
+                raise
+
+    phi, dom = CountingBall(2, r2=1.0), Box([-3.0, -3.0], [3.0, 0.5])
+    zeta = np.array([0.5, 0.8])
+    out = bregman_project(dom, phi, zeta)
+    assert refused and dom.contains(out) and phi.in_domain(out)
+    # the minimizer lies on the face x2 = 0.5, inside the unit ball
+    assert out[1] == 0.5
+    grid = [np.array([x, 0.5]) for x in np.linspace(-0.866, 0.866, 20_001)]
+    assert bregman(phi, out, zeta) <= min(bregman(phi, y, zeta) for y in grid) + 1e-12
+
+
 def test_entropy_closed_projection_keeps_the_face_bound():
     phi, dom = NegEntropyMap(3), Simplex(3, face_eps=0.05)
     out = phi.closed_projection(dom, np.array([1e-4, 0.5, 1.0]))
@@ -152,6 +175,27 @@ def test_entropy_closed_projection_keeps_the_face_bound():
     assert 0.05 < out[1] < out[2]
     # off the simplex there is no closed form, and bregman_project solves numerically
     assert phi.closed_projection(Box([0.1, 0.1, 0.1], [1.0, 1.0, 1.0]), out) is None
+
+
+def test_entropy_closed_projection_on_an_active_face_is_the_kl_projection():
+    phi, dom = NegEntropyMap(3), Simplex(3, face_eps=0.05)
+    z = np.array([1e-4, 0.5, 1.0])
+    out = phi.closed_projection(dom, z)
+    np.testing.assert_allclose(out, [0.05, 0.95 / 3.0, 1.9 / 3.0], rtol=0, atol=1e-15)
+    assert abs(bregman(phi, out, z) - 0.376910) < 1e-6
+    rng = CounterRNG(23)
+    for _ in range(2000):
+        assert bregman(phi, out, z) <= bregman(phi, dom.sample(rng), z) + 1e-15
+    # on random inputs: x_i = max(face_eps, c z_i), the KKT point of the KL projection
+    rng = CounterRNG(29)
+    for _ in range(200):
+        z = np.exp(4.0 * rng.gaussian(4))
+        dom = Simplex(4, face_eps=0.2 * float(rng.uniform(1)[0]))
+        out = NegEntropyMap(4).closed_projection(dom, z)
+        free = out > dom.face_eps
+        c = out[free] / z[free]
+        assert dom.contains(out) and np.ptp(c) <= 1e-12 * c.max()
+        assert (c.max() * z[~free] <= dom.face_eps * (1.0 + 1e-12)).all()
 
 
 def test_a_failed_numeric_projection_raises_projection_failed(monkeypatch):

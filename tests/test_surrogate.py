@@ -103,8 +103,6 @@ def descent_certificate(problem, theta, theta_opt, rng) -> bool:
     for _ in range(32):
         d = rng.gaussian(problem.q)
         point = problem.domain.project(theta_opt + 1e-6 * d / np.linalg.norm(d))
-        if problem.pull_inside is not None:
-            point = problem.pull_inside(point)
         if problem.eval_q(th, point) < base - 1e-10:
             return False
     return True
