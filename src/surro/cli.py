@@ -58,6 +58,9 @@ def _cmd_lemmas(args) -> int:
     if args.trials < 1:
         print("error: --trials must be >= 1", file=sys.stderr)
         return EXIT_ERROR
+    if args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return EXIT_ERROR
     results = lemma_suites.run_all(trials=args.trials, seed=args.seed)
     for res in results:
         status = "ok" if res.passed else f"{len(res.failures)} counterexample(s)"

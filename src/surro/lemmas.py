@@ -56,79 +56,8 @@ def _rows_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x, y)
 
 
-def _lower_solve(l, g1, g2, g3):
-    """Row-wise forward substitution L y = g, with L = (l11, l21, l22, l31, l32, l33)."""
-    l11, l21, l22, l31, l32, l33 = l
-    y1 = g1 / l11
-    y2 = (g2 - l21 * y1) / l22
-    return y1, y2, (g3 - l31 * y1 - l32 * y2) / l33
-
-
-def _adjugate_column(c11, c12, c13, c22, c23, c33, lam):
-    """Row-wise largest-diagonal column of adj(C - lam I), a null vector of C - lam I.
-
-    The columns of the adjugate are cross products of rows of C - lam I; where lam is
-    a simple root, the largest-diagonal one is well away from 0.
-    """
-    m11, m22, m33 = c11 - lam, c22 - lam, c33 - lam
-    j11, j22, j33 = m22 * m33 - c23**2, m11 * m33 - c13**2, m11 * m22 - c12**2
-    j12, j13, j23 = c13 * c23 - c12 * m33, c12 * c23 - c13 * m22, c12 * c13 - m11 * c23
-    first = (np.abs(j11) >= np.abs(j22)) & (np.abs(j11) >= np.abs(j33))
-    second = ~first & (np.abs(j22) >= np.abs(j33))
-    return tuple(np.where(first, x1, np.where(second, x2, x3))
-                 for x1, x2, x3 in ((j11, j12, j13), (j12, j22, j23), (j13, j23, j33)))
-
-
-def _plane_top(c, x):
-    """Row-wise top eigenvector of symmetric C on the plane orthogonal to x (nonzero rows).
-
-    The exact 2x2 Rayleigh-Ritz step on an orthonormal basis p, q of the plane: columns
-    2 and 3 of the reflector I - w w' / k, w = x + sign(x1) e1, k = 1 + |x1|, for unit x.
-    """
-    c11, c12, c13, c22, c23, c33 = c
-    x1, x2, x3 = x / np.sqrt(x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
-    sign, k = np.where(x1 >= 0, 1.0, -1.0), 1.0 + np.abs(x1)
-    p = (-sign * x2, 1.0 - x2**2 / k, -x2 * x3 / k)
-    q = (-sign * x3, p[2], 1.0 - x3**2 / k)
-    cp, cq = ((c11 * y1 + c12 * y2 + c13 * y3, c12 * y1 + c22 * y2 + c23 * y3,
-               c13 * y1 + c23 * y2 + c33 * y3) for y1, y2, y3 in (p, q))
-    pcp, pcq, qcq = (y1 * w1 + y2 * w2 + y3 * w3
-                     for (y1, y2, y3), (w1, w2, w3) in ((p, cp), (p, cq), (q, cq)))
-    t = 0.5 * np.arctan2(2.0 * pcq, pcp - qcq)
-    return tuple(np.cos(t) * pj + np.sin(t) * qj for pj, qj in zip(p, q))
-
-
-def _sym3_top(c11, c12, c13, c22, c23, c33):
-    """Row-wise eigenvector for the largest eigenvalue of a symmetric 3x3, with no eigensolver.
-
-    The roots are trigonometric: mean + 2s cos((arccos(h) + 2 pi k) / 3), with
-    h = det(C - mean I) / 2s^3 and 6s^2 = |C - mean I|_F^2; k = 0 is the top root and
-    k = 1 the bottom one. The vector is `_adjugate_column` at the top root. Where the
-    top two roots are closer than 1.7% of the spread (h < -0.999), that vector can be
-    rounding noise; the bottom root is then simple, and the top vector is `_plane_top`
-    on the complement of the bottom root's vector. Where C is a multiple of I the
-    vector is 0.
-    """
-    c = (c11, c12, c13, c22, c23, c33)
-    mean = (c11 + c22 + c33) / 3.0
-    d1, d2, d3 = c11 - mean, c22 - mean, c33 - mean
-    s = np.sqrt((d1**2 + d2**2 + d3**2 + 2.0 * (c12**2 + c13**2 + c23**2)) / 6.0)
-    det = d1 * (d2 * d3 - c23**2) - c12 * (c12 * d3 - c23 * c13) + c13 * (c12 * c23 - d2 * c13)
-    s3 = 2.0 * s**3
-    half = np.divide(det, s3, out=np.ones_like(det), where=s3 > 0)  # C = mean I: lam = mean
-    angle = np.arccos(np.clip(half, -1.0, 1.0)) / 3.0
-    z = _adjugate_column(*c, mean + 2.0 * s * np.cos(angle))
-    pair = np.flatnonzero(half < -0.999)
-    if len(pair):
-        c = tuple(x[pair] for x in c)
-        bottom = mean[pair] + 2.0 * s[pair] * np.cos(angle[pair] + 2.0 * np.pi / 3.0)
-        for zj, wj in zip(z, _plane_top(c, np.array(_adjugate_column(*c, bottom)))):
-            zj[pair] = wj
-    return z
-
-
 def _ratio_ascent(a: np.ndarray, b: np.ndarray, v0: np.ndarray) -> np.ndarray:
-    """Per row, climb v'Bv / v'Av from v0; pass -B for the lower branch. No eigensolver.
+    """Per row, climb v'Bv / v'Av from v0; pass -B for the lower branch.
 
     a (n, d, d) SPD, b (n, d, d) symmetric, v0 (n, d) nonzero; returns the n climbed
     values, signed. Any start reaches the top of the pencil (A, B), so the top of (A, B)
@@ -137,13 +66,16 @@ def _ratio_ascent(a: np.ndarray, b: np.ndarray, v0: np.ndarray) -> np.ndarray:
     2001), one padded batch per call: each step moves a row to the maximiser of
     v'Bv / v'Av on span{v, u, r}, u the gradient with its v component removed and r
     the previous iterate with its v and u components removed. On the basis
-    S = [v, u, r] the step is closed form: a scalar Cholesky L L' of the A-Gram S'AS
-    whitens the B-Gram to C = L^-1 S'BS L^-T, `_sym3_top` gives a vector z for C's
-    largest root, and L^-T z are the Ritz vector's coordinates. Where r adds no
-    direction (the first step, d <= 2, a previous iterate inside span{v, u}), r is 0
-    and its slot in C gets a value below the 2x2 block's roots, so the step is the 2x2
-    step on span{v, u}. A row stops when its gradient vanishes, when a step does not
-    strictly improve it, or after ASCENT_STEPS steps.
+    S = [v, u, r], the Cholesky factor L of the A-Gram S'AS whitens the B-Gram to
+    C = L^-1 S'BS L^-T; L^-T z, z the top eigenvector of C, are the Ritz vector's
+    coordinates. Where r adds no direction (the first step, d <= 2, a previous iterate
+    inside span{v, u}), r is 0 and its slot in C gets a value below the 2x2 block's
+    roots, so the step is the 2x2 step on span{v, u}. A row stops when its gradient
+    vanishes, when a step does not strictly improve it, or after ASCENT_STEPS steps.
+
+    A row's value is always the Rayleigh quotient v'Bv / v'Av of its own A and B, never
+    an eigenvalue: `np.linalg.eigh` only proposes a direction. A wrong direction can
+    stall a row below the top, but cannot lift it above.
     """
     v = v0 / np.linalg.norm(v0, axis=1, keepdims=True)
     av, bv = _apply(a, v), _apply(b, v)
@@ -151,7 +83,6 @@ def _ratio_ascent(a: np.ndarray, b: np.ndarray, v0: np.ndarray) -> np.ndarray:
     out = p / q
     rows = np.arange(len(v))
     prev = np.zeros_like(v)
-    upper = (slice(None), [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2])
     for _ in range(ASCENT_STEPS):
         if not len(rows):
             break
@@ -170,29 +101,16 @@ def _ratio_ascent(a: np.ndarray, b: np.ndarray, v0: np.ndarray) -> np.ndarray:
         r *= np.divide(1.0, rnorm, out=np.zeros_like(rnorm), where=kept)[:, None]
         s = np.stack((v, u, r), axis=1)
         st = s.transpose(0, 2, 1)
-        a11, a12, a13, a22, a23, a33 = ((s @ a) @ st)[upper].T
-        b11, b12, b13, b22, b23, b33 = ((s @ b) @ st)[upper].T
-        l11 = np.sqrt(a11)
-        l21, l31 = a12 / l11, a13 / l11
-        l22 = np.sqrt(a22 - l21**2)
-        l32 = (a23 - l31 * l21) / l22
-        # a dropped r has a zero row and column in both Grams: l33 = 1 keeps it decoupled
-        l33 = np.sqrt(np.where(kept, a33 - l31**2 - l32**2, 1.0))
-        l = (l11, l21, l22, l31, l32, l33)
-        # C = L^-1 (L^-1 B_S)': solve for the columns of B_S, then for the rows of the result
-        x1, x2, x3 = (_lower_solve(l, *g) for g in ((b11, b12, b13), (b12, b22, b23),
-                                                     (b13, b23, b33)))
-        c11, c12, c13 = _lower_solve(l, x1[0], x2[0], x3[0])
-        c22, c23 = _lower_solve(l, x1[1], x2[1], x3[1])[1:]
+        gram_a, gram_b = (s @ a) @ st, (s @ b) @ st
+        # a dropped r has a zero row and column in both Grams: a33 = 1 keeps it decoupled
+        gram_a[:, 2, 2] = np.where(kept, gram_a[:, 2, 2], 1.0)
+        l_inv = np.linalg.inv(np.linalg.cholesky(gram_a))
+        c = l_inv @ gram_b @ l_inv.transpose(0, 2, 1)
         # a dropped r's slot sits below the 2x2 block's roots (Gershgorin): the 2x2 step
-        c33 = np.where(kept, _lower_solve(l, x1[2], x2[2], x3[2])[2],
-                       np.minimum(c11, c22) - np.abs(c12))
-        z1, z2, z3 = _sym3_top(c11, c12, c13, c22, c23, c33)
-        y3 = z3 / l33
-        y2 = (z2 - l32 * y3) / l22
-        y1 = (z1 - l21 * y2 - l31 * y3) / l11
-        w = y1[:, None] * v + y2[:, None] * u + y3[:, None] * r
-        # C = c I has adj(C - lam I) = 0: w stays 0, and pw > value * qw rejects it
+        c[:, 2, 2] = np.where(kept, c[:, 2, 2],
+                              np.minimum(c[:, 0, 0], c[:, 1, 1]) - np.abs(c[:, 0, 1]))
+        w = _apply(st @ l_inv.transpose(0, 2, 1), np.linalg.eigh(c)[1][..., -1])
+        # w = 0 where eigh proposes a dropped r's slot; pw > value * qw then rejects it
         wnorm = np.linalg.norm(w, axis=1, keepdims=True)
         np.divide(w, wnorm, out=w, where=wnorm > 0)
         aw, bw = _apply(a, w), _apply(b, w)
@@ -225,13 +143,16 @@ def _padded(pencils) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def check_rate_identity(trials: int = 1000, seed: int = 0) -> SuiteResult:
     """Four routes to the sup rate agree: two spectral radii, one norm, one searched sup.
 
-    The searched sup calls no eigensolver: each trial draws one start v and climbs it
-    to the top of the pencil (A, B) and of (A, -B) by exact 3-term Rayleigh-Ritz steps
-    (`_ratio_ascent`), the larger of the two being max(lam_max, -lam_min). The rows of
-    every trial climb together in one padded batch. The climb reaches the top to
-    rounding, so the searched sup must come within 1e-6 (1 + rho) of the norm route,
-    the bound the exact routes meet. A failure records A, B and the start, from which
-    `_ratio_ascent` on the padded rows (A, B, v) and (A, -B, v) replays the searched sup.
+    The searched sup is a Rayleigh quotient, not an eigenvalue: each trial draws one
+    start v and climbs v'Bv / v'Av to the top of the pencil (A, B) and of (A, -B) by
+    exact 3-term Rayleigh-Ritz steps (`_ratio_ascent`), the larger of the two being
+    max(lam_max, -lam_min). Its eigensolver only proposes the directions climbed along,
+    so an eigensolver defect shared by the other routes cannot lift it above the top.
+    The rows of every trial climb together in one padded batch. The climb reaches the
+    top to rounding, so the searched sup must come within 1e-6 (1 + rho) of the norm
+    route, the bound the exact routes meet. A failure records A, B and the start, from
+    which `_ratio_ascent` on the padded rows (A, B, v) and (A, -B, v) replays the
+    searched sup.
     """
     rng = CounterRNG((seed, 1))
     out = SuiteResult("rate_identity", trials)

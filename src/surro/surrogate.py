@@ -160,8 +160,9 @@ def minimize_smooth(domain, fun, grad, hess, x0):
     lift T @ d would only multiply by 1 and add 0.
 
     fun returns a real number, or +inf off an open set it is defined on: a
-    trial point of infinite value is refused by halving the step, so iterates
-    never leave that set and grad is called only at points of finite value.
+    projected start of infinite value raises SolveFailure, and a trial point of
+    infinite value is refused by halving the step, so iterates never leave that
+    set and grad is called only at points of finite value.
     grad returns a float vector shaped as x.
     """
 
@@ -199,6 +200,8 @@ def minimize_smooth(domain, fun, grad, hess, x0):
 
     x = domain.project(np.asarray(x0, dtype=float))
     fx = fun(x)
+    if not math.isfinite(fx):
+        raise SolveFailure(f"start {x.tolist()} has value {fx}")
     try:
         tangent = domain.direction_basis()  # Newton steps respect the affine hull
     except DegenerateDomain:

@@ -123,6 +123,9 @@ def test_lemmas_prints_each_counterexample_and_exits_two(monkeypatch, capsys):
 
 def test_lemmas_usage_and_success(capsys):
     assert main(["lemmas", "--trials", "0"]) == 1
+    assert main(["lemmas", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: --trials must be >= 1",
+                                                    "error: --seed must be >= 0"]
     assert main(["lemmas", "--trials", "30", "--seed", "5"]) == 0
     out = capsys.readouterr().out
     assert "rate_identity" in out and "ok" in out

@@ -55,7 +55,8 @@ def _tops(pencils) -> np.ndarray:
     return np.array(want)
 
 
-def test_ratio_ascent_matches_eigvals_oracle_padded_or_not():
+def _oracle_pencils() -> list:
+    """(A, +-B, v0) rows: 10 pencils per d = 1..8, 3 starts for each sign of B."""
     rng = CounterRNG(11)
     pencils = []
     for d in range(1, 9):
@@ -64,6 +65,11 @@ def test_ratio_ascent_matches_eigvals_oracle_padded_or_not():
             b = lemmas.random_symmetric(rng, d)
             pencils += [(a, sign * b, v0) for sign, v0 in
                         zip((1.0, -1.0) * 3, rng.gaussian(6 * d).reshape(6, d))]
+    return pencils
+
+
+def test_ratio_ascent_matches_eigvals_oracle_padded_or_not():
+    pencils = _oracle_pencils()
     want = _tops(pencils)
     dims = np.array([len(v0) for _, _, v0 in pencils])
     unpadded = np.empty(len(pencils))
@@ -142,32 +148,25 @@ def test_rate_identity_draws_one_start_per_trial(monkeypatch):
     assert sizes[2::3] == dims and len(set(dims)) > 1
 
 
-def test_sym3_top_matches_eigvalsh_and_gives_a_null_vector():
-    c = np.array([lemmas.random_symmetric(CounterRNG((14, i)), 3) for i in range(200)])
-    z = np.stack(lemmas._sym3_top(*c[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]].T), axis=1)
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    top = np.linalg.eigvalsh(c)[:, -1]
-    np.testing.assert_allclose(np.einsum("ni,nij,nj->n", z, c, z), top, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(np.einsum("nij,nj->ni", c, z), top[:, None] * z, atol=1e-9)
-    # C = 2.5 I: the root is exact, and C - lam I = 0 has no null vector to return
-    scalar = np.array([2.5, 0.0, 0.0, 2.5, 0.0, 2.5])[:, None]
-    assert np.all(np.array(lemmas._sym3_top(*scalar)) == 0)
-
-
 @pytest.mark.parametrize("gap", [0.0, 1e-14, 1e-10, 1e-6, 0.02, 0.05])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_sym3_top_on_a_near_double_root(gap, sign):
-    # rotated copies of diag(1, 1 - gap, -0.5): a near-double top (sign 1) or bottom (-1)
-    roots = sign * np.array([1.0, 1.0 - gap, -0.5])
-    c = []
-    for i in range(20):
-        q, _ = np.linalg.qr(CounterRNG((15, i)).gaussian(9).reshape(3, 3))
-        c.append((q * roots) @ q.T)
-    c = np.array(c)
-    z = np.stack(lemmas._sym3_top(*c[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]].T), axis=1)
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    top = np.linalg.eigvalsh(c)[:, -1]
-    assert np.all(np.einsum("ni,nij,nj->n", z, c, z) >= top - 1e-12)
+def test_ratio_ascent_on_a_near_double_root(gap, sign):
+    # generalized roots sign * (1, 1 - gap, d - 2 more spread over [-0.5, 0.5]): a
+    # near-double top (sign 1) or bottom (-1) of the pencil, so of the whitened 3x3 steps
+    pencils, want = [], []
+    for d in (3, 5, 8):
+        roots = sign * np.concatenate(([1.0, 1.0 - gap], np.linspace(-0.5, 0.5, d - 2)))
+        for i in range(20):
+            rng = CounterRNG((15, d, i))
+            a = lemmas.random_spd(rng, d)
+            q, _ = np.linalg.qr(rng.gaussian(d * d).reshape(d, d))
+            half = np.linalg.cholesky(a) @ q
+            pencils.append((a, (half * roots) @ half.T, rng.gaussian(d)))
+            want.append(roots.max())
+    want = np.array(want)
+    climbed = lemmas._ratio_ascent(*lemmas._padded(pencils))
+    assert np.all(climbed >= want - 1e-9 * np.abs(want))
+    assert np.all(climbed <= want + 1e-12 * np.abs(want))
 
 
 def test_rate_identity_witness_catches_a_planted_norm_route_defect(monkeypatch):
@@ -190,21 +189,26 @@ def test_rate_identity_witness_catches_a_planted_norm_route_defect(monkeypatch):
 
 
 def test_rate_identity_witness_catches_a_high_sup_from_every_eigensolver(monkeypatch):
-    # all three eigensolver routes agree on a sup 1e-5 (1 + rho) too high, so the exact-gap
-    # check passes; only the witness, which calls no eigensolver, can object
-    exact_pair, exact_eigvals = linalg.generalized_rate_pair, np.linalg.eigvals
+    # every eigensolver and the norm route agree on a sup 1e-5 (1 + rho) too high, so the
+    # exact-gap check passes. The witness still objects: its value is the Rayleigh quotient
+    # v'Bv / v'Av of A and B, and eigh only proposes the direction v it climbs along.
+    exact_eigvals, exact_eigh = np.linalg.eigvals, np.linalg.eigh
 
-    def high(a, b):
-        pair = exact_pair(a, b)
-        return pair._replace(rho_sup=pair.rho_sup + 1e-5 * (1.0 + pair.rho_sup))
-
-    def inflated(m):
-        lam = exact_eigvals(m)
-        rho = np.max(np.abs(lam))
+    def inflated(lam):
+        rho = np.max(np.abs(lam), axis=-1, keepdims=True)
         return lam * (1.0 + 1e-5 * (1.0 + rho) / rho)
 
+    def high(a, b):
+        rho = float(np.max(np.abs(exact_eigvals(np.linalg.inv(a) @ b))))
+        return linalg.RatePair(0.0, rho + 1e-5 * (1.0 + rho))
+
+    def inflated_eigh(m):
+        lam, vec = exact_eigh(m)
+        return inflated(lam), vec
+
     monkeypatch.setattr(lemmas.linalg, "generalized_rate_pair", high)
-    monkeypatch.setattr(np.linalg, "eigvals", inflated)
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: inflated(exact_eigvals(m)))
+    monkeypatch.setattr(np.linalg, "eigh", inflated_eigh)
     result = lemmas.check_rate_identity(trials=40, seed=0)
     assert len(result.failures) == 40
     for f in result.failures:
@@ -213,24 +217,50 @@ def test_rate_identity_witness_catches_a_high_sup_from_every_eigensolver(monkeyp
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_ratio_ascent_stops_at_step_zero_without_eigensolver(monkeypatch):
+def test_ratio_ascent_stops_at_step_zero(monkeypatch):
     rng = CounterRNG(12)
     # d = 1 and extreme eigenvectors of a diagonal pencil: the gradient, and so u, is 0
     pencils = [(lemmas.random_spd(rng, 1), lemmas.random_symmetric(rng, 1), rng.gaussian(1))
                for _ in range(6)]
     a, b = np.diag([0.5, 2.0, 1.0]), np.diag([0.9, -1.2, 0.1])
     pencils += [(a, b, np.eye(3)[0]), (a, b, -np.eye(3)[1]), (a, b, 3.0 * np.eye(3)[1])]
-
-    def no_eigensolver(*args, **kwargs):
-        raise AssertionError("the witness called an eigensolver")
-
-    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, no_eigensolver)
     stacks = lemmas._padded(pencils)
     climbed = lemmas._ratio_ascent(*stacks)
     monkeypatch.setattr(lemmas, "ASCENT_STEPS", 0)
     np.testing.assert_array_equal(climbed, lemmas._ratio_ascent(*stacks))
     np.testing.assert_allclose(climbed[-3:], [1.8, -0.6, -0.6], rtol=1e-15)
+
+
+def test_ratio_ascent_reads_no_eigenvalue_from_eigh(monkeypatch):
+    # eigh only proposes the Ritz direction: inflated eigenvalues change no bit
+    stacks = lemmas._padded(_oracle_pencils())
+    climbed = lemmas._ratio_ascent(*stacks)
+    exact_eigh = np.linalg.eigh
+
+    def inflated(m):
+        lam, vec = exact_eigh(m)
+        return 2.0 * lam + 1.0, vec
+
+    monkeypatch.setattr(np.linalg, "eigh", inflated)
+    assert lemmas._ratio_ascent(*stacks).tobytes() == climbed.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ratio_ascent_never_passes_the_top_on_wrong_directions(monkeypatch):
+    # eigh's columns reversed propose the bottom Ritz vector: a row may stall, but its
+    # value is a Rayleigh quotient of A and B, so it never passes the pencil's top
+    pencils = _oracle_pencils()
+    want = _tops(pencils)
+    exact_eigh = np.linalg.eigh
+
+    def reversed_columns(m):
+        lam, vec = exact_eigh(m)
+        return lam[..., ::-1], vec[..., ::-1]
+
+    monkeypatch.setattr(np.linalg, "eigh", reversed_columns)
+    climbed = lemmas._ratio_ascent(*lemmas._padded(pencils))
+    assert np.all(climbed <= want + 1e-12 * np.abs(want))
+    assert np.mean(climbed < want - 1e-3 * np.abs(want)) > 0.5
 
 
 _EXACT = {name: getattr(linalg, name)

@@ -168,6 +168,12 @@ def test_bregman_projection_refuses_trial_points_off_the_map_domain():
     assert bregman(phi, out, zeta) <= min(bregman(phi, y, zeta) for y in grid) + 1e-12
 
 
+def test_bregman_projection_from_a_start_off_the_map_domain_raises_projection_failed():
+    # the clipped start [0.9, 0.5] lies outside the map's unit ball: no gradient there
+    with pytest.raises(mirror_maps.ProjectionFailed, match=r"start \[0\.9, 0\.5\]"):
+        bregman_project(Box([-3.0, 0.5], [3.0, 3.0]), BallMap(2, r2=1.0), np.array([0.9, 0.0]))
+
+
 def test_entropy_closed_projection_keeps_the_face_bound():
     phi, dom = NegEntropyMap(3), Simplex(3, face_eps=0.05)
     out = phi.closed_projection(dom, np.array([1e-4, 0.5, 1.0]))

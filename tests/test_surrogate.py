@@ -272,6 +272,24 @@ def test_minimize_smooth_falls_back_and_still_converges(domain, fun, grad, hess,
     np.testing.assert_allclose(x, expected, rtol=0.0, atol=1e-11)
 
 
+def test_minimize_smooth_calls_grad_only_at_points_of_finite_value():
+    values = []
+
+    def grad(x):
+        values.append(_value_off_a_wall(x))
+        return 2.0 * (x - 0.5)
+
+    x = minimize_smooth(FullSpace(1), _value_off_a_wall, grad, lambda x: np.array([[0.5]]),
+                        np.array([0.0]))
+    np.testing.assert_allclose(x, [0.5], rtol=0.0, atol=1e-11)
+    assert values and np.isfinite(values).all()
+    # a start of infinite value is refused before any gradient
+    values.clear()
+    with pytest.raises(SolveFailure, match=r"start \[1\.5\] has value inf"):
+        minimize_smooth(FullSpace(1), _value_off_a_wall, grad, None, np.array([1.5]))
+    assert values == []
+
+
 def test_minimize_smooth_without_a_descent_direction_raises():
     # the gradient has the wrong sign: no step along -g decreases x^2 or its residual
     with pytest.raises(SolveFailure, match="no descent direction found"):
