@@ -2,7 +2,11 @@
 
 Each suite stress-tests one identity or perturbation bound behind the rate
 machinery on a stream of random matrices, and reports any counterexample with
-the offending inputs so it can be replayed verbatim.
+the offending inputs so it can be replayed verbatim. Draw per trial, check per
+dimension stack: each trial draws its dimension and inputs from the suite's own
+stream, in trial order; the trials of each dimension d = 1..8 are checked together
+as one stack through the stacked `linalg` and `np.linalg` calls, and counterexamples
+are reported in trial order.
 """
 
 from __future__ import annotations
@@ -29,22 +33,37 @@ class SuiteResult:
         return not self.failures
 
 
-def random_spd(rng: CounterRNG, d: int, cond_range=(0.3, 3.0)) -> np.ndarray:
-    """SPD matrix with eigenvalues log-uniform inside cond_range."""
-    g = rng.gaussian(d * d).reshape(d, d)
-    q, _ = np.linalg.qr(g + np.eye(d) * 1e-3)
+def _square(rng: CounterRNG, d: int) -> np.ndarray:
+    return rng.gaussian(d * d).reshape(d, d)
+
+
+def _spd(g: np.ndarray, u: np.ndarray, cond_range=(0.3, 3.0)) -> np.ndarray:
+    """Q diag(lam) Q', Q from the QR of g (..., d, d), lam log-uniform in cond_range by u."""
     lo, hi = np.log(cond_range[0]), np.log(cond_range[1])
-    lam = np.exp(lo + (hi - lo) * rng.uniform(d))
-    return linalg.symmetrize((q * lam) @ q.T)
+    q, _ = np.linalg.qr(g + np.eye(g.shape[-1]) * 1e-3)
+    return linalg.symmetrize((q * np.exp(lo + (hi - lo) * u)[..., None, :]) @ q.swapaxes(-1, -2))
 
 
-def random_symmetric(rng: CounterRNG, d: int) -> np.ndarray:
-    return linalg.symmetrize(rng.gaussian(d * d).reshape(d, d))
-
-
-def _dim(rng: CounterRNG) -> int:
+def _stacks(rng: CounterRNG, trials: int, draw):
+    """Draw `trials` trials in stream order, each its dimension d then draw(rng, d); yield
+    each drawn dimension's trial indices and draws stacked field by field, d ascending."""
     lo, hi = DIMS
-    return lo + int(rng.uniform(1)[0] * (hi - lo + 1))
+    drawn = [draw(rng, lo + int(rng.uniform(1)[0] * (hi - lo + 1))) for _ in range(trials)]
+    dims = np.array([len(x[0]) for x in drawn])  # a trial's first draw has length d
+    for d in range(lo, hi + 1):
+        idx = np.flatnonzero(dims == d)
+        if len(idx):
+            yield idx, [np.stack(f) for f in zip(*(drawn[i] for i in idx))]
+
+
+def _in_trial_order(found) -> list[dict]:
+    """The records of (trial, record) pairs, by trial; one trial's records keep their order."""
+    return [record for _, record in sorted(found, key=lambda f: f[0])]
+
+
+def _quad(x: np.ndarray, m: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise x[i] @ m[i] @ y[i], the same operations as on one row."""
+    return (x[..., None, :] @ m @ y[..., :, None])[..., 0, 0]
 
 
 def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -53,7 +72,7 @@ def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _rows_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", x, y)
+    return np.einsum("...j,...j->...", x, y)
 
 
 def _ratio_ascent(a: np.ndarray, b: np.ndarray, v0: np.ndarray) -> np.ndarray:
@@ -148,96 +167,83 @@ def check_rate_identity(trials: int = 1000, seed: int = 0) -> SuiteResult:
     exact 3-term Rayleigh-Ritz steps (`_ratio_ascent`), the larger of the two being
     max(lam_max, -lam_min). Its eigensolver only proposes the directions climbed along,
     so an eigensolver defect shared by the other routes cannot lift it above the top.
-    The rows of every trial climb together in one padded batch. The climb reaches the
-    top to rounding, so the searched sup must come within 1e-6 (1 + rho) of the norm
-    route, the bound the exact routes meet. A failure records A, B and the start, from
-    which `_ratio_ascent` on the padded rows (A, B, v) and (A, -B, v) replays the
-    searched sup.
+    The rows of every trial climb together in one padded batch, to the top within
+    rounding, so the searched sup must come within 1e-6 (1 + rho) of the norm route,
+    the bound the exact routes meet. A failure records A, B and the start v, from which
+    `_ratio_ascent` on the padded rows (A, B, v) and (A, -B, v) replays it.
     """
-    rng = CounterRNG((seed, 1))
-    out = SuiteResult("rate_identity", trials)
-    routes, pencils = [], []
-    for _ in range(trials):
-        d = _dim(rng)
-        a = random_spd(rng, d)
-        b = random_symmetric(rng, d)
-        a_inv = np.linalg.inv(a)
-        rho_ab = float(np.max(np.abs(np.linalg.eigvals(a_inv @ b))))
-        rho_ba = float(np.max(np.abs(np.linalg.eigvals(b @ a_inv))))
-        norm_route = linalg.generalized_rate_pair(a, b).rho_sup
-        v = rng.gaussian(d)
-        pencils += [(a, b, v), (a, -b, v)]
-        routes.append((a, b, v, rho_ab, rho_ba, norm_route))
+    stacks = [(idx, _spd(g, u), linalg.symmetrize(b), v) for idx, (g, u, b, v) in _stacks(
+        CounterRNG((seed, 1)), trials,
+        lambda rng, d: (_square(rng, d), rng.uniform(d), _square(rng, d), rng.gaussian(d)))]
+    pencils = [pencil for _, a, b, v in stacks for a_k, b_k, v_k in zip(a, b, v)
+               for pencil in ((a_k, b_k, v_k), (a_k, -b_k, v_k))]
     searched = _ratio_ascent(*_padded(pencils)).reshape(-1, 2).max(axis=1)
-    for (a, b, v, rho_ab, rho_ba, norm_route), searched_sup in zip(routes, searched.tolist()):
-        exact_gap = max(abs(rho_ab - norm_route), abs(rho_ba - norm_route))
-        ok = (
-            exact_gap <= 1e-6 * (1.0 + norm_route)
-            and searched_sup <= norm_route * (1.0 + 1e-9) + 1e-12
-            and norm_route - searched_sup <= 1e-6 * (1.0 + norm_route)
-        )
-        if not ok:
-            out.failures.append(
-                {"a": a.tolist(), "b": b.tolist(), "rho_ab": rho_ab, "rho_ba": rho_ba,
-                 "norm_route": norm_route, "start": v.tolist(),
-                 "searched_sup": searched_sup}
-            )
-    return out
+    found = []
+    for (idx, a, b, v), searched_sup in zip(stacks, np.split(
+            searched, np.cumsum([len(idx) for idx, *_ in stacks], dtype=int)[:-1])):
+        a_inv = np.linalg.inv(a)
+        rho_ab, rho_ba = (np.abs(np.linalg.eigvals(p)).max(axis=-1) for p in (a_inv @ b, b @ a_inv))
+        norm_route = linalg.generalized_rate_pair(a, b).rho_sup
+        exact_gap = np.maximum(np.abs(rho_ab - norm_route), np.abs(rho_ba - norm_route))
+        ok = ((exact_gap <= 1e-6 * (1.0 + norm_route))
+              & (searched_sup <= norm_route * (1.0 + 1e-9) + 1e-12)
+              & (norm_route - searched_sup <= 1e-6 * (1.0 + norm_route)))
+        found += [(idx[k], {"a": a[k].tolist(), "b": b[k].tolist(), "rho_ab": rho_ab[k],
+                            "rho_ba": rho_ba[k], "norm_route": norm_route[k],
+                            "start": v[k].tolist(), "searched_sup": searched_sup[k]})
+                  for k in np.flatnonzero(~ok)]
+    return SuiteResult("rate_identity", trials, _in_trial_order(found))
 
 
 def check_domination(trials: int = 1000, seed: int = 0) -> SuiteResult:
-    """x'Ax <= x'By forces |x|_A <= rho |y|_A with rho the weighted norm of B."""
+    """x'Ax <= x'By forces |x|_A <= rho |y|_A with rho the weighted norm of B.
+
+    A draw that misses the hypothesis is no trial. Draws come in blocks of `trials`,
+    at most 100 blocks, and the first `trials` that meet the hypothesis are the trials.
+    """
     rng = CounterRNG((seed, 2))
-    out = SuiteResult("domination", trials)
-    done = 0
-    attempts = 0
-    while done < trials and attempts < 100 * trials:
-        attempts += 1
-        d = _dim(rng)
-        a = random_spd(rng, d)
-        b = rng.gaussian(d * d).reshape(d, d)
-        x = 0.3 * rng.gaussian(d)
-        y = rng.gaussian(d)
-        if float(x @ a @ x) > float(x @ b @ y):
-            continue  # hypothesis not satisfied; draw again
-        done += 1
-        r = linalg.inv_sqrt(a)
-        rho = linalg.spectral_norm(r @ b @ r)
-        nx = float(np.sqrt(x @ a @ x))
-        ny = float(np.sqrt(y @ a @ y))
-        if nx > rho * ny + 1e-9:
-            out.failures.append(
-                {"a": a.tolist(), "b": b.tolist(), "x": x.tolist(), "y": y.tolist(),
-                 "norm_x": nx, "rho_norm_y": rho * ny}
-            )
-    out.trials = done
-    return out
+    held, found = [], []
+    while sum(held) < trials and len(held) < 100 * trials:
+        block = np.zeros(trials, dtype=bool)
+        for idx, (g, u, b, x, y) in _stacks(rng, trials, lambda rng, d: (
+                _square(rng, d), rng.uniform(d), _square(rng, d), 0.3 * rng.gaussian(d),
+                rng.gaussian(d))):
+            a = _spd(g, u)
+            xax = _quad(x, a, x)
+            h = block[idx] = xax <= _quad(x, b, y)
+            idx, a, b, x, y, xax = (z[h] for z in (idx + len(held), a, b, x, y, xax))
+            r = linalg.inv_sqrt(a)
+            rho = linalg.spectral_norm(r @ b @ r)
+            nx, ny = np.sqrt(xax), np.sqrt(_quad(y, a, y))
+            found += [(idx[k], {"a": a[k].tolist(), "b": b[k].tolist(), "x": x[k].tolist(),
+                                "y": y[k].tolist(), "norm_x": nx[k], "rho_norm_y": rho[k] * ny[k]})
+                      for k in np.flatnonzero(nx > rho * ny + 1e-9)]
+        held += block.tolist()
+    rank = np.cumsum(held, dtype=int)  # trials among the draws up to and including each
+    found = [f for f in found if rank[f[0]] <= trials]
+    return SuiteResult("domination", min(trials, sum(held)), _in_trial_order(found))
 
 
 def check_norm_perturbation(trials: int = 1000, seed: int = 0) -> SuiteResult:
     """Nearby SPD matrices induce norms sandwiched within a relative epsilon."""
-    rng = CounterRNG((seed, 3))
-    out = SuiteResult("norm_perturbation", trials)
-    for _ in range(trials):
-        d = _dim(rng)
-        s_star = random_spd(rng, d)
-        min_eig = linalg.eigh(s_star).eigenvalues[0]
-        for eps in (0.5, 0.1, 0.01):
-            delta = eps * min_eig / 2.0
-            m = random_symmetric(rng, d)
-            m *= delta * 0.999 / max(linalg.spectral_norm(m), 1e-300)
-            s = linalg.symmetrize(s_star + m)
-            xs = rng.gaussian(100 * d).reshape(100, d)
-            ns = np.sqrt(_rows_dot(xs @ s, xs))
-            nstar = np.sqrt(_rows_dot(xs @ s_star, xs))
-            good = np.all(nstar >= (1 - eps) * ns - 1e-12) and np.all(
-                nstar <= (1 + eps) * ns + 1e-12
-            )
-            if not good:
-                out.failures.append(
-                    {"s_star": s_star.tolist(), "s": s.tolist(), "eps": eps, "delta": delta}
-                )
-    return out
+    eps = np.array([0.5, 0.1, 0.01])
+    found = []
+    for idx, (g, u, m, xs) in _stacks(CounterRNG((seed, 3)), trials, lambda rng, d: (
+            _square(rng, d), rng.uniform(d),
+            *zip(*((_square(rng, d), rng.gaussian(100 * d).reshape(100, d)) for _ in eps)))):
+        s_star = _spd(g, u)
+        delta = eps * linalg.eigh(s_star).eigenvalues[:, :1] / 2.0
+        m = linalg.symmetrize(m)
+        m *= (delta * 0.999 / np.maximum(linalg.spectral_norm(m), 1e-300))[..., None, None]
+        s = linalg.symmetrize(s_star[:, None] + m)
+        ns = np.sqrt(_rows_dot(xs @ s, xs))
+        nstar = np.sqrt(_rows_dot(xs @ s_star[:, None], xs))
+        good = np.all((nstar >= (1 - eps)[:, None] * ns - 1e-12)
+                      & (nstar <= (1 + eps)[:, None] * ns + 1e-12), axis=-1)
+        found += [(idx[k], {"s_star": s_star[k].tolist(), "s": s[k, j].tolist(),
+                            "eps": eps[j], "delta": delta[k, j]})
+                  for k, j in np.argwhere(~good)]
+    return SuiteResult("norm_perturbation", trials, _in_trial_order(found))
 
 
 def check_rate_perturbation(trials: int = 1000, seed: int = 0) -> SuiteResult:
@@ -249,30 +255,25 @@ def check_rate_perturbation(trials: int = 1000, seed: int = 0) -> SuiteResult:
     a concrete instance of the existence statement; the suite checks it at
     three shrinking perturbation scales along shared directions.
     """
-    rng = CounterRNG((seed, 4))
-    out = SuiteResult("rate_perturbation", trials)
-    scales = (1e-2, 1e-3, 1e-4)
-    for _ in range(trials):
-        d = _dim(rng)
-        a = random_spd(rng, d, cond_range=(0.5, 2.0))
-        b = random_symmetric(rng, d)
-        base = linalg.generalized_rate_pair(a, b).rho_sup
-        lam_min = float(linalg.eigh(a).eigenvalues[0])
-        m_dir = random_symmetric(rng, d)
-        m_dir /= max(linalg.spectral_norm(m_dir), 1e-300)
-        n_dir = random_symmetric(rng, d)
-        n_dir /= max(linalg.spectral_norm(n_dir), 1e-300)
-        for t in scales:
-            pert = linalg.generalized_rate_pair(a + t * m_dir, b + t * n_dir).rho_sup
-            dev = abs(pert - base)
-            envelope = (t + base * t) / (lam_min - t)
-            if dev > envelope + 1e-9:
-                out.failures.append(
-                    {"a": a.tolist(), "b": b.tolist(), "m": m_dir.tolist(),
-                     "n": n_dir.tolist(), "scale": t, "deviation": dev,
-                     "envelope": envelope}
-                )
-    return out
+    scales = np.array([1e-2, 1e-3, 1e-4])
+    found = []
+    for idx, (g, u, b, m_dir, n_dir) in _stacks(CounterRNG((seed, 4)), trials, lambda rng, d: (
+            _square(rng, d), rng.uniform(d), _square(rng, d), _square(rng, d), _square(rng, d))):
+        a, b = _spd(g, u, (0.5, 2.0)), linalg.symmetrize(b)
+        base = linalg.generalized_rate_pair(a, b).rho_sup[:, None]
+        lam_min = linalg.eigh(a).eigenvalues[:, :1]
+        m_dir, n_dir = (m / np.maximum(linalg.spectral_norm(m), 1e-300)[:, None, None]
+                        for m in map(linalg.symmetrize, (m_dir, n_dir)))
+        t = scales[:, None, None]
+        pert = linalg.generalized_rate_pair(a[:, None] + t * m_dir[:, None],
+                                            b[:, None] + t * n_dir[:, None]).rho_sup
+        dev = np.abs(pert - base)
+        envelope = (scales + base * scales) / (lam_min - scales)
+        found += [(idx[k], {"a": a[k].tolist(), "b": b[k].tolist(), "m": m_dir[k].tolist(),
+                            "n": n_dir[k].tolist(), "scale": scales[j], "deviation": dev[k, j],
+                            "envelope": envelope[k, j]})
+                  for k, j in np.argwhere(dev > envelope + 1e-9)]
+    return SuiteResult("rate_perturbation", trials, _in_trial_order(found))
 
 
 def check_eigh_reconstruction(trials: int = 1000, seed: int = 0) -> SuiteResult:
@@ -281,25 +282,21 @@ def check_eigh_reconstruction(trials: int = 1000, seed: int = 0) -> SuiteResult:
     A guard on the LAPACK path: it checks the decomposition against its own
     input rather than against a second eigensolver.
     """
-    rng = CounterRNG((seed, 5))
-    out = SuiteResult("eigh_reconstruction", trials)
-    for _ in range(trials):
-        d = _dim(rng)
-        s = random_symmetric(rng, d) * float(np.exp(2.0 * rng.gaussian(1)[0]))
+    found = []
+    for idx, (g, scale) in _stacks(CounterRNG((seed, 5)), trials, lambda rng, d: (
+            _square(rng, d), float(np.exp(2.0 * rng.gaussian(1)[0])))):
+        s = linalg.symmetrize(g) * scale[:, None, None]
         lam, vec = linalg.eigh(s)
-        recon = (vec * lam) @ vec.T
-        scale = 1.0 + float(np.max(np.abs(s)))
-        ortho = float(np.max(np.abs(vec.T @ vec - np.eye(d))))
-        resid = float(np.max(np.abs(s @ vec - vec * lam)))
-        ok = (
-            float(np.max(np.abs(recon - s))) <= 1e-9 * scale
-            and ortho <= 1e-10
-            and resid <= 1e-9 * (1.0 + float(np.max(np.abs(lam))))
-            and bool(np.all(np.diff(lam) >= 0))
-        )
-        if not ok:
-            out.failures.append({"s": s.tolist(), "ortho": ortho, "residual": resid})
-    return out
+        vec_t = vec.swapaxes(-1, -2)
+        recon = np.max(np.abs((vec * lam[:, None, :]) @ vec_t - s), axis=(1, 2))
+        ortho = np.max(np.abs(vec_t @ vec - np.eye(s.shape[-1])), axis=(1, 2))
+        resid = np.max(np.abs(s @ vec - vec * lam[:, None, :]), axis=(1, 2))
+        ok = ((recon <= 1e-9 * (1.0 + np.max(np.abs(s), axis=(1, 2)))) & (ortho <= 1e-10)
+              & (resid <= 1e-9 * (1.0 + np.max(np.abs(lam), axis=1)))
+              & np.all(np.diff(lam, axis=1) >= 0, axis=1))
+        found += [(idx[k], {"s": s[k].tolist(), "ortho": ortho[k], "residual": resid[k]})
+                  for k in np.flatnonzero(~ok)]
+    return SuiteResult("eigh_reconstruction", trials, _in_trial_order(found))
 
 
 ALL_SUITES = (

@@ -5,6 +5,11 @@ transforms) funnels into the operations here: a LAPACK-backed symmetric
 eigensolver that rejects non-finite input, inverse square roots, spectral
 norms, the spectrum of a pencil (A, B) whitened by a positive-definite A, and
 the generalized rate pair rho_inf/rho_sup read off that spectrum.
+
+`symmetrize`, `eigh`, `inv_sqrt`, `spectral_norm`, `whitened_eigenvalues` and
+`generalized_rate_pair` take a matrix (d, d) or a stack (..., d, d) through the same
+lines. They give one result per matrix, a float where one matrix gives a scalar; a
+stack with a bad member raises what that member raises alone.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ class InternalNumericalFailure(LinalgError):
 
 
 class Spectrum(NamedTuple):
-    """Eigenvalues in ascending order, with matching orthonormal columns."""
+    """Eigenvalues (..., d) in ascending order, with matching orthonormal columns (..., d, d)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -52,12 +57,17 @@ class RatePair(NamedTuple):
     rho_sup: float
 
 
+def _per_matrix(x: np.ndarray):
+    """A result with one value per matrix: a float for one matrix, an array for a stack."""
+    return float(x) if x.ndim == 0 else x
+
+
 def symmetrize(m) -> np.ndarray:
     """Return (M + M') / 2 as a float array; entry point for every symmetric input."""
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def asymmetry(m) -> float:
@@ -91,34 +101,36 @@ def vector_norm(v) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
-def spectral_norm(m) -> float:
+def spectral_norm(m) -> float | np.ndarray:
     """Largest singular value, i.e. sqrt of the top eigenvalue of M'M."""
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2:
+    if a.ndim < 2:
         raise DimensionMismatch(f"expected a matrix, got shape {a.shape}")
     if not np.isfinite(a).all():  # before M'M, where an inf meeting a 0 warns
         raise InternalNumericalFailure("spectral_norm input has non-finite entries")
-    lam = eigh(a.T @ a).eigenvalues
-    return float(np.sqrt(max(lam[-1], 0.0)))
+    lam = eigh(a.swapaxes(-1, -2) @ a).eigenvalues
+    return _per_matrix(np.sqrt(np.maximum(lam[..., -1], 0.0)))
 
 
-def _clears_pd_threshold(lam: np.ndarray) -> bool:
-    """The PD test on an ascending spectrum: lam_min > 0 and above d * 1e-12 * |lam|_max."""
-    return bool(lam[0] > lam.size * 1e-12 * float(np.max(np.abs(lam))) and lam[0] > 0.0)
+def _clears_pd_threshold(lam: np.ndarray) -> np.ndarray:
+    """The PD test on ascending spectra (..., d): lam_min > 0 and above d * 1e-12 * |lam|_max."""
+    lo = lam[..., 0]
+    return (lo > lam.shape[-1] * 1e-12 * np.abs(lam).max(axis=-1)) & (lo > 0.0)
 
 
 def is_positive_definite(s) -> tuple[bool, float]:
     """PD test by eigenvalue threshold; returns (verdict, min eigenvalue)."""
     lam = eigh(s).eigenvalues
-    return _clears_pd_threshold(lam), float(lam[0])
+    return bool(_clears_pd_threshold(lam)), float(lam[0])
 
 
 def inv_sqrt(s) -> np.ndarray:
     """Inverse square root R of a symmetric positive-definite S, with R S R = I."""
     lam, vec = eigh(s)
-    if not _clears_pd_threshold(lam):
-        raise NotPositiveDefinite(float(lam[0]))
-    r = (vec / np.sqrt(lam)) @ vec.T
+    pd = _clears_pd_threshold(lam)
+    if not pd.all():
+        raise NotPositiveDefinite(float(lam[..., 0][~pd][0]))
+    r = (vec / np.sqrt(lam)[..., None, :]) @ vec.swapaxes(-1, -2)
     return symmetrize(r)
 
 
@@ -142,8 +154,6 @@ def generalized_rate_pair(a, b) -> RatePair:
     Non-finite entries in either matrix raise InternalNumericalFailure.
     """
     abs_lam = np.abs(whitened_eigenvalues(a, b))
-    hi = float(abs_lam.max())
-    lo = float(abs_lam.min())
-    if lo < SINGULAR_TOL * max(1.0, hi):
-        lo = 0.0
-    return RatePair(lo, hi)
+    lo, hi = abs_lam.min(axis=-1), abs_lam.max(axis=-1)
+    lo = np.where(lo < SINGULAR_TOL * np.maximum(1.0, hi), 0.0, lo)
+    return RatePair(_per_matrix(lo), _per_matrix(hi))

@@ -59,7 +59,6 @@ def test_e5_sample_rate_convergence(results):
     med = r.measured["mixture_medians"]
     assert all(a > b for a, b in zip(med, med[1:]))
     assert r.measured["gaussian_max_dev"] <= 1e-6
-    assert r.measured["runtime_budget_ok"]
 
 
 def test_e6_alpha_em_optimum(results):

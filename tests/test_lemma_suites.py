@@ -1,15 +1,32 @@
 """Randomized linear-algebra suites: clean runs and replayable streams."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from surro import lemmas, linalg
+from surro import lemmas, linalg, report
 from surro.rng import CounterRNG
+
+
+def _random_spd(rng, d):
+    return lemmas._spd(lemmas._square(rng, d), rng.uniform(d))
+
+
+def _random_symmetric(rng, d):
+    return linalg.symmetrize(lemmas._square(rng, d))
 
 
 def test_all_suites_clean_at_reduced_trial_count():
     for result in lemmas.run_all(trials=150, seed=0):
         assert result.passed, f"{result.name}: {result.failures[:1]}"
+
+
+@pytest.mark.parametrize("trials", [1, 2])
+def test_suites_run_with_most_dimensions_drawing_no_trial(trials):
+    # at most two of the eight dimensions hold a trial: the others must be skipped
+    for result in lemmas.run_all(trials=trials, seed=0):
+        assert result.passed and result.trials == trials
 
 
 def test_suites_are_deterministic_in_the_seed():
@@ -21,7 +38,7 @@ def test_suites_are_deterministic_in_the_seed():
 def test_random_spd_is_spd():
     rng = CounterRNG(5)
     for _ in range(50):
-        a = lemmas.random_spd(rng, 6)
+        a = _random_spd(rng, 6)
         assert np.all(np.linalg.eigvalsh(a) > 0)
         np.testing.assert_allclose(a, a.T)
 
@@ -61,8 +78,8 @@ def _oracle_pencils() -> list:
     pencils = []
     for d in range(1, 9):
         for _ in range(10):
-            a = lemmas.random_spd(rng, d)
-            b = lemmas.random_symmetric(rng, d)
+            a = _random_spd(rng, d)
+            b = _random_symmetric(rng, d)
             pencils += [(a, sign * b, v0) for sign, v0 in
                         zip((1.0, -1.0) * 3, rng.gaussian(6 * d).reshape(6, d))]
     return pencils
@@ -158,7 +175,7 @@ def test_ratio_ascent_on_a_near_double_root(gap, sign):
         roots = sign * np.concatenate(([1.0, 1.0 - gap], np.linspace(-0.5, 0.5, d - 2)))
         for i in range(20):
             rng = CounterRNG((15, d, i))
-            a = lemmas.random_spd(rng, d)
+            a = _random_spd(rng, d)
             q, _ = np.linalg.qr(rng.gaussian(d * d).reshape(d, d))
             half = np.linalg.cholesky(a) @ q
             pencils.append((a, (half * roots) @ half.T, rng.gaussian(d)))
@@ -199,7 +216,7 @@ def test_rate_identity_witness_catches_a_high_sup_from_every_eigensolver(monkeyp
         return lam * (1.0 + 1e-5 * (1.0 + rho) / rho)
 
     def high(a, b):
-        rho = float(np.max(np.abs(exact_eigvals(np.linalg.inv(a) @ b))))
+        rho = np.max(np.abs(exact_eigvals(np.linalg.inv(a) @ b)), axis=-1)
         return linalg.RatePair(0.0, rho + 1e-5 * (1.0 + rho))
 
     def inflated_eigh(m):
@@ -220,7 +237,7 @@ def test_rate_identity_witness_catches_a_high_sup_from_every_eigensolver(monkeyp
 def test_ratio_ascent_stops_at_step_zero(monkeypatch):
     rng = CounterRNG(12)
     # d = 1 and extreme eigenvectors of a diagonal pencil: the gradient, and so u, is 0
-    pencils = [(lemmas.random_spd(rng, 1), lemmas.random_symmetric(rng, 1), rng.gaussian(1))
+    pencils = [(_random_spd(rng, 1), _random_symmetric(rng, 1), rng.gaussian(1))
                for _ in range(6)]
     a, b = np.diag([0.5, 2.0, 1.0]), np.diag([0.9, -1.2, 0.1])
     pencils += [(a, b, np.eye(3)[0]), (a, b, -np.eye(3)[1]), (a, b, 3.0 * np.eye(3)[1])]
@@ -277,7 +294,7 @@ def _scaled_symmetrize(m):
 
 def _truncated_pair(a, b):
     pair = _EXACT["generalized_rate_pair"](a, b)
-    return pair._replace(rho_sup=float(np.floor(pair.rho_sup * 1e3) / 1e3))
+    return pair._replace(rho_sup=np.floor(pair.rho_sup * 1e3) / 1e3)
 
 
 def _inflated_eigh(s):
@@ -312,21 +329,27 @@ def _eigh_reconstruction_is_the_plant(f):
     return f["ortho"] <= 1e-10 and f["residual"] > 1e-9 > exact_residual
 
 
-@pytest.mark.parametrize("suite, target, plant, is_the_plant, count", [
-    (lemmas.check_domination, "spectral_norm", _shrunk_norm, _domination_is_the_plant, 2),
+@pytest.mark.parametrize("suite, target, plant, is_the_plant, count, digest", [
+    (lemmas.check_domination, "spectral_norm", _shrunk_norm, _domination_is_the_plant, 2,
+     "272ec3a29a2773ec0c9cf76fada01c37f834f351d4dccfe8bd039384f7b9ddf0"),
     (lemmas.check_norm_perturbation, "symmetrize", _scaled_symmetrize,
-     _norm_perturbation_is_the_plant, 20),
+     _norm_perturbation_is_the_plant, 20,
+     "e644779c9e23a54a06b8c87eee1cfe6e38d8bd44026d66afd3000b2392da7931"),
     (lemmas.check_rate_perturbation, "generalized_rate_pair", _truncated_pair,
-     _rate_perturbation_is_the_plant, 2),
+     _rate_perturbation_is_the_plant, 2,
+     "a73986d424e7b95fcc1e0a8f535d3b20049b770dddedd86b3b2099dfaaef6aa7"),
     (lemmas.check_eigh_reconstruction, "eigh", _inflated_eigh, _eigh_reconstruction_is_the_plant,
-     20),
+     20, "7a7f675e0432faf96722ea0e3d5b67faf04937949e7eb66497141ed37ea76823"),
 ], ids=["domination", "norm_perturbation", "rate_perturbation", "eigh_reconstruction"])
 def test_each_suite_records_a_planted_defect(monkeypatch, suite, target, plant, is_the_plant,
-                                             count):
+                                             count, digest):
     """A planted linalg defect yields failure records: each violates the suite's bound,
-    and exact linalg on the record's own fields shows that the plant, not the lemma, broke it."""
+    and exact linalg on the record's own fields shows that the plant, not the lemma, broke it.
+    The records are pinned bit for bit, as the one-trial-at-a-time suites wrote them, so a
+    suite that reorders, drops or re-rounds a record fails."""
     monkeypatch.setattr(linalg, target, plant)
     result = suite(trials=20, seed=0)
     monkeypatch.undo()
     assert not result.passed and len(result.failures) == count
     assert all(is_the_plant(f) for f in result.failures)
+    assert hashlib.sha256(report.dumps(result.failures).encode()).hexdigest() == digest

@@ -232,3 +232,58 @@ def test_symmetrizing_once_is_bitwise_the_old_composition(scale):
             lo = 0.0 if lo < linalg.SINGULAR_TOL * max(1.0, hi) else lo
             assert _same_bits(linalg.generalized_rate_pair(a, b), (lo, hi))
 
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_a_stack_is_bitwise_its_matrices_one_at_a_time(d):
+    rng = np.random.default_rng(800 + d)
+    g = rng.normal(size=(500, d, d))
+    a = g @ np.swapaxes(g, -1, -2) + 0.5 * np.eye(d)
+    b = rng.normal(size=(500, d, d))
+    b[0] = 0.0  # rho_inf snaps to 0 in one member only
+    lam, vec = linalg.eigh(b)
+    assert _same_bits(lam, [linalg.eigh(m).eigenvalues for m in b])
+    assert _same_bits(vec, [linalg.eigh(m).eigenvectors for m in b])
+    assert _same_bits(linalg.inv_sqrt(a), [linalg.inv_sqrt(m) for m in a])
+    assert _same_bits(linalg.spectral_norm(b), [linalg.spectral_norm(m) for m in b])
+    pairs = [linalg.generalized_rate_pair(x, y) for x, y in zip(a, b)]
+    assert pairs[0].rho_inf == 0.0 and all(type(v) is float for v in pairs[0])
+    assert _same_bits(np.stack(linalg.generalized_rate_pair(a, b), axis=-1), pairs)
+    # two leading axes are the same stack
+    grid = (20, 25, d, d)
+    assert _same_bits(linalg.eigh(b.reshape(grid)).eigenvalues.reshape(500, d), lam)
+    assert _same_bits(linalg.generalized_rate_pair(a.reshape(grid), b.reshape(grid)).rho_sup,
+                      [p.rho_sup for p in pairs])
+
+
+def _raised(fn, *args) -> Exception:
+    with pytest.raises(linalg.LinalgError) as err:
+        fn(*args)
+    return err.value
+
+
+def test_a_stack_raises_what_its_bad_member_raises_alone():
+    a = np.repeat(np.eye(3)[None], 5, 0)
+    a[2] = np.diag([1.0, -2.0, 3.0])
+    a[4] = np.diag([1.0, -5.0, 3.0])
+    b = np.repeat(np.diag([0.5, 0.25, 0.1])[None], 5, 0)
+    for fn, args, alone in [(linalg.inv_sqrt, (a,), (a[2],)),
+                            (linalg.generalized_rate_pair, (a, b), (a[2], b[2]))]:
+        stacked, single = _raised(fn, *args), _raised(fn, *alone)
+        assert type(stacked) is type(single) is linalg.NotPositiveDefinite
+        assert stacked.min_eigenvalue == single.min_eigenvalue == -2.0
+        assert str(stacked) == str(single)
+    a[2], a[4] = np.eye(3), np.eye(3)
+    b[3, 1, 2] = np.inf
+    for fn, args, alone in [(linalg.eigh, (b,), (b[3],)), (linalg.inv_sqrt, (b,), (b[3],)),
+                            (linalg.spectral_norm, (b,), (b[3],)),
+                            (linalg.generalized_rate_pair, (a, b), (a[3], b[3])),
+                            (linalg.generalized_rate_pair, (b, a), (b[3], a[3]))]:
+        stacked, single = _raised(fn, *args), _raised(fn, *alone)
+        assert type(stacked) is type(single) is linalg.InternalNumericalFailure
+    ragged = np.zeros((5, 3, 2))
+    for fn, arity in [(linalg.symmetrize, 1), (linalg.eigh, 1), (linalg.inv_sqrt, 1),
+                      (linalg.generalized_rate_pair, 2)]:
+        for m in (ragged, ragged[0]):
+            assert type(_raised(fn, *[m] * arity)) is linalg.DimensionMismatch
+    assert type(_raised(linalg.generalized_rate_pair, a, a[:4])) is linalg.DimensionMismatch
+    assert type(_raised(linalg.spectral_norm, b[0, 0])) is linalg.DimensionMismatch
