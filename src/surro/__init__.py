@@ -66,7 +66,6 @@ from .objectives import (
 )
 from .rates import (
     CurvatureFrame,
-    FDSpec,
     H4Violated,
     RateReport,
     SingularAcceleration,

@@ -26,7 +26,7 @@ from .latent import (
 )
 from .mirror_maps import BallMap, NegEntropyMap, QuadraticMap
 from .objectives import Quartic1D, QuadraticForm, ShiftedQuadratic, SmoothLogSumExp
-from .rates import REFERENCE_TOL, FDSpec
+from .rates import REFERENCE_TOL
 from .rng import CounterRNG
 from .surrogate import StopRule, SurrogateProblem
 
@@ -55,7 +55,6 @@ _count = _check(lambda v: _is_int(v) and v >= 1, "an integer >= 1")
 _seed = _check(lambda v: _is_int(v) and v >= 0, "an integer >= 0")
 _float = _check(_is_number, "a finite number", float)
 _positive = _check(lambda v: _is_number(v) and v > 0, "a positive number", float)
-_bool = _check(lambda v: isinstance(v, bool), "true or false")
 _mode = _check(lambda v: v in ("population", "sample"), "'population' or 'sample'")
 _ks = _check(lambda v: _int_list(v, 1) and v == sorted(v),
              "ascending integers >= 1 in a nonempty list")
@@ -158,8 +157,7 @@ _LATENT_MODELS = {
     "gaussian_latent": _Schema(GaussianLatentModel, dict.fromkeys(_GAUSSIAN, _float), _GAUSSIAN),
     "mixture": _Schema(TwoComponentMixture, {"theta_star": _float}, ("theta_star",)),
 }
-_STOP = _Schema(StopRule, {"max_iters": _int, "residual_tol": _float, "stall_window": _int})
-_FD = _Schema(FDSpec, {"step": _float, "richardson": _bool})
+_STOP = _Schema(StopRule, {"max_iters": _int, "residual_tol": _float})
 # k observations drawn from the model on the stream (seed, k)
 _DATA = _Schema(lambda model, k, seed=0: model.sample_y(k, CounterRNG((seed, k))),
                 {"k": _count, "seed": _seed}, ("k",))
@@ -220,7 +218,7 @@ _ALGO_COERCERS = {
 _algorithm = lambda make, required, optional=(): _Schema(
     make, {key: _ALGO_COERCERS[key] for key in required + optional}, required)
 _DESCENT = ("objective", "mirror_map", "eta", "domain")
-_COMMON_FIELDS = {"name", "algorithm", "seed", "theta0", "theta_star", "stop", "fd"}
+_COMMON_FIELDS = {"name", "algorithm", "seed", "theta0", "theta_star", "stop"}
 # algorithm -> schema of its own fields, whose constructor builds the problem
 _ALGO_FIELDS = {
     "gradient_descent": _algorithm(partial(_descent, mirror_descent_problem),
@@ -243,8 +241,6 @@ class Assembled:
     theta0: np.ndarray
     theta_star: np.ndarray | None  # None means locate automatically
     stop: StopRule
-    fd: FDSpec
-    seed: int
 
 
 def validate(cfg: dict) -> None:
@@ -263,7 +259,6 @@ def validate(cfg: dict) -> None:
         if key not in cfg:
             raise ConfigInvalid(f"{algo} requires field {key}", field=key)
     _parse(cfg.get("stop", {}), _STOP, "stop")
-    _parse(cfg.get("fd", {}), _FD, "fd")
 
 
 def _point(problem: SurrogateProblem, tol: float, seed: int | None = None) -> Callable:
@@ -292,9 +287,8 @@ def assemble(cfg: dict) -> Assembled:
         near = _point(problem, REFERENCE_TOL)
         theta_star = _field(cfg, "theta_star", lambda v: None if v == "auto" else near(v), "config",
                             "auto")
-    stop, fd = _parse(cfg.get("stop", {}), _STOP, "stop"), _parse(cfg.get("fd", {}), _FD, "fd")
-    return Assembled(str(cfg["name"]), cfg["algorithm"], problem, theta0, theta_star, stop, fd,
-                     seed)
+    stop = _parse(cfg.get("stop", {}), _STOP, "stop")
+    return Assembled(str(cfg["name"]), cfg["algorithm"], problem, theta0, theta_star, stop)
 
 
 def load_config(path) -> dict:
@@ -320,4 +314,5 @@ def assemble_sweep(cfg: dict) -> tuple[str, object, list[int], list[int]]:
 
 
 def validate_sweep(cfg: dict) -> None:
+    """Schema-check a sweep config (bench/workloads.py calls it by this name)."""
     assemble_sweep(cfg)

@@ -164,15 +164,14 @@ def mirror_prox_problem(
 ) -> SurrogateProblem:
     """Extragradient surrogate: gradient evaluated at the mirror-descent half-step.
 
-    The half-step zeta = argmin eta grad f(theta)'u + D(u, theta) is the
-    problem's aux_step, so the half-step of any iterate can be derived from it.
+    The half-step zeta = argmin eta grad f(theta)'u + D(u, theta) is one
+    mirror-descent step, memoized since the prox surrogate queries it repeatedly.
     """
     _check_compat(f, phi, eta, domain)
     half_step = _MemoStep(_mirror_problem(f, phi, eta, domain, lambda theta: theta))
     gamma, beta = audit_prox_hypotheses(f, phi, eta, domain)
     return _mirror_problem(
         f, phi, eta, domain, half_step,
-        aux_step=half_step,
         label=f"mirror_prox(eta={eta:g}, gamma={gamma if gamma is not None else 'n/a'}, "
         f"beta={beta if beta is not None else 'n/a'})",
     )

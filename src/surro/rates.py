@@ -28,6 +28,7 @@ DEFAULT_BURN_IN = 0.3
 MIN_WINDOW_POINTS = 10
 DEFAULT_RATE_TOL = 0.02
 REFERENCE_TOL = 1e-9  # membership slack of a fixed point theta* given for analysis
+FD_STEP = 1e-4  # central-difference step relative to 1 + |theta*|, Richardson-refined
 
 
 class RatesError(SurroError):
@@ -44,18 +45,6 @@ class SingularAcceleration(RatesError):
 
 class InfeasiblePerturbation(RatesError):
     pass
-
-
-@dataclass(frozen=True)
-class FDSpec:
-    """Central finite differences with an optional Richardson refinement."""
-
-    step: float = 1e-4  # relative to 1 + |theta*|
-    richardson: bool = True
-
-    def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError("step must be positive")
 
 
 @dataclass(frozen=True)
@@ -76,7 +65,6 @@ class CurvatureFrame:
     b_tilde: np.ndarray
     asymmetry_diag: float
     rates: Optional[RatePair]
-    point: np.ndarray
 
     @property
     def d(self) -> int:
@@ -96,7 +84,8 @@ def direction_basis(domain: ConvexDomain, theta_star) -> np.ndarray:
     return domain.direction_basis()
 
 
-def _directional(gfun: Callable, base: np.ndarray, direction: np.ndarray, h: float, richardson: bool):
+def _directional(gfun: Callable, base: np.ndarray, direction: np.ndarray, h: float):
+    """Richardson-refined central difference of gfun along direction at base."""
     def probe(hh):
         try:
             plus = np.asarray(gfun(base + hh * direction), dtype=float)
@@ -111,8 +100,6 @@ def _directional(gfun: Callable, base: np.ndarray, direction: np.ndarray, h: flo
         return out
 
     coarse = probe(h)
-    if not richardson:
-        return coarse
     fine = probe(0.5 * h)
     return (4.0 * fine - coarse) / 3.0
 
@@ -120,15 +107,16 @@ def _directional(gfun: Callable, base: np.ndarray, direction: np.ndarray, h: flo
 def curvature_at(
     problem: SurrogateProblem,
     theta_star,
-    fd: FDSpec = FDSpec(),
+    *,
     prefer_analytic: bool = True,
 ) -> CurvatureFrame:
     """Curvature frame of the surrogate at a (near-)fixed point.
 
     Uses the problem's analytic second derivatives when present, otherwise
-    central differences of grad2 along direction-space columns, so constrained
-    problems are only ever probed inside their affine hull.  The mixed block
-    is symmetrized and its pre-symmetrization asymmetry retained.
+    Richardson-refined central differences of grad2 (step FD_STEP) along
+    direction-space columns, so constrained problems are only ever probed
+    inside their affine hull.  The mixed block is symmetrized and its
+    pre-symmetrization asymmetry retained.
 
     The rate pair of the reduced pencil is computed once here and carried
     by the frame; it is None when A~ is not positive-definite, which is also
@@ -136,7 +124,7 @@ def curvature_at(
     """
     star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     p = direction_basis(problem.domain, star)
-    h = fd.step * (1.0 + float(np.linalg.norm(star)))
+    h = FD_STEP * (1.0 + float(np.linalg.norm(star)))
 
     def block(analytic, probed, sign):
         """(ambient, reduced, asymmetry) of sign x one second-derivative block."""
@@ -144,7 +132,7 @@ def curvature_at(
             raw = sign * np.asarray(analytic(star, star), dtype=float)
             ambient = linalg.symmetrize(raw)
             return ambient, linalg.symmetrize(p.T @ ambient @ p), linalg.asymmetry(raw)
-        cols = [_directional(probed, star, p[:, j], h, fd.richardson) for j in range(p.shape[1])]
+        cols = [_directional(probed, star, p[:, j], h) for j in range(p.shape[1])]
         raw = sign * (p.T @ np.column_stack(cols))
         reduced = linalg.symmetrize(raw)
         return p @ reduced @ p.T, reduced, linalg.asymmetry(raw)
@@ -165,7 +153,6 @@ def curvature_at(
         b_tilde=b_tilde,
         asymmetry_diag=float(asym),
         rates=rates,
-        point=star.copy(),
     )
 
 
@@ -337,29 +324,20 @@ def verdicts(
     )
 
 
-@dataclass(frozen=True)
-class ProxPrediction:
-    """Extragradient rates predicted from the underlying descent spectrum."""
-
-    rates: RatePair
-    contraction: bool
-
-
-def mirror_prox_spectrum_map(md_frame: CurvatureFrame) -> ProxPrediction:
-    """Push the descent spectrum through x -> x^2 - x + 1.
+def mirror_prox_spectrum_map(md_frame: CurvatureFrame) -> RatePair:
+    """Extragradient rate pair: the descent spectrum pushed through x -> x^2 - x + 1.
 
     The extragradient scheme's reduced pencil equals that polynomial in the
     descent pencil, so its rate pair is read off the mapped spectrum.  Values
-    map into [3/4, 1) exactly when the descent spectrum lies in (0, 1);
-    anything outside is flagged as a non-contraction.
+    map into [3/4, 1) exactly when the descent spectrum lies in (0, 1); the
+    scheme contracts when rho_sup < 1.
     """
     try:
         spectrum = linalg.whitened_eigenvalues(md_frame.a_tilde, md_frame.b_tilde)
     except NotPositiveDefinite as exc:
         raise H4Violated(str(exc)) from exc
     abs_mapped = np.abs(spectrum**2 - spectrum + 1.0)
-    rates = RatePair(float(abs_mapped.min()), float(abs_mapped.max()))
-    return ProxPrediction(rates=rates, contraction=rates.rho_sup < 1.0)
+    return RatePair(float(abs_mapped.min()), float(abs_mapped.max()))
 
 
 def alpha_transform(md_rates: RatePair, alpha: float) -> float:

@@ -6,6 +6,7 @@ all files use bare newlines, so identical runs produce byte-identical files.
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -32,8 +33,7 @@ def _json_value(obj, indent: int) -> str:
     if isinstance(obj, (float, np.floating)):
         return fmt(obj)
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{out}"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
         return _json_value(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
@@ -44,9 +44,8 @@ def _json_value(obj, indent: int) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [
-            f'{inner}"{k}": {_json_value(v, indent + 2)}' for k, v in obj.items()
-        ]
+        items = [f"{inner}{_json_value(str(k), 0)}: {_json_value(v, indent + 2)}"
+                 for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 

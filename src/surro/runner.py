@@ -12,8 +12,7 @@ from . import report
 from .config import assemble
 from .linalg import LinalgError
 from .rates import (
-    REFERENCE_TOL, CurvatureFrame, FDSpec, RateReport, RatesError, accelerate, curvature_at,
-    verdicts
+    REFERENCE_TOL, CurvatureFrame, RateReport, RatesError, accelerate, curvature_at, verdicts
 )
 from .surrogate import Trace, iterate
 
@@ -40,7 +39,7 @@ class ReportBundle(Analysis):
     plot_svg_path: Path | None
 
 
-def locate_fixed_point(problem, trace: Trace, fd) -> np.ndarray:
+def locate_fixed_point(problem, trace: Trace) -> np.ndarray:
     """Refine the trace's endpoint by one extrapolation step.
 
     Rate windows need the fixed point to more digits than the stopping
@@ -51,7 +50,7 @@ def locate_fixed_point(problem, trace: Trace, fd) -> np.ndarray:
         return trace.final.copy()
     prev, last = trace.iterates[-2], trace.iterates[-1]
     try:
-        frame = curvature_at(problem, prev, fd)
+        frame = curvature_at(problem, prev)
         refined = accelerate(prev, last, frame)
     except (RatesError, LinalgError, np.linalg.LinAlgError):
         return last.copy()
@@ -104,7 +103,7 @@ def rates_payload(name: str, algorithm: str, assembled_label: str, theta_star, f
     }
 
 
-def analyze(problem, theta0, theta_star=None, stop=None, fd: FDSpec = FDSpec()) -> Analysis:
+def analyze(problem, theta0, theta_star=None, stop=None) -> Analysis:
     """Iterate from theta0 and check the measured decay against the rate pair at theta*.
 
     With theta_star None the fixed point is located from the trace.  Raises
@@ -112,8 +111,8 @@ def analyze(problem, theta0, theta_star=None, stop=None, fd: FDSpec = FDSpec()) 
     """
     trace = iterate(problem, theta0, stop)
     if theta_star is None:
-        theta_star = locate_fixed_point(problem, trace, fd)
-    frame = curvature_at(problem, theta_star, fd)
+        theta_star = locate_fixed_point(problem, trace)
+    frame = curvature_at(problem, theta_star)
     rep = verdicts(trace, theta_star, frame, problem)
     return Analysis(trace, np.asarray(theta_star, dtype=float), frame, rep)
 
@@ -124,7 +123,7 @@ def run_experiment(cfg: dict, out_dir, plot: bool = False) -> ReportBundle:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    run = analyze(asm.problem, asm.theta0, asm.theta_star, asm.stop, asm.fd)
+    run = analyze(asm.problem, asm.theta0, asm.theta_star, asm.stop)
     trace, theta_star, rep = run.trace, run.theta_star, run.report
 
     header, rows = _trace_csv(trace, theta_star, rep.q_gaps)

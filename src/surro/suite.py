@@ -122,9 +122,9 @@ def e3_prox_spectrum_identity() -> ExperimentResult:
         center,
         np.array([0.2, 0.3, 0.5]),
     )
-    match_q = abs(rep_q.empirical_rate - pred_q.rates.rho_sup) <= 0.02
-    match_e = abs(rep_e.empirical_rate - pred_e.rates.rho_sup) <= 0.02
-    lower_ok = pred_q.rates.rho_inf >= 0.75 - 1e-9 and pred_e.rates.rho_inf >= 0.75 - 1e-9
+    match_q = abs(rep_q.empirical_rate - pred_q.rho_sup) <= 0.02
+    match_e = abs(rep_e.empirical_rate - pred_e.rho_sup) <= 0.02
+    lower_ok = pred_q.rho_inf >= 0.75 - 1e-9 and pred_e.rho_inf >= 0.75 - 1e-9
     return ExperimentResult(
         "E3",
         "extragradient spectrum map on quadratic and entropy-simplex setups",
@@ -132,12 +132,12 @@ def e3_prox_spectrum_identity() -> ExperimentResult:
         measured={
             "identity_gap_quadratic": gap_q,
             "identity_gap_entropy": gap_e,
-            "predicted_rate_quadratic": pred_q.rates.rho_sup,
+            "predicted_rate_quadratic": pred_q.rho_sup,
             "empirical_rate_quadratic": rep_q.empirical_rate,
-            "predicted_rate_entropy": pred_e.rates.rho_sup,
+            "predicted_rate_entropy": pred_e.rho_sup,
             "empirical_rate_entropy": rep_e.empirical_rate,
-            "prox_rho_inf_quadratic": pred_q.rates.rho_inf,
-            "prox_rho_inf_entropy": pred_e.rates.rho_inf,
+            "prox_rho_inf_quadratic": pred_q.rho_inf,
+            "prox_rho_inf_entropy": pred_e.rho_inf,
         },
     )
 

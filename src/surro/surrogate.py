@@ -2,11 +2,10 @@
 
 A `SurrogateProblem` packages the surrogate Q(theta, theta'), its partial
 derivatives in the second argument, the feasible set and optional extras
-(closed-form step, Lyapunov diagnostic, auxiliary half-step).  `iterate`
-repeatedly applies the inner minimizer and keeps the iterates and the reason
-it stopped.  Every other per-step series (residuals, surrogate values,
-half-steps, Lyapunov values) is a function of consecutive iterates and is
-derived where it is read.
+(closed-form step, Lyapunov diagnostic).  `iterate` repeatedly applies the
+inner minimizer and keeps the iterates and the reason it stopped.  Every
+other per-step series (residuals, surrogate values, Lyapunov values) is a
+function of consecutive iterates and is derived where it is read.
 
 A surrogate defined only on an open set, such as a mirror map's domain, is
 +inf outside it (the extended-value convention of convex analysis).  The
@@ -31,6 +30,7 @@ INNER_CAP = 500
 INNER_TOL = 1e-12
 ARMIJO_C = 1e-4
 STALL_RESOLUTION = 1e-8  # residuals at or below this, relative to 1 + max|theta|, may stall
+STALL_WINDOW = 20  # steps without a new best residual that make a stall
 
 
 class SurrogateError(SurroError):
@@ -60,21 +60,18 @@ class StopReason(enum.Enum):
 @dataclass(frozen=True)
 class StopRule:
     """Stop at max_iters steps, at a residual <= residual_tol, or after
-    stall_window steps without a new best residual once the best residual is
+    STALL_WINDOW steps without a new best residual once the best residual is
     at floating-point resolution (STALL_RESOLUTION relative to 1 + max|theta|).
     """
 
     max_iters: int = 10_000
     residual_tol: float = 1e-13
-    stall_window: int = 20
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not self.residual_tol > 0:
             raise ValueError("residual_tol must be positive")
-        if self.stall_window < 1:
-            raise ValueError("stall_window must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,6 @@ class SurrogateProblem:
     hess12: Optional[Callable] = None
     closed_form_step: Optional[Callable] = None
     lyapunov: Optional[Callable] = None
-    aux_step: Optional[Callable] = None
     label: str = ""
 
     def check_feasible(self, x) -> np.ndarray:
@@ -322,7 +318,7 @@ def iterate(problem: SurrogateProblem, theta0, stop: StopRule | None = None) -> 
                 elif best_residual <= STALL_RESOLUTION * (1.0 + float(abs(nxt).max())):
                     # a pre-asymptotic rise of the residual never counts as a stall
                     stalled_steps += 1
-                    if stalled_steps >= stop.stall_window:
+                    if stalled_steps >= STALL_WINDOW:
                         reason = StopReason.STALLED
                         break
     except FloatingPointError as exc:

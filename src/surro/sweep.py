@@ -74,7 +74,7 @@ def sample_rate_sweep(model, ks, seeds) -> SweepTable:
     `ks` must be ascending and nonempty; `seeds` nonempty.  The model must
     provide sample_y / sample_problem / population_rate / default_theta0
     (both shipped latent models do).  Each cell iterates under the default
-    StopRule and takes its curvature with the default FDSpec.
+    StopRule and takes its curvature with curvature_at (FD step FD_STEP).
     """
     ks = [int(k) for k in ks]
     seeds = [int(s) for s in seeds]

@@ -86,11 +86,18 @@ def test_run_verdict_failure_exits_two(tmp_path):
                 "eta": 0.4,
                 "theta0": [1.0, 1.0],
                 "theta_star": [0.5, 0.0],
-                "stop": {"max_iters": 200, "residual_tol": 1e-13, "stall_window": 20},
+                "stop": {"max_iters": 200, "residual_tol": 1e-13},
             }
         ),
     )
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+
+def test_run_with_control_characters_in_name_writes_readable_json(tmp_path):
+    cfg = dict(json.loads((CONFIGS / "gd_diag.json").read_text()), name="gd\tdiag\r")
+    assert main(["run", "--config", _write(tmp_path, "tab.json", json.dumps(cfg)),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert json.loads((tmp_path / "out" / "rates.json").read_text())["name"] == "gd\tdiag\r"
 
 
 def test_run_nonexistent_config_exits_one(tmp_path, capsys):

@@ -170,13 +170,13 @@ def test_theta_star_auto_and_bad_strings():
 def test_sweep_validation():
     good = {"name": "s", "model": {"type": "mixture", "theta_star": 1.0},
             "ks": [10, 20], "seeds": [0]}
-    validate_sweep(good)
+    assert validate_sweep(good) is None  # the name bench/workloads.py calls
     with pytest.raises(ConfigInvalid, match="seeds must be a nonempty list"):
-        validate_sweep(dict(good, seeds=[]))
+        assemble_sweep(dict(good, seeds=[]))
     with pytest.raises(ConfigInvalid, match="ks must be ascending"):
-        validate_sweep(dict(good, ks=[20, 10]))
+        assemble_sweep(dict(good, ks=[20, 10]))
     with pytest.raises(ConfigInvalid, match="unknown field"):
-        validate_sweep(dict(good, typo=1))
+        assemble_sweep(dict(good, typo=1))
 
 
 def test_assemble_sweep_returns_typed_fields():
@@ -216,7 +216,8 @@ MALFORMED = {
     "full_space_wrong_q": (_gd(domain={"type": "full_space", "q": 3}), "domain"),
     "stop_not_object": (_gd(stop=5), "stop"),
     "stop_max_iters_zero": (_gd(stop={"max_iters": 0}), "stop"),
-    "fd_negative_step": (_gd(fd={"step": -1}), "fd"),
+    "stop_stall_window": (_gd(stop={"max_iters": 100, "stall_window": 20}), "stall_window"),
+    "fd_block": (_gd(fd={"step": 1e-4, "richardson": True}), "fd"),
     "seed_string": (_gd(seed="x"), "seed"),
     "theta0_random_word": (_gd(theta0="random(x)"), "theta0"),
     "theta_star_wrong_length": (_gd(theta_star=[0.0, 0.0, 0.0]), "theta_star"),
@@ -316,6 +317,6 @@ def test_mutated_bundled_configs_assemble_or_name_the_field(data):
     else:
         parent[path[-1]] = data.draw(JSON_VALUES)
     try:
-        validate_sweep(cfg) if is_sweep else assemble(cfg)
+        assemble_sweep(cfg) if is_sweep else assemble(cfg)
     except ConfigInvalid as exc:
         assert exc.field is not None, str(exc)

@@ -149,7 +149,8 @@ def test_prox_fixed_point_coincides_with_descent_fixed_point():
     prox = mirror_prox_problem(ShiftedQuadratic(center), NegEntropyMap(3), 0.2, Simplex(3))
     out = inner_minimize(prox, center)
     assert np.linalg.norm(out - center) <= 1e-10
-    zeta = prox.aux_step(center)
+    half = mirror_descent_problem(ShiftedQuadratic(center), NegEntropyMap(3), 0.2, Simplex(3))
+    zeta = inner_minimize(half, center)
     assert np.linalg.norm(zeta - center) <= 1e-10
 
 
@@ -164,9 +165,10 @@ def test_prox_scalar_composition_multiplier():
 def test_prox_records_half_steps_in_trace():
     f = QuadraticForm(np.eye(1))
     prox = mirror_prox_problem(f, QuadraticMap(1), 0.4, FullSpace(1))
+    half = mirror_descent_problem(f, QuadraticMap(1), 0.4, FullSpace(1))
     trace = iterate(prox, np.array([1.0]))
-    assert prox.aux_step is not None and len(trace) > 1
-    half_steps = [prox.aux_step(t) for t in trace.iterates[:-1]]
+    assert len(trace) > 1
+    half_steps = [inner_minimize(half, t) for t in trace.iterates[:-1]]
     # the half step is the plain gradient step
     assert half_steps[0][0] == pytest.approx(0.6, abs=1e-12)
 

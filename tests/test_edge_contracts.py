@@ -32,9 +32,9 @@ from surro.mirror_maps import (
 from surro.objectives import (
     CustomObjective, ObjectiveError, QuadraticForm, ShiftedQuadratic, SmoothLogSumExp
 )
-from surro.rates import FDSpec, InfeasiblePerturbation, curvature_at, verdicts
+from surro.rates import InfeasiblePerturbation, curvature_at, verdicts
 from surro.rng import CounterRNG
-from surro.surrogate import InfeasibleInput, StopRule, SurrogateProblem, iterate
+from surro.surrogate import InfeasibleInput, StopRule, SurrogateProblem, inner_minimize, iterate
 
 
 _SQUARE = Box(np.zeros(2), np.ones(2))
@@ -58,7 +58,6 @@ REFUSALS = {
                           "scale must be positive"),
     "custom_without_hessian": (lambda: _LINE.hess(np.zeros(1)), ObjectiveError, "no Hessian"),
     "stop_residual_tol": (lambda: StopRule(residual_tol=0.0), ValueError, "residual_tol"),
-    "stop_stall_window": (lambda: StopRule(stall_window=0), ValueError, "stall_window"),
     "spectral_norm_vector": (lambda: linalg.spectral_norm(np.ones(3)), linalg.DimensionMismatch,
                              "expected a matrix"),
     "eta_zero": (lambda: mirror_descent_problem(_LINE, QuadraticMap(1), 0.0, FullSpace(1)),
@@ -159,18 +158,20 @@ def test_lapack_failure_raises_internal_failure(monkeypatch):
 
 def test_prox_aux_iterates_stay_feasible():
     center = np.array([0.5, 0.3, 0.2])
-    prox = mirror_prox_problem(ShiftedQuadratic(center), NegEntropyMap(3), 0.2, Simplex(3))
+    setup = (ShiftedQuadratic(center), NegEntropyMap(3), 0.2, Simplex(3))
+    prox, half = mirror_prox_problem(*setup), mirror_descent_problem(*setup)
     trace = iterate(prox, np.array([0.2, 0.3, 0.5]), StopRule(max_iters=60))
     for point in trace.iterates[:-1]:
-        assert Simplex(3).contains(prox.aux_step(point), tol=1e-12)
+        assert Simplex(3).contains(inner_minimize(half, point), tol=1e-12)
 
     ball = EuclideanBall(np.zeros(2), 1.0)
-    prox = mirror_prox_problem(ShiftedQuadratic(np.array([0.3, -0.2])), BallMap(2, 4.0), 0.4, ball)
+    setup = (ShiftedQuadratic(np.array([0.3, -0.2])), BallMap(2, 4.0), 0.4, ball)
+    prox, half = mirror_prox_problem(*setup), mirror_descent_problem(*setup)
     trace = iterate(prox, np.array([0.9, 0.0]), StopRule(max_iters=40))
     for point in trace.iterates:
         assert ball.contains(point, tol=1e-12)
     for point in trace.iterates[:-1]:
-        assert ball.contains(prox.aux_step(point), tol=1e-12)
+        assert ball.contains(inner_minimize(half, point), tol=1e-12)
 
 
 def test_curvature_infeasible_perturbation_is_reported():
@@ -178,7 +179,7 @@ def test_curvature_infeasible_perturbation_is_reported():
     prob = mirror_descent_problem(ShiftedQuadratic(center), NegEntropyMap(3), 0.2, Simplex(3))
     corner = Simplex(3).project(np.array([1.0, 0.0, 0.0]))  # face point
     with pytest.raises(InfeasiblePerturbation):
-        curvature_at(prob, corner, FDSpec(step=1e-2), prefer_analytic=False)
+        curvature_at(prob, corner, prefer_analytic=False)
     # a probe that evaluates but returns an infinite gradient is reported the same way
     wall = SurrogateProblem(q=1, domain=FullSpace(1), eval_q=lambda t, u: 0.0,
                             grad2=lambda t, u: np.array([np.inf]) if u[0] > 0 else u - t)

@@ -144,7 +144,7 @@ def _generic_prox(target, r2, eta, radius):
     phi = _GenericBallMap(f.q, r2=r2)
     domain = _ReducedBall(np.zeros(f.q), radius)
     half_step = _MemoStep(_generic_mirror_problem(f, phi, eta, domain, lambda theta: theta))
-    return _generic_mirror_problem(f, phi, eta, domain, half_step, aux_step=half_step)
+    return _generic_mirror_problem(f, phi, eta, domain, half_step)
 
 
 def _assert_same_run(fast, generic, start, stop):

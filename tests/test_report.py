@@ -40,6 +40,13 @@ def test_dumps_is_valid_json_and_handles_numpy():
     assert '"e": [],\n  "f": {}\n}' in text
 
 
+def test_dumps_escapes_every_string_json_must_escape():
+    strings = [chr(c) for c in range(0x20)] + ['"', "\\", "θ* — naïve", "gd\tdiag\r\n"]
+    payload = {"names": strings, "keys": {text: i for i, text in enumerate(strings)}}
+    assert json.loads(report.dumps(payload)) == payload
+    assert report.dumps("θ") == '"θ"\n'  # non-ASCII is written as itself
+
+
 def test_dumps_refuses_what_json_cannot_hold():
     for bad in ({1, 2}, object(), b"bytes"):
         with pytest.raises(TypeError, match="cannot serialize"):

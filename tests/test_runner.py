@@ -8,7 +8,7 @@ from surro.descent import mirror_descent_problem, mirror_prox_problem
 from surro.domains import Box, FullSpace, Simplex
 from surro.mirror_maps import NegEntropyMap, QuadraticMap
 from surro.objectives import QuadraticForm, ShiftedQuadratic
-from surro.rates import FDSpec, H4Violated, curvature_at, verdicts
+from surro.rates import H4Violated, curvature_at, verdicts
 from surro.surrogate import StopReason, StopRule, SurrogateProblem, Trace, iterate
 
 
@@ -20,11 +20,11 @@ def _entropy_prox():
 
 def test_analyze_matches_the_hand_written_sequence():
     prob, theta0, star = _entropy_prox()
-    stop, fd = StopRule(max_iters=400), FDSpec(step=1e-5)
-    got = runner.analyze(prob, theta0, star, stop, fd)
+    stop = StopRule(max_iters=400)
+    got = runner.analyze(prob, theta0, star, stop)
 
     trace = iterate(prob, theta0, stop)
-    frame = curvature_at(prob, star, fd)
+    frame = curvature_at(prob, star)
     rep = verdicts(trace, star, frame, prob)
     assert got.report == rep
     assert got.passed is rep.passed
@@ -39,9 +39,9 @@ def test_analyze_locates_the_fixed_point_only_when_not_given(monkeypatch):
     calls = []
     original = runner.locate_fixed_point
 
-    def spy(problem, trace, fd):
+    def spy(problem, trace):
         calls.append(len(trace))
-        return original(problem, trace, fd)
+        return original(problem, trace)
 
     monkeypatch.setattr(runner, "locate_fixed_point", spy)
     prob = mirror_descent_problem(
@@ -90,6 +90,6 @@ _STILL = SurrogateProblem(
 ], ids=["extrapolated", "short_trace", "singular", "jump", "infeasible"])
 def test_locate_fixed_point_extrapolates_or_keeps_the_last_iterate(problem, points, expected):
     trace = Trace([np.array([x]) for x in points], StopReason.CONVERGED)
-    located = runner.locate_fixed_point(problem, trace, FDSpec())
+    located = runner.locate_fixed_point(problem, trace)
     assert located.tolist() == [expected]
     assert located is not trace.final

@@ -209,13 +209,13 @@ def test_stall_detection_terminates():
     # a sign flip at 1e-10 never meets the tolerance, and its residual sits at
     # floating-point resolution, where a run without progress stalls
     prob = _map_problem(lambda t: -t)
-    trace = iterate(prob, np.array([1e-10]), StopRule(max_iters=500, stall_window=20))
+    trace = iterate(prob, np.array([1e-10]), StopRule(max_iters=500))
     assert trace.stop_reason is StopReason.STALLED
     assert len(trace) <= 30
 
     # a fixed translation keeps its residual far above resolution: no stall
     prob = _map_problem(lambda t: t + 1.0)
-    trace = iterate(prob, np.array([0.0]), StopRule(max_iters=500, stall_window=20))
+    trace = iterate(prob, np.array([0.0]), StopRule(max_iters=500))
     assert trace.stop_reason is StopReason.MAX_ITERS
     assert len(trace) == 501
 
@@ -331,7 +331,6 @@ def test_iterate_makes_one_inner_step_per_step_and_derives_nothing(path, monkeyp
         problem,
         eval_q=counted("eval_q", problem.eval_q),
         lyapunov=counted("lyapunov", problem.lyapunov or (lambda theta: 0.0)),
-        aux_step=counted("aux_step", problem.aux_step or (lambda theta: theta)),
     )
     original = surrogate.inner_minimize
     steps = []
