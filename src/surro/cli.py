@@ -110,8 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_ERROR if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (ConfigInvalid, SurroError) as exc:

@@ -209,11 +209,6 @@ class AlphaIndex:
         return (1.0 - x**self.alpha) / (self.alpha * (self.alpha - 1.0))
 
 
-def _hermite_rule(n: int):
-    z, w = np.polynomial.hermite_e.hermegauss(n)
-    return z, w / math.sqrt(2.0 * math.pi)
-
-
 class _GaussHermite:
     """Fixed-node Gaussian expectation; the node count is frozen per problem.
 
@@ -224,7 +219,8 @@ class _GaussHermite:
 
     def __init__(self, n: int):
         self.n = n
-        self.nodes, self.weights = _hermite_rule(n)
+        self.nodes, weights = np.polynomial.hermite_e.hermegauss(n)
+        self.weights = weights / math.sqrt(2.0 * math.pi)
 
     def expect(self, centers, scale, integrand):
         """Row-wise E[g(X)] for X ~ N(center_i, scale^2)."""
@@ -234,22 +230,21 @@ class _GaussHermite:
 
 def alpha_em_problem(
     model: GaussianLatentModel,
-    alpha: float | AlphaIndex,
+    alpha: float,
     mode: str = "population",
     data=None,
 ) -> SurrogateProblem:
-    """EM variant with the log replaced by the concave alpha family.
+    """EM variant with the log replaced by the concave alpha family (alpha != 1).
 
     The surrogate integral has no closed form for general alpha, so values and
     derivatives are computed by Gauss-Hermite quadrature centered at the
     relevant posterior means; the node count is chosen adaptively up front
     (doubling from 20 until two refinements agree to 1e-10) and then frozen.
     """
-    a_idx = alpha if isinstance(alpha, AlphaIndex) else AlphaIndex(float(alpha))
+    a_idx = AlphaIndex(float(alpha))
     al = a_idx.alpha
     sx2 = model.sigma_x2
-    s = model.marginal_var
-    wx = sx2 / s
+    wx = sx2 / model.marginal_var
     star = model.theta_star
 
     if mode == "population":
@@ -261,6 +256,7 @@ def alpha_em_problem(
         cell_weights = np.array([1.0])
         scale = math.sqrt(sx2)
         theta_ref = star
+        lyapunov = em_population_problem(model).lyapunov
     elif mode == "sample":
         if data is None:
             raise EmptyData("sample mode requires observations")
@@ -274,78 +270,57 @@ def alpha_em_problem(
         cell_weights = np.full(y.size, 1.0 / y.size)
         scale = math.sqrt(model.posterior_var)
         theta_ref = float(np.mean(y))
+        lyapunov = lambda theta: -model.observed_loglik(float(theta[0]), data)
     else:
         raise ModelError(f"unknown mode {mode!r}")
 
-    def log_ratio(x, t, u):
-        # log of the joint-density ratio between parameters u and t; the
-        # observation terms cancel, leaving an affine function of x
-        return (u - t) / sx2 * x - (u * u - t * t) / (2.0 * sx2)
+    def expectation(rule: _GaussHermite, theta, u, integrand) -> float:
+        """Cell-weighted E[integrand(log_ratio, x - u)] over the posterior of X at theta."""
+        t, up = float(theta[0]), float(u[0])
 
-    def make_eval(rule: _GaussHermite):
-        def eval_q(theta, u):
-            t, up = float(theta[0]), float(u[0])
-            vals = rule.expect(centers(t), scale, lambda x: a_idx.f(np.exp(log_ratio(x, t, up))))
-            return -float(cell_weights @ np.atleast_1d(vals))
+        def at_nodes(x):
+            # log of the joint-density ratio between parameters u and t; the
+            # observation terms cancel, leaving an affine function of x
+            log_ratio = (up - t) / sx2 * x - (up * up - t * t) / (2.0 * sx2)
+            return integrand(log_ratio, x - up)
 
-        return eval_q
+        return float(cell_weights @ np.atleast_1d(rule.expect(centers(t), scale, at_nodes)))
 
-    def make_grad(rule: _GaussHermite):
-        def grad2(theta, u):
-            t, up = float(theta[0]), float(u[0])
+    def value(rule, theta, u):
+        return -expectation(rule, theta, u, lambda lr, d: a_idx.f(np.exp(lr)))
 
-            def integrand(x):
-                return np.exp(al * log_ratio(x, t, up)) * (x - up)
-
-            vals = rule.expect(centers(t), scale, integrand)
-            return np.array([-float(cell_weights @ np.atleast_1d(vals)) / ((1.0 - al) * sx2)])
-
-        return grad2
-
-    def make_hess(rule: _GaussHermite):
-        def hess22(theta, u):
-            t, up = float(theta[0]), float(u[0])
-
-            def integrand(x):
-                d = x - up
-                return np.exp(al * log_ratio(x, t, up)) * (al * d * d / sx2 - 1.0)
-
-            vals = rule.expect(centers(t), scale, integrand)
-            return np.array([[-float(cell_weights @ np.atleast_1d(vals)) / ((1.0 - al) * sx2)]])
-
-        return hess22
-
-    # adapt the node count on probe pairs, then freeze it
+    # adapt the node count on probe pairs, each fine rule the next coarse one, then freeze it
     offset = 0.5 * (1.0 + abs(theta_ref))
     probes = [
         (np.array([theta_ref + offset]), np.array([theta_ref - 0.5 * offset])),
         (np.array([theta_ref - offset]), np.array([theta_ref + offset])),
     ]
-    n = QUAD_START_NODES
+    coarse = _GaussHermite(QUAD_START_NODES)
     while True:
-        coarse, fine = _GaussHermite(n), _GaussHermite(min(2 * n, QUAD_MAX_NODES))
-        ec, ef = make_eval(coarse), make_eval(fine)
-        gap = max(abs(ec(t, u) - ef(t, u)) / (1.0 + abs(ef(t, u))) for t, u in probes)
+        rule = _GaussHermite(min(2 * coarse.n, QUAD_MAX_NODES))
+        gap = max(
+            abs(value(coarse, t, u) - value(rule, t, u)) / (1.0 + abs(value(rule, t, u)))
+            for t, u in probes
+        )
         if gap < QUAD_TOL:
             break
-        if fine.n >= QUAD_MAX_NODES:
+        if rule.n >= QUAD_MAX_NODES:
             raise QuadratureFailure(
                 f"tolerance {QUAD_TOL:g} not reached at {QUAD_MAX_NODES} nodes (gap {gap:.3e})"
             )
-        n = fine.n
-    rule = _GaussHermite(min(2 * n, QUAD_MAX_NODES))
-
-    if mode == "sample":
-        lyapunov = lambda theta: -model.observed_loglik(float(theta[0]), data)
-    else:
-        lyapunov = em_population_problem(model).lyapunov
+        coarse = rule
+    denom = (1.0 - al) * sx2
 
     return SurrogateProblem(
         q=1,
         domain=FullSpace(1),
-        eval_q=make_eval(rule),
-        grad2=make_grad(rule),
-        hess22=make_hess(rule),
+        eval_q=lambda theta, u: value(rule, theta, u),
+        grad2=lambda theta, u: np.array(
+            [-expectation(rule, theta, u, lambda lr, d: np.exp(al * lr) * d) / denom]
+        ),
+        hess22=lambda theta, u: np.array([[-expectation(
+            rule, theta, u, lambda lr, d: np.exp(al * lr) * (al * d * d / sx2 - 1.0)
+        ) / denom]]),
         lyapunov=lyapunov,
         label=f"alpha_em(alpha={al:g}, mode={mode})",
     )

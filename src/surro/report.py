@@ -95,6 +95,8 @@ def svg_log_error_plot(errors, rho_sup: float | None, title: str = "") -> str:
     def sy(y):
         return mt + (y_hi - y) / (y_hi - y_lo) * (height - mt - mb)
 
+    # XML-escaped by hand: xml.sax.saxutils would load urllib (~3 MB) into every run
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -186,3 +187,44 @@ def test_quadrature_failure_when_node_cap_is_tiny(monkeypatch):
     monkeypatch.setattr(latent, "QUAD_MAX_NODES", 2)
     with pytest.raises(QuadratureFailure):
         alpha_em_problem(MODEL, 0.4, mode="population")
+
+
+DERIVATIVE_TOL = 1e-13  # on |float - reference| / (1 + |reference|)
+
+
+def _tilted_derivatives(model, alpha, t, u, cells, scale2):
+    """grad2 and hess22 at 50 digits by exponential tilting: with L = a x + b and
+    X ~ N(c, s2), E[e^{alpha L} g(X)] = M E[g(X')] where M = exp(alpha (a c + b) +
+    alpha^2 a^2 s2 / 2) and X' ~ N(c + alpha a s2, s2).  Each cell's posterior
+    center is c = t + wx (y - t) for its observation y (theta_star in population)."""
+    with mpmath.workdps(50):
+        sx2, sy2, s2, al = (
+            mpmath.mpf(v) for v in (model.sigma_x2, model.sigma_y2, scale2, alpha))
+        t, u = mpmath.mpf(t), mpmath.mpf(u)
+        a, b = (u - t) / sx2, -(u * u - t * t) / (2 * sx2)
+        grad = hess = mpmath.mpf(0)
+        for y in cells:
+            c = t + sx2 / (sx2 + sy2) * (mpmath.mpf(y) - t)
+            moment = mpmath.exp(al * (a * c + b) + al**2 * a**2 * s2 / 2)
+            d = c + al * a * s2 - u
+            grad += moment * d
+            hess += moment * (al * (d * d + s2) / sx2 - 1)
+        scale = len(cells) * (1 - al) * sx2
+        return -grad / scale, -hess / scale
+
+
+@pytest.mark.parametrize("mode", ["population", "sample"])
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, -0.5, 0.9])
+def test_derivatives_match_the_tilted_moment_oracle(alpha, mode):
+    data = MODEL.sample_y(9, CounterRNG(66)) if mode == "sample" else None
+    prob = alpha_em_problem(MODEL, alpha, mode=mode, data=data)
+    cells = [MODEL.theta_star] if mode == "population" else data
+    scale2 = MODEL.sigma_x2 if mode == "population" else MODEL.posterior_var
+    grid = (-0.5, 0.4, 1.0, 1.6, 2.5)
+    for t in grid:
+        for u in grid:
+            grad, hess = _tilted_derivatives(MODEL, alpha, t, u, cells, scale2)
+            got_grad = prob.grad2(np.array([t]), np.array([u]))[0]
+            got_hess = prob.hess22(np.array([t]), np.array([u]))[0, 0]
+            assert abs(got_grad - grad) <= DERIVATIVE_TOL * (1 + abs(grad)), (t, u)
+            assert abs(got_hess - hess) <= DERIVATIVE_TOL * (1 + abs(hess)), (t, u)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -98,6 +99,31 @@ def test_run_with_control_characters_in_name_writes_readable_json(tmp_path):
     assert main(["run", "--config", _write(tmp_path, "tab.json", json.dumps(cfg)),
                  "--out", str(tmp_path / "out")]) == 0
     assert json.loads((tmp_path / "out" / "rates.json").read_text())["name"] == "gd\tdiag\r"
+
+
+def test_run_plot_with_markup_in_name_writes_well_formed_svg(tmp_path):
+    name = "a<b & c>"
+    cfg = dict(json.loads((CONFIGS / "gd_diag.json").read_text()), name=name)
+    assert main(["run", "--config", _write(tmp_path, "markup.json", json.dumps(cfg)),
+                 "--out", str(tmp_path / "out"), "--plot"]) == 0
+    root = ElementTree.parse(tmp_path / "out" / "plot.svg").getroot()
+    assert root.find("{http://www.w3.org/2000/svg}text").text == name
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemmas", "--trials", "abc"], ["run", "--out", "x"], [],
+], ids=["bad_int", "missing_required", "no_command"])
+def test_usage_errors_exit_one_with_argparse_error_line(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "error:" in line] == [err[-1]]
+    assert err[-1].startswith("surro")
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert main(["run", "--help"]) == 0
+    assert "usage: surro" in capsys.readouterr().out
 
 
 def test_run_nonexistent_config_exits_one(tmp_path, capsys):
