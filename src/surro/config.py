@@ -14,6 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -231,6 +232,7 @@ _ALGO_FIELDS = {
     "newton": _algorithm(_newton, ("objective",), ("domain",)),
 }
 ALGORITHMS = tuple(_ALGO_FIELDS)
+CONFIG_DIR = Path(__file__).resolve().parent / "configs"  # the bundled configs
 
 
 @dataclass

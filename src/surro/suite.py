@@ -4,6 +4,23 @@ Every experiment checks one analytically tractable configuration end to end:
 build the problem, run it, extract curvature, and compare measured decay
 against the value the theory pins down.  All tolerances are fixed here; the
 suite passes or fails with no knobs.
+
+The problems are the bundled configs under `CONFIG_DIR`, assembled as
+`surro run` assembles them, with their theta0, theta* and stop rule:
+
+    E1   gd_diag
+    E2   gd_exact_rate
+    E3   entropy_simplex_md, and it with "algorithm": "mirror_prox"
+         (the quadratic case is built here: no config holds it)
+    E4   em_population
+    E5   sweep_mixture and sweep_gaussian
+    E6   em_population, alpha_em_quarter, and it with "alpha": 0.5
+    E7   newton_quartic
+    E8   gd_diag and em_population
+    E9   mirror_prox_ball, from its own 8 starts
+    E10  none (the linear-algebra lemma suites)
+    E11  gd_diag and em_population
+    E12  em_population (the boundary counterexample is built here)
 """
 
 from __future__ import annotations
@@ -13,11 +30,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lemmas as lemma_suites
-from .descent import mirror_descent_problem, mirror_prox_problem, newton_problem
-from .domains import Box, EuclideanBall, FullSpace, Simplex
-from .latent import GaussianLatentModel, TwoComponentMixture, alpha_em_problem, em_population_problem
-from .mirror_maps import BallMap, NegEntropyMap, QuadraticMap
-from .objectives import Quartic1D, QuadraticForm, ShiftedQuadratic
+from .config import CONFIG_DIR, Assembled, assemble, assemble_sweep, load_config
+from .descent import mirror_descent_problem, mirror_prox_problem
+from .domains import Box, FullSpace
+from .mirror_maps import QuadraticMap
+from .objectives import QuadraticForm
 from .rates import (
     accelerate,
     alpha_transform,
@@ -31,7 +48,7 @@ from .rates import (
 )
 from .rng import CounterRNG
 from .runner import analyze
-from .surrogate import StopRule, SurrogateProblem, inner_minimize, iterate
+from .surrogate import SurrogateProblem, inner_minimize, iterate
 from .sweep import sample_rate_sweep
 
 
@@ -47,14 +64,22 @@ class ExperimentResult:
         return f"{self.name:4s} {status}  {self.description}"
 
 
-def _gd_problem(diag, eta):
-    f = QuadraticForm(np.diag(diag))
-    return mirror_descent_problem(f, QuadraticMap(len(diag)), eta, FullSpace(len(diag)))
+def _config(name: str) -> dict:
+    return load_config(CONFIG_DIR / f"{name}.json")
+
+
+def _shipped(name: str, **changes) -> Assembled:
+    """The bundled config `name`, with the fields in `changes` replaced, assembled."""
+    return assemble(dict(_config(name), **changes))
+
+
+def _analyze(asm: Assembled):
+    return analyze(asm.problem, asm.theta0, asm.theta_star, asm.stop)
 
 
 def e1_gradient_descent_rate() -> ExperimentResult:
     """Quadratic objective diag(1,4), step 0.4: both rates 0.6, measured to 5e-3."""
-    rep = analyze(_gd_problem([1.0, 4.0], 0.4), np.array([1.0, 1.0]), np.zeros(2)).report
+    rep = _analyze(_shipped("gd_diag")).report
     theory_gap = max(abs(rep.theory.rho_inf - 0.6), abs(rep.theory.rho_sup - 0.6))
     emp_gap = abs(rep.empirical_rate - 0.6)
     all_pass = all(v == "pass" for v in rep.verdicts.values())
@@ -73,7 +98,7 @@ def e1_gradient_descent_rate() -> ExperimentResult:
 
 def e2_exact_rate_regime() -> ExperimentResult:
     """diag(1,1.5), step 0.4: rate pair (0.4, 0.6) sits in the exact-rate regime."""
-    rep = analyze(_gd_problem([1.0, 1.5], 0.4), np.array([1.0, 1.0]), np.zeros(2)).report
+    rep = _analyze(_shipped("gd_exact_rate")).report
     pair_ok = abs(rep.theory.rho_inf - 0.4) <= 1e-9 and abs(rep.theory.rho_sup - 0.6) <= 1e-9
     regime_ok = rep.theory.rho_sup**2 <= rep.theory.rho_inf
     emp_ok = abs(np.log(rep.empirical_rate) - np.log(0.6)) <= 0.02
@@ -90,38 +115,23 @@ def e2_exact_rate_regime() -> ExperimentResult:
     )
 
 
-def _prox_identity_case(f, phi, eta, domain, star, theta0):
-    md = mirror_descent_problem(f, phi, eta, domain)
-    prox = mirror_prox_problem(f, phi, eta, domain)
-    md_frame = curvature_at(md, star)
-    run = analyze(prox, theta0, star)
+def _prox_identity_case(md, run):
+    """The mirror-prox run's pencil against the map of the descent pencil at its theta*."""
+    md_frame = curvature_at(md, run.theta_star)
     s = np.linalg.solve(md_frame.a_tilde, md_frame.b_tilde)
     predicted_pencil = s @ s - s + np.eye(md_frame.d)
     actual_pencil = np.linalg.solve(run.frame.a_tilde, run.frame.b_tilde)
     identity_gap = float(np.max(np.abs(actual_pencil - predicted_pencil)))
-    pred = mirror_prox_spectrum_map(md_frame)
-    return identity_gap, pred, run.report
+    return identity_gap, mirror_prox_spectrum_map(md_frame), run.report
 
 
 def e3_prox_spectrum_identity() -> ExperimentResult:
     """Extragradient pencil equals x^2-x+1 of the descent pencil; rates match traces."""
-    gap_q, pred_q, rep_q = _prox_identity_case(
-        QuadraticForm(np.diag([1.0, 1.25])),
-        QuadraticMap(2),
-        0.5,
-        FullSpace(2),
-        np.zeros(2),
-        np.array([1.0, 1.0]),
-    )
-    center = np.array([0.5, 0.3, 0.2])
-    gap_e, pred_e, rep_e = _prox_identity_case(
-        ShiftedQuadratic(center),
-        NegEntropyMap(3),
-        0.2,
-        Simplex(3),
-        center,
-        np.array([0.2, 0.3, 0.5]),
-    )
+    quadratic = (QuadraticForm(np.diag([1.0, 1.25])), QuadraticMap(2), 0.5, FullSpace(2))
+    prox_q = analyze(mirror_prox_problem(*quadratic), np.array([1.0, 1.0]), np.zeros(2))
+    gap_q, pred_q, rep_q = _prox_identity_case(mirror_descent_problem(*quadratic), prox_q)
+    prox_e = _analyze(_shipped("entropy_simplex_md", algorithm="mirror_prox"))
+    gap_e, pred_e, rep_e = _prox_identity_case(_shipped("entropy_simplex_md").problem, prox_e)
     match_q = abs(rep_q.empirical_rate - pred_q.rho_sup) <= 0.02
     match_e = abs(rep_e.empirical_rate - pred_e.rho_sup) <= 0.02
     lower_ok = pred_q.rho_inf >= 0.75 - 1e-9 and pred_e.rho_inf >= 0.75 - 1e-9
@@ -144,12 +154,10 @@ def e3_prox_spectrum_identity() -> ExperimentResult:
 
 def e4_population_em_ratio() -> ExperimentResult:
     """Equal variances: the infinite-data EM contracts at exactly one half."""
-    model = GaussianLatentModel(1.0, 1.0, theta_star=1.0)
-    prob = em_population_problem(model)
-    star = np.array([1.0])
-    run = analyze(prob, np.array([2.0]), star)
+    em = _shipped("em_population")
+    run = _analyze(em)
     frame, rep = run.frame, run.report
-    frame_fd = curvature_at(prob, star, prefer_analytic=False)
+    frame_fd = curvature_at(em.problem, em.theta_star, prefer_analytic=False)
     curv_gap = max(
         abs(frame.a_tilde[0, 0] - 1.0),
         abs(frame.b_tilde[0, 0] - 0.5),
@@ -176,10 +184,8 @@ def e4_population_em_ratio() -> ExperimentResult:
 
 def e5_sample_rate_convergence() -> ExperimentResult:
     """Sample rates settle on the infinite-data rate as the dataset grows."""
-    ks = [100, 400, 1600, 6400]
-    seeds = list(range(16))
-    mix = sample_rate_sweep(TwoComponentMixture(theta_star=1.0), ks, seeds)
-    gauss = sample_rate_sweep(GaussianLatentModel(1.0, 1.0, theta_star=1.0), ks, seeds)
+    mix, gauss = (sample_rate_sweep(*assemble_sweep(_config(name))[1:])
+                  for name in ("sweep_mixture", "sweep_gaussian"))
     medians = [row.median_abs_dev for row in mix.summary]
     decreasing = all(a > b for a, b in zip(medians, medians[1:]))
     gauss_max = max(row.abs_dev for row in gauss.rows)
@@ -193,19 +199,18 @@ def e5_sample_rate_convergence() -> ExperimentResult:
 
 def e6_alpha_em_optimum() -> ExperimentResult:
     """Index 1/2 kills the rate entirely; index 1/4 lands on the mapped value 1/3."""
-    model = GaussianLatentModel(1.0, 1.0, theta_star=1.0)
-    star = np.array([1.0])
-    em_rates = theoretical_rates(curvature_at(em_population_problem(model), star))
+    em = _shipped("em_population")
+    em_rates = theoretical_rates(curvature_at(em.problem, em.theta_star))
     alpha_opt, rho_opt = optimal_alpha(em_rates)
 
-    prob_half = alpha_em_problem(model, 0.5, mode="population")
-    trace_half = iterate(prob_half, np.array([2.0]))
-    est_half = decay_estimate(trace_half.errors(star), default_floor(star))
+    def decay(asm):
+        trace = iterate(asm.problem, asm.theta0, asm.stop)
+        return decay_estimate(trace.errors(asm.theta_star), default_floor(asm.theta_star))
 
-    prob_quarter = alpha_em_problem(model, 0.25, mode="population")
-    trace_quarter = iterate(prob_quarter, np.array([2.0]))
-    est_quarter = decay_estimate(trace_quarter.errors(star), default_floor(star))
-    predicted_quarter = alpha_transform(em_rates, 0.25)
+    est_half = decay(_shipped("alpha_em_quarter", alpha=0.5))
+    quarter_cfg = _config("alpha_em_quarter")
+    est_quarter = decay(assemble(quarter_cfg))
+    predicted_quarter = alpha_transform(em_rates, quarter_cfg["alpha"])
 
     ok = (
         abs(alpha_opt - 0.5) <= 1e-9
@@ -229,12 +234,11 @@ def e6_alpha_em_optimum() -> ExperimentResult:
 
 def e7_newton_curvature() -> ExperimentResult:
     """Newton: identity/zero curvature at the minimum, quadratic residual decay."""
-    prob = newton_problem(Quartic1D())
-    star = np.zeros(1)
-    frame = curvature_at(prob, star)
+    newton = _shipped("newton_quartic")
+    frame = curvature_at(newton.problem, newton.theta_star)
     curv_gap = max(abs(frame.a_tilde[0, 0] - 1.0), abs(frame.b_tilde[0, 0]))
-    trace = iterate(prob, np.array([1.0]))
-    errors = trace.errors(star)
+    trace = iterate(newton.problem, newton.theta0, newton.stop)
+    errors = trace.errors(newton.theta_star)
     quad_ok = all(
         errors[n + 1] <= 2.0 * errors[n] ** 2 + 1e-15
         for n in range(len(errors) - 1)
@@ -256,16 +260,8 @@ def e8_surrogate_gap_decay() -> ExperimentResult:
     """Surrogate values close their gap at least as fast as the iterates."""
     results = {}
     ok = True
-    for tag, builder, theta0, star in (
-        ("gd", lambda: _gd_problem([1.0, 4.0], 0.4), np.array([1.0, 1.0]), np.zeros(2)),
-        (
-            "em",
-            lambda: em_population_problem(GaussianLatentModel(1.0, 1.0, theta_star=1.0)),
-            np.array([2.0]),
-            np.array([1.0]),
-        ),
-    ):
-        rep = analyze(builder(), theta0, star).report
+    for tag, name in (("gd", "gd_diag"), ("em", "em_population")):
+        rep = _analyze(_shipped(name)).report
         results[f"{tag}_q_gap_rate"] = rep.q_gap_rate
         results[f"{tag}_rho_sup"] = rep.theory.rho_sup
         ok = ok and rep.q_gap_rate is not None and rep.q_gap_rate <= rep.theory.rho_sup + 0.02
@@ -279,26 +275,24 @@ def e8_surrogate_gap_decay() -> ExperimentResult:
 
 def e9_ball_map_global_convergence() -> ExperimentResult:
     """Extragradient with the boundary-diverging ball map converges from anywhere."""
-    target = np.array([0.3, -0.2])
-    f = ShiftedQuadratic(target)
-    phi = BallMap(2, r2=4.0)
-    feasible = EuclideanBall(np.zeros(2), 1.0)
-    eta = 0.4  # strong convexity 2/r2 = 0.5, smoothness 1: eta < gamma/beta
-    prox = mirror_prox_problem(f, phi, eta, feasible)
+    cfg = _config("mirror_prox_ball")
+    prox = assemble(cfg)
     rng = CounterRNG(2024)
     starts = [np.array([1.0 - 1e-3, 0.0]), np.array([-(1.0 - 1e-3), 0.0])]
     while len(starts) < 8:
-        starts.append(feasible.sample(rng))
+        starts.append(prox.problem.domain.sample(rng))
     errors = []
     for theta0 in starts:
-        trace = iterate(prox, theta0, StopRule(max_iters=3000, residual_tol=1e-14))
-        errors.append(float(np.linalg.norm(trace.final - target)))
+        trace = iterate(prox.problem, theta0, prox.stop)
+        errors.append(float(np.linalg.norm(trace.final - prox.theta_star)))
     worst = max(errors)
     return ExperimentResult(
         "E9",
         "ball-map extragradient: 8 starts incl. near-boundary all reach the minimizer",
         passed=bool(worst <= 1e-10),
-        measured={"worst_error": worst, "errors": errors, "eta": eta, "gamma_over_beta": 0.5},
+        # gamma/beta: the ball map's strong convexity 2/r2 over the quadratic's smoothness 1
+        measured={"worst_error": worst, "errors": errors, "eta": cfg["eta"],
+                  "gamma_over_beta": 2.0 / cfg["mirror_map"]["r2"]},
     )
 
 
@@ -316,21 +310,17 @@ def e10_linalg_property_suites() -> ExperimentResult:
 
 def e11_acceleration() -> ExperimentResult:
     """One extrapolation step lands on the fixed point of affine iterations."""
-    model = GaussianLatentModel(1.0, 1.0, theta_star=1.0)
-    em = em_population_problem(model)
+    em = _shipped("em_population").problem
     theta_n = np.array([1.1])
     theta_n1 = inner_minimize(em, theta_n)
-    em_frame = curvature_at(em, theta_n)
-    em_acc = accelerate(theta_n, theta_n1, em_frame)
+    em_acc = accelerate(theta_n, theta_n1, curvature_at(em, theta_n))
     em_plain = abs(float(theta_n1[0]) - 1.0)
     em_err = abs(float(em_acc[0]) - 1.0)
 
-    gd = _gd_problem([1.0, 4.0], 0.4)
-    theta0 = np.array([1.0, 1.0])
-    theta1 = inner_minimize(gd, theta0)
-    gd_frame = curvature_at(gd, theta0)
-    gd_acc = accelerate(theta0, theta1, gd_frame)
-    gd_err = float(np.linalg.norm(gd_acc))
+    gd = _shipped("gd_diag")
+    theta1 = inner_minimize(gd.problem, gd.theta0)
+    gd_acc = accelerate(gd.theta0, theta1, curvature_at(gd.problem, gd.theta0))
+    gd_err = float(np.linalg.norm(gd_acc - gd.theta_star))
 
     passed = em_err <= 1e-8 and abs(em_plain - 0.05) <= 1e-12 and gd_err <= 1e-10
     return ExperimentResult(
@@ -343,8 +333,7 @@ def e11_acceleration() -> ExperimentResult:
 
 def e12_reparametrization() -> ExperimentResult:
     """Rates are invariant under interior changes of variables, not at the boundary."""
-    model = GaussianLatentModel(1.0, 1.0, theta_star=1.0)
-    em = em_population_problem(model)
+    em = _shipped("em_population")
 
     def psi(t):
         return t + 0.1 * t * t
@@ -355,7 +344,7 @@ def e12_reparametrization() -> ExperimentResult:
     def dpsi(t):
         return np.diag(1.0 + 0.2 * np.atleast_1d(t))
 
-    base, pulled = reparam_invariance_check(em, np.array([1.0]), psi, psi_inv, dpsi)
+    base, pulled = reparam_invariance_check(em.problem, em.theta_star, psi, psi_inv, dpsi)
     interior_gap = max(abs(base.rho_inf - pulled.rho_inf), abs(base.rho_sup - pulled.rho_sup))
 
     # boundary fixed point: quadratic-coupling surrogate on [1, 10]

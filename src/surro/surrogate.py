@@ -137,7 +137,7 @@ class Trace:
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 return np.array([float(problem.eval_q(cur, nxt)) for cur, nxt in zip(pts, pts[1:])])
-        except FloatingPointError as exc:
+        except ArithmeticError as exc:  # numpy's FloatingPointError, or a Python float's overflow
             raise SurrogateError(f"a surrogate value left the floating-point range: {exc}") from exc
 
 
@@ -276,6 +276,8 @@ def inner_minimize(problem: SurrogateProblem, theta) -> np.ndarray:
             hess=(lambda x: problem.hess22(th, x)) if problem.hess22 is not None else None,
             x0=th,
         )
+    except InnerSolveFailed:
+        raise  # a nested solve (mirror prox's half step) has named its own theta
     except SolveFailure as exc:
         raise InnerSolveFailed(f"inner minimization failed at theta={th}: {exc}") from exc
 
@@ -321,7 +323,7 @@ def iterate(problem: SurrogateProblem, theta0, stop: StopRule | None = None) -> 
                     if stalled_steps >= STALL_WINDOW:
                         reason = StopReason.STALLED
                         break
-    except FloatingPointError as exc:
+    except ArithmeticError as exc:  # numpy's FloatingPointError, or a Python float's overflow
         raise SurrogateError(f"step {n} left the floating-point range: {exc}") from exc
 
     return Trace(iterates=iterates, stop_reason=reason)

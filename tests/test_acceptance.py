@@ -6,11 +6,12 @@ criterion; the same experiments back `surro suite`.
 
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-from surro import cli
+from surro import cli, config, suite
 from surro.suite import REGISTRY, run_suite
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
@@ -105,6 +106,21 @@ def test_e12_reparametrization(results):
     assert r.measured["interior_gap"] <= 1e-5
     assert r.measured["original_rate"] == pytest.approx(0.5, abs=1e-3)
     assert r.measured["reparam_rate"] == pytest.approx(2.0, abs=1e-3)
+
+
+def test_experiments_read_the_bundled_configs(tmp_path, monkeypatch):
+    """E1 is gd_diag: a changed step size in the config moves E1's rates with it."""
+    configs = tmp_path / "configs"
+    shutil.copytree(config.CONFIG_DIR, configs)
+    cfg = json.loads((configs / "gd_diag.json").read_text())
+    (configs / "gd_diag.json").write_text(json.dumps(dict(cfg, eta=0.3)))
+    monkeypatch.setattr(suite, "CONFIG_DIR", configs)
+    r = suite.run_experiment("E1")
+    # diag(1, 4) at step 0.3: the iteration map's eigenvalues are 1 - 0.3 and 1 - 1.2
+    assert r.measured["rho_sup"] == pytest.approx(0.7)
+    assert r.measured["rho_inf"] == pytest.approx(0.2)
+    assert r.measured["empirical_rate"] == pytest.approx(0.7, abs=5e-3)
+    assert not r.passed
 
 
 def test_registry_is_complete(results):

@@ -12,9 +12,9 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from surro import cli, lemmas
 from surro.cli import main
+from surro.config import CONFIG_DIR
 
 REPO = Path(__file__).resolve().parents[1]
-CONFIGS = REPO / "src" / "surro" / "configs"
 DOCS = REPO / "docs"
 
 
@@ -25,7 +25,7 @@ def _write(tmp_path, name, text):
 
 
 def test_run_bundled_gd_config(tmp_path, capsys):
-    code = main(["run", "--config", str(CONFIGS / "gd_diag.json"), "--out", str(tmp_path)])
+    code = main(["run", "--config", str(CONFIG_DIR / "gd_diag.json"), "--out", str(tmp_path)])
     assert code == 0
     out = capsys.readouterr().out
     assert "all verdicts pass" in out
@@ -40,7 +40,8 @@ def test_run_bundled_gd_config(tmp_path, capsys):
 
 
 def test_run_newton_reports_superlinear(tmp_path):
-    code = main(["run", "--config", str(CONFIGS / "newton_quartic.json"), "--out", str(tmp_path)])
+    config = str(CONFIG_DIR / "newton_quartic.json")
+    code = main(["run", "--config", config, "--out", str(tmp_path)])
     assert code == 0
     rates = json.loads((tmp_path / "rates.json").read_text())
     assert rates["empirical"]["superlinear"] is True
@@ -51,7 +52,7 @@ def test_run_newton_reports_superlinear(tmp_path):
 def test_run_is_byte_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
-        assert main(["run", "--config", str(CONFIGS / "em_population.json"),
+        assert main(["run", "--config", str(CONFIG_DIR / "em_population.json"),
                      "--out", str(out), "--plot"]) == 0
     for name in ("trace.csv", "rates.json", "plot.svg"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
@@ -95,7 +96,7 @@ def test_run_verdict_failure_exits_two(tmp_path):
 
 
 def test_run_with_control_characters_in_name_writes_readable_json(tmp_path):
-    cfg = dict(json.loads((CONFIGS / "gd_diag.json").read_text()), name="gd\tdiag\r")
+    cfg = dict(json.loads((CONFIG_DIR / "gd_diag.json").read_text()), name="gd\tdiag\r")
     assert main(["run", "--config", _write(tmp_path, "tab.json", json.dumps(cfg)),
                  "--out", str(tmp_path / "out")]) == 0
     assert json.loads((tmp_path / "out" / "rates.json").read_text())["name"] == "gd\tdiag\r"
@@ -103,7 +104,7 @@ def test_run_with_control_characters_in_name_writes_readable_json(tmp_path):
 
 def test_run_plot_with_markup_in_name_writes_well_formed_svg(tmp_path):
     name = "a<b & c>"
-    cfg = dict(json.loads((CONFIGS / "gd_diag.json").read_text()), name=name)
+    cfg = dict(json.loads((CONFIG_DIR / "gd_diag.json").read_text()), name=name)
     assert main(["run", "--config", _write(tmp_path, "markup.json", json.dumps(cfg)),
                  "--out", str(tmp_path / "out"), "--plot"]) == 0
     root = ElementTree.parse(tmp_path / "out" / "plot.svg").getroot()
@@ -239,7 +240,7 @@ def test_console_script_entry_point(tmp_path):
 
 
 def test_run_that_overflows_exits_one_without_traceback(tmp_path):
-    cfg = json.loads((CONFIGS / "gd_diag.json").read_text())
+    cfg = json.loads((CONFIG_DIR / "gd_diag.json").read_text())
     cfg["eta"] = 1e300  # accepted by the schema; the iterates overflow on the first step
     path = _write(tmp_path, "huge_eta.json", json.dumps(cfg))
     proc = subprocess.run(
@@ -250,3 +251,39 @@ def test_run_that_overflows_exits_one_without_traceback(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_run_whose_python_floats_overflow_exits_one_without_traceback(tmp_path):
+    cfg = json.loads((CONFIG_DIR / "newton_quartic.json").read_text())
+    cfg["theta0"] = [1e200]  # the quartic's Hessian 3 v**2 + 1 overflows a Python float
+    path = _write(tmp_path, "huge_start.json", json.dumps(cfg))
+    proc = subprocess.run(
+        [sys.executable, "-m", "surro.cli", "run", "--config", path, "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_run_with_a_huge_rate_pair_reaches_its_verdicts(tmp_path):
+    # rho_sup ~ 2e299: the exact-regime test once squared it and raised OverflowError
+    cfg = {"name": "lse", "algorithm": "gradient_descent",
+           "objective": {"type": "log_sum_exp", "q": 2, "scale": 1e-300}, "eta": 0.4,
+           "theta0": [1.0, 1.0], "stop": {"max_iters": 50}}
+    path = _write(tmp_path, "lse.json", json.dumps(cfg))
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    rates = json.loads((tmp_path / "o" / "rates.json").read_text())
+    assert rates["theory"]["rho_sup"] > 1e154
+
+
+def test_mirror_prox_half_step_failure_is_reported_once(tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / "mirror_prox_ball.json").read_text())
+    cfg["eta"] = 1e6  # the half step's inner solve hits its iteration cap
+    path = _write(tmp_path, "huge_eta.json", json.dumps(cfg))
+    with pytest.warns(UserWarning, match="not below gamma/beta"):
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: inner minimization failed at theta=")
+    assert err.count("inner minimization failed") == 1

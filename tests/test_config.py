@@ -3,7 +3,6 @@
 import copy
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from surro.cli import main
-from surro.config import ConfigInvalid, assemble, assemble_sweep, validate, validate_sweep
+from surro.config import (
+    CONFIG_DIR, ConfigInvalid, assemble, assemble_sweep, validate, validate_sweep
+)
 from surro.domains import Simplex
-
-CONFIGS = Path(__file__).resolve().parents[1] / "src" / "surro" / "configs"
 
 
 def _base(algorithm, **extra):
@@ -279,7 +278,7 @@ def test_malformed_config_names_its_field(case, tmp_path, capsys):
 
 BUNDLED = [
     (path.stem.startswith("sweep"), json.loads(path.read_text()))
-    for path in sorted(CONFIGS.glob("*.json"))
+    for path in sorted(CONFIG_DIR.glob("*.json"))
 ]
 EDGE_NUMBERS = st.sampled_from([0, -1, 1, 2, 0.5, -0.5, 1e308, -1e308, math.nan, math.inf,
                                 -math.inf, 10**20])

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 import pytest
 
 from surro import linalg
-from surro.config import assemble, load_config
+from surro.config import CONFIG_DIR, assemble, load_config
 from surro.descent import _MemoStep, mirror_descent_problem, mirror_prox_problem
 from surro.domains import INTERIOR_MARGIN, DomainError, EuclideanBall, FullSpace, Simplex
 from surro.mirror_maps import (
@@ -55,8 +54,6 @@ from surro.surrogate import (
     iterate,
     minimize_smooth,
 )
-
-CONFIGS = Path(__file__).resolve().parents[1] / "src" / "surro" / "configs"
 
 
 def _converting_as_vector(x, q, error):
@@ -169,7 +166,7 @@ def test_e9_runs_are_bitwise_the_generic_formulas():
 
 
 def test_mirror_prox_ball_run_is_bitwise_the_generic_formulas():
-    cfg = load_config(CONFIGS / "mirror_prox_ball.json")
+    cfg = load_config(CONFIG_DIR / "mirror_prox_ball.json")
     assert cfg["objective"]["type"] == "shifted_quadratic"
     assert cfg["mirror_map"]["type"] == "ball" and cfg["domain"]["type"] == "ball"
     assert not any(cfg["domain"]["center"])
@@ -462,6 +459,8 @@ def _re_evaluating_inner_minimize(problem, theta, residual_accepts):
             problem.pull_inside,
             residual_accepts,
         )
+    except InnerSolveFailed:
+        raise  # the prox half step's failure, already naming its theta
     except SolveFailure as exc:
         raise InnerSolveFailed(f"inner minimization failed at theta={th}: {exc}") from exc
 
@@ -567,7 +566,7 @@ class _ConvertingSimplex(Simplex):
 
 
 def test_entropy_simplex_run_is_bitwise_the_converting_formulas():
-    cfg = load_config(CONFIGS / "entropy_simplex_md.json")
+    cfg = load_config(CONFIG_DIR / "entropy_simplex_md.json")
     assert cfg["mirror_map"]["type"] == "neg_entropy" and cfg["domain"]["type"] == "simplex"
     run = assemble(cfg)
     f, eta = ShiftedQuadratic(np.array(cfg["objective"]["target"], dtype=float)), cfg["eta"]

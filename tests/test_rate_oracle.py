@@ -6,18 +6,16 @@ call with `linalg.generalized_rate_pair`.
 """
 
 import json
-from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
 from surro import linalg
-from surro.config import assemble
+from surro.config import CONFIG_DIR, assemble
 from surro.rates import curvature_at
 
-CONFIGS = Path(__file__).resolve().parents[1] / "src" / "surro" / "configs"
-ALGORITHM_CONFIGS = sorted(p for p in CONFIGS.glob("*.json") if not p.name.startswith("sweep_"))
+ALGORITHM_CONFIGS = sorted(p for p in CONFIG_DIR.glob("*.json") if not p.name.startswith("sweep_"))
 ULPS = 4  # bound on |float - reference|: ULPS * eps * cond(A~) * max(1, rho)
 
 

@@ -2,12 +2,11 @@
 
 import dataclasses
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from surro.config import assemble
+from surro.config import CONFIG_DIR, assemble
 from surro.runner import analyze
 from surro.descent import mirror_descent_problem, mirror_prox_problem, newton_problem
 from surro.domains import AffineSlice, Box, FullSpace, Simplex
@@ -97,8 +96,7 @@ def test_curvature_newton_and_population_em():
     assert fd.b_tilde[0, 0] == pytest.approx(0.5, abs=1e-6)
 
 
-CONFIGS = Path(__file__).resolve().parents[1] / "src" / "surro" / "configs"
-ALGORITHM_CONFIGS = sorted(p for p in CONFIGS.glob("*.json") if not p.name.startswith("sweep_"))
+ALGORITHM_CONFIGS = sorted(p for p in CONFIG_DIR.glob("*.json") if not p.name.startswith("sweep_"))
 
 
 @pytest.mark.parametrize("path", ALGORITHM_CONFIGS, ids=lambda path: path.stem)
@@ -170,7 +168,7 @@ MAP_STEP = 1e-5
 def _fixed_point_case(name):
     if name == "e12_boundary":
         return _e12_boundary_problem(), np.array([1.0])
-    asm = assemble(json.loads((CONFIGS / f"{name}.json").read_text()))
+    asm = assemble(json.loads((CONFIG_DIR / f"{name}.json").read_text()))
     return asm.problem, asm.theta_star
 
 
@@ -342,6 +340,18 @@ def test_verdicts_newton_superlinear_convention():
     assert rep.verdicts["exact"] == "pass"  # zero rate pair, applicable at 0 <= 0
 
 
+@pytest.mark.parametrize(
+    "rho_sup, exact", [(0.6, "pass"), (1.9, "inapplicable"), (2.0, "inapplicable"),
+                       (1e200, "inapplicable")],
+)
+def test_exact_regime_is_decided_without_squaring_a_huge_rho_sup(rho_sup, exact):
+    # rho_sup**2 raises OverflowError on a Python float from about 1.3e154
+    prob = _gd([1.0, 1.5], 0.4)
+    trace = iterate(prob, np.array([1.0, 1.0]))
+    frame = dataclasses.replace(curvature_at(prob, np.zeros(2)), rates=RatePair(0.4, rho_sup))
+    assert verdicts(trace, np.zeros(2), frame, prob).verdicts["exact"] == exact
+
+
 def test_verdicts_population_em():
     em = em_population_problem(GaussianLatentModel(1.0, 1.0, theta_star=1.0))
     trace = iterate(em, np.array([2.0]))
@@ -371,7 +381,7 @@ def test_verdicts_boundary_point_marks_lower_inapplicable():
 
 
 def _entropy_from(start, theta_star):
-    cfg = json.loads((CONFIGS / "entropy_simplex_md.json").read_text())
+    cfg = json.loads((CONFIG_DIR / "entropy_simplex_md.json").read_text())
     return assemble(dict(cfg, theta0=f"random({start})", theta_star=theta_star))
 
 
@@ -380,7 +390,7 @@ def _entropy_from(start, theta_star):
 def test_entropy_random_starts_converge_and_pass(start, given):
     # near a face the residual rises for a while before it decays; that
     # transient once stopped these runs as stalled, far from the minimiser
-    cfg_star = json.loads((CONFIGS / "entropy_simplex_md.json").read_text())["theta_star"]
+    cfg_star = json.loads((CONFIG_DIR / "entropy_simplex_md.json").read_text())["theta_star"]
     asm = _entropy_from(start, cfg_star if given else "auto")
     run = analyze(asm.problem, asm.theta0, asm.theta_star, asm.stop)
     assert run.trace.stop_reason is StopReason.CONVERGED

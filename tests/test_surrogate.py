@@ -3,14 +3,13 @@
 import dataclasses
 import json
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import surro
 from surro import surrogate
-from surro.config import assemble
+from surro.config import CONFIG_DIR, assemble
 from surro.descent import mirror_descent_problem, newton_problem
 from surro.domains import AffineSlice, Box, FullSpace, Simplex
 from surro.latent import GaussianLatentModel, em_population_problem, em_sample_problem
@@ -244,6 +243,17 @@ def test_a_step_that_overflows_raises_surrogate_error():
         iterate(prob, np.array([1e5]), StopRule(max_iters=5))
 
 
+def test_python_float_overflow_raises_surrogate_error():
+    # Quartic1D's Hessian squares a Python float, which raises OverflowError, not
+    # numpy's FloatingPointError
+    prob = newton_problem(Quartic1D())
+    with pytest.raises(SurrogateError, match="step 0 left the floating-point range"):
+        iterate(prob, np.array([1e200]))
+    trace = surrogate.Trace([np.array([1e200]), np.array([0.0])], StopReason.MAX_ITERS)
+    with pytest.raises(SurrogateError, match="floating-point range"):
+        trace.q_values(prob)
+
+
 def _unreachable_hessian(x):
     raise AssertionError("no Newton step exists on this domain")
 
@@ -309,11 +319,8 @@ def test_inner_solve_failure_carries_step_index():
     assert err.value.step_index == 0
 
 
-CONFIGS = Path(__file__).resolve().parents[1] / "src" / "surro" / "configs"
-
-
 @pytest.mark.parametrize(
-    "path", sorted(p for p in CONFIGS.glob("*.json") if not p.name.startswith("sweep_")),
+    "path", sorted(p for p in CONFIG_DIR.glob("*.json") if not p.name.startswith("sweep_")),
     ids=lambda p: p.stem,
 )
 def test_iterate_makes_one_inner_step_per_step_and_derives_nothing(path, monkeypatch):
