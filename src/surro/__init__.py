@@ -73,7 +73,6 @@ from .rates import (
     alpha_transform,
     curvature_at,
     decay_estimate,
-    direction_basis,
     mirror_prox_spectrum_map,
     optimal_alpha,
     reparam_invariance_check,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -109,16 +110,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(message, *_) -> str:
+    return f"warning: {message}\n"  # one line, without the source location
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
         return EXIT_ERROR if exc.code else EXIT_OK
+    format_warning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.func(args)
     except (ConfigInvalid, SurroError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

@@ -94,7 +94,6 @@ def _mirror_problem(f: Objective, phi: MirrorMap, eta: float, domain: ConvexDoma
             return phi.closed_projection(domain, theta * np.exp(-eta * (g - np.min(g))))
 
     return SurrogateProblem(
-        q=f.q,
         domain=domain,
         eval_q=eval_q,
         grad2=grad2,
@@ -210,7 +209,6 @@ def newton_problem(f: Objective, domain: ConvexDomain | None = None) -> Surrogat
         return np.eye(f.q)
 
     return SurrogateProblem(
-        q=f.q,
         domain=dom,
         eval_q=eval_q,
         grad2=grad2,

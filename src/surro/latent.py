@@ -129,7 +129,6 @@ def em_population_problem(model: GaussianLatentModel) -> SurrogateProblem:
         return (t - star) ** 2 / (2.0 * s) + 0.5 * math.log(2.0 * math.pi * s) + 0.5
 
     return SurrogateProblem(
-        q=1,
         domain=FullSpace(1),
         eval_q=eval_q,
         grad2=grad2,
@@ -177,7 +176,6 @@ def em_sample_problem(model: GaussianLatentModel, data) -> SurrogateProblem:
         return np.array([(sy2 * t + sx2 * y_bar) / s])
 
     return SurrogateProblem(
-        q=1,
         domain=FullSpace(1),
         eval_q=eval_q,
         grad2=grad2,
@@ -312,7 +310,6 @@ def alpha_em_problem(
     denom = (1.0 - al) * sx2
 
     return SurrogateProblem(
-        q=1,
         domain=FullSpace(1),
         eval_q=lambda theta, u: value(rule, theta, u),
         grad2=lambda theta, u: np.array(
@@ -371,7 +368,6 @@ class TwoComponentMixture:
             return -float(np.mean(log_mix)) + const
 
         return SurrogateProblem(
-            q=1,
             domain=FullSpace(1),
             eval_q=eval_q,
             grad2=grad2,
@@ -384,11 +380,9 @@ class TwoComponentMixture:
     def population_rate(self) -> float:
         """Infinite-data rate E[Y^2 sech^2(theta* Y)], computed by quadrature."""
         rule = _GaussHermite(QUAD_MAX_NODES)
-        val = rule.expect(
-            np.array([self.theta_star]),
-            1.0,
-            lambda x: (x / np.cosh(self.theta_star * x)) ** 2,
-        )
+        with np.errstate(over="ignore"):  # where cosh overflows, sech^2 takes its limit 0
+            val = rule.expect(np.array([self.theta_star]), 1.0,
+                              lambda x: (x / np.cosh(self.theta_star * x)) ** 2)
         return float(val[0])
 
     def default_theta0(self) -> np.ndarray:

@@ -76,14 +76,6 @@ class CurvatureFrame:
         return self.rates is not None and self.rates.rho_sup < 1.0
 
 
-def direction_basis(domain: ConvexDomain, theta_star) -> np.ndarray:
-    """Orthonormal basis of the feasible-difference span, as q x d columns."""
-    point = np.atleast_1d(np.asarray(theta_star, dtype=float))
-    if not domain.contains(point, tol=REFERENCE_TOL):
-        raise RatesError(f"reference point {point} is outside the domain")
-    return domain.direction_basis()
-
-
 def _directional(gfun: Callable, base: np.ndarray, direction: np.ndarray, h: float):
     """Richardson-refined central difference of gfun along direction at base."""
     def probe(hh):
@@ -112,10 +104,11 @@ def curvature_at(
 ) -> CurvatureFrame:
     """Curvature frame of the surrogate at a (near-)fixed point.
 
-    Uses the problem's analytic second derivatives when present, otherwise
-    Richardson-refined central differences of grad2 (step FD_STEP) along
-    direction-space columns, so constrained problems are only ever probed
-    inside their affine hull.  The mixed block is symmetrized and its
+    theta* must lie in the domain within REFERENCE_TOL.  Uses the problem's
+    analytic second derivatives when present, otherwise Richardson-refined
+    central differences of grad2 (step FD_STEP) along direction-space
+    columns, so constrained problems are only ever probed inside their
+    affine hull.  The mixed block is symmetrized and its
     pre-symmetrization asymmetry retained.
 
     The rate pair of the reduced pencil is computed once here and carried
@@ -123,7 +116,9 @@ def curvature_at(
     when theoretical_rates raises H4Violated and h4_pass is False.
     """
     star = np.atleast_1d(np.asarray(theta_star, dtype=float))
-    p = direction_basis(problem.domain, star)
+    if not problem.domain.contains(star, tol=REFERENCE_TOL):
+        raise RatesError(f"reference point {star} is outside the domain")
+    p = problem.domain.direction_basis()  # orthonormal q x d columns spanning feasible differences
     h = FD_STEP * (1.0 + float(np.linalg.norm(star)))
 
     def block(analytic, probed, sign):
@@ -188,38 +183,36 @@ def decay_estimate(errors: np.ndarray, floor: float) -> DecayEstimate:
     e = np.asarray(errors, dtype=float)
     n = e.size
     start = int(math.floor(DEFAULT_BURN_IN * n))
-    usable = [i for i in range(start, n) if e[i] > floor]
-
-    ratios_all = [e[i + 1] / e[i] for i in range(n - 1) if e[i] > floor]
-    if len(usable) >= MIN_WINDOW_POINTS:
-        idx = np.array(usable)
-        usable_set = set(usable)
+    above = e > floor
+    idx = start + np.flatnonzero(above[start:])  # the window
+    if idx.size >= MIN_WINDOW_POINTS:
         slope = float(np.polyfit(idx, np.log(e[idx]), 1)[0])
-        pair_ratios = [e[i + 1] / e[i] for i in idx[:-1] if i + 1 in usable_set]
-        ratio = float(np.median(pair_ratios)) if pair_ratios else None
+        pairs = idx[:-1][above[idx[:-1] + 1]]  # both ends in the window
+        ratio = float(np.median(e[pairs + 1] / e[pairs])) if pairs.size else None
         return DecayEstimate(
             slope=slope,
             successive_ratio=ratio,
             rate=float(np.exp(slope)),
-            n_usable=len(usable),
+            n_usable=idx.size,
             superlinear=False,
             window_empty=False,
             window=(int(idx[0]), int(idx[-1])),
         )
 
-    if not ratios_all:
-        return DecayEstimate(None, None, 0.0, len(usable), False, True, (0, 0))
+    steps = np.flatnonzero(above[:-1])  # steps out of a point above the floor
+    if not steps.size:
+        return DecayEstimate(None, None, 0.0, idx.size, False, True, (0, 0))
 
-    last = float(ratios_all[-1])
+    first, last = (e[steps[[0, -1]] + 1] / e[steps[[0, -1]]]).tolist()
     collapsed = e[-1] <= 10.0 * floor
-    shrinking = last <= 0.5 * ratios_all[0] or len(ratios_all) == 1
+    shrinking = last <= 0.5 * first or steps.size == 1
     return DecayEstimate(
         slope=float(np.log(last)) if last > 0 else None,
         successive_ratio=last,
         rate=last,
-        n_usable=len(usable),
+        n_usable=idx.size,
         superlinear=bool(collapsed and shrinking),
-        window_empty=len(usable) == 0,
+        window_empty=not idx.size,
         window=(start, n - 1),
     )
 
@@ -249,7 +242,6 @@ class RateReport:
     span_warning: bool
     verdicts: dict[str, str]
     q_gaps: tuple[float, ...]
-    tol_rate: float = DEFAULT_RATE_TOL
 
     @property
     def passed(self) -> bool:
@@ -407,7 +399,6 @@ def reparam_invariance_check(
         return jac.T @ inner
 
     pulled = SurrogateProblem(
-        q=problem.q,
         domain=transformed_domain if transformed_domain is not None else problem.domain,
         eval_q=t_eval,
         grad2=t_grad2,

@@ -25,10 +25,9 @@ class CounterRNG:
     def gaussian(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller on consecutive uniform pairs."""
         m = (int(n) + 1) // 2
-        u1 = 1.0 - self.uniform(m)  # in (0, 1], keeps the log finite
-        u2 = self.uniform(m)
-        r = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * np.pi * u2
+        u = self.uniform(2 * m)
+        r = np.sqrt(-2.0 * np.log(1.0 - u[:m]))  # 1 - u in (0, 1] keeps the log finite
+        angle = 2.0 * np.pi * u[m:]
         z = np.empty(2 * m)
         np.multiply(r, np.cos(angle), out=z[:m])
         np.multiply(r, np.sin(angle), out=z[m:])

@@ -12,7 +12,8 @@ from . import report
 from .config import assemble
 from .linalg import LinalgError
 from .rates import (
-    REFERENCE_TOL, CurvatureFrame, RateReport, RatesError, accelerate, curvature_at, verdicts
+    DEFAULT_RATE_TOL, REFERENCE_TOL, CurvatureFrame, RateReport, RatesError, accelerate,
+    curvature_at, verdicts,
 )
 from .surrogate import Trace, iterate
 
@@ -90,7 +91,7 @@ def rates_payload(name: str, algorithm: str, assembled_label: str, theta_star, f
             "span_warning": rep.span_warning,
         },
         "verdicts": dict(rep.verdicts),
-        "tol_rate": rep.tol_rate,
+        "tol_rate": DEFAULT_RATE_TOL,
         "curvature": {
             "a_star": frame.a_star,
             "b_star": frame.b_star,

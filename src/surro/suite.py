@@ -349,7 +349,6 @@ def e12_reparametrization() -> ExperimentResult:
 
     # boundary fixed point: quadratic-coupling surrogate on [1, 10]
     boundary = SurrogateProblem(
-        q=1,
         domain=Box([1.0], [10.0]),
         eval_q=lambda t, u: float(t[0] ** 2 - t[0] * u[0] + u[0] ** 2),
         grad2=lambda t, u: np.array([2.0 * u[0] - t[0]]),

@@ -81,10 +81,9 @@ class SurrogateProblem:
     eval_q(theta, theta') is the surrogate value, grad2 its gradient in
     theta'.  hess22/hess12 are the (optional) analytic second derivatives
     d2Q/dtheta'^2 and d2Q/(dtheta dtheta'); when absent, consumers fall back
-    to finite differences of grad2.
+    to finite differences of grad2.  The dimension q is the domain's.
     """
 
-    q: int
     domain: ConvexDomain
     eval_q: Callable[[np.ndarray, np.ndarray], float]
     grad2: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -93,6 +92,10 @@ class SurrogateProblem:
     closed_form_step: Optional[Callable] = None
     lyapunov: Optional[Callable] = None
     label: str = ""
+
+    @property
+    def q(self) -> int:
+        return self.domain.q
 
     def check_feasible(self, x) -> np.ndarray:
         """x as a length-q vector in the feasible set; raises InfeasibleInput otherwise.

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -287,3 +288,18 @@ def test_mirror_prox_half_step_failure_is_reported_once(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: inner minimization failed at theta=")
     assert err.count("inner minimization failed") == 1
+
+
+def test_step_size_warning_is_one_line_without_a_source_location(tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / "mirror_prox_ball.json").read_text())
+    cfg["eta"] = 0.6  # gamma/beta = 0.5: the run converges, but the hypothesis audit warns
+    path = _write(tmp_path, "eta.json", json.dumps(cfg))
+    with warnings.catch_warnings():
+        # display warnings as the interpreter does, through formatwarning to stderr, in
+        # place of pytest's recorder
+        warnings.showwarning = lambda *args: sys.stderr.write(warnings.formatwarning(*args[:4]))
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: step size eta=0.6 is not below gamma/beta=0.5; "
+        "global convergence of the extragradient scheme is not guaranteed"
+    ]

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -201,8 +202,66 @@ def test_prox_hypothesis_audit_warns_on_large_step():
     assert MirrorMap().strong_convexity(FullSpace(2)) is None
 
 
+def _hessian(fun, x):
+    """Hessian of fun at the point x, by mpmath differentiation at the working precision."""
+    n = len(x)
+    h = mpmath.matrix(n, n)
+    for i in range(n):
+        for j in range(i, n):
+            order = [0] * n
+            order[i] += 1
+            order[j] += 1
+            h[i, j] = h[j, i] = mpmath.diff(fun, x, tuple(order))
+    return h
+
+
+def _spectrum_range(fun, points):
+    """Smallest and largest Hessian eigenvalue of fun over the points, at 50 digits."""
+    with mpmath.workdps(50):
+        eigs = [mpmath.eigsy(_hessian(fun, [mpmath.mpf(c) for c in p]), eigvals_only=True)
+                for p in points]
+        return min(min(e) for e in eigs), max(max(e) for e in eigs)
+
+
+def _half_square_distance(target):
+    return lambda *x: mpmath.fsum((c - t) ** 2 for c, t in zip(x, target)) / 2
+
+
+_UNIT_DISK = [(0.0, 0.0)] + [(r * math.cos(k * math.pi / 4), r * math.sin(k * math.pi / 4))
+                             for r in (0.25, 0.5, 0.75, 1.0) for k in range(8)]
+# barycentric lattice of step 1/8, kept 1e-3 inside the faces where the entropy is smooth
+_SIMPLEX_LATTICE = [tuple(1e-3 + (1.0 - 3e-3) * k / 8 for k in (i, j, 8 - i - j))
+                    for i in range(9) for j in range(9 - i)]
+# the shipped Mirror Prox setups: mirror_prox_ball and E3's entropy prox on entropy_simplex_md,
+# each with its map's Phi and its objective written out again for mpmath
+_PROX_SETUPS = {
+    "mirror_prox_ball": (
+        BallMap(2, r2=4.0), EuclideanBall([0.0, 0.0], 1.0), ShiftedQuadratic([0.3, -0.2]), 0.4,
+        lambda *x: (lambda s: s / (4 - s))(mpmath.fsum(c * c for c in x)), _UNIT_DISK),
+    "entropy_simplex_md": (
+        NegEntropyMap(3), Simplex(3), ShiftedQuadratic([0.5, 0.3, 0.2]), 0.2,
+        lambda *x: mpmath.fsum(c * mpmath.log(c) for c in x), _SIMPLEX_LATTICE),
+}
+
+
+@pytest.mark.parametrize("name", list(_PROX_SETUPS))
+def test_declared_gamma_and_beta_bound_the_hessian_spectra(name):
+    """gamma is at most the map's smallest Hessian eigenvalue on the domain and beta at least
+    the objective's largest, so eta < gamma/beta is the paper's Mirror Prox condition."""
+    phi, domain, f, eta, phi_mp, grid = _PROX_SETUPS[name]
+    assert all(domain.contains(np.array(p)) for p in grid)
+    gamma, beta = audit_prox_hypotheses(f, phi, eta, domain)
+    phi_lowest, _ = _spectrum_range(phi_mp, grid)
+    _, f_highest = _spectrum_range(_half_square_distance(f.target), grid)
+    slack = 1e-30  # of the 50-digit differentiation, far below a double's resolution
+    holds = lambda g, b: g <= phi_lowest + slack and b >= f_highest - slack
+    assert holds(gamma, beta)
+    # the grid is fine enough to catch a constant misdeclared by 10%
+    assert not holds(gamma, 0.9 * beta) and not holds(1.1 * gamma, beta)
+
+
 def test_half_step_memo_keeps_at_most_4097_points():
-    memo = _MemoStep(SurrogateProblem(q=1, domain=FullSpace(1), eval_q=None, grad2=None,
+    memo = _MemoStep(SurrogateProblem(domain=FullSpace(1), eval_q=None, grad2=None,
                                       closed_form_step=lambda t: 0.5 * t))
     first = memo(np.array([0.0]))
     assert memo(np.array([0.0])) is first

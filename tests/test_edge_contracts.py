@@ -128,7 +128,7 @@ _UNIT_BOX = Box(np.zeros(3), np.ones(3))
 )
 def test_contains_alone_rejects_non_finite_points(domain):
     problem = SurrogateProblem(
-        q=3, domain=domain, eval_q=lambda t, u: 0.0, grad2=lambda t, u: np.zeros(3)
+        domain=domain, eval_q=lambda t, u: 0.0, grad2=lambda t, u: np.zeros(3)
     )
     with np.errstate(all="raise"):
         for point in _non_finite_points():
@@ -181,7 +181,7 @@ def test_curvature_infeasible_perturbation_is_reported():
     with pytest.raises(InfeasiblePerturbation):
         curvature_at(prob, corner, prefer_analytic=False)
     # a probe that evaluates but returns an infinite gradient is reported the same way
-    wall = SurrogateProblem(q=1, domain=FullSpace(1), eval_q=lambda t, u: 0.0,
+    wall = SurrogateProblem(domain=FullSpace(1), eval_q=lambda t, u: 0.0,
                             grad2=lambda t, u: np.array([np.inf]) if u[0] > 0 else u - t)
     with pytest.raises(InfeasiblePerturbation, match="non-finite derivative probe"):
         curvature_at(wall, np.zeros(1))
@@ -253,7 +253,7 @@ def test_as_vector_returns_a_float_vector_itself_and_converts_the_rest():
 def test_a_wrong_shape_has_one_message_under_every_error_type(bad):
     shape = np.atleast_1d(bad).shape
     message = re.escape(f"expected a vector of length 3, got shape {shape}")
-    problem = SurrogateProblem(q=3, domain=FullSpace(3), eval_q=lambda t, u: 0.0,
+    problem = SurrogateProblem(domain=FullSpace(3), eval_q=lambda t, u: 0.0,
                                grad2=lambda t, u: np.zeros(3))
     for error, call in ((DomainError, FullSpace(3).contains), (DomainError, Simplex(3).project),
                         (MirrorError, BallMap(3, 4.0).value), (MirrorError, NegEntropyMap(3).grad),
@@ -265,7 +265,7 @@ def test_a_wrong_shape_has_one_message_under_every_error_type(bad):
 
 
 def test_a_non_finite_vector_passes_as_vector_and_fails_membership():
-    problem = SurrogateProblem(q=3, domain=Simplex(3), eval_q=lambda t, u: 0.0,
+    problem = SurrogateProblem(domain=Simplex(3), eval_q=lambda t, u: 0.0,
                                grad2=lambda t, u: np.zeros(3))
     with np.errstate(all="raise"):
         for point in _non_finite_points():

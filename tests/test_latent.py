@@ -172,6 +172,12 @@ def test_mixture_population_rate_against_monte_carlo():
     assert mix.population_rate() == pytest.approx(mc, rel=2e-2)
 
 
+@pytest.mark.parametrize("theta_star", [1e3, 1e300])
+def test_mixture_population_rate_takes_the_sech_limit_where_cosh_overflows(theta_star):
+    # at these nodes cosh(theta* x) overflows; sech^2 -> 0 there, without a RuntimeWarning
+    assert TwoComponentMixture(theta_star).population_rate() == 0.0
+
+
 def test_sample_rates_hooks_shared_by_both_models():
     for model in (GaussianLatentModel(1.0, 1.0, 0.5), TwoComponentMixture(1.0)):
         rng = CounterRNG(57)

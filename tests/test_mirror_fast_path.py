@@ -131,7 +131,7 @@ def _generic_mirror_problem(f, phi, eta, domain, at, **fields):
     def grad2(theta, u):
         return eta * f.grad(at(theta)) + phi.grad(u) - phi.grad(theta)
 
-    return _PullingProblem(q=f.q, domain=domain, eval_q=eval_q, grad2=grad2,
+    return _PullingProblem(domain=domain, eval_q=eval_q, grad2=grad2,
                            hess22=lambda theta, u: phi.hess(u),
                            pull_inside=getattr(phi, "pull_inside", None), **fields)
 

@@ -23,7 +23,6 @@ from surro.rates import (
     curvature_at,
     decay_estimate,
     default_floor,
-    direction_basis,
     mirror_prox_spectrum_map,
     optimal_alpha,
     reparam_invariance_check,
@@ -46,17 +45,22 @@ def _synthetic_trace(ratio, n, direction, theta_star):
 
 
 def test_direction_basis_variants():
-    np.testing.assert_allclose(direction_basis(FullSpace(3), np.zeros(3)), np.eye(3))
-    p = direction_basis(Simplex(2), np.array([0.5, 0.5]))
-    assert abs(abs(p[0, 0]) - 1 / np.sqrt(2)) < 1e-12 and p[0, 0] == -p[1, 0]
+    """A frame's basis is its domain's direction basis."""
     dom = AffineSlice([[1.0, 1.0, 1.0]], [1.0], Box([-2.0] * 3, [2.0] * 3))
-    p = direction_basis(dom, np.array([1 / 3] * 3))
-    np.testing.assert_allclose(np.array([[1.0, 1.0, 1.0]]) @ p, 0.0, atol=1e-12)
+    for domain, star in [(FullSpace(3), np.zeros(3)), (Simplex(2), np.array([0.5, 0.5])),
+                         (dom, np.array([1 / 3] * 3))]:
+        p = curvature_at(_pencil_problem([0.0] * domain.q, domain), star).basis
+        np.testing.assert_array_equal(p, domain.direction_basis())
 
 
 def test_direction_basis_rejects_points_outside():
-    with pytest.raises(RatesError):
-        direction_basis(Simplex(2), np.array([0.9, 0.9]))
+    problem = _pencil_problem([0.0, 0.0], Simplex(2))
+    with pytest.raises(RatesError, match=r"reference point \[0.9 0.9\] is outside the domain"):
+        curvature_at(problem, np.array([0.9, 0.9]))
+    box = _pencil_problem([0.0], Box([0.0], [1.0]))
+    curvature_at(box, np.array([1.0 + 0.5e-9]))  # within REFERENCE_TOL of the face
+    with pytest.raises(RatesError, match="outside the domain"):
+        curvature_at(box, np.array([1.0 + 2e-9]))
 
 
 def test_curvature_md_quadratic_analytic_and_fd_agree():
@@ -113,7 +117,6 @@ def _e12_boundary_problem():
     """E12's boundary counterexample, argmin over [1, 10] of t^2 - t u + u^2, with its
     derivatives by hand: hess22 = 2, hess12 = -1.  Its fixed point 1 is on a face."""
     return SurrogateProblem(
-        q=1,
         domain=Box([1.0], [10.0]),
         eval_q=lambda t, u: float(t[0] ** 2 - t[0] * u[0] + u[0] ** 2),
         grad2=lambda t, u: np.array([2.0 * u[0] - t[0]]),
@@ -193,12 +196,11 @@ def test_map_jacobian_spectrum_is_the_pencil_spectrum(name):
     np.testing.assert_allclose(np.sort(measured.real), np.sort(predicted.real), rtol=0, atol=1e-8)
 
 
-def _pencil_problem(b_diag):
-    """Analytic curvature A~ = I, B~ = diag(b_diag) on FullSpace(len(b_diag))."""
+def _pencil_problem(b_diag, domain=None):
+    """Analytic curvature A* = I, B* = diag(b_diag) on domain (default FullSpace(len(b_diag)))."""
     q = len(b_diag)
     return SurrogateProblem(
-        q=q,
-        domain=FullSpace(q),
+        domain=domain or FullSpace(q),
         eval_q=lambda t, u: 0.0,
         grad2=lambda t, u: np.zeros(q),
         hess22=lambda t, u: np.eye(q),
@@ -216,7 +218,6 @@ def test_h4_is_decided_exactly_on_a_thin_cone(rho, expected):
 
 def test_non_pd_curvature_has_no_rate_pair():
     prob = SurrogateProblem(
-        q=2,
         domain=FullSpace(2),
         eval_q=lambda t, u: 0.0,
         grad2=lambda t, u: np.zeros(2),
@@ -318,6 +319,58 @@ def test_empirical_rate_window_too_short_for_newton():
     assert est.n_usable < MIN_WINDOW_POINTS
     assert est.superlinear
     assert est.rate < 0.05
+
+
+def _list_decay_estimate(errors, floor):
+    """The index-list form of decay_estimate, kept as an independent reference."""
+    e = np.asarray(errors, dtype=float)
+    n = e.size
+    start = int(np.floor(0.3 * n))
+    usable = [i for i in range(start, n) if e[i] > floor]
+    ratios_all = [e[i + 1] / e[i] for i in range(n - 1) if e[i] > floor]
+    if len(usable) >= 10:
+        idx = np.array(usable)
+        usable_set = set(usable)
+        slope = float(np.polyfit(idx, np.log(e[idx]), 1)[0])
+        pair_ratios = [e[i + 1] / e[i] for i in idx[:-1] if i + 1 in usable_set]
+        ratio = float(np.median(pair_ratios)) if pair_ratios else None
+        return (slope, ratio, float(np.exp(slope)), len(usable), False, False,
+                (int(idx[0]), int(idx[-1])))
+    if not ratios_all:
+        return (None, None, 0.0, len(usable), False, True, (0, 0))
+    last = float(ratios_all[-1])
+    collapsed = e[-1] <= 10.0 * floor
+    shrinking = last <= 0.5 * ratios_all[0] or len(ratios_all) == 1
+    return (float(np.log(last)) if last > 0 else None, last, last, len(usable),
+            bool(collapsed and shrinking), len(usable) == 0, (start, n - 1))
+
+
+def _random_error_sequence(rng):
+    """An error sequence of length 0-59 with geometric or superlinear decay, zeros and a
+    floor that is either tiny or one of its own values, so the sequence crosses it."""
+    n = int(rng.uniform(1)[0] * 60)
+    u = rng.uniform(6)
+    log_ratio = np.log(0.05 + 1.1 * u[0]) * np.ones(n)
+    if u[1] < 0.3:  # superlinear: ever faster decay
+        log_ratio = log_ratio - 0.5 * np.arange(n)
+    log_e = np.log(1e-3 + 1e3 * u[2]) + np.cumsum(log_ratio + 0.3 * (rng.uniform(n) - 0.5))
+    e = np.exp(np.clip(log_e, -460.0, 230.0))
+    e[rng.uniform(n) < 0.2 * u[3]] = 0.0
+    floor = e[int(u[5] * n)] if n and u[4] < 0.5 else 1e-12 * (1.0 + 10.0 * u[4])
+    return e, floor
+
+
+def test_decay_estimate_matches_the_index_list_estimator():
+    rng = CounterRNG(2024)
+    cases = [(np.array([]), 1e-12), (np.array([0.5]), 1e-12), (np.array([0.5, 0.1]), 1e-12),
+             (np.array([0.5, 0.0]), 1e-12), (np.array([1.0, 1e-3, 1e-9, 1e-27]), 1e-12)]
+    cases += [_random_error_sequence(rng) for _ in range(2400)]
+    kinds = set()
+    for errors, floor in cases:
+        est = decay_estimate(errors, floor)
+        assert dataclasses.astuple(est) == _list_decay_estimate(errors, floor), (errors, floor)
+        kinds.add((est.n_usable >= MIN_WINDOW_POINTS, est.superlinear, est.window_empty))
+    assert len(kinds) >= 4  # fitted, superlinear, short and empty windows all occur
 
 
 def test_verdicts_gradient_descent_exact_regime():

@@ -23,3 +23,14 @@ def test_gaussian_is_bitwise_the_reference_formula(n):
     assert z.tobytes() == _box_muller(reference, n).tobytes()
     # the same number of uniforms was consumed
     assert drawn.uniform(5).tobytes() == reference.uniform(5).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, (7, 400), (3, 6400)])
+def test_mixed_draws_follow_the_two_call_stream(seed):
+    """Interleaved gaussian and uniform draws of every parity keep their bits and positions."""
+    drawn, reference, sizes = CounterRNG(seed), CounterRNG(seed), CounterRNG(99)
+    for size, kind in zip((sizes.uniform(60) * 200).astype(int), sizes.uniform(60) < 0.8):
+        if kind:
+            assert drawn.gaussian(size).tobytes() == _box_muller(reference, size).tobytes()
+        else:
+            assert drawn.uniform(size).tobytes() == reference.uniform(size).tobytes()

@@ -58,7 +58,6 @@ def test_analyze_locates_the_fixed_point_only_when_not_given(monkeypatch):
 
 def test_analyze_raises_when_a_tilde_is_not_positive_definite():
     prob = SurrogateProblem(
-        q=2,
         domain=FullSpace(2),
         eval_q=lambda t, u: 0.0,
         grad2=lambda t, u: np.zeros(2),
@@ -77,7 +76,7 @@ def _toward_two(eta, domain):
 
 # the identity map: A~ = B~, so I - A~^{-1} B~ is singular
 _STILL = SurrogateProblem(
-    q=1, domain=FullSpace(1), eval_q=lambda t, u: 0.5 * float((u - t) @ (u - t)),
+    domain=FullSpace(1), eval_q=lambda t, u: 0.5 * float((u - t) @ (u - t)),
     grad2=lambda t, u: u - t, hess22=lambda t, u: np.eye(1), hess12=lambda t, u: -np.eye(1))
 
 

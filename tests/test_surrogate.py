@@ -194,9 +194,16 @@ def test_lyapunov_values_monotone_for_em():
         assert ly[-1] < ly[0]
 
 
+def test_the_dimension_is_the_domain_s():
+    problem = _map_problem(lambda t: 0.5 * t)
+    assert problem.q == 1 and "q" not in {f.name for f in dataclasses.fields(problem)}
+    assert dataclasses.replace(problem, domain=Simplex(3)).q == 3
+    with pytest.raises(TypeError):  # no second dimension that could disagree with the domain's
+        surro.SurrogateProblem(q=2, domain=FullSpace(1), eval_q=None, grad2=None)
+
+
 def _map_problem(step):
     return surro.SurrogateProblem(
-        q=1,
         domain=FullSpace(1),
         eval_q=lambda t, u: float((u[0] - step(t)[0]) ** 2),
         grad2=lambda t, u: np.array([2.0 * (u[0] - step(t)[0])]),
@@ -309,7 +316,6 @@ def test_minimize_smooth_without_a_descent_direction_raises():
 
 def test_inner_solve_failure_carries_step_index():
     bad = surro.SurrogateProblem(
-        q=1,
         domain=FullSpace(1),
         eval_q=lambda t, u: float(-(u[0] ** 2)),  # unbounded below: no minimizer
         grad2=lambda t, u: np.array([-2.0 * u[0]]),
