@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: files, exit codes, determinism, schemas."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -290,16 +291,37 @@ def test_mirror_prox_half_step_failure_is_reported_once(tmp_path, capsys):
     assert err.count("inner minimization failed") == 1
 
 
-def test_step_size_warning_is_one_line_without_a_source_location(tmp_path, capsys):
+_STEP_SIZE_WARNING = ("warning: step size eta=0.6 is not below gamma/beta=0.5; "
+                      "global convergence of the extragradient scheme is not guaranteed")
+
+
+def _eta_06_config(tmp_path):
     cfg = json.loads((CONFIG_DIR / "mirror_prox_ball.json").read_text())
     cfg["eta"] = 0.6  # gamma/beta = 0.5: the run converges, but the hypothesis audit warns
-    path = _write(tmp_path, "eta.json", json.dumps(cfg))
+    return _write(tmp_path, "eta.json", json.dumps(cfg))
+
+
+def test_step_size_warning_is_one_line_without_a_source_location(tmp_path):
+    # a fresh interpreter shows the warning through its own default showwarning
+    proc = subprocess.run(
+        [sys.executable, "-m", "surro.cli", "run", "--config", _eta_06_config(tmp_path),
+         "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines() == [_STEP_SIZE_WARNING]
+
+
+def test_main_formats_warnings_only_while_it_runs(tmp_path):
+    """Library callers keep their own warning format once main returns."""
+    path = _eta_06_config(tmp_path)
+    shown = []
     with warnings.catch_warnings():
-        # display warnings as the interpreter does, through formatwarning to stderr, in
-        # place of pytest's recorder
-        warnings.showwarning = lambda *args: sys.stderr.write(warnings.formatwarning(*args[:4]))
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda *args: shown.append(warnings.formatwarning(*args[:4]))
+        before = warnings.formatwarning
         assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
-    assert capsys.readouterr().err.splitlines() == [
-        "warning: step size eta=0.6 is not below gamma/beta=0.5; "
-        "global convergence of the extragradient scheme is not guaranteed"
-    ]
+        assert warnings.formatwarning is before
+    assert shown == [_STEP_SIZE_WARNING + "\n"]

@@ -1,5 +1,6 @@
 """Mirror descent / prox / Newton problem builders and their curvature."""
 
+import itertools
 import math
 import warnings
 
@@ -7,6 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from surro import descent
+from surro.config import CONFIG_DIR, assemble, load_config
 from surro.descent import (
     IncompatibleDomain,
     SingularHessian,
@@ -227,30 +230,47 @@ def _half_square_distance(target):
     return lambda *x: mpmath.fsum((c - t) ** 2 for c, t in zip(x, target)) / 2
 
 
-_UNIT_DISK = [(0.0, 0.0)] + [(r * math.cos(k * math.pi / 4), r * math.sin(k * math.pi / 4))
-                             for r in (0.25, 0.5, 0.75, 1.0) for k in range(8)]
-# barycentric lattice of step 1/8, kept 1e-3 inside the faces where the entropy is smooth
-_SIMPLEX_LATTICE = [tuple(1e-3 + (1.0 - 3e-3) * k / 8 for k in (i, j, 8 - i - j))
-                    for i in range(9) for j in range(9 - i)]
-# the shipped Mirror Prox setups: mirror_prox_ball and E3's entropy prox on entropy_simplex_md,
-# each with its map's Phi and its objective written out again for mpmath
-_PROX_SETUPS = {
-    "mirror_prox_ball": (
-        BallMap(2, r2=4.0), EuclideanBall([0.0, 0.0], 1.0), ShiftedQuadratic([0.3, -0.2]), 0.4,
-        lambda *x: (lambda s: s / (4 - s))(mpmath.fsum(c * c for c in x)), _UNIT_DISK),
-    "entropy_simplex_md": (
-        NegEntropyMap(3), Simplex(3), ShiftedQuadratic([0.5, 0.3, 0.2]), 0.2,
-        lambda *x: mpmath.fsum(c * mpmath.log(c) for c in x), _SIMPLEX_LATTICE),
+# mpmath forms of the shipped mirror maps' Phi, built from the map's config spec
+_PHI_MP = {
+    "ball": lambda spec: lambda *x: (lambda s: s / (spec["r2"] - s))(mpmath.fsum(c * c for c in x)),
+    "neg_entropy": lambda spec: lambda *x: mpmath.fsum(c * mpmath.log(c) for c in x),
 }
 
 
-@pytest.mark.parametrize("name", list(_PROX_SETUPS))
-def test_declared_gamma_and_beta_bound_the_hessian_spectra(name):
+def _disk_grid(spec):
+    """The center and rings at quarter radii, eight points each, of a 2-d ball's config spec."""
+    center, radius = np.array(spec["center"]), spec["radius"]
+    rays = [np.array([math.cos(k * math.pi / 4), math.sin(k * math.pi / 4)]) for k in range(8)]
+    return [tuple(center)] + [tuple(center + r * radius * ray)
+                              for r in (0.25, 0.5, 0.75, 1.0) for ray in rays]
+
+
+def _simplex_grid(spec, n=8):
+    """Barycentric lattice of step 1/n, kept 1e-3 inside the faces where the entropy is smooth."""
+    q = spec["q"]
+    corners = [k + (n - sum(k),) for k in itertools.product(range(n + 1), repeat=q - 1)
+               if sum(k) <= n]
+    return [tuple(1e-3 + (1.0 - q * 1e-3) * k / n for k in c) for c in corners]
+
+
+_GRIDS = {"ball": _disk_grid, "simplex": _simplex_grid}
+
+
+# the shipped Mirror Prox setups: mirror_prox_ball and E3's entropy prox on entropy_simplex_md
+@pytest.mark.parametrize("name", ["mirror_prox_ball", "entropy_simplex_md"])
+def test_declared_gamma_and_beta_bound_the_hessian_spectra(name, monkeypatch):
     """gamma is at most the map's smallest Hessian eigenvalue on the domain and beta at least
     the objective's largest, so eta < gamma/beta is the paper's Mirror Prox condition."""
-    phi, domain, f, eta, phi_mp, grid = _PROX_SETUPS[name]
+    cfg = dict(load_config(CONFIG_DIR / f"{name}.json"), algorithm="mirror_prox")
+    audited = []
+    monkeypatch.setattr(descent, "audit_prox_hypotheses",
+                        lambda *args: audited.append(args) or audit_prox_hypotheses(*args))
+    assemble(cfg)  # builds the objective, map, eta and domain as the config states them
+    [(f, phi, eta, domain)] = audited
+    grid = _GRIDS[cfg["domain"]["type"]](cfg["domain"])
     assert all(domain.contains(np.array(p)) for p in grid)
     gamma, beta = audit_prox_hypotheses(f, phi, eta, domain)
+    phi_mp = _PHI_MP[cfg["mirror_map"]["type"]](cfg["mirror_map"])
     phi_lowest, _ = _spectrum_range(phi_mp, grid)
     _, f_highest = _spectrum_range(_half_square_distance(f.target), grid)
     slack = 1e-30  # of the 50-digit differentiation, far below a double's resolution

@@ -45,8 +45,13 @@ def _synthetic_trace(ratio, n, direction, theta_star):
 
 
 def test_direction_basis_variants():
-    """A frame's basis is its domain's direction basis."""
+    """Each domain's direction basis, which a frame at any point of the domain uses."""
+    np.testing.assert_allclose(FullSpace(3).direction_basis(), np.eye(3))
+    p = Simplex(2).direction_basis()
+    assert abs(abs(p[0, 0]) - 1 / np.sqrt(2)) < 1e-12 and p[0, 0] == -p[1, 0]
     dom = AffineSlice([[1.0, 1.0, 1.0]], [1.0], Box([-2.0] * 3, [2.0] * 3))
+    np.testing.assert_allclose(np.array([[1.0, 1.0, 1.0]]) @ dom.direction_basis(), 0.0,
+                               atol=1e-12)
     for domain, star in [(FullSpace(3), np.zeros(3)), (Simplex(2), np.array([0.5, 0.5])),
                          (dom, np.array([1 / 3] * 3))]:
         p = curvature_at(_pencil_problem([0.0] * domain.q, domain), star).basis
