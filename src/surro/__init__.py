@@ -29,7 +29,6 @@ from .latent import (
     AlphaIndex,
     EmptyData,
     GaussianLatentModel,
-    QuadratureFailure,
     TwoComponentMixture,
     alpha_em_problem,
     em_population_problem,

@@ -214,7 +214,7 @@ class Simplex(ConvexDomain):
     def contains(self, x, tol=MEMBERSHIP_TOL):
         v = as_vector(x, self.q)
         return bool(
-            (v >= self.face_eps - tol).all() and abs(float(v.sum()) - 1.0) <= MEMBERSHIP_TOL
+            (v >= self.face_eps - tol).all() and abs(float(v.sum()) - 1.0) <= tol
         )
 
     def project(self, x):

@@ -19,9 +19,7 @@ from .domains import FullSpace
 from .errors import SurroError
 from .surrogate import SurrogateProblem
 
-QUAD_START_NODES = 20
 QUAD_MAX_NODES = 200
-QUAD_TOL = 1e-10
 
 
 class ModelError(SurroError):
@@ -29,10 +27,6 @@ class ModelError(SurroError):
 
 
 class EmptyData(ModelError):
-    pass
-
-
-class QuadratureFailure(ModelError):
     pass
 
 
@@ -208,15 +202,9 @@ class AlphaIndex:
 
 
 class _GaussHermite:
-    """Fixed-node Gaussian expectation; the node count is frozen per problem.
-
-    Freezing keeps every surrogate evaluation a smooth, deterministic function
-    of its arguments, which finite differencing and byte-reproducibility both
-    rely on.
-    """
+    """Gauss-Hermite expectations under normal laws, with a fixed node count."""
 
     def __init__(self, n: int):
-        self.n = n
         self.nodes, weights = np.polynomial.hermite_e.hermegauss(n)
         self.weights = weights / math.sqrt(2.0 * math.pi)
 
@@ -234,90 +222,73 @@ def alpha_em_problem(
 ) -> SurrogateProblem:
     """EM variant with the log replaced by the concave alpha family (alpha != 1).
 
-    The surrogate integral has no closed form for general alpha, so values and
-    derivatives are computed by Gauss-Hermite quadrature centered at the
-    relevant posterior means; the node count is chosen adaptively up front
-    (doubling from 20 until two refinements agree to 1e-10) and then frozen.
+    The log-ratio L = a x + b of the joint densities at u and theta is affine in
+    the latent x, and x is Gaussian in each cell: X ~ N(c, s2), with one cell at
+    theta_star in population mode and one per observation in sample mode.  So
+    every integrand is a tilted log-normal moment (Matsuyama, IEEE Trans. Inf.
+    Theory 2003): E[e^{alpha L}] = M = e^E with E = alpha (a c + b) +
+    alpha^2 a^2 s2 / 2, and under the tilt X ~ N(c + alpha a s2, s2).  Value,
+    grad2, hess22 and hess12 are these closed forms.  a c + b is written
+    a ((c - theta) - (u - theta) / 2), whose differences are exact near the
+    diagonal, and the value takes expm1(E): there the surrogate gap is
+    O(|u - theta|^2), and u^2 - theta^2 or exp(E) - 1 would lose it to rounding.
     """
-    a_idx = AlphaIndex(float(alpha))
-    al = a_idx.alpha
+    al = AlphaIndex(float(alpha)).alpha
     sx2 = model.sigma_x2
     wx = sx2 / model.marginal_var
-    star = model.theta_star
 
     if mode == "population":
         # the mixed density of X (posterior at theta, data drawn at theta_star)
         # collapses to N(theta + wx (theta_star - theta), sigma_x2)
-        def centers(theta):
-            return np.array([theta + wx * (star - theta)])
-
-        cell_weights = np.array([1.0])
-        scale = math.sqrt(sx2)
-        theta_ref = star
+        cells, s2 = np.array([model.theta_star]), sx2
         lyapunov = em_population_problem(model).lyapunov
     elif mode == "sample":
         if data is None:
             raise EmptyData("sample mode requires observations")
-        y = np.atleast_1d(np.asarray(data, dtype=float))
-        if y.size == 0:
+        cells = np.atleast_1d(np.asarray(data, dtype=float))
+        if cells.size == 0:
             raise EmptyData("at least one observation is required")
-
-        def centers(theta):
-            return theta + wx * (y - theta)
-
-        cell_weights = np.full(y.size, 1.0 / y.size)
-        scale = math.sqrt(model.posterior_var)
-        theta_ref = float(np.mean(y))
+        s2 = model.posterior_var
         lyapunov = lambda theta: -model.observed_loglik(float(theta[0]), data)
     else:
         raise ModelError(f"unknown mode {mode!r}")
-
-    def expectation(rule: _GaussHermite, theta, u, integrand) -> float:
-        """Cell-weighted E[integrand(log_ratio, x - u)] over the posterior of X at theta."""
-        t, up = float(theta[0]), float(u[0])
-
-        def at_nodes(x):
-            # log of the joint-density ratio between parameters u and t; the
-            # observation terms cancel, leaving an affine function of x
-            log_ratio = (up - t) / sx2 * x - (up * up - t * t) / (2.0 * sx2)
-            return integrand(log_ratio, x - up)
-
-        return float(cell_weights @ np.atleast_1d(rule.expect(centers(t), scale, at_nodes)))
-
-    def value(rule, theta, u):
-        return -expectation(rule, theta, u, lambda lr, d: a_idx.f(np.exp(lr)))
-
-    # adapt the node count on probe pairs, each fine rule the next coarse one, then freeze it
-    offset = 0.5 * (1.0 + abs(theta_ref))
-    probes = [
-        (np.array([theta_ref + offset]), np.array([theta_ref - 0.5 * offset])),
-        (np.array([theta_ref - offset]), np.array([theta_ref + offset])),
-    ]
-    coarse = _GaussHermite(QUAD_START_NODES)
-    while True:
-        rule = _GaussHermite(min(2 * coarse.n, QUAD_MAX_NODES))
-        gap = max(
-            abs(value(coarse, t, u) - value(rule, t, u)) / (1.0 + abs(value(rule, t, u)))
-            for t, u in probes
-        )
-        if gap < QUAD_TOL:
-            break
-        if rule.n >= QUAD_MAX_NODES:
-            raise QuadratureFailure(
-                f"tolerance {QUAD_TOL:g} not reached at {QUAD_MAX_NODES} nodes (gap {gap:.3e})"
-            )
-        coarse = rule
     denom = (1.0 - al) * sx2
+
+    def moments(theta, u):
+        """Per cell: a, E[L] = a c + b, the log tilted moment E and the tilted mean of X - u."""
+        t, up = float(theta[0]), float(u[0])
+        a = (up - t) / sx2
+        shift = wx * (cells - t)  # posterior centers c of X at theta, less theta
+        mean_lr = a * (shift - 0.5 * (up - t))
+        return a, mean_lr, al * mean_lr + 0.5 * (al * a) ** 2 * s2, t + shift + al * a * s2 - up
+
+    def eval_q(theta, u):
+        _, mean_lr, e, _ = moments(theta, u)
+        if al == 0.0:
+            return -float(np.mean(mean_lr))
+        return float(np.mean(np.expm1(e))) / (al * (al - 1.0))
+
+    def grad2(theta, u):
+        _, _, e, d = moments(theta, u)
+        return np.array([-float(np.mean(np.exp(e) * d)) / denom])
+
+    def hess22(theta, u):
+        _, _, e, d = moments(theta, u)
+        return np.array([[-float(np.mean(np.exp(e) * (al * (d * d + s2) / sx2 - 1.0))) / denom]])
+
+    def hess12(theta, u):
+        # the theta-derivative of grad2, through dE/dtheta = -al (wx a + d / sx2)
+        # and dd/dtheta = 1 - wx - al s2 / sx2
+        a, _, e, d = moments(theta, u)
+        slope = 1.0 - wx - al * s2 / sx2 - al * (wx * a + d / sx2) * d
+        return np.array([[-float(np.mean(np.exp(e) * slope)) / denom]])
 
     return SurrogateProblem(
         domain=FullSpace(1),
-        eval_q=lambda theta, u: value(rule, theta, u),
-        grad2=lambda theta, u: np.array(
-            [-expectation(rule, theta, u, lambda lr, d: np.exp(al * lr) * d) / denom]
-        ),
-        hess22=lambda theta, u: np.array([[-expectation(
-            rule, theta, u, lambda lr, d: np.exp(al * lr) * (al * d * d / sx2 - 1.0)
-        ) / denom]]),
+        eval_q=eval_q,
+        grad2=grad2,
+        hess22=hess22,
+        hess12=hess12,
         lyapunov=lyapunov,
         label=f"alpha_em(alpha={al:g}, mode={mode})",
     )

@@ -139,6 +139,14 @@ def test_interior_tests():
     assert not plane.is_interior([0.3, 0.3, 0.3])
 
 
+def test_simplex_tolerance_covers_the_sum():
+    # a caller's slack reaches the equality as well as the face bounds, as on AffineSlice
+    simplex = domains.Simplex(2)
+    assert simplex.contains([0.5, 0.5 + 5e-10], tol=1e-9)
+    assert not simplex.contains([0.5, 0.5 + 5e-10])
+    assert not simplex.contains([0.5, 0.5 + 2e-9], tol=1e-9)
+
+
 def test_ball_sample_of_a_zero_draw_is_the_center():
     # a Box-Muller draw is exactly 0 when its uniform is 0, with probability 2^-53 per pair
     class ZeroDraw:

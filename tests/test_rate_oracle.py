@@ -6,6 +6,7 @@ call with `linalg.generalized_rate_pair`.
 """
 
 import json
+import math
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from surro import linalg
 from surro.config import CONFIG_DIR, assemble
 from surro.rates import curvature_at
+from surro.runner import analyze
 
 ALGORITHM_CONFIGS = sorted(p for p in CONFIG_DIR.glob("*.json") if not p.name.startswith("sweep_"))
 ULPS = 4  # bound on |float - reference|: ULPS * eps * cond(A~) * max(1, rho)
@@ -59,3 +61,13 @@ def test_the_reference_catches_a_swapped_rate_pair(monkeypatch):
     caught = [path.stem for path in ALGORITHM_CONFIGS if max(_errors(path)[2]) > ULPS]
     # the configs whose rho_inf and rho_sup differ
     assert caught == ["entropy_simplex_md", "gd_exact_rate", "mirror_prox_ball"]
+
+
+@pytest.mark.parametrize("theta_star", ["given", "auto"])
+def test_alpha_em_quarter_rate_pair_is_one_third(theta_star):
+    """alpha = 1/4 maps the EM rate 1/2 to 1/3 (A~ = 1, B~ = 1/3), and both of
+    alpha-EM's blocks are analytic, so the pair is 1/3 to rounding."""
+    cfg = json.loads((CONFIG_DIR / "alpha_em_quarter.json").read_text())
+    asm = assemble(cfg if theta_star == "given" else dict(cfg, theta_star="auto"))
+    run = analyze(asm.problem, asm.theta0, asm.theta_star, asm.stop)
+    assert max(abs(rho - 1 / 3) for rho in run.frame.rates) <= 2 * math.ulp(1 / 3)

@@ -158,10 +158,10 @@ def _registry_problems():
 @pytest.mark.filterwarnings("ignore:step size eta")
 @pytest.mark.parametrize("name", list(_registry_problems()))
 def test_analytic_curvature_matches_finite_differences_on_registry_problems(name):
-    """Without an analytic hess12 (mirror prox, Newton, alpha-EM) B~ is a finite
-    difference both ways, so there only A~ is compared."""
+    """Without an analytic hess12 (mirror prox, Newton) B~ is a finite difference
+    both ways, so there only A~ is compared."""
     problem, point = _registry_problems()[name]
-    assert problem.hess22 is not None  # alpha-EM's comes from its quadrature
+    assert problem.hess22 is not None
     analytic = curvature_at(problem, point)
     probed = curvature_at(problem, point, prefer_analytic=False)
     np.testing.assert_allclose(probed.a_tilde, analytic.a_tilde, rtol=0, atol=1e-8)
