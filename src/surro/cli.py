@@ -32,7 +32,7 @@ def _cmd_run(args) -> int:
     print(f"{bundle.name}: wrote {bundle.trace_csv_path} and {bundle.rates_json_path}")
     if bundle.plot_svg_path is not None:
         print(f"{bundle.name}: wrote {bundle.plot_svg_path}")
-    for check, verdict in bundle.report.verdicts.items():
+    for check, verdict in bundle.verdicts.items():
         print(f"  {check:8s} {verdict}")
     if not bundle.passed:
         print(f"{bundle.name}: verdict FAILED")

@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .domains import ConvexDomain
 from .errors import SurroError
-from .linalg import NotPositiveDefinite, RatePair
+from .linalg import NotPositiveDefinite, RatePair, vector_norm
 from .surrogate import StopReason, SurrogateProblem, Trace
 
 DEFAULT_BURN_IN = 0.3
@@ -223,22 +223,23 @@ def default_floor(theta_star) -> float:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Theory vs measurement, with one verdict per asymptotic claim.
+    """One analysed run: the trace, its fixed point, the curvature frame there,
+    the decay measured on the trace and one verdict per asymptotic claim.
 
-    Verdict keys: "upper" (measured decay bounded by the sup rate), "lower"
+    decay estimates |theta_n - theta*| and q_gap the signed surrogate gaps
+    Q(theta_n, theta_{n+1}) - Q(theta*, theta*) held in q_gaps, one per step;
+    q_gap is None and q_gaps empty on a trace without steps.  Verdict keys:
+    "upper" (measured decay bounded by the sup rate of frame.rates), "lower"
     (bounded below by the inf rate, interior limits only), "exact" (the two
     coincide when sup^2 <= inf) and "q_gap" (surrogate values converge at
-    least as fast as the iterates).  q_gaps holds the signed surrogate gap
-    Q(theta_n, theta_{n+1}) - Q(theta*, theta*) of every step.
+    least as fast as the iterates).
     """
 
-    theory: RatePair
-    empirical_slope: Optional[float]
-    successive_ratio: Optional[float]
-    empirical_rate: float
-    q_gap_slope: Optional[float]
-    q_gap_rate: Optional[float]
-    superlinear: bool
+    trace: Trace
+    theta_star: np.ndarray
+    frame: CurvatureFrame
+    decay: DecayEstimate
+    q_gap: Optional[DecayEstimate]
     span_warning: bool
     verdicts: dict[str, str]
     q_gaps: tuple[float, ...]
@@ -261,15 +262,21 @@ def _span_warning(trace: Trace, theta_star, est: DecayEstimate, d: int) -> bool:
 def verdicts(
     trace: Trace, theta_star, frame: CurvatureFrame, problem: SurrogateProblem
 ) -> RateReport:
-    """Check the measured decay of a trace against its theoretical rate pair.
+    """Check the measured decay of a trace against the rate pair of its frame.
 
     Every rate comparison allows DEFAULT_RATE_TOL; the surrogate gap is
     measured against Q at the fixed point, and is inapplicable on a trace
-    without steps.  A trace that did not converge fails every verdict.
+    without steps.  Every verdict fails on a trace that did not converge, and
+    on one whose limit is not theta*: for rho_sup < 1, the a posteriori bound
+    of a contraction puts the limit within r_N / (1 - rho_sup) of the last
+    iterate (r_N the last residual), and a final error above ten times that
+    plus the numerical floor fails.  Raises H4Violated when frame.rates is None.
     """
     star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     theory = theoretical_rates(frame)
-    est = decay_estimate(trace.errors(star), default_floor(star))
+    errors = trace.errors(star)
+    floor = default_floor(star)
+    est = decay_estimate(errors, floor)
     rate_emp = est.rate
     interior = bool(problem.domain.is_interior(star))
 
@@ -288,29 +295,27 @@ def verdicts(
     else:
         out["exact"] = "pass" if abs(rate_emp - theory.rho_sup) <= DEFAULT_RATE_TOL else "fail"
 
-    q_gap_slope = q_gap_rate = None
+    est_q = None
     q_gaps: tuple[float, ...] = ()
     if len(trace) > 1:
         q_star = float(problem.eval_q(star, star))
         q_gaps = tuple((trace.q_values(problem) - q_star).tolist())
         est_q = decay_estimate(np.abs(q_gaps), 1e-12 * (1.0 + abs(q_star)))
-        q_gap_slope = est_q.slope
-        q_gap_rate = est_q.rate
         out["q_gap"] = "pass" if est_q.rate <= theory.rho_sup + DEFAULT_RATE_TOL else "fail"
     else:
         out["q_gap"] = "inapplicable"
 
-    if trace.stop_reason is not StopReason.CONVERGED:
+    r_last = vector_norm(trace.final - trace.iterates[-2]) if len(trace) > 1 else 0.0
+    off_limit = sup < 1.0 and errors[-1] > 10.0 * (r_last / (1.0 - sup) + floor)
+    if trace.stop_reason is not StopReason.CONVERGED or off_limit:
         out = dict.fromkeys(out, "fail")
 
     return RateReport(
-        theory=theory,
-        empirical_slope=est.slope,
-        successive_ratio=est.successive_ratio,
-        empirical_rate=rate_emp,
-        q_gap_slope=q_gap_slope,
-        q_gap_rate=q_gap_rate,
-        superlinear=est.superlinear,
+        trace=trace,
+        theta_star=star,
+        frame=frame,
+        decay=est,
+        q_gap=est_q,
         span_warning=_span_warning(trace, star, est, frame.d),
         verdicts=out,
         q_gaps=q_gaps,

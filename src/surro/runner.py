@@ -12,28 +12,13 @@ from . import report
 from .config import assemble
 from .linalg import LinalgError
 from .rates import (
-    DEFAULT_RATE_TOL, REFERENCE_TOL, CurvatureFrame, RateReport, RatesError, accelerate,
-    curvature_at, verdicts,
+    DEFAULT_RATE_TOL, REFERENCE_TOL, RateReport, RatesError, accelerate, curvature_at, verdicts,
 )
 from .surrogate import Trace, iterate
 
 
-@dataclass
-class Analysis:
-    """A trace, the fixed point it is analysed at, the curvature there and the verdicts."""
-
-    trace: Trace
-    theta_star: np.ndarray
-    frame: CurvatureFrame
-    report: RateReport
-
-    @property
-    def passed(self) -> bool:
-        return self.report.passed
-
-
-@dataclass
-class ReportBundle(Analysis):
+@dataclass(frozen=True)
+class ReportBundle(RateReport):
     name: str
     trace_csv_path: Path
     rates_json_path: Path
@@ -74,20 +59,21 @@ def _trace_csv(trace: Trace, theta_star, q_gaps) -> tuple[list[str], list[list[s
     return header, rows
 
 
-def rates_payload(name: str, algorithm: str, assembled_label: str, theta_star, frame, rep) -> dict:
+def rates_payload(name: str, algorithm: str, assembled_label: str, rep: RateReport) -> dict:
+    frame, decay, q_gap = rep.frame, rep.decay, rep.q_gap
     return {
         "name": name,
         "algorithm": algorithm,
         "label": assembled_label,
-        "theta_star": np.asarray(theta_star),
-        "theory": {"rho_inf": rep.theory.rho_inf, "rho_sup": rep.theory.rho_sup},
+        "theta_star": rep.theta_star,
+        "theory": {"rho_inf": frame.rates.rho_inf, "rho_sup": frame.rates.rho_sup},
         "empirical": {
-            "slope": rep.empirical_slope,
-            "successive_ratio": rep.successive_ratio,
-            "rate": rep.empirical_rate,
-            "q_gap_slope": rep.q_gap_slope,
-            "q_gap_rate": rep.q_gap_rate,
-            "superlinear": rep.superlinear,
+            "slope": decay.slope,
+            "successive_ratio": decay.successive_ratio,
+            "rate": decay.rate,
+            "q_gap_slope": q_gap and q_gap.slope,
+            "q_gap_rate": q_gap and q_gap.rate,
+            "superlinear": decay.superlinear,
             "span_warning": rep.span_warning,
         },
         "verdicts": dict(rep.verdicts),
@@ -104,18 +90,17 @@ def rates_payload(name: str, algorithm: str, assembled_label: str, theta_star, f
     }
 
 
-def analyze(problem, theta0, theta_star=None, stop=None) -> Analysis:
+def analyze(problem, theta0, theta_star=None, stop=None) -> RateReport:
     """Iterate from theta0 and check the measured decay against the rate pair at theta*.
 
-    With theta_star None the fixed point is located from the trace.  Raises
-    H4Violated when the reduced A~ at theta* is not positive-definite.
+    Returns the run's RateReport.  With theta_star None the fixed point is
+    located from the trace.  Raises H4Violated when the reduced A~ at theta*
+    is not positive-definite.
     """
     trace = iterate(problem, theta0, stop)
     if theta_star is None:
         theta_star = locate_fixed_point(problem, trace)
-    frame = curvature_at(problem, theta_star)
-    rep = verdicts(trace, theta_star, frame, problem)
-    return Analysis(trace, np.asarray(theta_star, dtype=float), frame, rep)
+    return verdicts(trace, theta_star, curvature_at(problem, theta_star), problem)
 
 
 def run_experiment(cfg: dict, out_dir, plot: bool = False) -> ReportBundle:
@@ -124,12 +109,12 @@ def run_experiment(cfg: dict, out_dir, plot: bool = False) -> ReportBundle:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    run = analyze(asm.problem, asm.theta0, asm.theta_star, asm.stop)
-    trace, theta_star, rep = run.trace, run.theta_star, run.report
+    rep = analyze(asm.problem, asm.theta0, asm.theta_star, asm.stop)
+    trace, theta_star = rep.trace, rep.theta_star
 
     header, rows = _trace_csv(trace, theta_star, rep.q_gaps)
     trace_path = report.write_csv(out / "trace.csv", header, rows)
-    payload = rates_payload(asm.name, asm.algorithm, asm.problem.label, theta_star, run.frame, rep)
+    payload = rates_payload(asm.name, asm.algorithm, asm.problem.label, rep)
     payload["stop_reason"] = trace.stop_reason.value
     payload["n_iterates"] = len(trace)
     rates_path = report.write_text(out / "rates.json", report.dumps(payload))
@@ -137,11 +122,11 @@ def run_experiment(cfg: dict, out_dir, plot: bool = False) -> ReportBundle:
     plot_path = None
     if plot:
         svg = report.svg_log_error_plot(
-            trace.errors(theta_star), rep.theory.rho_sup, title=asm.name
+            trace.errors(theta_star), rep.frame.rates.rho_sup, title=asm.name
         )
         plot_path = report.write_text(out / "plot.svg", svg)
 
-    return ReportBundle(**vars(run), name=asm.name, trace_csv_path=trace_path,
+    return ReportBundle(**vars(rep), name=asm.name, trace_csv_path=trace_path,
                         rates_json_path=rates_path, plot_svg_path=plot_path)
 
 

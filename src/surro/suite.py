@@ -39,8 +39,6 @@ from .rates import (
     accelerate,
     alpha_transform,
     curvature_at,
-    decay_estimate,
-    default_floor,
     mirror_prox_spectrum_map,
     optimal_alpha,
     reparam_invariance_check,
@@ -79,18 +77,19 @@ def _analyze(asm: Assembled):
 
 def e1_gradient_descent_rate() -> ExperimentResult:
     """Quadratic objective diag(1,4), step 0.4: both rates 0.6, measured to 5e-3."""
-    rep = _analyze(_shipped("gd_diag")).report
-    theory_gap = max(abs(rep.theory.rho_inf - 0.6), abs(rep.theory.rho_sup - 0.6))
-    emp_gap = abs(rep.empirical_rate - 0.6)
+    rep = _analyze(_shipped("gd_diag"))
+    theory = rep.frame.rates
+    theory_gap = max(abs(theory.rho_inf - 0.6), abs(theory.rho_sup - 0.6))
+    emp_gap = abs(rep.decay.rate - 0.6)
     all_pass = all(v == "pass" for v in rep.verdicts.values())
     return ExperimentResult(
         "E1",
         "gradient descent diag(1,4) eta=0.4: rates 0.6, four verdicts pass",
         passed=bool(theory_gap <= 1e-9 and emp_gap <= 5e-3 and all_pass),
         measured={
-            "rho_inf": rep.theory.rho_inf,
-            "rho_sup": rep.theory.rho_sup,
-            "empirical_rate": rep.empirical_rate,
+            "rho_inf": theory.rho_inf,
+            "rho_sup": theory.rho_sup,
+            "empirical_rate": rep.decay.rate,
             "verdicts": dict(rep.verdicts),
         },
     )
@@ -98,18 +97,19 @@ def e1_gradient_descent_rate() -> ExperimentResult:
 
 def e2_exact_rate_regime() -> ExperimentResult:
     """diag(1,1.5), step 0.4: rate pair (0.4, 0.6) sits in the exact-rate regime."""
-    rep = _analyze(_shipped("gd_exact_rate")).report
-    pair_ok = abs(rep.theory.rho_inf - 0.4) <= 1e-9 and abs(rep.theory.rho_sup - 0.6) <= 1e-9
-    regime_ok = rep.theory.rho_sup**2 <= rep.theory.rho_inf
-    emp_ok = abs(np.log(rep.empirical_rate) - np.log(0.6)) <= 0.02
+    rep = _analyze(_shipped("gd_exact_rate"))
+    theory = rep.frame.rates
+    pair_ok = abs(theory.rho_inf - 0.4) <= 1e-9 and abs(theory.rho_sup - 0.6) <= 1e-9
+    regime_ok = theory.rho_sup**2 <= theory.rho_inf
+    emp_ok = abs(np.log(rep.decay.rate) - np.log(0.6)) <= 0.02
     return ExperimentResult(
         "E2",
         "exact-rate regime diag(1,1.5) eta=0.4: limit log-rate = log 0.6",
         passed=bool(pair_ok and regime_ok and emp_ok and rep.verdicts["exact"] == "pass"),
         measured={
-            "rho_inf": rep.theory.rho_inf,
-            "rho_sup": rep.theory.rho_sup,
-            "empirical_rate": rep.empirical_rate,
+            "rho_inf": theory.rho_inf,
+            "rho_sup": theory.rho_sup,
+            "empirical_rate": rep.decay.rate,
             "exact_verdict": rep.verdicts["exact"],
         },
     )
@@ -122,18 +122,18 @@ def _prox_identity_case(md, run):
     predicted_pencil = s @ s - s + np.eye(md_frame.d)
     actual_pencil = np.linalg.solve(run.frame.a_tilde, run.frame.b_tilde)
     identity_gap = float(np.max(np.abs(actual_pencil - predicted_pencil)))
-    return identity_gap, mirror_prox_spectrum_map(md_frame), run.report
+    return identity_gap, mirror_prox_spectrum_map(md_frame)
 
 
 def e3_prox_spectrum_identity() -> ExperimentResult:
     """Extragradient pencil equals x^2-x+1 of the descent pencil; rates match traces."""
     quadratic = (QuadraticForm(np.diag([1.0, 1.25])), QuadraticMap(2), 0.5, FullSpace(2))
     prox_q = analyze(mirror_prox_problem(*quadratic), np.array([1.0, 1.0]), np.zeros(2))
-    gap_q, pred_q, rep_q = _prox_identity_case(mirror_descent_problem(*quadratic), prox_q)
+    gap_q, pred_q = _prox_identity_case(mirror_descent_problem(*quadratic), prox_q)
     prox_e = _analyze(_shipped("entropy_simplex_md", algorithm="mirror_prox"))
-    gap_e, pred_e, rep_e = _prox_identity_case(_shipped("entropy_simplex_md").problem, prox_e)
-    match_q = abs(rep_q.empirical_rate - pred_q.rho_sup) <= 0.02
-    match_e = abs(rep_e.empirical_rate - pred_e.rho_sup) <= 0.02
+    gap_e, pred_e = _prox_identity_case(_shipped("entropy_simplex_md").problem, prox_e)
+    match_q = abs(prox_q.decay.rate - pred_q.rho_sup) <= 0.02
+    match_e = abs(prox_e.decay.rate - pred_e.rho_sup) <= 0.02
     lower_ok = pred_q.rho_inf >= 0.75 - 1e-9 and pred_e.rho_inf >= 0.75 - 1e-9
     return ExperimentResult(
         "E3",
@@ -143,9 +143,9 @@ def e3_prox_spectrum_identity() -> ExperimentResult:
             "identity_gap_quadratic": gap_q,
             "identity_gap_entropy": gap_e,
             "predicted_rate_quadratic": pred_q.rho_sup,
-            "empirical_rate_quadratic": rep_q.empirical_rate,
+            "empirical_rate_quadratic": prox_q.decay.rate,
             "predicted_rate_entropy": pred_e.rho_sup,
-            "empirical_rate_entropy": rep_e.empirical_rate,
+            "empirical_rate_entropy": prox_e.decay.rate,
             "prox_rho_inf_quadratic": pred_q.rho_inf,
             "prox_rho_inf_entropy": pred_e.rho_inf,
         },
@@ -155,8 +155,8 @@ def e3_prox_spectrum_identity() -> ExperimentResult:
 def e4_population_em_ratio() -> ExperimentResult:
     """Equal variances: the infinite-data EM contracts at exactly one half."""
     em = _shipped("em_population")
-    run = _analyze(em)
-    frame, rep = run.frame, run.report
+    rep = _analyze(em)
+    frame, theory = rep.frame, rep.frame.rates
     frame_fd = curvature_at(em.problem, em.theta_star, prefer_analytic=False)
     curv_gap = max(
         abs(frame.a_tilde[0, 0] - 1.0),
@@ -165,17 +165,17 @@ def e4_population_em_ratio() -> ExperimentResult:
         abs(frame_fd.b_tilde[0, 0] - frame.b_tilde[0, 0]),
     )
     rate_ok = (
-        abs(rep.theory.rho_sup - 0.5) <= 5e-3
-        and abs(rep.theory.rho_inf - 0.5) <= 5e-3
-        and abs(rep.empirical_rate - 0.5) <= 5e-3
+        abs(theory.rho_sup - 0.5) <= 5e-3
+        and abs(theory.rho_inf - 0.5) <= 5e-3
+        and abs(rep.decay.rate - 0.5) <= 5e-3
     )
     return ExperimentResult(
         "E4",
         "population EM missing-information ratio 1/2, analytic vs finite-difference",
         passed=bool(curv_gap <= 1e-6 and rate_ok and rep.passed),
         measured={
-            "rho_sup": rep.theory.rho_sup,
-            "empirical_rate": rep.empirical_rate,
+            "rho_sup": theory.rho_sup,
+            "empirical_rate": rep.decay.rate,
             "curvature_gap": curv_gap,
             "verdicts": dict(rep.verdicts),
         },
@@ -203,13 +203,9 @@ def e6_alpha_em_optimum() -> ExperimentResult:
     em_rates = theoretical_rates(curvature_at(em.problem, em.theta_star))
     alpha_opt, rho_opt = optimal_alpha(em_rates)
 
-    def decay(asm):
-        trace = iterate(asm.problem, asm.theta0, asm.stop)
-        return decay_estimate(trace.errors(asm.theta_star), default_floor(asm.theta_star))
-
-    est_half = decay(_shipped("alpha_em_quarter", alpha=0.5))
+    est_half = _analyze(_shipped("alpha_em_quarter", alpha=0.5)).decay
     quarter_cfg = _config("alpha_em_quarter")
-    est_quarter = decay(assemble(quarter_cfg))
+    est_quarter = _analyze(assemble(quarter_cfg)).decay
     predicted_quarter = alpha_transform(em_rates, quarter_cfg["alpha"])
 
     ok = (
@@ -234,11 +230,10 @@ def e6_alpha_em_optimum() -> ExperimentResult:
 
 def e7_newton_curvature() -> ExperimentResult:
     """Newton: identity/zero curvature at the minimum, quadratic residual decay."""
-    newton = _shipped("newton_quartic")
-    frame = curvature_at(newton.problem, newton.theta_star)
+    rep = _analyze(_shipped("newton_quartic"))
+    frame = rep.frame
     curv_gap = max(abs(frame.a_tilde[0, 0] - 1.0), abs(frame.b_tilde[0, 0]))
-    trace = iterate(newton.problem, newton.theta0, newton.stop)
-    errors = trace.errors(newton.theta_star)
+    errors = rep.trace.errors(rep.theta_star)
     quad_ok = all(
         errors[n + 1] <= 2.0 * errors[n] ** 2 + 1e-15
         for n in range(len(errors) - 1)
@@ -261,10 +256,12 @@ def e8_surrogate_gap_decay() -> ExperimentResult:
     results = {}
     ok = True
     for tag, name in (("gd", "gd_diag"), ("em", "em_population")):
-        rep = _analyze(_shipped(name)).report
-        results[f"{tag}_q_gap_rate"] = rep.q_gap_rate
-        results[f"{tag}_rho_sup"] = rep.theory.rho_sup
-        ok = ok and rep.q_gap_rate is not None and rep.q_gap_rate <= rep.theory.rho_sup + 0.02
+        rep = _analyze(_shipped(name))
+        q_gap_rate = rep.q_gap and rep.q_gap.rate
+        rho_sup = rep.frame.rates.rho_sup
+        results[f"{tag}_q_gap_rate"] = q_gap_rate
+        results[f"{tag}_rho_sup"] = rho_sup
+        ok = ok and q_gap_rate is not None and q_gap_rate <= rho_sup + 0.02
     return ExperimentResult(
         "E8",
         "surrogate-gap decay bounded by the sup rate (gradient descent and EM)",

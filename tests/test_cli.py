@@ -97,6 +97,33 @@ def test_run_verdict_failure_exits_two(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+def test_run_that_never_reaches_the_given_theta_star_exits_two(tmp_path):
+    # theta* on a face of the simplex: rho_sup there is 1 - 2e-10, so the
+    # measured rate (~1 - 2e-8) passes every rate check, yet the run converges
+    # to (0.5, 0.3, 0.2) and its error against theta* stays at 0.616
+    cfg = json.loads((CONFIG_DIR / "entropy_simplex_md.json").read_text())
+    cfg["theta_star"] = [0.999999998, 1e-9, 1e-9]
+    path = _write(tmp_path, "face_star.json", json.dumps(cfg))
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    rates = json.loads((tmp_path / "o" / "rates.json").read_text())
+    assert rates["stop_reason"] == "converged"
+    assert 1.0 - 1e-9 < rates["theory"]["rho_sup"] < 1.0
+    assert set(rates["verdicts"].values()) == {"fail"}
+
+
+def test_run_from_the_fixed_point_writes_null_q_gap_rates(tmp_path):
+    cfg = json.loads((CONFIG_DIR / "gd_diag.json").read_text())
+    cfg["theta0"] = [0, 0]  # an exact fixed point: a single-point trace
+    path = _write(tmp_path, "at_star.json", json.dumps(cfg))
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    rates = json.loads((tmp_path / "o" / "rates.json").read_text())
+    assert rates["n_iterates"] == 1
+    assert rates["empirical"]["q_gap_slope"] is None
+    assert rates["empirical"]["q_gap_rate"] is None
+    assert rates["verdicts"]["q_gap"] == "inapplicable"
+    jsonschema.validate(rates, json.loads((DOCS / "rates.schema.json").read_text()))
+
+
 def test_run_with_control_characters_in_name_writes_readable_json(tmp_path):
     cfg = dict(json.loads((CONFIG_DIR / "gd_diag.json").read_text()), name="gd\tdiag\r")
     assert main(["run", "--config", _write(tmp_path, "tab.json", json.dumps(cfg)),

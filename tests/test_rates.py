@@ -383,9 +383,9 @@ def test_verdicts_gradient_descent_exact_regime():
     trace = iterate(prob, np.array([1.0, 1.0]))
     frame = curvature_at(prob, np.zeros(2))
     rep = verdicts(trace, np.zeros(2), frame, prob)
-    assert rep.theory == pytest.approx((0.4, 0.6))
+    assert rep.frame.rates == pytest.approx((0.4, 0.6))
     assert rep.verdicts == {k: "pass" for k in ("upper", "lower", "exact", "q_gap")}
-    assert abs(rep.empirical_rate - 0.6) <= 0.02
+    assert abs(rep.decay.rate - 0.6) <= 0.02
 
 
 def test_verdicts_newton_superlinear_convention():
@@ -393,7 +393,7 @@ def test_verdicts_newton_superlinear_convention():
     trace = iterate(prob, np.array([1.0]))
     frame = curvature_at(prob, np.zeros(1))
     rep = verdicts(trace, np.zeros(1), frame, prob)
-    assert rep.superlinear
+    assert rep.decay.superlinear
     assert rep.verdicts["upper"] == "pass"
     assert rep.verdicts["exact"] == "pass"  # zero rate pair, applicable at 0 <= 0
 
@@ -416,7 +416,7 @@ def test_verdicts_population_em():
     frame = curvature_at(em, np.array([1.0]))
     rep = verdicts(trace, np.array([1.0]), frame, em)
     assert all(v == "pass" for v in rep.verdicts.values())
-    assert rep.empirical_rate == pytest.approx(0.5, abs=2e-3)
+    assert rep.decay.rate == pytest.approx(0.5, abs=2e-3)
 
 
 def test_verdicts_fail_when_theory_is_wrong():
@@ -453,7 +453,7 @@ def test_entropy_random_starts_converge_and_pass(start, given):
     run = analyze(asm.problem, asm.theta0, asm.theta_star, asm.stop)
     assert run.trace.stop_reason is StopReason.CONVERGED
     assert np.linalg.norm(run.trace.final - np.array(cfg_star)) <= 1e-9
-    assert run.passed, run.report.verdicts
+    assert run.passed, run.verdicts
 
 
 def test_verdicts_fail_on_a_trace_that_did_not_converge():

@@ -26,7 +26,8 @@ def test_analyze_matches_the_hand_written_sequence():
     trace = iterate(prob, theta0, stop)
     frame = curvature_at(prob, star)
     rep = verdicts(trace, star, frame, prob)
-    assert got.report == rep
+    assert (got.decay, got.q_gap, got.q_gaps) == (rep.decay, rep.q_gap, rep.q_gaps)
+    assert (got.span_warning, got.verdicts) == (rep.span_warning, rep.verdicts)
     assert got.passed is rep.passed
     np.testing.assert_array_equal(got.theta_star, star)
     np.testing.assert_array_equal(np.array(got.trace.iterates), np.array(trace.iterates))
