@@ -2,21 +2,22 @@
 
 Each suite stress-tests one identity or perturbation bound behind the rate
 machinery on a stream of random matrices, and reports any counterexample with
-the offending inputs so it can be replayed verbatim. Draw per trial, check per
-dimension stack: each trial draws its dimension and inputs from the suite's own
-stream, in trial order; the trials of each dimension d = 1..8 are checked together
-as one stack through the stacked `linalg` and `np.linalg` calls, and counterexamples
-are reported in trial order.
+the offending inputs so it can be replayed verbatim. Each trial reads its dimension
+and its suite's `FIELDS` in one read of the suite's own stream, in trial order; the
+trials of each d = 1..8 share one Box-Muller and are checked as one stack through the
+stacked `linalg` and `np.linalg` calls, and counterexamples are reported in trial order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 from . import linalg
-from .rng import CounterRNG
+from .rng import CounterRNG, box_muller
 
 DIMS = (1, 8)
 ASCENT_STEPS = 200
@@ -33,8 +34,15 @@ class SuiteResult:
         return not self.failures
 
 
-def _square(rng: CounterRNG, d: int) -> np.ndarray:
-    return rng.gaussian(d * d).reshape(d, d)
+# Each suite's draws per trial after its dimension d: ("g" normals | "u" uniforms, d -> shape)
+_SQUARE, _NORMAL, _UNIFORM = ("g", lambda d: (d, d)), ("g", lambda d: (d,)), ("u", lambda d: (d,))
+FIELDS = {
+    "rate_identity": (_SQUARE, _UNIFORM, _SQUARE, _NORMAL),
+    "domination": (_SQUARE, _UNIFORM, _SQUARE, _NORMAL, _NORMAL),
+    "norm_perturbation": (_SQUARE, _UNIFORM) + (_SQUARE, ("g", lambda d: (100, d))) * 3,
+    "rate_perturbation": (_SQUARE, _UNIFORM) + (_SQUARE,) * 3,
+    "eigh_reconstruction": (_SQUARE, ("g", lambda d: ())),
+}
 
 
 def _spd(g: np.ndarray, u: np.ndarray, cond_range=(0.3, 3.0)) -> np.ndarray:
@@ -44,16 +52,38 @@ def _spd(g: np.ndarray, u: np.ndarray, cond_range=(0.3, 3.0)) -> np.ndarray:
     return linalg.symmetrize((q * np.exp(lo + (hi - lo) * u)[..., None, :]) @ q.swapaxes(-1, -2))
 
 
-def _stacks(rng: CounterRNG, trials: int, draw):
-    """Draw `trials` trials in stream order, each its dimension d then draw(rng, d); yield
-    each drawn dimension's trial indices and draws stacked field by field, d ascending."""
+@cache
+def _layout(fields, d: int):
+    """A trial's uniform count at d, Box-Muller columns (radii, then angles), fields' slices."""
+    at, radii, angles, spans = 0, [], [], []
+    for kind, shape in fields:
+        n = math.prod(shape(d))
+        spans.append((slice(at, at + n), shape(d)))
+        m = (n + 1) // 2 if kind == "g" else 0  # gaussian(n) reads m radii, then m angles
+        radii += range(at, at + m)
+        angles += range(at + m, at + 2 * m)
+        at += max(n, 2 * m)
+    return at, np.array(radii + angles, dtype=int), tuple(spans)
+
+
+def _stacks(rng: CounterRNG, trials: int, fields):
+    """Yield, d ascending, each drawn d's trial indices and `fields` stacked over its trials,
+    the bits of per-call draws in stream order: one read per trial, one Box-Muller per d."""
     lo, hi = DIMS
-    drawn = [draw(rng, lo + int(rng.uniform(1)[0] * (hi - lo + 1))) for _ in range(trials)]
-    dims = np.array([len(x[0]) for x in drawn])  # a trial's first draw has length d
-    for d in range(lo, hi + 1):
-        idx = np.flatnonzero(dims == d)
-        if len(idx):
-            yield idx, [np.stack(f) for f in zip(*(drawn[i] for i in idx))]
+    layouts = [_layout(fields, d) for d in range(lo, hi + 1)]
+    drawn = [([], []) for _ in layouts]
+    u = rng.uniform(1)
+    for i in range(trials):
+        d = lo + int(u[-1] * (hi - lo + 1))  # the previous read's last value
+        u = rng.uniform(layouts[d - lo][0] + (i + 1 < trials))  # and the next trial's d
+        drawn[d - lo][0].append(i)
+        drawn[d - lo][1].append(u)
+    for (size, perm, spans), (idx, blocks) in zip(layouts, drawn):
+        if idx:
+            rows = np.stack([u[:size] for u in blocks])
+            blocks.clear()
+            rows[:, perm] = box_muller(rows[:, perm])
+            yield np.array(idx), [rows[:, cols].reshape(-1, *shape) for cols, shape in spans]
 
 
 def _in_trial_order(found) -> list[dict]:
@@ -173,8 +203,7 @@ def check_rate_identity(trials: int = 1000, seed: int = 0) -> SuiteResult:
     `_ratio_ascent` on the padded rows (A, B, v) and (A, -B, v) replays it.
     """
     stacks = [(idx, _spd(g, u), linalg.symmetrize(b), v) for idx, (g, u, b, v) in _stacks(
-        CounterRNG((seed, 1)), trials,
-        lambda rng, d: (_square(rng, d), rng.uniform(d), _square(rng, d), rng.gaussian(d)))]
+        CounterRNG((seed, 1)), trials, FIELDS["rate_identity"])]
     pencils = [pencil for _, a, b, v in stacks for a_k, b_k, v_k in zip(a, b, v)
                for pencil in ((a_k, b_k, v_k), (a_k, -b_k, v_k))]
     searched = _ratio_ascent(*_padded(pencils)).reshape(-1, 2).max(axis=1)
@@ -205,10 +234,8 @@ def check_domination(trials: int = 1000, seed: int = 0) -> SuiteResult:
     held, found = [], []
     while sum(held) < trials and len(held) < 100 * trials:
         block = np.zeros(trials, dtype=bool)
-        for idx, (g, u, b, x, y) in _stacks(rng, trials, lambda rng, d: (
-                _square(rng, d), rng.uniform(d), _square(rng, d), 0.3 * rng.gaussian(d),
-                rng.gaussian(d))):
-            a = _spd(g, u)
+        for idx, (g, u, b, x, y) in _stacks(rng, trials, FIELDS["domination"]):
+            a, x = _spd(g, u), 0.3 * x
             xax = _quad(x, a, x)
             h = block[idx] = xax <= _quad(x, b, y)
             idx, a, b, x, y, xax = (z[h] for z in (idx + len(held), a, b, x, y, xax))
@@ -228,10 +255,8 @@ def check_norm_perturbation(trials: int = 1000, seed: int = 0) -> SuiteResult:
     """Nearby SPD matrices induce norms sandwiched within a relative epsilon."""
     eps = np.array([0.5, 0.1, 0.01])
     found = []
-    for idx, (g, u, m, xs) in _stacks(CounterRNG((seed, 3)), trials, lambda rng, d: (
-            _square(rng, d), rng.uniform(d),
-            *zip(*((_square(rng, d), rng.gaussian(100 * d).reshape(100, d)) for _ in eps)))):
-        s_star = _spd(g, u)
+    for idx, (g, u, *pairs) in _stacks(CounterRNG((seed, 3)), trials, FIELDS["norm_perturbation"]):
+        s_star, m, xs = _spd(g, u), np.stack(pairs[::2], axis=1), np.stack(pairs[1::2], axis=1)
         delta = eps * linalg.eigh(s_star).eigenvalues[:, :1] / 2.0
         m = linalg.symmetrize(m)
         m *= (delta * 0.999 / np.maximum(linalg.spectral_norm(m), 1e-300))[..., None, None]
@@ -257,8 +282,8 @@ def check_rate_perturbation(trials: int = 1000, seed: int = 0) -> SuiteResult:
     """
     scales = np.array([1e-2, 1e-3, 1e-4])
     found = []
-    for idx, (g, u, b, m_dir, n_dir) in _stacks(CounterRNG((seed, 4)), trials, lambda rng, d: (
-            _square(rng, d), rng.uniform(d), _square(rng, d), _square(rng, d), _square(rng, d))):
+    for idx, (g, u, b, m_dir, n_dir) in _stacks(CounterRNG((seed, 4)), trials,
+                                                 FIELDS["rate_perturbation"]):
         a, b = _spd(g, u, (0.5, 2.0)), linalg.symmetrize(b)
         base = linalg.generalized_rate_pair(a, b).rho_sup[:, None]
         lam_min = linalg.eigh(a).eigenvalues[:, :1]
@@ -283,9 +308,8 @@ def check_eigh_reconstruction(trials: int = 1000, seed: int = 0) -> SuiteResult:
     input rather than against a second eigensolver.
     """
     found = []
-    for idx, (g, scale) in _stacks(CounterRNG((seed, 5)), trials, lambda rng, d: (
-            _square(rng, d), float(np.exp(2.0 * rng.gaussian(1)[0])))):
-        s = linalg.symmetrize(g) * scale[:, None, None]
+    for idx, (g, scale) in _stacks(CounterRNG((seed, 5)), trials, FIELDS["eigh_reconstruction"]):
+        s = linalg.symmetrize(g) * np.exp(2.0 * scale)[:, None, None]
         lam, vec = linalg.eigh(s)
         vec_t = vec.swapaxes(-1, -2)
         recon = np.max(np.abs((vec * lam[:, None, :]) @ vec_t - s), axis=(1, 2))

@@ -47,7 +47,7 @@ class InfeasiblePerturbation(RatesError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurvatureFrame:
     """Curvature pair at a point, with its direction-space reduction.
 
@@ -221,7 +221,7 @@ def default_floor(theta_star) -> float:
     return 1e-12 * (1.0 + float(np.linalg.norm(np.atleast_1d(theta_star))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateReport:
     """One analysed run: the trace, its fixed point, the curvature frame there,
     the decay measured on the trace and one verdict per asymptotic claim.
@@ -232,7 +232,7 @@ class RateReport:
     "upper" (measured decay bounded by the sup rate of frame.rates), "lower"
     (bounded below by the inf rate, interior limits only), "exact" (the two
     coincide when sup^2 <= inf) and "q_gap" (surrogate values converge at
-    least as fast as the iterates).
+    least as fast as the iterates).  Reports, frames and traces compare by identity.
     """
 
     trace: Trace

@@ -17,7 +17,7 @@ from .rates import (
 from .surrogate import Trace, iterate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReportBundle(RateReport):
     name: str
     trace_csv_path: Path

@@ -111,7 +111,7 @@ class SurrogateProblem:
         return v
 
 
-@dataclass
+@dataclass(eq=False)
 class Trace:
     """The iterates theta_0, theta_1, ... of a run and the reason it stopped."""
 

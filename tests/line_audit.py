@@ -8,6 +8,8 @@ The script installs a line tracer with `sys.settrace` and
 `threading.settrace`, runs the tier-1 suite in this process through
 `pytest.main` (extra arguments are passed on; the default is `tests`), then
 prints each unexecuted statement as `path:line: source` and a summary count.
+It exits 1 when an unexecuted statement is not in KNOWN, matched by path and
+stripped source (not by line number), and otherwise with pytest's status.
 A statement line is one that starts an `ast.stmt` node and carries bytecode,
 so docstrings, blank lines, comments and continuation lines are not counted.
 Tests that run `surro` in a subprocess are not traced: lines that only those
@@ -22,12 +24,27 @@ from __future__ import annotations
 import ast
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "surro"
+
+# The statements tier-1 does not reach, each kept for a reason: the interface stubs a
+# custom domain, map or objective implements; the `__main__` exit, reached only by the
+# untraced subprocess tests; the pulled-back problem's eval_q, which FD curvature never
+# reads but a whole SurrogateProblem needs; sweep.worker_count, which the benchmark reads.
+KNOWN = Counter({
+    ("src/surro/cli.py", "sys.exit(main())"): 1,
+    ("src/surro/domains.py", "raise NotImplementedError"): 6,
+    ("src/surro/mirror_maps.py", "raise NotImplementedError"): 4,
+    ("src/surro/objectives.py", "raise NotImplementedError"): 3,
+    ("src/surro/rates.py",
+     "return problem.eval_q(np.atleast_1d(psi(theta)), np.atleast_1d(psi(u)))"): 1,
+    ("src/surro/sweep.py", "return 1"): 1,
+})
 
 
 def statement_lines(path: Path) -> set[int]:
@@ -69,17 +86,26 @@ def main(argv: list[str]) -> int:
         sys.settrace(None)
         threading.settrace(None)
 
-    missed = total = 0
+    missed, total, known = 0, 0, KNOWN.copy()
+    new = []
     for name, lines in files.items():
         total += len(lines)
         source = Path(name).read_text().splitlines()
         rel = Path(name).relative_to(ROOT)
         for line in sorted(lines - hits[name]):
             missed += 1
-            print(f"{rel}:{line}: {source[line - 1].strip()}")
+            key = (rel.as_posix(), source[line - 1].strip())
+            entry = f"{rel}:{line}: {key[1]}"
+            print(entry)
+            if known[key] > 0:
+                known[key] -= 1
+            else:
+                new.append(entry)
     print(f"{missed} of {total} statement lines in src/surro never executed "
           f"(pytest exit {int(status)})")
-    return int(status)
+    for entry in new:
+        print(f"not in KNOWN: {entry}")
+    return 1 if new else int(status)
 
 
 if __name__ == "__main__":

@@ -9,12 +9,64 @@ from surro import lemmas, linalg, report
 from surro.rng import CounterRNG
 
 
+def _square(rng, d):
+    return rng.gaussian(d * d).reshape(d, d)
+
+
 def _random_spd(rng, d):
-    return lemmas._spd(lemmas._square(rng, d), rng.uniform(d))
+    return lemmas._spd(_square(rng, d), rng.uniform(d))
 
 
 def _random_symmetric(rng, d):
-    return linalg.symmetrize(lemmas._square(rng, d))
+    return linalg.symmetrize(_square(rng, d))
+
+
+# The reference for `_stacks`: each suite's per-trial draws, one CounterRNG call per draw;
+# domination's 0.3 x and eigh_reconstruction's exp(2 g) are elementwise on these draws.
+PER_CALL = {
+    "rate_identity": lambda rng, d: (
+        _square(rng, d), rng.uniform(d), _square(rng, d), rng.gaussian(d)),
+    "domination": lambda rng, d: (
+        _square(rng, d), rng.uniform(d), _square(rng, d), rng.gaussian(d), rng.gaussian(d)),
+    "norm_perturbation": lambda rng, d: (_square(rng, d), rng.uniform(d), *(
+        x for _ in range(3) for x in (_square(rng, d), rng.gaussian(100 * d).reshape(100, d)))),
+    "rate_perturbation": lambda rng, d: (
+        _square(rng, d), rng.uniform(d), *(_square(rng, d) for _ in range(3))),
+    "eigh_reconstruction": lambda rng, d: (_square(rng, d), rng.gaussian(1)[0]),
+}
+STREAM = {"rate_identity": 1, "domination": 2, "norm_perturbation": 3,
+          "rate_perturbation": 4, "eigh_reconstruction": 5}
+
+
+def _per_call_stacks(rng, trials, draw):
+    """The reference `_stacks`: per trial rng.uniform(1) for d, then draw(rng, d)."""
+    lo, hi = lemmas.DIMS
+    dims, drawn = [], []
+    for _ in range(trials):
+        dims.append(lo + int(rng.uniform(1)[0] * (hi - lo + 1)))
+        drawn.append(draw(rng, dims[-1]))
+    for d in range(lo, hi + 1):
+        idx = np.flatnonzero(np.array(dims) == d)
+        if len(idx):
+            yield idx, [np.stack(f) for f in zip(*(drawn[i] for i in idx))]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("trials", [1, 2, 20, 150])
+@pytest.mark.parametrize("name", list(PER_CALL))
+def test_stacks_are_bitwise_the_per_call_draws(name, trials, seed):
+    # two blocks in a row from one stream, as domination draws them, then the stream position
+    rng, reference = CounterRNG((seed, STREAM[name])), CounterRNG((seed, STREAM[name]))
+    for _ in range(2):
+        got = list(lemmas._stacks(rng, trials, lemmas.FIELDS[name]))
+        want = list(_per_call_stacks(reference, trials, PER_CALL[name]))
+        assert len(got) == len(want)
+        for (idx, fields), (want_idx, want_fields) in zip(got, want):
+            np.testing.assert_array_equal(idx, want_idx)
+            assert len(fields) == len(want_fields) == len(lemmas.FIELDS[name])
+            for f, w in zip(fields, want_fields):
+                assert f.shape == w.shape and f.dtype == w.dtype and f.tobytes() == w.tobytes()
+    assert rng.uniform(5).tobytes() == reference.uniform(5).tobytes()
 
 
 def test_all_suites_clean_at_reduced_trial_count():
@@ -149,20 +201,27 @@ def test_ratio_ascent_finds_a_sup_in_a_thin_cone():
 
 
 def test_rate_identity_draws_one_start_per_trial(monkeypatch):
-    # per trial: d * d for A, d * d for B, then the d values of the one start
-    sizes = []
-    gaussian = CounterRNG.gaussian
+    # per trial: d * d normals for A's square, d uniforms, d * d for B's square, then the d
+    # normals of the one start, which both witness rows (A, B, v) and (A, -B, v) climb from
+    for d in range(1, 9):
+        assert [(kind, shape(d)) for kind, shape in lemmas.FIELDS["rate_identity"]] == [
+            ("g", (d, d)), ("u", (d,)), ("g", (d, d)), ("g", (d,))]
+    batches = []
+    ascent = lemmas._ratio_ascent
 
-    def counted(self, n):
-        sizes.append(int(n))
-        return gaussian(self, n)
+    def capture(a, b, v0):
+        batches.append(v0)
+        return ascent(a, b, v0)
 
-    monkeypatch.setattr(CounterRNG, "gaussian", counted)
+    monkeypatch.setattr(lemmas, "_ratio_ascent", capture)
     assert lemmas.check_rate_identity(trials=50, seed=3).passed
-    assert len(sizes) == 3 * 50
-    dims = [round(n**0.5) for n in sizes[::3]]
-    assert sizes[::3] == sizes[1::3] == [d * d for d in dims]
-    assert sizes[2::3] == dims and len(set(dims)) > 1
+    (v0,) = batches
+    starts = [v for _, (*_, vs) in _per_call_stacks(
+        CounterRNG((3, 1)), 50, PER_CALL["rate_identity"]) for v in vs]
+    assert len(v0) == 2 * len(starts) == 2 * 50 and len({len(v) for v in starts}) > 1
+    np.testing.assert_array_equal(v0[1::2], v0[::2])
+    for row, v in zip(v0[::2], starts):
+        assert row[:len(v)].tobytes() == v.tobytes() and not row[len(v):].any()
 
 
 @pytest.mark.parametrize("gap", [0.0, 1e-14, 1e-10, 1e-6, 0.02, 0.05])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from surro import runner
+from surro.config import CONFIG_DIR, assemble, load_config
 from surro.descent import mirror_descent_problem, mirror_prox_problem
 from surro.domains import Box, FullSpace, Simplex
 from surro.mirror_maps import NegEntropyMap, QuadraticMap
@@ -34,6 +35,18 @@ def test_analyze_matches_the_hand_written_sequence():
     for name in ("a_star", "b_star", "basis", "a_tilde", "b_tilde"):
         np.testing.assert_array_equal(getattr(got.frame, name), getattr(frame, name))
     assert got.frame.rates == frame.rates
+
+
+def test_reports_of_a_2d_run_compare_by_identity(tmp_path):
+    # numpy array fields have no single truth value: the records compare by identity
+    # rather than raise the ambiguous-truth ValueError
+    cfg = load_config(CONFIG_DIR / "gd_diag.json")
+    asm = assemble(cfg)
+    a, b = (runner.analyze(asm.problem, asm.theta0, asm.theta_star, asm.stop) for _ in range(2))
+    bundle = runner.run_experiment(cfg, tmp_path)
+    assert a.theta_star.size == 2
+    for x, y in ((a, b), (a.frame, b.frame), (a.trace, b.trace), (bundle, a)):
+        assert x == x and x != y and y == y
 
 
 def test_analyze_locates_the_fixed_point_only_when_not_given(monkeypatch):
