@@ -8,8 +8,6 @@ the rate pair that curvature predicts.
 """
 
 from .descent import (
-    IncompatibleDomain,
-    SingularHessian,
     audit_prox_hypotheses,
     mirror_descent_problem,
     mirror_prox_problem,
@@ -27,7 +25,6 @@ from .domains import (
 from .errors import SurroError
 from .latent import (
     AlphaIndex,
-    EmptyData,
     GaussianLatentModel,
     TwoComponentMixture,
     alpha_em_problem,
@@ -36,8 +33,6 @@ from .latent import (
     fisher_information,
 )
 from .linalg import (
-    DimensionMismatch,
-    InternalNumericalFailure,
     NotPositiveDefinite,
     RatePair,
     Spectrum,
@@ -51,7 +46,6 @@ from .mirror_maps import (
     BallMap,
     NegEntropyMap,
     OutsideMirrorDomain,
-    ProjectionFailed,
     QuadraticMap,
     bregman,
     bregman_project,
@@ -65,9 +59,7 @@ from .objectives import (
 )
 from .rates import (
     CurvatureFrame,
-    H4Violated,
     RateReport,
-    SingularAcceleration,
     accelerate,
     alpha_transform,
     curvature_at,
@@ -80,7 +72,6 @@ from .rates import (
 )
 from .rng import CounterRNG
 from .surrogate import (
-    InfeasibleInput,
     InnerSolveFailed,
     StopReason,
     StopRule,

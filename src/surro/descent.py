@@ -13,33 +13,21 @@ import numpy as np
 
 from .domains import ConvexDomain, FullSpace, as_vector
 from .errors import SurroError
-from .mirror_maps import MirrorError, MirrorMap, NegEntropyMap, QuadraticMap, extended_value
+from .mirror_maps import MirrorMap, NegEntropyMap, QuadraticMap, extended_value
 from .objectives import Objective
 from .surrogate import SurrogateProblem, inner_minimize
 
 
-class BuilderError(SurroError):
-    pass
-
-
-class IncompatibleDomain(BuilderError):
-    pass
-
-
-class SingularHessian(BuilderError):
-    pass
-
-
 def _check_compat(f: Objective, phi: MirrorMap, eta: float, domain: ConvexDomain):
     if not eta > 0:
-        raise BuilderError("step size eta must be positive")
+        raise SurroError("step size eta must be positive")
     if not (f.q == phi.q == domain.q):
-        raise IncompatibleDomain(
+        raise SurroError(
             f"dimension mismatch: objective {f.q}, mirror map {phi.q}, domain {domain.q}"
         )
     # the surrogate is +inf off the map's open domain, so the feasible set must meet it
     if not phi.in_domain(domain.interior_point()):
-        raise IncompatibleDomain("the feasible set does not meet the mirror-map domain")
+        raise SurroError("the feasible set does not meet the mirror-map domain")
 
 
 def _mirror_problem(f: Objective, phi: MirrorMap, eta: float, domain: ConvexDomain, at,
@@ -61,7 +49,7 @@ def _mirror_problem(f: Objective, phi: MirrorMap, eta: float, domain: ConvexDoma
 
     def anchored(theta):
         nonlocal anchor
-        th = as_vector(theta, phi.q, MirrorError)
+        th = as_vector(theta, phi.q)
         key = th.tobytes()
         memo = anchor
         if memo[0] != key:
@@ -71,7 +59,7 @@ def _mirror_problem(f: Objective, phi: MirrorMap, eta: float, domain: ConvexDoma
 
     def eval_q(theta, u):
         th, (_, _, g, phi_theta, dphi_theta) = anchored(theta)
-        uv = as_vector(u, phi.q, MirrorError)
+        uv = as_vector(u, phi.q)
         phi_u = extended_value(phi, uv)  # +inf off the map's domain makes Q +inf there
         return eta * float(g @ uv) + float(phi_u - phi_theta - dphi_theta @ (uv - th))
 
@@ -185,7 +173,7 @@ def newton_problem(f: Objective, domain: ConvexDomain | None = None) -> Surrogat
     """
     dom = domain or FullSpace(f.q)
     if dom.q != f.q:
-        raise IncompatibleDomain(f"dimension mismatch: objective {f.q}, domain {dom.q}")
+        raise SurroError(f"dimension mismatch: objective {f.q}, domain {dom.q}")
 
     def newton_point(theta):
         th = np.asarray(theta, dtype=float)
@@ -193,9 +181,9 @@ def newton_problem(f: Objective, domain: ConvexDomain | None = None) -> Surrogat
         try:
             dx = np.linalg.solve(h, -f.grad(th))
         except np.linalg.LinAlgError as exc:
-            raise SingularHessian(f"Hessian is singular at {th}") from exc
+            raise SurroError(f"Hessian is singular at {th}") from exc
         if not np.all(np.isfinite(dx)):
-            raise SingularHessian(f"Hessian solve produced non-finite step at {th}")
+            raise SurroError(f"Hessian solve produced non-finite step at {th}")
         return th + dx
 
     def eval_q(theta, u):

@@ -21,19 +21,15 @@ MEMBERSHIP_TOL = 1e-12
 INTERIOR_MARGIN = 1e-9
 
 
-class DomainError(SurroError):
-    pass
-
-
-class DegenerateDomain(DomainError):
+class DegenerateDomain(SurroError):
     """Raised when the direction space of the domain is {0}."""
 
 
 _FLOAT = np.dtype(float)
 
 
-def as_vector(x, q: int, error: type[Exception] = DomainError) -> np.ndarray:
-    """x as a float vector of length q, a 0-d value counting as length 1; raises error otherwise.
+def as_vector(x, q: int) -> np.ndarray:
+    """x as a float vector of length q, a 0-d value counting as length 1; else raises SurroError.
 
     A float64 ndarray of shape (q,) is returned as is, the object np.asarray
     would return; anything else is converted.  No value is looked at, so a
@@ -46,7 +42,7 @@ def as_vector(x, q: int, error: type[Exception] = DomainError) -> np.ndarray:
     if v.ndim == 0:
         v = v.reshape(1)
     if v.shape != (q,):
-        raise error(f"expected a vector of length {q}, got shape {v.shape}")
+        raise SurroError(f"expected a vector of length {q}, got shape {v.shape}")
     return v
 
 
@@ -89,7 +85,7 @@ class FullSpace(ConvexDomain):
 
     def __post_init__(self):
         if self.q < 1:
-            raise DomainError("dimension must be >= 1")
+            raise SurroError("dimension must be >= 1")
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         return bool(np.isfinite(as_vector(x, self.q)).all())
@@ -119,9 +115,9 @@ class Box(ConvexDomain):
         lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
-            raise DomainError("lower/upper must be vectors of equal length")
+            raise SurroError("lower/upper must be vectors of equal length")
         if not np.all(lo < hi):
-            raise DomainError("box requires lower < upper componentwise")
+            raise SurroError("box requires lower < upper componentwise")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -160,9 +156,9 @@ class EuclideanBall(ConvexDomain):
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
         if c.ndim != 1:
-            raise DomainError("center must be a vector")
+            raise SurroError("center must be a vector")
         if not self.radius > 0:
-            raise DomainError("radius must be positive")
+            raise SurroError("radius must be positive")
         object.__setattr__(self, "center", c)
 
     @property
@@ -207,9 +203,9 @@ class Simplex(ConvexDomain):
 
     def __post_init__(self):
         if self.q < 1:
-            raise DomainError("dimension must be >= 1")
+            raise SurroError("dimension must be >= 1")
         if not 0 <= self.face_eps * self.q < 1:
-            raise DomainError("face epsilon too large for this dimension")
+            raise SurroError("face epsilon too large for this dimension")
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         v = as_vector(x, self.q)
@@ -267,12 +263,12 @@ class AffineSlice(ConvexDomain):
         c = np.atleast_2d(np.asarray(self.constraints, dtype=float))
         b = np.atleast_1d(np.asarray(self.offsets, dtype=float))
         if c.shape[0] != b.shape[0]:
-            raise DomainError("row count of C must match length of b")
+            raise SurroError("row count of C must match length of b")
         if c.shape[1] != self.inside.q:
-            raise DomainError("C column count must match the box dimension")
+            raise SurroError("C column count must match the box dimension")
         rank = np.linalg.matrix_rank(c)
         if rank != c.shape[0]:
-            raise DomainError("rows of C must be linearly independent")
+            raise SurroError("rows of C must be linearly independent")
         object.__setattr__(self, "constraints", c)
         object.__setattr__(self, "offsets", b)
         _, _, vt = np.linalg.svd(c)

@@ -2,4 +2,4 @@
 
 
 class SurroError(Exception):
-    """Base of each module's error family; `surro` commands report it as exit code 1."""
+    """Raised as is unless a handler names a subclass; `surro` commands report it as exit code 1."""

@@ -20,14 +20,6 @@ from .errors import SurroError
 from .surrogate import SurrogateProblem
 
 
-class ModelError(SurroError):
-    pass
-
-
-class EmptyData(ModelError):
-    pass
-
-
 @dataclass(frozen=True)
 class GaussianLatentModel:
     """X ~ N(theta, sigma_x2) observed through Y = X + N(0, sigma_y2)."""
@@ -38,7 +30,7 @@ class GaussianLatentModel:
 
     def __post_init__(self):
         if not (self.sigma_x2 > 0 and self.sigma_y2 > 0):
-            raise ModelError("variances must be positive")
+            raise SurroError("variances must be positive")
 
     @property
     def marginal_var(self) -> float:
@@ -142,7 +134,7 @@ def em_sample_problem(model: GaussianLatentModel, data) -> SurrogateProblem:
     """
     y = np.atleast_1d(np.asarray(data, dtype=float))
     if y.size == 0:
-        raise EmptyData("at least one observation is required")
+        raise SurroError("at least one observation is required")
     sx2, sy2 = model.sigma_x2, model.sigma_y2
     s = model.marginal_var
     w = model.shrinkage
@@ -190,7 +182,7 @@ class AlphaIndex:
 
     def __post_init__(self):
         if self.alpha == 1.0:
-            raise ModelError("alpha = 1 is excluded")
+            raise SurroError("alpha = 1 is excluded")
 
     def f(self, x):
         x = np.asarray(x, dtype=float)
@@ -229,14 +221,14 @@ def alpha_em_problem(
         lyapunov = em_population_problem(model).lyapunov
     elif mode == "sample":
         if data is None:
-            raise EmptyData("sample mode requires observations")
+            raise SurroError("sample mode requires observations")
         cells = np.atleast_1d(np.asarray(data, dtype=float))
         if cells.size == 0:
-            raise EmptyData("at least one observation is required")
+            raise SurroError("at least one observation is required")
         s2 = model.posterior_var
         lyapunov = lambda theta: -model.observed_loglik(float(theta[0]), data)
     else:
-        raise ModelError(f"unknown mode {mode!r}")
+        raise SurroError(f"unknown mode {mode!r}")
     denom = (1.0 - al) * sx2
 
     def moments(theta, u):
@@ -292,7 +284,7 @@ class TwoComponentMixture:
 
     def __post_init__(self):
         if not self.theta_star > 0:
-            raise ModelError("separation theta_star must be positive")
+            raise SurroError("separation theta_star must be positive")
 
     def sample_y(self, k: int, rng) -> np.ndarray:
         signs = np.where(rng.uniform(k) < 0.5, -1.0, 1.0)
@@ -301,7 +293,7 @@ class TwoComponentMixture:
     def sample_problem(self, data) -> SurrogateProblem:
         y = np.atleast_1d(np.asarray(data, dtype=float))
         if y.size == 0:
-            raise EmptyData("at least one observation is required")
+            raise SurroError("at least one observation is required")
         const = math.log(2.0) + 0.5 * math.log(2.0 * math.pi)
 
         def eval_q(theta, u):

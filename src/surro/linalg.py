@@ -35,14 +35,6 @@ class NotPositiveDefinite(LinalgError):
         self.min_eigenvalue = min_eigenvalue
 
 
-class DimensionMismatch(LinalgError):
-    pass
-
-
-class InternalNumericalFailure(LinalgError):
-    pass
-
-
 class Spectrum(NamedTuple):
     """Eigenvalues (..., d) in ascending order, with matching orthonormal columns (..., d, d)."""
 
@@ -66,7 +58,7 @@ def symmetrize(m) -> np.ndarray:
     """Return (M + M') / 2 as a float array; entry point for every symmetric input."""
     a = np.asarray(m, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+        raise LinalgError(f"expected a square matrix, got shape {a.shape}")
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
@@ -82,16 +74,16 @@ def eigh(s) -> Spectrum:
     Input is symmetrized here, so callers need not symmetrize it, and must
     be finite: LAPACK does not reject NaN (it returns plausible-looking
     eigenvalues for a NaN entry), so non-finite input and LAPACK convergence
-    failures both raise InternalNumericalFailure.  Returns ascending eigenvalues and an
+    failures both raise LinalgError.  Returns ascending eigenvalues and an
     orthonormal eigenvector matrix whose column i pairs with eigenvalue i.
     """
     a = symmetrize(s)
     if not np.isfinite(a).all():
-        raise InternalNumericalFailure("eigh input has non-finite entries")
+        raise LinalgError("eigh input has non-finite entries")
     try:
         lam, vec = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
-        raise InternalNumericalFailure(f"LAPACK eigh failed: {exc}") from exc
+        raise LinalgError(f"LAPACK eigh failed: {exc}") from exc
     return Spectrum(lam, vec)
 
 
@@ -105,9 +97,9 @@ def spectral_norm(m) -> float | np.ndarray:
     """Largest singular value, i.e. sqrt of the top eigenvalue of M'M."""
     a = np.asarray(m, dtype=float)
     if a.ndim < 2:
-        raise DimensionMismatch(f"expected a matrix, got shape {a.shape}")
+        raise LinalgError(f"expected a matrix, got shape {a.shape}")
     if not np.isfinite(a).all():  # before M'M, where an inf meeting a 0 warns
-        raise InternalNumericalFailure("spectral_norm input has non-finite entries")
+        raise LinalgError("spectral_norm input has non-finite entries")
     lam = eigh(a.swapaxes(-1, -2) @ a).eigenvalues
     return _per_matrix(np.sqrt(np.maximum(lam[..., -1], 0.0)))
 
@@ -139,9 +131,9 @@ def whitened_eigenvalues(a, b) -> np.ndarray:
     a = symmetrize(a)
     b = symmetrize(b)
     if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
+        raise LinalgError(f"shape mismatch {a.shape} vs {b.shape}")
     if not np.isfinite(b).all():
-        raise InternalNumericalFailure("rate pair input B has non-finite entries")
+        raise LinalgError("rate pair input B has non-finite entries")
     r = inv_sqrt(a)
     return eigh(r @ b @ r).eigenvalues
 
@@ -151,7 +143,7 @@ def generalized_rate_pair(a, b) -> RatePair:
 
     rho_sup is the spectral norm of A^{-1/2} B A^{-1/2}; rho_inf the smallest
     absolute eigenvalue of the same matrix, snapped to 0 when B is singular.
-    Non-finite entries in either matrix raise InternalNumericalFailure.
+    Non-finite entries in either matrix raise LinalgError.
     """
     abs_lam = np.abs(whitened_eigenvalues(a, b))
     lo, hi = abs_lam.min(axis=-1), abs_lam.max(axis=-1)

@@ -17,15 +17,7 @@ from .domains import Box, ConvexDomain, Simplex, as_vector
 from .errors import SurroError
 
 
-class MirrorError(SurroError):
-    pass
-
-
-class OutsideMirrorDomain(MirrorError):
-    pass
-
-
-class ProjectionFailed(MirrorError):
+class OutsideMirrorDomain(SurroError):
     pass
 
 
@@ -64,7 +56,7 @@ class MirrorMap:
         return None
 
     def _require(self, x) -> np.ndarray:
-        v = as_vector(x, self.q, MirrorError)
+        v = as_vector(x, self.q)
         if not self.in_domain(v):
             raise OutsideMirrorDomain(f"point {v} is outside the mirror-map domain")
         return v
@@ -128,7 +120,7 @@ class NegEntropyMap(MirrorMap):
 
     def closed_projection(self, domain, zeta):
         if isinstance(domain, Simplex):
-            z = as_vector(zeta, self.q, MirrorError)
+            z = as_vector(zeta, self.q)
             out = z / float(z.sum())  # exact entropy projection of a positive vector
             if out.min() < domain.face_eps:
                 # x_i = max(face_eps, c z_i) with c fixing the sum: the top k
@@ -158,11 +150,11 @@ class BallMap(MirrorMap):
 
     def __post_init__(self):
         if not self.r2 > 0:
-            raise MirrorError("squared radius must be positive")
+            raise SurroError("squared radius must be positive")
 
     def _point(self, x) -> tuple[np.ndarray, float]:
         """The point as a length-q vector and its squared norm; raises outside the ball."""
-        v = as_vector(x, self.q, MirrorError)
+        v = as_vector(x, self.q)
         s = float(v @ v)
         if not s < self.r2:
             raise OutsideMirrorDomain(f"point {v} is outside the mirror-map domain")
@@ -234,27 +226,22 @@ def bregman_project(domain: ConvexDomain, phi: MirrorMap, zeta) -> np.ndarray:
 
     # minimize Phi(x) - <grad Phi(zeta), x> over the domain
     target = phi.grad(z)
-    from .surrogate import SolveFailure, minimize_smooth  # local import avoids a cycle
+    from .surrogate import minimize_smooth  # local import avoids a cycle
 
-    try:
-        return minimize_smooth(
-            domain=domain,
-            fun=lambda x: extended_value(phi, x) - float(target @ x),
-            grad=lambda x: phi.grad(x) - target,
-            hess=phi.hess,
-            x0=domain.project(z),
-        )
-    except SolveFailure as exc:
-        raise ProjectionFailed(str(exc)) from exc
+    return minimize_smooth(
+        domain=domain,
+        fun=lambda x: extended_value(phi, x) - float(target @ x),
+        grad=lambda x: phi.grad(x) - target,
+        hess=phi.hess,
+        x0=domain.project(z),
+    )
 
 
 __all__ = [
     "BallMap",
-    "MirrorError",
     "MirrorMap",
     "NegEntropyMap",
     "OutsideMirrorDomain",
-    "ProjectionFailed",
     "QuadraticMap",
     "bregman",
     "bregman_project",

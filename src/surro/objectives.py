@@ -11,10 +11,6 @@ from . import linalg
 from .errors import SurroError
 
 
-class ObjectiveError(SurroError):
-    pass
-
-
 class Objective:
     """Smooth objective; hess must return a q x q array."""
 
@@ -42,10 +38,10 @@ class QuadraticForm(Objective):
         h = linalg.symmetrize(self.h)
         ok, min_eig = linalg.is_positive_definite(h)
         if not ok:
-            raise ObjectiveError(f"H must be positive-definite (min eigenvalue {min_eig:.3e})")
+            raise SurroError(f"H must be positive-definite (min eigenvalue {min_eig:.3e})")
         c = np.zeros(h.shape[0]) if self.c is None else np.asarray(self.c, dtype=float)
         if c.shape != (h.shape[0],):
-            raise ObjectiveError("c must match the dimension of H")
+            raise SurroError("c must match the dimension of H")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "c", c)
 
@@ -107,7 +103,7 @@ class SmoothLogSumExp(Objective):
 
     def __post_init__(self):
         if not self.scale > 0:
-            raise ObjectiveError("scale must be positive")
+            raise SurroError("scale must be positive")
 
     @property
     def beta(self):
@@ -167,5 +163,5 @@ class CustomObjective(Objective):
 
     def hess(self, x):
         if self.hessian is None:
-            raise ObjectiveError("no Hessian available for this objective")
+            raise SurroError("no Hessian available for this objective")
         return np.atleast_2d(np.asarray(self.hessian(np.asarray(x, dtype=float)), dtype=float))

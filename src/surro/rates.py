@@ -35,18 +35,6 @@ class RatesError(SurroError):
     pass
 
 
-class H4Violated(RatesError):
-    """The reduced curvature matrix A is not positive-definite."""
-
-
-class SingularAcceleration(RatesError):
-    pass
-
-
-class InfeasiblePerturbation(RatesError):
-    pass
-
-
 @dataclass(frozen=True, eq=False)
 class CurvatureFrame:
     """Curvature pair at a point, with its direction-space reduction.
@@ -83,12 +71,12 @@ def _directional(gfun: Callable, base: np.ndarray, direction: np.ndarray, h: flo
             plus = np.asarray(gfun(base + hh * direction), dtype=float)
             minus = np.asarray(gfun(base - hh * direction), dtype=float)
         except Exception as exc:  # noqa: BLE001 - surfaced with context
-            raise InfeasiblePerturbation(
+            raise RatesError(
                 f"surrogate evaluation failed at offset {hh:g} along {direction}: {exc}"
             ) from exc
         out = (plus - minus) / (2.0 * hh)
         if not np.all(np.isfinite(out)):
-            raise InfeasiblePerturbation(f"non-finite derivative probe at offset {hh:g}")
+            raise RatesError(f"non-finite derivative probe at offset {hh:g}")
         return out
 
     coarse = probe(h)
@@ -113,7 +101,7 @@ def curvature_at(
 
     The rate pair of the reduced pencil is computed once here and carried
     by the frame; it is None when A~ is not positive-definite, which is also
-    when theoretical_rates raises H4Violated and h4_pass is False.
+    when theoretical_rates raises RatesError and h4_pass is False.
     """
     star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     if not problem.domain.contains(star, tol=REFERENCE_TOL):
@@ -152,9 +140,12 @@ def curvature_at(
 
 
 def theoretical_rates(frame: CurvatureFrame) -> RatePair:
-    """Extreme absolute Rayleigh quotients of the reduced curvature pencil."""
+    """Extreme absolute Rayleigh quotients of the reduced curvature pencil.
+
+    Raises RatesError when A~ is not positive-definite (frame.rates is None).
+    """
     if frame.rates is None:
-        raise H4Violated("reduced curvature matrix A~ is not positive-definite")
+        raise RatesError("reduced curvature matrix A~ is not positive-definite")
     return frame.rates
 
 
@@ -270,7 +261,9 @@ def verdicts(
     on one whose limit is not theta*: for rho_sup < 1, the a posteriori bound
     of a contraction puts the limit within r_N / (1 - rho_sup) of the last
     iterate (r_N the last residual), and a final error above ten times that
-    plus the numerical floor fails.  Raises H4Violated when frame.rates is None.
+    plus the numerical floor fails.  A trace without steps is its own limit,
+    so it fails on an error above ten times the floor for any rho_sup.
+    Raises RatesError when frame.rates is None.
     """
     star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     theory = theoretical_rates(frame)
@@ -305,8 +298,11 @@ def verdicts(
     else:
         out["q_gap"] = "inapplicable"
 
-    r_last = vector_norm(trace.final - trace.iterates[-2]) if len(trace) > 1 else 0.0
-    off_limit = sup < 1.0 and errors[-1] > 10.0 * (r_last / (1.0 - sup) + floor)
+    if len(trace) > 1:
+        r_last = vector_norm(trace.final - trace.iterates[-2])
+        off_limit = sup < 1.0 and errors[-1] > 10.0 * (r_last / (1.0 - sup) + floor)
+    else:  # a trace without a step is its own limit, whatever sup is
+        off_limit = errors[-1] > 10.0 * floor
     if trace.stop_reason is not StopReason.CONVERGED or off_limit:
         out = dict.fromkeys(out, "fail")
 
@@ -333,7 +329,7 @@ def mirror_prox_spectrum_map(md_frame: CurvatureFrame) -> RatePair:
     try:
         spectrum = linalg.whitened_eigenvalues(md_frame.a_tilde, md_frame.b_tilde)
     except NotPositiveDefinite as exc:
-        raise H4Violated(str(exc)) from exc
+        raise RatesError(str(exc)) from exc
     abs_mapped = np.abs(spectrum**2 - spectrum + 1.0)
     return RatePair(float(abs_mapped.min()), float(abs_mapped.max()))
 
@@ -371,10 +367,10 @@ def accelerate(theta_n, theta_np1, frame: CurvatureFrame) -> np.ndarray:
         s = np.linalg.solve(frame.a_tilde, frame.b_tilde)
         g = np.eye(frame.d) - s
         if np.linalg.cond(g) > 1e12:
-            raise SingularAcceleration("I - A~^{-1} B~ is numerically singular")
+            raise RatesError("I - A~^{-1} B~ is numerically singular")
         shift = np.linalg.solve(g, p.T @ (tn1 - tn))
     except np.linalg.LinAlgError as exc:
-        raise SingularAcceleration(str(exc)) from exc
+        raise RatesError(str(exc)) from exc
     return tn + p @ shift
 
 

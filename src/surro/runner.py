@@ -94,7 +94,7 @@ def analyze(problem, theta0, theta_star=None, stop=None) -> RateReport:
     """Iterate from theta0 and check the measured decay against the rate pair at theta*.
 
     Returns the run's RateReport.  With theta_star None the fixed point is
-    located from the trace.  Raises H4Violated when the reduced A~ at theta*
+    located from the trace.  Raises RatesError when the reduced A~ at theta*
     is not positive-definite.
     """
     trace = iterate(problem, theta0, stop)

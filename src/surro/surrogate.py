@@ -33,15 +33,7 @@ STALL_RESOLUTION = 1e-8  # residuals at or below this, relative to 1 + max|theta
 STALL_WINDOW = 20  # steps without a new best residual that make a stall
 
 
-class SurrogateError(SurroError):
-    pass
-
-
-class InfeasibleInput(SurrogateError):
-    pass
-
-
-class SolveFailure(SurrogateError):
+class SolveFailure(SurroError):
     """Generic smooth-minimization failure (iteration cap with large residual)."""
 
 
@@ -98,16 +90,16 @@ class SurrogateProblem:
         return self.domain.q
 
     def check_feasible(self, x) -> np.ndarray:
-        """x as a length-q vector in the feasible set; raises InfeasibleInput otherwise.
+        """x as a length-q vector in the feasible set; raises SurroError otherwise.
 
         `domain.contains` is the one membership test and rejects every
         non-finite point; finiteness is looked at only to word the message.
         """
-        v = as_vector(x, self.q, InfeasibleInput)
+        v = as_vector(x, self.q)
         if not self.domain.contains(v):
             if not np.isfinite(v).all():
-                raise InfeasibleInput("point has non-finite coordinates")
-            raise InfeasibleInput(f"point {v} is outside the feasible set")
+                raise SurroError("point has non-finite coordinates")
+            raise SurroError(f"point {v} is outside the feasible set")
         return v
 
 
@@ -141,7 +133,7 @@ class Trace:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 return np.array([float(problem.eval_q(cur, nxt)) for cur, nxt in zip(pts, pts[1:])])
         except ArithmeticError as exc:  # numpy's FloatingPointError, or a Python float's overflow
-            raise SurrogateError(f"a surrogate value left the floating-point range: {exc}") from exc
+            raise SurroError(f"a surrogate value left the floating-point range: {exc}") from exc
 
 
 def minimize_smooth(domain, fun, grad, hess, x0):
@@ -269,13 +261,13 @@ def inner_minimize(problem: SurrogateProblem, theta) -> np.ndarray:
     """
     th = problem.check_feasible(theta)
     if problem.closed_form_step is not None:
-        return as_vector(problem.closed_form_step(th), problem.q, SurrogateError)
+        return as_vector(problem.closed_form_step(th), problem.q)
 
     try:
         return minimize_smooth(
             domain=problem.domain,
             fun=lambda x: problem.eval_q(th, x),
-            grad=lambda x: as_vector(problem.grad2(th, x), problem.q, SurrogateError),
+            grad=lambda x: as_vector(problem.grad2(th, x), problem.q),
             hess=(lambda x: problem.hess22(th, x)) if problem.hess22 is not None else None,
             x0=th,
         )
@@ -291,7 +283,7 @@ def iterate(problem: SurrogateProblem, theta0, stop: StopRule | None = None) -> 
     Each step is one inner minimization, its residual and the stop rule; the
     trace keeps only the iterates and the stop reason.  A start that is
     already an exact fixed point yields a single-point converged trace.
-    Floating-point overflow, invalid or divide errors in a step raise SurrogateError.
+    Floating-point overflow, invalid or divide errors in a step raise SurroError.
     """
     stop = stop or StopRule()
     iterates = [problem.check_feasible(theta0).copy()]
@@ -327,7 +319,7 @@ def iterate(problem: SurrogateProblem, theta0, stop: StopRule | None = None) -> 
                         reason = StopReason.STALLED
                         break
     except ArithmeticError as exc:  # numpy's FloatingPointError, or a Python float's overflow
-        raise SurrogateError(f"step {n} left the floating-point range: {exc}") from exc
+        raise SurroError(f"step {n} left the floating-point range: {exc}") from exc
 
     return Trace(iterates=iterates, stop_reason=reason)
 

@@ -18,10 +18,6 @@ from .rng import CounterRNG
 from .surrogate import iterate
 
 
-class SweepError(SurroError):
-    pass
-
-
 @dataclass(frozen=True)
 class SweepRow:
     k: int
@@ -79,11 +75,11 @@ def sample_rate_sweep(model, ks, seeds) -> SweepTable:
     ks = [int(k) for k in ks]
     seeds = [int(s) for s in seeds]
     if not ks:
-        raise SweepError("ks must be nonempty")
+        raise SurroError("ks must be nonempty")
     if ks != sorted(ks):
-        raise SweepError("ks must be ascending")
+        raise SurroError("ks must be ascending")
     if not seeds:
-        raise SweepError("seeds must be nonempty")
+        raise SurroError("seeds must be nonempty")
     rho_pop = float(model.population_rate())
 
     rows = [_run_cell(model, k, s, rho_pop) for k in ks for s in seeds]

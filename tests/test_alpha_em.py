@@ -7,11 +7,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from surro.errors import SurroError
 from surro.latent import (
     AlphaIndex,
-    EmptyData,
     GaussianLatentModel,
-    ModelError,
     alpha_em_problem,
     em_population_problem,
     em_sample_problem,
@@ -46,7 +45,7 @@ def test_alpha_index_properties():
             h = 1e-4 * x
             second = (idx.f(x + h) - 2 * idx.f(x) + idx.f(x - h)) / h**2
             assert second <= 1e-6
-    with pytest.raises(ModelError):
+    with pytest.raises(SurroError, match="alpha = 1 is excluded"):
         AlphaIndex(1.0)
 
 
@@ -174,9 +173,9 @@ def test_hess22_matches_finite_difference_of_grad2():
 
 
 def test_sample_mode_requires_data():
-    with pytest.raises(EmptyData):
+    with pytest.raises(SurroError, match="sample mode requires observations"):
         alpha_em_problem(MODEL, 0.25, mode="sample")
-    with pytest.raises(EmptyData):
+    with pytest.raises(SurroError, match="at least one observation is required"):
         alpha_em_problem(MODEL, 0.25, mode="sample", data=[])
 
 

@@ -124,6 +124,28 @@ def test_run_from_the_fixed_point_writes_null_q_gap_rates(tmp_path):
     jsonschema.validate(rates, json.loads((DOCS / "rates.schema.json").read_text()))
 
 
+_FROZEN_STARTS = {
+    "gd_diag": lambda cfg: cfg.update(eta=1e-300),
+    "em_population": lambda cfg: cfg["latent_model"].update(sigma_y2=1e300),
+    "alpha_em_quarter": lambda cfg: cfg["latent_model"].update(sigma_x2=1e-300),
+    "mirror_prox_ball": lambda cfg: cfg.update(eta=1e-12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FROZEN_STARTS))
+def test_run_that_never_leaves_theta0_exits_two(tmp_path, name):
+    # the first step rounds back to theta0, so the trace is one point at distance
+    # 1.4 or 1 from theta*; rho_sup rounds to 1 in the first three, not in mirror_prox_ball
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    _FROZEN_STARTS[name](cfg)
+    path = _write(tmp_path, "frozen.json", json.dumps(cfg))
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    rates = json.loads((tmp_path / "o" / "rates.json").read_text())
+    assert rates["n_iterates"] == 1 and rates["stop_reason"] == "converged"
+    assert (rates["theory"]["rho_sup"] == 1.0) is (name != "mirror_prox_ball")
+    assert set(rates["verdicts"].values()) == {"fail"}
+
+
 def test_run_with_control_characters_in_name_writes_readable_json(tmp_path):
     cfg = dict(json.loads((CONFIG_DIR / "gd_diag.json").read_text()), name="gd\tdiag\r")
     assert main(["run", "--config", _write(tmp_path, "tab.json", json.dumps(cfg)),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from surro import domains
+from surro.errors import SurroError
 from surro.rng import CounterRNG
 
 
@@ -19,7 +20,7 @@ def _variational_inequality_holds(dom, z, rng, samples=200):
 
 
 def test_box_validation_and_membership():
-    with pytest.raises(domains.DomainError):
+    with pytest.raises(SurroError, match="box requires lower < upper componentwise"):
         domains.Box([0.0, 1.0], [1.0, 1.0])
     box = domains.Box([0.0, 0.0], [1.0, 2.0])
     assert box.contains([0.5, 1.0])
@@ -80,7 +81,7 @@ def test_affine_slice_projection_and_membership():
 
 
 def test_affine_slice_requires_independent_rows():
-    with pytest.raises(domains.DomainError):
+    with pytest.raises(SurroError, match="rows of C must be linearly independent"):
         domains.AffineSlice(
             [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0], domains.Box([-1.0] * 2, [1.0] * 2)
         )

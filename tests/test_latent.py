@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from surro.errors import SurroError
 from surro.latent import (
-    EmptyData,
     GaussianLatentModel,
     TwoComponentMixture,
     em_population_problem,
@@ -49,6 +49,27 @@ def test_fisher_information_monte_carlo_score_variance():
     score = (y - model.theta_star) / model.marginal_var
     estimate = float(np.var(score))
     assert estimate == pytest.approx(fisher_information(model)[1][0, 0], rel=1e-2)
+
+
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("sx2, sy2", [(1.0, 1.0), (1.0, 3.0), (0.3, 2.0), (5.0, 0.01)])
+def test_em_curvature_pair_is_the_fisher_information_pair(sx2, sy2, analytic):
+    # missing-information principle (Dempster, Laird & Rubin 1977): at the fixed
+    # point A* is the complete-data information I_XY, B* the missing information
+    # I_{X|Y}, and the EM rate their ratio.  The oracle forms I_{X|Y} as
+    # I_XY - I_Y, so its rounding, like the probes' error, scales with I_XY:
+    # at (5, 0.01) I_{X|Y} is I_XY / 501
+    model = GaussianLatentModel(sx2, sy2, theta_star=0.7)
+    i_xy, _, i_cond = (float(m[0, 0]) for m in fisher_information(model))
+    data = model.sample_y(50, CounterRNG(54))
+    tol = 4 * np.finfo(float).eps if analytic else 1e-10
+    for prob, star in ((em_population_problem(model), model.theta_star),
+                       (em_sample_problem(model, data), float(np.mean(data)))):
+        assert prob.closed_form_step(np.array([star]))[0] == pytest.approx(star, rel=tol, abs=0)
+        frame = curvature_at(prob, np.array([star]), prefer_analytic=analytic)
+        assert frame.a_star[0, 0] == pytest.approx(i_xy, rel=tol, abs=0)
+        assert frame.b_star[0, 0] == pytest.approx(i_cond, rel=0, abs=tol * i_xy)
+        assert frame.rates.rho_sup == pytest.approx(i_cond / i_xy, rel=0, abs=tol)
 
 
 def test_population_em_closed_step_and_fixed_point():
@@ -138,7 +159,7 @@ def test_population_em_lyapunov_is_the_expected_negative_loglik():
 
 
 def test_sample_em_empty_data():
-    with pytest.raises(EmptyData):
+    with pytest.raises(SurroError, match="at least one observation is required"):
         em_sample_problem(GaussianLatentModel(1.0, 1.0, 0.0), [])
 
 

@@ -29,13 +29,12 @@ import pytest
 from surro import linalg
 from surro.config import CONFIG_DIR, assemble, load_config
 from surro.descent import _MemoStep, mirror_descent_problem, mirror_prox_problem
-from surro.domains import INTERIOR_MARGIN, DomainError, EuclideanBall, FullSpace, Simplex
+from surro.domains import INTERIOR_MARGIN, EuclideanBall, FullSpace, Simplex
+from surro.errors import SurroError
 from surro.mirror_maps import (
     BallMap,
-    MirrorError,
     NegEntropyMap,
     OutsideMirrorDomain,
-    ProjectionFailed,
     bregman,
     bregman_project,
 )
@@ -45,7 +44,6 @@ from surro.surrogate import (
     ARMIJO_C,
     INNER_CAP,
     INNER_TOL,
-    InfeasibleInput,
     InnerSolveFailed,
     SolveFailure,
     StopRule,
@@ -56,13 +54,13 @@ from surro.surrogate import (
 )
 
 
-def _converting_as_vector(x, q, error):
+def _converting_as_vector(x, q):
     """domains.as_vector converting every input, the float vectors it returns as is too."""
     v = np.asarray(x, dtype=float)
     if v.ndim == 0:
         v = v.reshape(1)
     if v.shape != (q,):
-        raise error(f"expected a vector of length {q}, got shape {v.shape}")
+        raise SurroError(f"expected a vector of length {q}, got shape {v.shape}")
     return v
 
 
@@ -72,7 +70,7 @@ class _GenericBallMap(BallMap):
     which moved a point of the map's closed ball into the open ball by a relative margin."""
 
     def _require(self, x):
-        v = _converting_as_vector(x, self.q, MirrorError)
+        v = _converting_as_vector(x, self.q)
         if not self.in_domain(v):
             raise OutsideMirrorDomain(f"point {v} is outside the mirror-map domain")
         return v
@@ -209,7 +207,7 @@ def test_ball_map_rejects_non_finite_overflowing_and_misshaped_points():
         with pytest.raises(OutsideMirrorDomain):
             phi.grad(np.array([1e200, 0.0]))
     for bad in (np.zeros(3), np.zeros((1, 2)), 0.5):
-        with pytest.raises(MirrorError, match="expected a vector of length 2"):
+        with pytest.raises(SurroError, match="expected a vector of length 2"):
             phi.value(bad)
     assert BallMap(1, r2=4.0).value(0.5) == _GenericBallMap(1, r2=4.0).value([0.5])
 
@@ -434,11 +432,11 @@ class _ConvertingBall(EuclideanBall):
     """EuclideanBall with every point converted on entry."""
 
     def contains(self, x, tol=1e-12):
-        r = linalg.vector_norm(_converting_as_vector(x, self.q, DomainError) - self.center)
+        r = linalg.vector_norm(_converting_as_vector(x, self.q) - self.center)
         return r <= self.radius + tol
 
     def project(self, x):
-        v = _converting_as_vector(x, self.q, DomainError)
+        v = _converting_as_vector(x, self.q)
         d = v - self.center
         r = linalg.vector_norm(d)
         if r <= self.radius:
@@ -447,7 +445,7 @@ class _ConvertingBall(EuclideanBall):
 
 
 def _re_evaluating_inner_minimize(problem, theta, residual_accepts):
-    th = _converting_as_vector(theta, problem.q, InfeasibleInput)
+    th = _converting_as_vector(theta, problem.q)
     assert problem.domain.contains(th)
     try:
         return _re_evaluating_minimize_smooth(
@@ -469,7 +467,7 @@ def _outcome(solve, *args):
     """The returned bytes, or the type and message of the solve failure."""
     try:
         return solve(*args).tobytes()
-    except (InnerSolveFailed, ProjectionFailed) as exc:
+    except SolveFailure as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -516,12 +514,9 @@ def test_inner_solves_are_bitwise_the_re_evaluating_solve():
 def _re_evaluating_bregman_project(domain, phi, zeta):
     z = phi._require(zeta)
     target = phi.grad(z)
-    try:
-        return _re_evaluating_minimize_smooth(domain, lambda x: phi.value(x) - float(target @ x),
-                                       lambda x: phi.grad(x) - target, phi.hess,
-                                       phi.pull_inside(domain.project(z)), phi.pull_inside, [])
-    except SolveFailure as exc:
-        raise ProjectionFailed(str(exc)) from exc
+    return _re_evaluating_minimize_smooth(domain, lambda x: phi.value(x) - float(target @ x),
+                                          lambda x: phi.grad(x) - target, phi.hess,
+                                          phi.pull_inside(domain.project(z)), phi.pull_inside, [])
 
 
 def test_bregman_projections_are_bitwise_the_re_evaluating_solve():
@@ -538,7 +533,7 @@ class _ConvertingEntropyMap(NegEntropyMap):
     """Negative entropy with numpy's dispatching reductions and every point converted."""
 
     def _require(self, x):
-        v = _converting_as_vector(x, self.q, MirrorError)
+        v = _converting_as_vector(x, self.q)
         if not self.in_domain(v):
             raise OutsideMirrorDomain(f"point {v} is outside the mirror-map domain")
         return v
@@ -561,7 +556,7 @@ class _ConvertingEntropyMap(NegEntropyMap):
 
 class _ConvertingSimplex(Simplex):
     def contains(self, x, tol=1e-12):
-        v = _converting_as_vector(x, self.q, DomainError)
+        v = _converting_as_vector(x, self.q)
         return bool(np.all(v >= self.face_eps - tol) and abs(float(np.sum(v)) - 1.0) <= 1e-12)
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from surro import linalg
+from surro.errors import SurroError
 from surro.objectives import (
     CustomObjective,
-    ObjectiveError,
     Quartic1D,
     QuadraticForm,
     ShiftedQuadratic,
@@ -62,7 +62,8 @@ def test_declared_smoothness_bounds_hessian(f):
 
 
 def test_quadratic_form_validates_positive_definiteness():
-    with pytest.raises(ObjectiveError):
+    with pytest.raises(SurroError,
+                       match=r"H must be positive-definite \(min eigenvalue -1\.000e\+00\)"):
         QuadraticForm(np.diag([1.0, -1.0]))
 
 

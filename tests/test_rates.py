@@ -15,9 +15,7 @@ from surro.mirror_maps import NegEntropyMap, QuadraticMap
 from surro.objectives import Quartic1D, QuadraticForm, ShiftedQuadratic
 from surro.rates import (
     MIN_WINDOW_POINTS,
-    H4Violated,
     RatesError,
-    SingularAcceleration,
     accelerate,
     alpha_transform,
     curvature_at,
@@ -232,9 +230,10 @@ def test_non_pd_curvature_has_no_rate_pair():
     frame = curvature_at(prob, np.zeros(2))
     assert frame.rates is None
     assert frame.h4_pass is False
-    with pytest.raises(H4Violated):
+    with pytest.raises(RatesError, match="reduced curvature matrix A~ is not positive-definite"):
         theoretical_rates(frame)
-    with pytest.raises(H4Violated):
+    with pytest.raises(RatesError,
+                       match=r"matrix is not positive-definite \(min eigenvalue -1\.0+e\+00\)"):
         mirror_prox_spectrum_map(frame)
 
 
@@ -267,7 +266,7 @@ def test_theoretical_rates_h4_violation():
         asymmetry_diag=0.0,
         rates=None,
     )
-    with pytest.raises(H4Violated):
+    with pytest.raises(RatesError, match="reduced curvature matrix A~ is not positive-definite"):
         theoretical_rates(bad)
 
 
@@ -467,6 +466,21 @@ def test_verdicts_fail_on_a_trace_that_did_not_converge():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("rho_sup", [0.5, 1.0, 2.0])
+def test_a_trace_without_steps_is_its_own_limit(rho_sup):
+    # a start that the map keeps fixed converges at once; it passes only within
+    # ten times the floor (1e-12 here) of theta*
+    prob = _gd([1.0, 4.0], 0.4)
+    frame = dataclasses.replace(curvature_at(prob, np.zeros(2)), rates=RatePair(0.5, rho_sup))
+    for start, passed in ((1.0, False), (1e-11, False), (1e-12, True), (0.0, True)):
+        trace = Trace(iterates=[np.full(2, start)], stop_reason=StopReason.CONVERGED)
+        rep = verdicts(trace, np.zeros(2), frame, prob)
+        if passed:
+            assert rep.passed and rep.verdicts["upper"] == "pass", rep.verdicts
+        else:
+            assert rep.verdicts == dict.fromkeys(("upper", "lower", "exact", "q_gap"), "fail")
+
+
 def test_span_warning_on_concentrated_trace():
     star = np.zeros(2)
     trace = _synthetic_trace(0.6, 60, np.array([1.0, 0.0]), star)  # single direction
@@ -561,11 +575,11 @@ def test_accelerate_singular_map():
         asymmetry_diag=0.0,
         rates=None,
     )
-    with pytest.raises(SingularAcceleration):
+    with pytest.raises(RatesError, match=r"I - A~\^\{-1\} B~ is numerically singular"):
         accelerate(np.zeros(1), np.ones(1), degenerate)
     # a singular A~ fails inside the solve itself
     singular = dataclasses.replace(degenerate, a_tilde=np.zeros((1, 1)))
-    with pytest.raises(SingularAcceleration, match="Singular matrix"):
+    with pytest.raises(RatesError, match="Singular matrix"):
         accelerate(np.zeros(1), np.ones(1), singular)
 
 

@@ -9,7 +9,7 @@ from surro.descent import mirror_descent_problem, mirror_prox_problem
 from surro.domains import Box, FullSpace, Simplex
 from surro.mirror_maps import NegEntropyMap, QuadraticMap
 from surro.objectives import QuadraticForm, ShiftedQuadratic
-from surro.rates import H4Violated, curvature_at, verdicts
+from surro.rates import RatesError, curvature_at, verdicts
 from surro.surrogate import StopReason, StopRule, SurrogateProblem, Trace, iterate
 
 
@@ -79,7 +79,7 @@ def test_analyze_raises_when_a_tilde_is_not_positive_definite():
         hess12=lambda t, u: np.zeros((2, 2)),
         closed_form_step=lambda t: 0.5 * t,
     )
-    with pytest.raises(H4Violated):
+    with pytest.raises(RatesError, match="reduced curvature matrix A~ is not positive-definite"):
         runner.analyze(prob, np.array([1.0, 1.0]), np.zeros(2))
 
 

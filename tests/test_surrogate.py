@@ -12,16 +12,15 @@ from surro import surrogate
 from surro.config import CONFIG_DIR, assemble
 from surro.descent import mirror_descent_problem, newton_problem
 from surro.domains import AffineSlice, Box, FullSpace, Simplex
+from surro.errors import SurroError
 from surro.latent import GaussianLatentModel, em_population_problem, em_sample_problem
 from surro.mirror_maps import NegEntropyMap, QuadraticMap, bregman
 from surro.objectives import Quartic1D, QuadraticForm, ShiftedQuadratic
 from surro.rng import CounterRNG
 from surro.surrogate import (
-    InfeasibleInput,
     SolveFailure,
     StopReason,
     StopRule,
-    SurrogateError,
     inner_minimize,
     iterate,
     minimize_smooth,
@@ -122,7 +121,7 @@ def test_inner_minimize_rejects_infeasible_start():
     prob = mirror_descent_problem(
         ShiftedQuadratic(np.array([0.5, 0.5])), NegEntropyMap(2), 0.2, Simplex(2)
     )
-    with pytest.raises(InfeasibleInput):
+    with pytest.raises(SurroError, match=r"point \[0\.9 0\.9\] is outside the feasible set"):
         inner_minimize(prob, np.array([0.9, 0.9]))
 
 
@@ -240,13 +239,13 @@ def test_q_values_that_overflow_raise_surrogate_error():
     # the steps stay finite, but Q along them overflows
     prob = dataclasses.replace(_gd_1d(0.5), eval_q=lambda t, u: float(np.exp(1e3 * u[0] + 1e3)))
     trace = iterate(prob, np.array([1.0]), StopRule(max_iters=3))
-    with pytest.raises(SurrogateError, match="floating-point range"):
+    with pytest.raises(SurroError, match="floating-point range"):
         trace.q_values(prob)
 
 
 def test_a_step_that_overflows_raises_surrogate_error():
     prob = _map_problem(lambda t: t * 1e300)
-    with pytest.raises(SurrogateError, match="step 0 left the floating-point range"):
+    with pytest.raises(SurroError, match="step 0 left the floating-point range"):
         iterate(prob, np.array([1e5]), StopRule(max_iters=5))
 
 
@@ -254,10 +253,10 @@ def test_python_float_overflow_raises_surrogate_error():
     # Quartic1D's Hessian squares a Python float, which raises OverflowError, not
     # numpy's FloatingPointError
     prob = newton_problem(Quartic1D())
-    with pytest.raises(SurrogateError, match="step 0 left the floating-point range"):
+    with pytest.raises(SurroError, match="step 0 left the floating-point range"):
         iterate(prob, np.array([1e200]))
     trace = surrogate.Trace([np.array([1e200]), np.array([0.0])], StopReason.MAX_ITERS)
-    with pytest.raises(SurrogateError, match="floating-point range"):
+    with pytest.raises(SurroError, match="floating-point range"):
         trace.q_values(prob)
 
 

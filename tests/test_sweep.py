@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from surro.errors import SurroError
 from surro.latent import GaussianLatentModel, TwoComponentMixture
-from surro.sweep import SweepError, sample_rate_sweep
+from surro.sweep import sample_rate_sweep
 
 
 def test_gaussian_sweep_is_exact_at_every_size():
@@ -47,9 +48,9 @@ def test_sweep_is_deterministic():
 
 def test_sweep_argument_validation():
     model = GaussianLatentModel(1.0, 1.0, 0.0)
-    with pytest.raises(SweepError):
+    with pytest.raises(SurroError, match="ks must be nonempty"):
         sample_rate_sweep(model, [], [0])
-    with pytest.raises(SweepError):
+    with pytest.raises(SurroError, match="ks must be ascending"):
         sample_rate_sweep(model, [400, 100], [0])
-    with pytest.raises(SweepError):
+    with pytest.raises(SurroError, match="seeds must be nonempty"):
         sample_rate_sweep(model, [100], [])
