@@ -24,7 +24,6 @@ from .domains import (
 )
 from .errors import SurroError
 from .latent import (
-    AlphaIndex,
     GaussianLatentModel,
     TwoComponentMixture,
     alpha_em_problem,

@@ -23,7 +23,7 @@ from .descent import mirror_descent_problem, mirror_prox_problem, newton_problem
 from .domains import MEMBERSHIP_TOL, AffineSlice, Box, EuclideanBall, FullSpace, Simplex
 from .errors import SurroError
 from .latent import (
-    GaussianLatentModel, TwoComponentMixture, alpha_em_problem, em_population_problem
+    GaussianLatentModel, TwoComponentMixture, alpha_em_problem, draw_data, em_population_problem
 )
 from .mirror_maps import BallMap, NegEntropyMap, QuadraticMap
 from .objectives import Quartic1D, QuadraticForm, ShiftedQuadratic, SmoothLogSumExp
@@ -159,9 +159,7 @@ _LATENT_MODELS = {
     "mixture": _Schema(TwoComponentMixture, {"theta_star": _float}, ("theta_star",)),
 }
 _STOP = _Schema(StopRule, {"max_iters": _int, "residual_tol": _float})
-# k observations drawn from the model on the stream (seed, k)
-_DATA = _Schema(lambda model, k, seed=0: model.sample_y(k, CounterRNG((seed, k))),
-                {"k": _count, "seed": _seed}, ("k",))
+_DATA = _Schema(draw_data, {"k": _count, "seed": _seed}, ("k",))
 _QUADRATIC_MAP = {"type": "quadratic"}  # gradient descent's mirror map
 
 
@@ -219,7 +217,7 @@ _ALGO_COERCERS = {
 _algorithm = lambda make, required, optional=(): _Schema(
     make, {key: _ALGO_COERCERS[key] for key in required + optional}, required)
 _DESCENT = ("objective", "mirror_map", "eta", "domain")
-_COMMON_FIELDS = {"name", "algorithm", "seed", "theta0", "theta_star", "stop"}
+_COMMON_FIELDS = {"name", "algorithm", "theta0", "theta_star", "stop"}
 # algorithm -> schema of its own fields, whose constructor builds the problem
 _ALGO_FIELDS = {
     "gradient_descent": _algorithm(partial(_descent, mirror_descent_problem),
@@ -263,13 +261,12 @@ def validate(cfg: dict) -> None:
     _parse(cfg.get("stop", {}), _STOP, "stop")
 
 
-def _point(problem: SurrogateProblem, tol: float, seed: int | None = None) -> Callable:
+def _point(problem: SurrogateProblem, tol: float, random: bool = False) -> Callable:
     """Coercer for a vector of the problem's dimension in its domain (membership slack tol);
-    given a seed, 'random' and 'random(<seed>)' stand for a sample of the domain."""
+    with random, 'random(<seed>)' stands for a sample of the domain ('random': seed 0)."""
     def coerce(value) -> np.ndarray:
-        match = seed is not None and isinstance(value, str) and re.fullmatch(
-            r"random(?:\((\d+)\))?", value)
-        v = problem.domain.sample(CounterRNG(int(match[1] or seed))) if match else _vector(value)
+        match = random and isinstance(value, str) and re.fullmatch(r"random(?:\((\d+)\))?", value)
+        v = problem.domain.sample(CounterRNG(int(match[1] or 0))) if match else _vector(value)
         if v.shape != (problem.q,) or not problem.domain.contains(v, tol=tol):
             raise ValueError(f"must be a point of the {problem.q}-dimensional domain, got {v}")
         return v
@@ -283,9 +280,9 @@ def assemble(cfg: dict) -> Assembled:
     validate(cfg)
     schema = _ALGO_FIELDS[cfg["algorithm"]]
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        seed = _field(cfg, "seed", _seed, "config", 0)
         problem = _parse({k: cfg[k] for k in schema.fields if k in cfg}, schema, "config")
-        theta0 = _field(cfg, "theta0", _point(problem, MEMBERSHIP_TOL, seed), "config", "random")
+        theta0 = _field(cfg, "theta0", _point(problem, MEMBERSHIP_TOL, random=True), "config",
+                        "random")
         near = _point(problem, REFERENCE_TOL)
         theta_star = _field(cfg, "theta_star", lambda v: None if v == "auto" else near(v), "config",
                             "auto")

@@ -17,6 +17,7 @@ import numpy as np
 
 from .domains import FullSpace
 from .errors import SurroError
+from .rng import CounterRNG
 from .surrogate import SurrogateProblem
 
 
@@ -65,6 +66,11 @@ class GaussianLatentModel:
         return np.array([self.theta_star + 1.0])
 
 
+def draw_data(model, k: int, seed: int = 0) -> np.ndarray:
+    """k observations drawn from the model on the counter stream (seed, k)."""
+    return model.sample_y(k, CounterRNG((seed, k)))
+
+
 def fisher_information(model: GaussianLatentModel):
     """Analytic informations of the pair (X, Y), of Y, and of X given Y.
 
@@ -72,7 +78,9 @@ def fisher_information(model: GaussianLatentModel):
     """
     i_xy = np.array([[1.0 / model.sigma_x2]])
     i_y = np.array([[1.0 / model.marginal_var]])
-    return i_xy, i_y, i_xy - i_y
+    # 1/sx2 - 1/(sx2 + sy2) without the cancellation of that difference
+    i_x_given_y = np.array([[model.sigma_y2 / (model.sigma_x2 * model.marginal_var)]])
+    return i_xy, i_y, i_x_given_y
 
 
 def em_population_problem(model: GaussianLatentModel) -> SurrogateProblem:
@@ -171,26 +179,6 @@ def em_sample_problem(model: GaussianLatentModel, data) -> SurrogateProblem:
     )
 
 
-@dataclass(frozen=True)
-class AlphaIndex:
-    """Concave reweighting index for the divergence family replacing the log.
-
-    alpha = 0 recovers the logarithm; alpha = 1 is excluded.
-    """
-
-    alpha: float
-
-    def __post_init__(self):
-        if self.alpha == 1.0:
-            raise SurroError("alpha = 1 is excluded")
-
-    def f(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.alpha == 0.0:
-            return np.log(x)
-        return (1.0 - x**self.alpha) / (self.alpha * (self.alpha - 1.0))
-
-
 def alpha_em_problem(
     model: GaussianLatentModel,
     alpha: float,
@@ -210,7 +198,9 @@ def alpha_em_problem(
     diagonal, and the value takes expm1(E): there the surrogate gap is
     O(|u - theta|^2), and u^2 - theta^2 or exp(E) - 1 would lose it to rounding.
     """
-    al = AlphaIndex(float(alpha)).alpha
+    al = float(alpha)
+    if al == 1.0:
+        raise SurroError("alpha = 1 is excluded")
     sx2 = model.sigma_x2
     wx = sx2 / model.marginal_var
 

@@ -93,6 +93,16 @@ def vector_norm(v) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
+def finite_norms(vectors, what: str) -> np.ndarray:
+    """vector_norm of each vector, squared without a warning; LinalgError naming `what`
+    when a square leaves the floating-point range (a norm above ~1.34e154)."""
+    with np.errstate(over="ignore"):
+        out = np.array([vector_norm(v) for v in vectors])
+    if not np.isfinite(out).all():
+        raise LinalgError(f"cannot take the norm of {what}: its square overflows")
+    return out
+
+
 def spectral_norm(m) -> float | np.ndarray:
     """Largest singular value, i.e. sqrt of the top eigenvalue of M'M."""
     a = np.asarray(m, dtype=float)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .domains import Box, ConvexDomain, Simplex, as_vector
 from .errors import SurroError
+from .surrogate import minimize_smooth
 
 
 class OutsideMirrorDomain(SurroError):
@@ -226,8 +227,6 @@ def bregman_project(domain: ConvexDomain, phi: MirrorMap, zeta) -> np.ndarray:
 
     # minimize Phi(x) - <grad Phi(zeta), x> over the domain
     target = phi.grad(z)
-    from .surrogate import minimize_smooth  # local import avoids a cycle
-
     return minimize_smooth(
         domain=domain,
         fun=lambda x: extended_value(phi, x) - float(target @ x),

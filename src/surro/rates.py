@@ -13,7 +13,7 @@ extragradient and alpha-EM variants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -84,20 +84,17 @@ def _directional(gfun: Callable, base: np.ndarray, direction: np.ndarray, h: flo
     return (4.0 * fine - coarse) / 3.0
 
 
-def curvature_at(
-    problem: SurrogateProblem,
-    theta_star,
-    *,
-    prefer_analytic: bool = True,
-) -> CurvatureFrame:
+def curvature_at(problem: SurrogateProblem, theta_star) -> CurvatureFrame:
     """Curvature frame of the surrogate at a (near-)fixed point.
 
     theta* must lie in the domain within REFERENCE_TOL.  Uses the problem's
     analytic second derivatives when present, otherwise Richardson-refined
-    central differences of grad2 (step FD_STEP) along direction-space
-    columns, so constrained problems are only ever probed inside their
-    affine hull.  The mixed block is symmetrized and its
-    pre-symmetrization asymmetry retained.
+    central differences of grad2 (step FD_STEP (1 + |theta*|)) along
+    direction-space columns, so constrained problems are only ever probed
+    inside their affine hull; the finite-difference frame of a problem with
+    analytic blocks is that of dataclasses.replace(problem, hess22=None,
+    hess12=None).  The mixed block is symmetrized and its pre-symmetrization
+    asymmetry retained.
 
     The rate pair of the reduced pencil is computed once here and carried
     by the frame; it is None when A~ is not positive-definite, which is also
@@ -107,14 +104,14 @@ def curvature_at(
     if not problem.domain.contains(star, tol=REFERENCE_TOL):
         raise RatesError(f"reference point {star} is outside the domain")
     p = problem.domain.direction_basis()  # orthonormal q x d columns spanning feasible differences
-    h = FD_STEP * (1.0 + float(np.linalg.norm(star)))
 
     def block(analytic, probed, sign):
         """(ambient, reduced, asymmetry) of sign x one second-derivative block."""
-        if prefer_analytic and analytic is not None:
+        if analytic is not None:
             raw = sign * np.asarray(analytic(star, star), dtype=float)
             ambient = linalg.symmetrize(raw)
             return ambient, linalg.symmetrize(p.T @ ambient @ p), linalg.asymmetry(raw)
+        h = FD_STEP * _scale(star)
         cols = [_directional(probed, star, p[:, j], h) for j in range(p.shape[1])]
         raw = sign * (p.T @ np.column_stack(cols))
         reduced = linalg.symmetrize(raw)
@@ -208,8 +205,15 @@ def decay_estimate(errors: np.ndarray, floor: float) -> DecayEstimate:
     )
 
 
-def default_floor(theta_star) -> float:
-    return 1e-12 * (1.0 + float(np.linalg.norm(np.atleast_1d(theta_star))))
+def _scale(x) -> float:
+    """1 + |x|, the scale of the finite-difference step and of the numerical floor."""
+    norm = linalg.finite_norms([np.atleast_1d(x)], "theta* or of Q(theta*, theta*)")[0]
+    return 1.0 + float(norm)
+
+
+def default_floor(x) -> float:
+    """The numerical floor 1e-12 (1 + |x|) of distances from x, or of gaps from a value x."""
+    return 1e-12 * _scale(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,7 +297,7 @@ def verdicts(
     if len(trace) > 1:
         q_star = float(problem.eval_q(star, star))
         q_gaps = tuple((trace.q_values(problem) - q_star).tolist())
-        est_q = decay_estimate(np.abs(q_gaps), 1e-12 * (1.0 + abs(q_star)))
+        est_q = decay_estimate(np.abs(q_gaps), default_floor(q_star))
         out["q_gap"] = "pass" if est_q.rate <= theory.rho_sup + DEFAULT_RATE_TOL else "fail"
     else:
         out["q_gap"] = "inapplicable"
@@ -384,11 +388,11 @@ def reparam_invariance_check(
 ) -> tuple[RatePair, RatePair]:
     """Rate pairs of a problem and of its pullback through a smooth change of variables.
 
-    Both pairs are computed by default finite differences.  At interior fixed points
+    Both pairs are computed by finite differences.  At interior fixed points
     they agree; at boundary fixed points they need not.
     """
     star = np.atleast_1d(np.asarray(theta_star, dtype=float))
-    frame = curvature_at(problem, star, prefer_analytic=False)
+    frame = curvature_at(replace(problem, hess22=None, hess12=None), star)
     rates_original = theoretical_rates(frame)
 
     def t_eval(theta, u):
@@ -406,6 +410,6 @@ def reparam_invariance_check(
         label=problem.label + "|reparam",
     )
     star_pulled = np.atleast_1d(np.asarray(psi_inv(star), dtype=float))
-    frame_pulled = curvature_at(pulled, star_pulled, prefer_analytic=False)
+    frame_pulled = curvature_at(pulled, star_pulled)
     rates_reparam = theoretical_rates(frame_pulled)
     return rates_original, rates_reparam

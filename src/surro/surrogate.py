@@ -24,7 +24,7 @@ import numpy as np
 
 from .domains import ConvexDomain, DegenerateDomain, as_vector
 from .errors import SurroError
-from .linalg import vector_norm
+from .linalg import finite_norms, vector_norm
 
 INNER_CAP = 500
 INNER_TOL = 1e-12
@@ -119,12 +119,12 @@ class Trace:
 
     def errors(self, theta_star) -> np.ndarray:
         ref = np.asarray(theta_star, dtype=float)
-        return np.array([vector_norm(t - ref) for t in self.iterates])
+        return finite_norms([t - ref for t in self.iterates], "an iterate's offset from theta*")
 
     def residuals(self) -> list[float]:
         """|theta_{n+1} - theta_n| for every step."""
         pts = self.iterates
-        return [vector_norm(nxt - cur) for cur, nxt in zip(pts, pts[1:])]
+        return finite_norms([nxt - cur for cur, nxt in zip(pts, pts[1:])], "a step").tolist()
 
     def q_values(self, problem: SurrogateProblem) -> np.ndarray:
         """Q(theta_n, theta_{n+1}) for every step, under iterate's floating-point guard."""

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SurroError
-from .rates import curvature_at
-from .rng import CounterRNG
+from .latent import draw_data
+from .rates import curvature_at, theoretical_rates
 from .surrogate import iterate
 
 
@@ -48,13 +48,10 @@ def worker_count() -> int:
 
 
 def _run_cell(model, k: int, seed: int, rho_pop: float) -> SweepRow:
-    rng = CounterRNG((seed, k))
-    data = model.sample_y(k, rng)
-    problem = model.sample_problem(data)
+    problem = model.sample_problem(draw_data(model, k, seed))
     trace = iterate(problem, model.default_theta0())
     theta_hat = trace.final
-    rates = curvature_at(problem, theta_hat).rates
-    rho = rates.rho_sup if rates is not None else 0.0  # 0 when the reduced A~ is not PD
+    rho = theoretical_rates(curvature_at(problem, theta_hat)).rho_sup
     return SweepRow(
         k=int(k),
         seed=int(seed),
@@ -70,7 +67,8 @@ def sample_rate_sweep(model, ks, seeds) -> SweepTable:
     `ks` must be ascending and nonempty; `seeds` nonempty.  The model must
     provide sample_y / sample_problem / population_rate / default_theta0
     (both shipped latent models do).  Each cell iterates under the default
-    StopRule and takes its curvature with curvature_at (FD step FD_STEP).
+    StopRule and takes its curvature with curvature_at (FD step FD_STEP); a cell
+    whose reduced A~ is not positive-definite raises RatesError.
     """
     ks = [int(k) for k in ks]
     seeds = [int(s) for s in seeds]

@@ -146,6 +146,63 @@ def test_run_that_never_leaves_theta0_exits_two(tmp_path, name):
     assert set(rates["verdicts"].values()) == {"fail"}
 
 
+def _one_point_gd(scale):
+    """gd_diag frozen at theta0 by "eta": 1e-300, with theta* and theta0 a distance
+    scale * 1e-10 apart at norm scale."""
+    return lambda cfg: cfg.update(eta=1e-300, theta0=[scale * (1 + 1e-10), 0.0],
+                                  theta_star=[scale, 0.0])
+
+
+def _huge_latent(cfg):
+    cfg["latent_model"].update(theta_star=1e300)
+    cfg.update(theta0=[1e300], theta_star=[5e299])
+
+
+# the analysis squares distances: a norm above ~1.34e154 cannot be taken.
+# case -> (config, its changes, exit code, the stderr it prints)
+_HUGE_NORMS = {
+    "offset_1e200": ("gd_diag", lambda cfg: cfg.update(eta=1e-300, theta0=[2e200, 0.0],
+                                                       theta_star=[1e200, 0.0]),
+                     1, "error: cannot take the norm of an iterate's offset from theta*: "
+                        "its square overflows\n"),
+    "latent_1e300": ("em_population", _huge_latent,
+                     1, "error: cannot take the norm of an iterate's offset from theta*: "
+                        "its square overflows\n"),
+    # the offset, 1e150, can be squared; |theta*| = 1e160, which sets the floor, cannot
+    "theta_star_1e160": ("gd_diag", _one_point_gd(1e160),
+                         1, "error: cannot take the norm of theta* or of Q(theta*, theta*): "
+                            "its square overflows\n"),
+    # every norm can be squared: a one-point run away from theta* fails its verdicts
+    "theta_star_1e150": ("gd_diag", _one_point_gd(1e150), 2, ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HUGE_NORMS))
+def test_run_with_huge_norms_ends_without_traceback_warning_or_pass(tmp_path, capsys, case):
+    name, change, code, err = _HUGE_NORMS[case]
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    change(cfg)
+    path = _write(tmp_path, "huge.json", json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == err
+
+
+def test_sweep_with_a_huge_theta_star_runs_without_warning(tmp_path):
+    # both of em_sample's blocks are analytic, so no finite-difference step is
+    # formed from |theta_hat| ~ 1e300, whose square overflows
+    cfg = json.loads((CONFIG_DIR / "sweep_gaussian.json").read_text())
+    cfg["model"]["theta_star"] = 1e300
+    cfg.update(ks=[3], seeds=[0])
+    path = _write(tmp_path, "huge_sweep.json", json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    row = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1].split(",")
+    assert float(row[2]) == 0.5 and float(row[4]) == pytest.approx(1e300)
+
+
 def test_run_with_control_characters_in_name_writes_readable_json(tmp_path):
     cfg = dict(json.loads((CONFIG_DIR / "gd_diag.json").read_text()), name="gd\tdiag\r")
     assert main(["run", "--config", _write(tmp_path, "tab.json", json.dumps(cfg)),

@@ -94,12 +94,12 @@ def test_assemble_random_theta0_is_deterministic_and_feasible():
         eta=0.2,
         domain={"type": "simplex", "q": 3},
         theta0="random",
-        seed=11,
     )
     a = assemble(cfg)
     b = assemble(cfg)
     np.testing.assert_array_equal(a.theta0, b.theta0)
     assert Simplex(3).contains(a.theta0, tol=1e-9)
+    np.testing.assert_array_equal(assemble(dict(cfg, theta0="random(0)")).theta0, a.theta0)
     cfg["theta0"] = "random(99)"
     c = assemble(cfg)
     assert not np.array_equal(a.theta0, c.theta0)
@@ -218,6 +218,7 @@ MALFORMED = {
     "stop_stall_window": (_gd(stop={"max_iters": 100, "stall_window": 20}), "stall_window"),
     "fd_block": (_gd(fd={"step": 1e-4, "richardson": True}), "fd"),
     "seed_string": (_gd(seed="x"), "seed"),
+    "seed_zero": (_gd(seed=0), "seed"),  # a start seed is spelled theta0 "random(<seed>)"
     "theta0_random_word": (_gd(theta0="random(x)"), "theta0"),
     "theta_star_wrong_length": (_gd(theta_star=[0.0, 0.0, 0.0]), "theta_star"),
     "theta_star_off_simplex": (_base("mirror_descent", **dict(MD, theta_star=[0.6, 0.3, 0.2])),

@@ -208,7 +208,7 @@ def test_a_failed_numeric_projection_raises_projection_failed(monkeypatch):
     def stall(**kwargs):
         raise surrogate.SolveFailure("iteration cap 500 reached (residual 1.000e-08)")
 
-    monkeypatch.setattr(surrogate, "minimize_smooth", stall)
+    monkeypatch.setattr(mirror_maps, "minimize_smooth", stall)
     with pytest.raises(surrogate.SolveFailure,
                        match=r"iteration cap 500 reached \(residual 1\.000e-08\)"):
         bregman_project(Box([0.0, 0.0], [1.0, 1.0]), BallMap(2, r2=4.0), np.array([1.5, 0.2]))

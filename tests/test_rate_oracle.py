@@ -63,6 +63,25 @@ def test_the_reference_catches_a_swapped_rate_pair(monkeypatch):
     assert caught == ["entropy_simplex_md", "gd_exact_rate", "mirror_prox_ball"]
 
 
+def test_the_reference_catches_a_scaled_inv_sqrt(monkeypatch):
+    """(1 + 1e-6) A~^{-1/2} scales the rate pair by (1 + 1e-6)^2, which the ULPS bound
+    flags wherever rho_sup is not 0.  A wrong sign is no plant: with J = diag(+-1),
+    V J Lambda^{-1/2} V' still whitens A~, and B~ whitened by it is an orthogonal
+    similarity of B~ whitened by A~^{-1/2}, so every rate pair is unchanged."""
+    root = linalg.inv_sqrt
+    monkeypatch.setattr(linalg, "inv_sqrt", lambda s: (1.0 + 1e-6) * root(s))
+    caught = [path.stem for path in ALGORITHM_CONFIGS if max(_errors(path)[2]) > ULPS]
+    # newton_quartic's pair is (0, 1.4e-16): a relative change of 2e-6 is below rounding
+    assert caught == [path.stem for path in ALGORITHM_CONFIGS if path.stem != "newton_quartic"]
+
+    def flipped(s):
+        lam, vec = linalg.eigh(s)
+        return (vec * np.where(np.arange(lam.shape[-1]) == 0, -1.0, 1.0) / np.sqrt(lam)) @ vec.T
+
+    monkeypatch.setattr(linalg, "inv_sqrt", flipped)
+    assert all(max(_errors(path)[2]) <= ULPS for path in ALGORITHM_CONFIGS)
+
+
 @pytest.mark.parametrize("theta_star", ["given", "auto"])
 def test_alpha_em_quarter_rate_pair_is_one_third(theta_star):
     """alpha = 1/4 maps the EM rate 1/2 to 1/3 (A~ = 1, B~ = 1/3), and both of

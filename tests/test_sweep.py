@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from surro.domains import FullSpace
 from surro.errors import SurroError
 from surro.latent import GaussianLatentModel, TwoComponentMixture
+from surro.rates import RatesError
+from surro.surrogate import SurrogateProblem
 from surro.sweep import sample_rate_sweep
 
 
@@ -54,3 +57,22 @@ def test_sweep_argument_validation():
         sample_rate_sweep(model, [400, 100], [0])
     with pytest.raises(SurroError, match="seeds must be nonempty"):
         sample_rate_sweep(model, [100], [])
+
+
+class _ConcaveModel(GaussianLatentModel):
+    """The Gaussian model with a sample surrogate whose A~ is -1 at its fixed point 0."""
+
+    def sample_problem(self, data):
+        return SurrogateProblem(domain=FullSpace(1), eval_q=lambda t, u: -0.5 * float(u @ u),
+                                grad2=lambda t, u: -u, hess22=lambda t, u: -np.eye(1),
+                                hess12=lambda t, u: np.zeros((1, 1)),
+                                closed_form_step=lambda t: np.zeros(1))
+
+    def default_theta0(self):
+        return np.zeros(1)
+
+
+def test_a_cell_without_a_rate_pair_raises_like_verdicts():
+    # the sweep once wrote rho_samp 0 for such a cell
+    with pytest.raises(RatesError, match="A~ is not positive-definite"):
+        sample_rate_sweep(_ConcaveModel(1.0, 1.0, 0.0), [3], [0])
