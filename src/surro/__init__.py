@@ -66,7 +66,6 @@ from .rates import (
     mirror_prox_spectrum_map,
     optimal_alpha,
     reparam_invariance_check,
-    theoretical_rates,
     verdicts,
 )
 from .rng import CounterRNG

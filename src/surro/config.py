@@ -229,7 +229,6 @@ _ALGO_FIELDS = {
     "alpha_em": _algorithm(_alpha_em, ("latent_model", "alpha"), ("mode", "data")),
     "newton": _algorithm(_newton, ("objective",), ("domain",)),
 }
-ALGORITHMS = tuple(_ALGO_FIELDS)
 CONFIG_DIR = Path(__file__).resolve().parent / "configs"  # the bundled configs
 
 

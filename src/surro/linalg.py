@@ -8,8 +8,9 @@ the generalized rate pair rho_inf/rho_sup read off that spectrum.
 
 `symmetrize`, `eigh`, `inv_sqrt`, `spectral_norm`, `whitened_eigenvalues` and
 `generalized_rate_pair` take a matrix (d, d) or a stack (..., d, d) through the same
-lines. They give one result per matrix, a float where one matrix gives a scalar; a
-stack with a bad member raises what that member raises alone.
+lines, and `spectrum_rate_pair` a spectrum (d,) or a stack (..., d). They give one
+result per matrix, a float where one matrix gives a scalar; a stack with a bad
+member raises what that member raises alone.
 """
 
 from __future__ import annotations
@@ -148,14 +149,16 @@ def whitened_eigenvalues(a, b) -> np.ndarray:
     return eigh(r @ b @ r).eigenvalues
 
 
-def generalized_rate_pair(a, b) -> RatePair:
-    """Extreme absolute generalized Rayleigh quotients of B against SPD A.
-
-    rho_sup is the spectral norm of A^{-1/2} B A^{-1/2}; rho_inf the smallest
-    absolute eigenvalue of the same matrix, snapped to 0 when B is singular.
-    Non-finite entries in either matrix raise LinalgError.
-    """
-    abs_lam = np.abs(whitened_eigenvalues(a, b))
+def spectrum_rate_pair(lam) -> RatePair:
+    """Extreme absolute values of ascending spectra (..., d), rho_inf snapped to 0 when
+    it is below SINGULAR_TOL * max(1, rho_sup) (a numerically singular B)."""
+    abs_lam = np.abs(lam)
     lo, hi = abs_lam.min(axis=-1), abs_lam.max(axis=-1)
     lo = np.where(lo < SINGULAR_TOL * np.maximum(1.0, hi), 0.0, lo)
     return RatePair(_per_matrix(lo), _per_matrix(hi))
+
+
+def generalized_rate_pair(a, b) -> RatePair:
+    """Extreme absolute generalized Rayleigh quotients of B against SPD A: the
+    spectrum_rate_pair of the whitened pencil.  Non-finite entries raise LinalgError."""
+    return spectrum_rate_pair(whitened_eigenvalues(a, b))

@@ -4,10 +4,10 @@ The asymptotic behavior of a surrogate-minimization scheme near a fixed point
 theta* is governed by two matrices: the second derivative of the surrogate in
 its minimization slot (A*) and the negated mixed derivative (-d12 Q = B*),
 both reduced to the direction space of the feasible set.  The extreme absolute
-generalized Rayleigh quotients of the reduced pencil bound the geometric decay
-of the iterates from above and below, coincide with it when the upper rate
-squared does not exceed the lower rate, and transform in closed form under the
-extragradient and alpha-EM variants.
+generalized eigenvalues of the reduced pencil bound the geometric decay of the
+iterates from above and below, and coincide with it when the upper rate squared
+does not exceed the lower rate; mapped in closed form, the same spectrum gives
+the rates of the extragradient and alpha-EM variants.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ class CurvatureFrame:
     a_star/b_star live in the ambient space; a_tilde/b_tilde are the
     congruence reductions through the orthonormal basis columns.  When the
     derivatives were only probed along the direction space, the ambient
-    matrices are the lifted reductions.  `rates` is the rate pair of the
-    reduced pencil, or None when a_tilde is not positive-definite.
+    matrices are the lifted reductions.  `spectrum` holds the ascending
+    eigenvalues of A~^{-1/2} B~ A~^{-1/2}, or None when a_tilde is not
+    positive-definite; every predicted rate is read off it.
     """
 
     a_star: np.ndarray
@@ -52,16 +53,28 @@ class CurvatureFrame:
     a_tilde: np.ndarray
     b_tilde: np.ndarray
     asymmetry_diag: float
-    rates: Optional[RatePair]
+    spectrum: Optional[np.ndarray]
 
     @property
     def d(self) -> int:
         return self.basis.shape[1]
 
     @property
+    def rates(self) -> RatePair:
+        """linalg.spectrum_rate_pair of the spectrum; RatesError when there is none."""
+        return linalg.spectrum_rate_pair(_spectrum_of(self))
+
+    @property
     def h4_pass(self) -> bool:
         """H4 (u'A~u > |u'B~u| for every u != 0): A~ is PD and rho_sup < 1."""
-        return self.rates is not None and self.rates.rho_sup < 1.0
+        return self.spectrum is not None and self.rates.rho_sup < 1.0
+
+
+def _spectrum_of(frame: CurvatureFrame) -> np.ndarray:
+    """The frame's spectrum; RatesError when A~ is not positive-definite."""
+    if frame.spectrum is None:
+        raise RatesError("reduced curvature matrix A~ is not positive-definite")
+    return frame.spectrum
 
 
 def _directional(gfun: Callable, base: np.ndarray, direction: np.ndarray, h: float):
@@ -96,9 +109,9 @@ def curvature_at(problem: SurrogateProblem, theta_star) -> CurvatureFrame:
     hess12=None).  The mixed block is symmetrized and its pre-symmetrization
     asymmetry retained.
 
-    The rate pair of the reduced pencil is computed once here and carried
-    by the frame; it is None when A~ is not positive-definite, which is also
-    when theoretical_rates raises RatesError and h4_pass is False.
+    The spectrum of the reduced pencil is computed once here and carried by
+    the frame; it is None when A~ is not positive-definite, which is also when
+    frame.rates raises RatesError and h4_pass is False.
     """
     star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     if not problem.domain.contains(star, tol=REFERENCE_TOL):
@@ -121,9 +134,9 @@ def curvature_at(problem: SurrogateProblem, theta_star) -> CurvatureFrame:
     b_star, b_tilde, asym = block(problem.hess12, lambda t: problem.grad2(t, star), -1.0)
 
     try:
-        rates = linalg.generalized_rate_pair(a_tilde, b_tilde)
+        spectrum = linalg.whitened_eigenvalues(a_tilde, b_tilde)
     except NotPositiveDefinite:
-        rates = None
+        spectrum = None
 
     return CurvatureFrame(
         a_star=a_star,
@@ -132,18 +145,8 @@ def curvature_at(problem: SurrogateProblem, theta_star) -> CurvatureFrame:
         a_tilde=a_tilde,
         b_tilde=b_tilde,
         asymmetry_diag=float(asym),
-        rates=rates,
+        spectrum=spectrum,
     )
-
-
-def theoretical_rates(frame: CurvatureFrame) -> RatePair:
-    """Extreme absolute Rayleigh quotients of the reduced curvature pencil.
-
-    Raises RatesError when A~ is not positive-definite (frame.rates is None).
-    """
-    if frame.rates is None:
-        raise RatesError("reduced curvature matrix A~ is not positive-definite")
-    return frame.rates
 
 
 @dataclass(frozen=True)
@@ -267,10 +270,10 @@ def verdicts(
     iterate (r_N the last residual), and a final error above ten times that
     plus the numerical floor fails.  A trace without steps is its own limit,
     so it fails on an error above ten times the floor for any rho_sup.
-    Raises RatesError when frame.rates is None.
+    Raises RatesError when A~ is not positive-definite.
     """
     star = np.atleast_1d(np.asarray(theta_star, dtype=float))
-    theory = theoretical_rates(frame)
+    theory = frame.rates
     errors = trace.errors(star)
     floor = default_floor(star)
     est = decay_estimate(errors, floor)
@@ -330,29 +333,26 @@ def mirror_prox_spectrum_map(md_frame: CurvatureFrame) -> RatePair:
     map into [3/4, 1) exactly when the descent spectrum lies in (0, 1); the
     scheme contracts when rho_sup < 1.
     """
-    try:
-        spectrum = linalg.whitened_eigenvalues(md_frame.a_tilde, md_frame.b_tilde)
-    except NotPositiveDefinite as exc:
-        raise RatesError(str(exc)) from exc
+    spectrum = _spectrum_of(md_frame)
     abs_mapped = np.abs(spectrum**2 - spectrum + 1.0)
     return RatePair(float(abs_mapped.min()), float(abs_mapped.max()))
 
 
-def alpha_transform(md_rates: RatePair, alpha: float) -> float:
-    """Predicted sup rate of the alpha variant from the plain EM rate pair.
+def alpha_transform(em_frame: CurvatureFrame, alpha: float) -> float:
+    """Predicted sup rate of the alpha variant of the EM scheme at em_frame.
 
     The alpha spectrum is the affine image x -> (x - alpha)/(1 - alpha) of
-    the EM spectrum, so the sup is attained at one of the two endpoints.
+    the EM spectrum, signs kept, so the sup is attained at one of its two ends.
     """
     if alpha == 1.0:
         raise RatesError("alpha = 1 is excluded")
-    g = lambda x: (x - alpha) / (1.0 - alpha)
-    return max(abs(g(md_rates.rho_inf)), abs(g(md_rates.rho_sup)))
+    return float(np.abs((_spectrum_of(em_frame) - alpha) / (1.0 - alpha)).max())
 
 
-def optimal_alpha(md_rates: RatePair) -> tuple[float, float]:
-    """Index midway between the EM rate extremes, and the rate it achieves."""
-    lo, hi = md_rates.rho_inf, md_rates.rho_sup
+def optimal_alpha(em_frame: CurvatureFrame) -> tuple[float, float]:
+    """The midpoint of the EM spectrum [lo, hi], the index with the least sup rate
+    when hi < 1, and that rate."""
+    lo, hi = _spectrum_of(em_frame)[[0, -1]].tolist()
     alpha = 0.5 * (lo + hi)
     rho = (hi - lo) / (2.0 - hi - lo)
     return alpha, rho
@@ -392,8 +392,7 @@ def reparam_invariance_check(
     they agree; at boundary fixed points they need not.
     """
     star = np.atleast_1d(np.asarray(theta_star, dtype=float))
-    frame = curvature_at(replace(problem, hess22=None, hess12=None), star)
-    rates_original = theoretical_rates(frame)
+    rates_original = curvature_at(replace(problem, hess22=None, hess12=None), star).rates
 
     def t_eval(theta, u):
         return problem.eval_q(np.atleast_1d(psi(theta)), np.atleast_1d(psi(u)))
@@ -410,6 +409,4 @@ def reparam_invariance_check(
         label=problem.label + "|reparam",
     )
     star_pulled = np.atleast_1d(np.asarray(psi_inv(star), dtype=float))
-    frame_pulled = curvature_at(pulled, star_pulled)
-    rates_reparam = theoretical_rates(frame_pulled)
-    return rates_original, rates_reparam
+    return rates_original, curvature_at(pulled, star_pulled).rates

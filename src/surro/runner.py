@@ -66,7 +66,7 @@ def rates_payload(name: str, algorithm: str, assembled_label: str, rep: RateRepo
         "algorithm": algorithm,
         "label": assembled_label,
         "theta_star": rep.theta_star,
-        "theory": {"rho_inf": frame.rates.rho_inf, "rho_sup": frame.rates.rho_sup},
+        "theory": frame.rates._asdict(),
         "empirical": {
             "slope": decay.slope,
             "successive_ratio": decay.successive_ratio,

@@ -42,7 +42,6 @@ from .rates import (
     mirror_prox_spectrum_map,
     optimal_alpha,
     reparam_invariance_check,
-    theoretical_rates,
 )
 from .rng import CounterRNG
 from .runner import analyze
@@ -200,13 +199,13 @@ def e5_sample_rate_convergence() -> ExperimentResult:
 def e6_alpha_em_optimum() -> ExperimentResult:
     """Index 1/2 kills the rate entirely; index 1/4 lands on the mapped value 1/3."""
     em = _shipped("em_population")
-    em_rates = theoretical_rates(curvature_at(em.problem, em.theta_star))
-    alpha_opt, rho_opt = optimal_alpha(em_rates)
+    em_frame = curvature_at(em.problem, em.theta_star)
+    alpha_opt, rho_opt = optimal_alpha(em_frame)
 
     est_half = _analyze(_shipped("alpha_em_quarter", alpha=0.5)).decay
     quarter_cfg = _config("alpha_em_quarter")
     est_quarter = _analyze(assemble(quarter_cfg)).decay
-    predicted_quarter = alpha_transform(em_rates, quarter_cfg["alpha"])
+    predicted_quarter = alpha_transform(em_frame, quarter_cfg["alpha"])
 
     ok = (
         abs(alpha_opt - 0.5) <= 1e-9

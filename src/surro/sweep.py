@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import SurroError
 from .latent import draw_data
-from .rates import curvature_at, theoretical_rates
+from .rates import curvature_at
 from .surrogate import iterate
 
 
@@ -51,7 +51,7 @@ def _run_cell(model, k: int, seed: int, rho_pop: float) -> SweepRow:
     problem = model.sample_problem(draw_data(model, k, seed))
     trace = iterate(problem, model.default_theta0())
     theta_hat = trace.final
-    rho = theoretical_rates(curvature_at(problem, theta_hat)).rho_sup
+    rho = curvature_at(problem, theta_hat).rates.rho_sup
     return SweepRow(
         k=int(k),
         seed=int(seed),
@@ -67,8 +67,10 @@ def sample_rate_sweep(model, ks, seeds) -> SweepTable:
     `ks` must be ascending and nonempty; `seeds` nonempty.  The model must
     provide sample_y / sample_problem / population_rate / default_theta0
     (both shipped latent models do).  Each cell iterates under the default
-    StopRule and takes its curvature with curvature_at (FD step FD_STEP); a cell
-    whose reduced A~ is not positive-definite raises RatesError.
+    StopRule and takes its curvature with curvature_at, which uses each analytic
+    block the sample problem has (both of the gaussian model's, the mixture's A)
+    and finite differences with step FD_STEP for the rest (the mixture's mixed
+    block); a cell whose reduced A~ is not positive-definite raises RatesError.
     """
     ks = [int(k) for k in ks]
     seeds = [int(s) for s in seeds]

@@ -168,7 +168,7 @@ def test_bregman_projection_refuses_trial_points_off_the_map_domain():
     assert bregman(phi, out, zeta) <= min(bregman(phi, y, zeta) for y in grid) + 1e-12
 
 
-def test_bregman_projection_from_a_start_off_the_map_domain_raises_projection_failed():
+def test_bregman_projection_from_a_start_off_the_map_domain_raises_solve_failure():
     # the clipped start [0.9, 0.5] lies outside the map's unit ball: no gradient there
     with pytest.raises(surrogate.SolveFailure, match=r"start \[0\.9, 0\.5\] has value inf"):
         bregman_project(Box([-3.0, 0.5], [3.0, 3.0]), BallMap(2, r2=1.0), np.array([0.9, 0.0]))
@@ -204,7 +204,7 @@ def test_entropy_closed_projection_on_an_active_face_is_the_kl_projection():
         assert (c.max() * z[~free] <= dom.face_eps * (1.0 + 1e-12)).all()
 
 
-def test_a_failed_numeric_projection_raises_projection_failed(monkeypatch):
+def test_a_failed_numeric_projection_raises_solve_failure(monkeypatch):
     def stall(**kwargs):
         raise surrogate.SolveFailure("iteration cap 500 reached (residual 1.000e-08)")
 

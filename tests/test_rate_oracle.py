@@ -1,8 +1,9 @@
-"""A 50-digit oracle for the rate pairs of the bundled configs.
+"""Oracles for the spectra and rate pairs of the bundled configs.
 
 Each config's reduced pencil (A~, B~) at its theta* is whitened and diagonalised
 again in mpmath at 50 digits, so the reference shares no rounding and no LAPACK
-call with `linalg.generalized_rate_pair`.
+call with `linalg.whitened_eigenvalues`.  The stored spectrum is also checked
+against LAPACK's general eigensolver on A~^{-1} B~.
 """
 
 import json
@@ -48,6 +49,20 @@ def _errors(path):
 
 
 @pytest.mark.parametrize("path", ALGORITHM_CONFIGS, ids=lambda path: path.stem)
+def test_the_stored_spectrum_is_the_pencil_spectrum(path):
+    """The frame's spectrum against the eigenvalues of A~^{-1} B~ by LAPACK's general
+    eigensolver, which neither whitens nor symmetrizes; its rate pair against
+    generalized_rate_pair on the frame's pencil, bit for bit."""
+    asm = assemble(json.loads(path.read_text()))
+    frame = curvature_at(asm.problem, asm.theta_star)
+    reference = np.linalg.eigvals(np.linalg.solve(frame.a_tilde, frame.b_tilde))
+    scale = np.abs(reference).max()
+    assert np.abs(reference.imag).max() <= 1e-12 * scale
+    assert np.abs(frame.spectrum - np.sort(reference.real)).max() <= 1e-12 * scale
+    assert frame.rates == linalg.generalized_rate_pair(frame.a_tilde, frame.b_tilde)
+
+
+@pytest.mark.parametrize("path", ALGORITHM_CONFIGS, ids=lambda path: path.stem)
 def test_rate_pair_matches_the_50_digit_reference(path):
     frame, rho_sup, errors = _errors(path)
     assert max(errors) <= ULPS, errors
@@ -55,9 +70,9 @@ def test_rate_pair_matches_the_50_digit_reference(path):
 
 
 def test_the_reference_catches_a_swapped_rate_pair(monkeypatch):
-    pair = linalg.generalized_rate_pair
-    monkeypatch.setattr(linalg, "generalized_rate_pair",
-                        lambda a, b: linalg.RatePair(*reversed(pair(a, b))))
+    pair = linalg.spectrum_rate_pair
+    monkeypatch.setattr(linalg, "spectrum_rate_pair",
+                        lambda lam: linalg.RatePair(*reversed(pair(lam))))
     caught = [path.stem for path in ALGORITHM_CONFIGS if max(_errors(path)[2]) > ULPS]
     # the configs whose rho_inf and rho_sup differ
     assert caught == ["entropy_simplex_md", "gd_exact_rate", "mirror_prox_ball"]

@@ -24,10 +24,8 @@ from surro.rates import (
     mirror_prox_spectrum_map,
     optimal_alpha,
     reparam_invariance_check,
-    theoretical_rates,
     verdicts,
 )
-from surro.linalg import RatePair
 from surro.rng import CounterRNG
 from surro.surrogate import StopRule, SurrogateProblem, Trace, StopReason, inner_minimize, iterate
 
@@ -216,7 +214,7 @@ def _pencil_problem(b_diag, domain=None):
 def test_h4_is_decided_exactly_on_a_thin_cone(rho, expected):
     # u'Bu > u'Au only on a thin cone around e1, which sampled directions miss
     frame = curvature_at(_pencil_problem([rho] + [0.0] * 7), np.zeros(8))
-    assert theoretical_rates(frame).rho_sup == pytest.approx(rho, rel=1e-14)
+    assert frame.rates.rho_sup == pytest.approx(rho, rel=1e-14)
     assert frame.h4_pass is expected
 
 
@@ -229,30 +227,29 @@ def test_non_pd_curvature_has_no_rate_pair():
         hess12=lambda t, u: np.zeros((2, 2)),
     )
     frame = curvature_at(prob, np.zeros(2))
-    assert frame.rates is None
+    assert frame.spectrum is None
     assert frame.h4_pass is False
-    with pytest.raises(RatesError, match="reduced curvature matrix A~ is not positive-definite"):
-        theoretical_rates(frame)
-    with pytest.raises(RatesError,
-                       match=r"matrix is not positive-definite \(min eigenvalue -1\.0+e\+00\)"):
-        mirror_prox_spectrum_map(frame)
+    for read in (lambda f: f.rates, mirror_prox_spectrum_map, optimal_alpha,
+                 lambda f: alpha_transform(f, 0.25)):
+        with pytest.raises(RatesError,
+                           match="reduced curvature matrix A~ is not positive-definite"):
+            read(frame)
 
 
 def test_frame_carries_the_rate_pair_of_its_pencil():
     frame = curvature_at(_gd([1.0, 1.5], 0.4), np.zeros(2))
-    assert theoretical_rates(frame) is frame.rates
     assert frame.rates == pytest.approx((0.4, 0.6), abs=1e-12)
 
 
 def test_theoretical_rates_examples():
     prob = _gd([1.0, 4.0], 0.4)
-    rates = theoretical_rates(curvature_at(prob, np.zeros(2)))
+    rates = curvature_at(prob, np.zeros(2)).rates
     assert rates == pytest.approx((0.6, 0.6))
     # the optimal step for spectrum {1, 4} equalizes the two edge multipliers
     eta_opt = 2.0 / (1.0 + 4.0)
-    rates = theoretical_rates(curvature_at(_gd([1.0, 4.0], eta_opt), np.zeros(2)))
+    rates = curvature_at(_gd([1.0, 4.0], eta_opt), np.zeros(2)).rates
     assert rates == pytest.approx((0.6, 0.6))
-    rates = theoretical_rates(curvature_at(newton_problem(Quartic1D()), np.zeros(1)))
+    rates = curvature_at(newton_problem(Quartic1D()), np.zeros(1)).rates
     assert rates == pytest.approx((0.0, 0.0), abs=1e-9)
 
 
@@ -265,17 +262,17 @@ def test_theoretical_rates_h4_violation():
         a_tilde=-frame.a_tilde,
         b_tilde=frame.b_tilde,
         asymmetry_diag=0.0,
-        rates=None,
+        spectrum=None,
     )
     with pytest.raises(RatesError, match="reduced curvature matrix A~ is not positive-definite"):
-        theoretical_rates(bad)
+        bad.rates
 
 
 def test_rate_definition_sampling_consistency():
     center = np.array([0.5, 0.3, 0.2])
     prob = mirror_descent_problem(ShiftedQuadratic(center), NegEntropyMap(3), 0.2, Simplex(3))
     frame = curvature_at(prob, center)
-    rates = theoretical_rates(frame)
+    rates = frame.rates
     rng = CounterRNG(70)
     v = rng.gaussian(100_000 * frame.d).reshape(100_000, frame.d)
     num = np.abs(np.einsum("ij,jk,ik->i", v, frame.b_tilde, v))
@@ -406,7 +403,7 @@ def test_exact_regime_is_decided_without_squaring_a_huge_rho_sup(rho_sup, exact)
     # rho_sup**2 raises OverflowError on a Python float from about 1.3e154
     prob = _gd([1.0, 1.5], 0.4)
     trace = iterate(prob, np.array([1.0, 1.0]))
-    frame = dataclasses.replace(curvature_at(prob, np.zeros(2)), rates=RatePair(0.4, rho_sup))
+    frame = dataclasses.replace(curvature_at(prob, np.zeros(2)), spectrum=np.array([0.4, rho_sup]))
     assert verdicts(trace, np.zeros(2), frame, prob).verdicts["exact"] == exact
 
 
@@ -472,7 +469,7 @@ def test_a_trace_without_steps_is_its_own_limit(rho_sup):
     # a start that the map keeps fixed converges at once; it passes only within
     # ten times the floor (1e-12 here) of theta*
     prob = _gd([1.0, 4.0], 0.4)
-    frame = dataclasses.replace(curvature_at(prob, np.zeros(2)), rates=RatePair(0.5, rho_sup))
+    frame = dataclasses.replace(curvature_at(prob, np.zeros(2)), spectrum=np.array([0.5, rho_sup]))
     for start, passed in ((1.0, False), (1e-11, False), (1e-12, True), (0.0, True)):
         trace = Trace(iterates=[np.full(2, start)], stop_reason=StopReason.CONVERGED)
         rep = verdicts(trace, np.zeros(2), frame, prob)
@@ -520,19 +517,19 @@ def test_prox_rates_strictly_dominate_descent_rates():
         eta = 1.0
         prob = _gd(list(1.0 - lam), eta)
         frame = curvature_at(prob, np.zeros(3))
-        base = theoretical_rates(frame)
+        base = frame.rates
         pred = mirror_prox_spectrum_map(frame)
         assert pred.rho_sup > base.rho_sup
         assert pred.rho_inf >= 0.75 - 1e-9
 
 
 def test_alpha_transform_and_optimal_alpha():
-    pair = RatePair(0.5, 0.5)
+    pair = curvature_at(_pencil_problem([0.5]), np.zeros(1))  # EM spectrum {0.5}
     assert alpha_transform(pair, 0.0) == pytest.approx(0.5)
     alpha, rho = optimal_alpha(pair)
     assert (alpha, rho) == pytest.approx((0.5, 0.0))
 
-    pair = RatePair(0.3, 0.5)
+    pair = curvature_at(_pencil_problem([0.3, 0.5]), np.zeros(2))  # EM spectrum {0.3, 0.5}
     alpha, rho = optimal_alpha(pair)
     assert alpha == pytest.approx(0.4)
     assert rho == pytest.approx(0.2 / 1.2)
@@ -544,6 +541,31 @@ def test_alpha_transform_and_optimal_alpha():
     assert worst[best_idx] == pytest.approx(rho, abs=1e-3)
     with pytest.raises(RatesError):
         alpha_transform(pair, 1.0)
+
+
+def test_alpha_maps_keep_the_signs_of_a_mixed_sign_spectrum():
+    # gradient descent on diag(1.3, 0.5) with step 1: spectrum {1 - 1.3, 1 - 0.5}, whose
+    # absolute extremes (0.3, 0.5) would put the alpha map's sup at 1/3 and its optimum at 0.4
+    prob = mirror_descent_problem(QuadraticForm(np.diag([1.3, 0.5])), QuadraticMap(2), 1.0,
+                                  FullSpace(2))
+    frame = curvature_at(prob, np.zeros(2))
+    np.testing.assert_allclose(frame.spectrum, [-0.3, 0.5], rtol=0, atol=1e-12)
+    j = np.linalg.solve(frame.a_tilde, frame.b_tilde)
+
+    def sup_rate(alpha):
+        """Spectral radius of the alpha map's Jacobian (J - alpha I) / (1 - alpha)."""
+        return float(np.abs(np.linalg.eigvals((j - alpha * np.eye(2)) / (1.0 - alpha))).max())
+
+    assert alpha_transform(frame, 0.25) == pytest.approx(0.55 / 0.75, rel=1e-12)
+    assert alpha_transform(frame, 0.25) == pytest.approx(sup_rate(0.25), rel=1e-12)
+    alpha, rho = optimal_alpha(frame)
+    assert (alpha, rho) == pytest.approx((0.1, 4 / 9), rel=1e-12)
+    assert rho == pytest.approx(sup_rate(alpha), rel=1e-12)
+    grid = np.linspace(-0.5, 0.49, 991)  # step 1e-3
+    worst = [sup_rate(a) for a in grid]
+    best = int(np.argmin(worst))
+    assert grid[best] == pytest.approx(alpha, abs=1e-3)
+    assert rho <= worst[best] + 1e-12
 
 
 def test_accelerate_exact_on_affine_iterations():
@@ -574,7 +596,7 @@ def test_accelerate_singular_map():
         a_tilde=frame.a_tilde,
         b_tilde=frame.a_tilde,
         asymmetry_diag=0.0,
-        rates=None,
+        spectrum=None,
     )
     with pytest.raises(RatesError, match=r"I - A~\^\{-1\} B~ is numerically singular"):
         accelerate(np.zeros(1), np.ones(1), degenerate)
