@@ -71,8 +71,12 @@ class ConvexDomain:
         raise NotImplementedError
 
     def direction_basis(self) -> np.ndarray:
-        """Orthonormal q x d matrix spanning the feasible-difference space."""
-        raise NotImplementedError
+        """Orthonormal q x d matrix spanning the feasible-difference space.
+
+        The q x q identity is that of a full-dimensional set; a set inside a
+        proper affine subspace must override it.
+        """
+        return np.eye(self.q)
 
     def sample(self, rng) -> np.ndarray:
         """Draw a feasible point; used for randomized starts."""
@@ -98,9 +102,6 @@ class FullSpace(ConvexDomain):
 
     def interior_point(self):
         return np.zeros(self.q)
-
-    def direction_basis(self):
-        return np.eye(self.q)
 
     def sample(self, rng):
         return rng.gaussian(self.q)
@@ -139,9 +140,6 @@ class Box(ConvexDomain):
 
     def interior_point(self):
         return 0.5 * (self.lower + self.upper)
-
-    def direction_basis(self):
-        return np.eye(self.q)
 
     def sample(self, rng):
         u = rng.uniform(self.q)
@@ -184,12 +182,9 @@ class EuclideanBall(ConvexDomain):
     def interior_point(self):
         return self.center.copy()
 
-    def direction_basis(self):
-        return np.eye(self.q)
-
     def sample(self, rng):
         d = rng.gaussian(self.q)
-        n = float(np.linalg.norm(d))
+        n = vector_norm(d)
         if n == 0.0:
             return self.center.copy()
         u = float(rng.uniform(1)[0])
@@ -304,7 +299,7 @@ class AffineSlice(ConvexDomain):
             p = y + p - ya
             yb = self.inside.project(ya + qcorr)
             qcorr = ya + qcorr - yb
-            if float(np.linalg.norm(yb - y)) <= 1e-14 * (1.0 + float(np.linalg.norm(y))):
+            if vector_norm(yb - y) <= 1e-14 * (1.0 + vector_norm(y)):
                 y = yb
                 break
             y = yb

@@ -132,6 +132,14 @@ def em_population_problem(model: GaussianLatentModel) -> SurrogateProblem:
     )
 
 
+def _observations(data) -> np.ndarray:
+    """data as a float vector; SurroError when it holds no observation."""
+    y = np.atleast_1d(np.asarray(data, dtype=float))
+    if y.size == 0:
+        raise SurroError("at least one observation is required")
+    return y
+
+
 def em_sample_problem(model: GaussianLatentModel, data) -> SurrogateProblem:
     """Finite-sample EM surrogate for observations Y_1..Y_k.
 
@@ -140,9 +148,7 @@ def em_sample_problem(model: GaussianLatentModel, data) -> SurrogateProblem:
     and the negative observed log-likelihood is attached as the Lyapunov
     diagnostic (EM never decreases the likelihood).
     """
-    y = np.atleast_1d(np.asarray(data, dtype=float))
-    if y.size == 0:
-        raise SurroError("at least one observation is required")
+    y = _observations(data)
     sx2, sy2 = model.sigma_x2, model.sigma_y2
     s = model.marginal_var
     w = model.shrinkage
@@ -212,9 +218,7 @@ def alpha_em_problem(
     elif mode == "sample":
         if data is None:
             raise SurroError("sample mode requires observations")
-        cells = np.atleast_1d(np.asarray(data, dtype=float))
-        if cells.size == 0:
-            raise SurroError("at least one observation is required")
+        cells = _observations(data)
         s2 = model.posterior_var
         lyapunov = lambda theta: -model.observed_loglik(float(theta[0]), data)
     else:
@@ -281,9 +285,7 @@ class TwoComponentMixture:
         return signs * self.theta_star + rng.gaussian(k)
 
     def sample_problem(self, data) -> SurrogateProblem:
-        y = np.atleast_1d(np.asarray(data, dtype=float))
-        if y.size == 0:
-            raise SurroError("at least one observation is required")
+        y = _observations(data)
         const = math.log(2.0) + 0.5 * math.log(2.0 * math.pi)
 
         def eval_q(theta, u):

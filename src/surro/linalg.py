@@ -150,8 +150,8 @@ def whitened_eigenvalues(a, b) -> np.ndarray:
 
 
 def spectrum_rate_pair(lam) -> RatePair:
-    """Extreme absolute values of ascending spectra (..., d), rho_inf snapped to 0 when
-    it is below SINGULAR_TOL * max(1, rho_sup) (a numerically singular B)."""
+    """Extreme absolute values of spectra (..., d), in any order, rho_inf snapped to 0
+    when it is below SINGULAR_TOL * max(1, rho_sup) (a numerically singular B)."""
     abs_lam = np.abs(lam)
     lo, hi = abs_lam.min(axis=-1), abs_lam.max(axis=-1)
     lo = np.where(lo < SINGULAR_TOL * np.maximum(1.0, hi), 0.0, lo)

@@ -295,20 +295,16 @@ def verdicts(
     else:
         out["exact"] = "pass" if abs(rate_emp - theory.rho_sup) <= DEFAULT_RATE_TOL else "fail"
 
-    est_q = None
-    q_gaps: tuple[float, ...] = ()
     if len(trace) > 1:
         q_star = float(problem.eval_q(star, star))
         q_gaps = tuple((trace.q_values(problem) - q_star).tolist())
         est_q = decay_estimate(np.abs(q_gaps), default_floor(q_star))
         out["q_gap"] = "pass" if est_q.rate <= theory.rho_sup + DEFAULT_RATE_TOL else "fail"
-    else:
-        out["q_gap"] = "inapplicable"
-
-    if len(trace) > 1:
         r_last = vector_norm(trace.final - trace.iterates[-2])
         off_limit = sup < 1.0 and errors[-1] > 10.0 * (r_last / (1.0 - sup) + floor)
     else:  # a trace without a step is its own limit, whatever sup is
+        est_q, q_gaps = None, ()
+        out["q_gap"] = "inapplicable"
         off_limit = errors[-1] > 10.0 * floor
     if trace.stop_reason is not StopReason.CONVERGED or off_limit:
         out = dict.fromkeys(out, "fail")
@@ -329,24 +325,24 @@ def mirror_prox_spectrum_map(md_frame: CurvatureFrame) -> RatePair:
     """Extragradient rate pair: the descent spectrum pushed through x -> x^2 - x + 1.
 
     The extragradient scheme's reduced pencil equals that polynomial in the
-    descent pencil, so its rate pair is read off the mapped spectrum.  Values
-    map into [3/4, 1) exactly when the descent spectrum lies in (0, 1); the
-    scheme contracts when rho_sup < 1.
+    descent pencil, so its rate pair is the spectrum_rate_pair of the mapped
+    spectrum.  Every mapped value is at least 3/4, so the singular snap of
+    rho_inf never fires; values map into [3/4, 1) exactly when the descent
+    spectrum lies in (0, 1), and the scheme contracts when rho_sup < 1.
     """
     spectrum = _spectrum_of(md_frame)
-    abs_mapped = np.abs(spectrum**2 - spectrum + 1.0)
-    return RatePair(float(abs_mapped.min()), float(abs_mapped.max()))
+    return linalg.spectrum_rate_pair(spectrum**2 - spectrum + 1.0)
 
 
 def alpha_transform(em_frame: CurvatureFrame, alpha: float) -> float:
     """Predicted sup rate of the alpha variant of the EM scheme at em_frame.
 
     The alpha spectrum is the affine image x -> (x - alpha)/(1 - alpha) of
-    the EM spectrum, signs kept, so the sup is attained at one of its two ends.
+    the EM spectrum, signs kept; the sup is the rho_sup of its spectrum_rate_pair.
     """
     if alpha == 1.0:
         raise RatesError("alpha = 1 is excluded")
-    return float(np.abs((_spectrum_of(em_frame) - alpha) / (1.0 - alpha)).max())
+    return linalg.spectrum_rate_pair((_spectrum_of(em_frame) - alpha) / (1.0 - alpha)).rho_sup
 
 
 def optimal_alpha(em_frame: CurvatureFrame) -> tuple[float, float]:

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import report
 from .config import assemble
-from .linalg import LinalgError
+from .linalg import LinalgError, vector_norm
 from .rates import (
     DEFAULT_RATE_TOL, REFERENCE_TOL, RateReport, RatesError, accelerate, curvature_at, verdicts,
 )
@@ -40,8 +40,8 @@ def locate_fixed_point(problem, trace: Trace) -> np.ndarray:
         refined = accelerate(prev, last, frame)
     except (RatesError, LinalgError, np.linalg.LinAlgError):
         return last.copy()
-    jump = float(np.linalg.norm(refined - last))
-    step = float(np.linalg.norm(last - prev))
+    jump = vector_norm(refined - last)
+    step = vector_norm(last - prev)
     if jump > 10.0 * step + 1e-9 or not problem.domain.contains(refined, tol=REFERENCE_TOL):
         return last.copy()  # too far out to trust, or infeasible (a non-finite point included)
     return refined

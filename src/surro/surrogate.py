@@ -38,9 +38,7 @@ class SolveFailure(SurroError):
 
 
 class InnerSolveFailed(SolveFailure):
-    def __init__(self, message, step_index: int | None = None):
-        super().__init__(message)
-        self.step_index = step_index
+    """A failed inner minimization; the message names the theta it started from."""
 
 
 class StopReason(enum.Enum):
@@ -294,10 +292,7 @@ def iterate(problem: SurrogateProblem, theta0, stop: StopRule | None = None) -> 
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for n in range(stop.max_iters):
                 current = iterates[-1]
-                try:
-                    nxt = inner_minimize(problem, current)
-                except InnerSolveFailed as exc:
-                    raise InnerSolveFailed(str(exc), step_index=n) from exc
+                nxt = inner_minimize(problem, current)
                 residual = vector_norm(nxt - current)
 
                 if residual <= stop.residual_tol and np.array_equal(nxt, current):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from surro import cli, config, suite
+from surro import cli, config, rates, suite
 from surro.suite import REGISTRY, run_suite
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
@@ -121,6 +121,16 @@ def test_experiments_read_the_bundled_configs(tmp_path, monkeypatch):
     assert r.measured["rho_inf"] == pytest.approx(0.2)
     assert r.measured["empirical_rate"] == pytest.approx(0.7, abs=5e-3)
     assert not r.passed
+
+
+@pytest.mark.parametrize("name", ["E3", "E6", "E8"])
+def test_rate_comparisons_read_the_verdict_tolerance(name, monkeypatch):
+    """E3, E6 and E8 compare rates within rates.DEFAULT_RATE_TOL: planted at -1, where
+    suite and rates read it, no comparison holds."""
+    for tol, passed in ((0.02, True), (-1.0, False)):
+        monkeypatch.setattr(rates, "DEFAULT_RATE_TOL", tol)
+        monkeypatch.setattr(suite, "DEFAULT_RATE_TOL", tol, raising=False)
+        assert suite.run_experiment(name).passed is passed
 
 
 def test_registry_is_complete(results):

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from surro import linalg
 from surro.config import CONFIG_DIR, assemble
 from surro.runner import analyze
 from surro.descent import mirror_descent_problem, mirror_prox_problem, newton_problem
@@ -508,6 +509,16 @@ def test_prox_spectrum_map_values():
     pred = mirror_prox_spectrum_map(curvature_at(prob, np.zeros(2)))
     assert pred.rho_sup == pytest.approx(1.11)
     assert pred.rho_sup >= 1.0
+
+
+def test_the_spectrum_maps_read_their_pairs_through_spectrum_rate_pair(monkeypatch):
+    frame = curvature_at(_gd([0.8, 0.4], 1.0), np.zeros(2))  # descent spectrum {0.2, 0.6}
+    pair = linalg.spectrum_rate_pair
+    monkeypatch.setattr(linalg, "spectrum_rate_pair",
+                        lambda lam: linalg.RatePair(*reversed(pair(lam))))
+    # the mapped spectra are {0.84, 0.76} and, at alpha = 0, {0.2, 0.6}: swapped pairs
+    assert mirror_prox_spectrum_map(frame) == pytest.approx((0.84, 0.76))
+    assert alpha_transform(frame, 0.0) == pytest.approx(0.2)
 
 
 def test_prox_rates_strictly_dominate_descent_rates():
