@@ -56,7 +56,6 @@ _count = _check(lambda v: _is_int(v) and v >= 1, "an integer >= 1")
 _seed = _check(lambda v: _is_int(v) and v >= 0, "an integer >= 0")
 _float = _check(_is_number, "a finite number", float)
 _positive = _check(lambda v: _is_number(v) and v > 0, "a positive number", float)
-_mode = _check(lambda v: v in ("population", "sample"), "'population' or 'sample'")
 _ks = _check(lambda v: _int_list(v, 1) and v == sorted(v),
              "ascending integers >= 1 in a nonempty list")
 _seeds = _check(lambda v: _int_list(v, 0), "a nonempty list of integers >= 0")
@@ -193,11 +192,9 @@ _em_sample = lambda latent_model, data: _call(latent_model.sample_problem, "data
                                               data(latent_model))
 
 
-def _alpha_em(latent_model, alpha, mode="population", data=None) -> SurrogateProblem:
-    if mode == "sample" and data is None:
-        raise ConfigInvalid("alpha_em requires field data when mode is 'sample'", field="data")
+def _alpha_em(latent_model, alpha, data=None) -> SurrogateProblem:
     model = _require_gaussian(latent_model, "alpha_em")
-    return _call(alpha_em_problem, "alpha", model, alpha, mode=mode, data=data and data(model))
+    return _call(alpha_em_problem, "alpha", model, alpha, data if data is None else data(model))
 
 
 # the coercer of each algorithm-specific field; a mirror map is built by the
@@ -209,8 +206,7 @@ _ALGO_COERCERS = {
     "eta": _positive,
     "latent_model": build_latent_model,
     "data": _data,
-    "alpha": _check(lambda v: _is_number(v) and v != 1, "a finite number other than 1", float),
-    "mode": _mode,
+    "alpha": _float,
 }
 
 
@@ -226,7 +222,7 @@ _ALGO_FIELDS = {
     "mirror_prox": _algorithm(partial(_descent, mirror_prox_problem), _DESCENT),
     "em_population": _algorithm(_em_population, ("latent_model",)),
     "em_sample": _algorithm(_em_sample, ("latent_model", "data")),
-    "alpha_em": _algorithm(_alpha_em, ("latent_model", "alpha"), ("mode", "data")),
+    "alpha_em": _algorithm(_alpha_em, ("latent_model", "alpha"), ("data",)),
     "newton": _algorithm(_newton, ("objective",), ("domain",)),
 }
 CONFIG_DIR = Path(__file__).resolve().parent / "configs"  # the bundled configs

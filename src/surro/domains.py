@@ -25,19 +25,13 @@ class DegenerateDomain(SurroError):
     """Raised when the direction space of the domain is {0}."""
 
 
-_FLOAT = np.dtype(float)
-
-
 def as_vector(x, q: int) -> np.ndarray:
     """x as a float vector of length q, a 0-d value counting as length 1; else raises SurroError.
 
-    A float64 ndarray of shape (q,) is returned as is, the object np.asarray
-    would return; anything else is converted.  No value is looked at, so a
-    NaN or infinite vector passes: finiteness is decided by the caller's
-    membership test.
+    A float64 ndarray of shape (q,) comes back as the same object, as
+    np.asarray returns it.  No value is looked at, so a NaN or infinite
+    vector passes: finiteness is decided by the caller's membership test.
     """
-    if type(x) is np.ndarray and x.shape == (q,) and x.dtype == _FLOAT:
-        return x
     v = np.asarray(x, dtype=float)
     if v.ndim == 0:
         v = v.reshape(1)

@@ -5,11 +5,12 @@ X ~ N(theta, sigma_x2) and the observation is Y = X + noise with variance
 sigma_y2.  Every conditional expectation is then closed-form, the EM map is
 affine, and the Fisher informations are analytic, which makes the model an
 exact oracle for rate verification.  A two-component mixture ships alongside
-as a demonstration model whose curvature is only probed numerically.
+as a demonstration model whose mixed curvature block is probed numerically.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -185,21 +186,16 @@ def em_sample_problem(model: GaussianLatentModel, data) -> SurrogateProblem:
     )
 
 
-def alpha_em_problem(
-    model: GaussianLatentModel,
-    alpha: float,
-    mode: str = "population",
-    data=None,
-) -> SurrogateProblem:
+def alpha_em_problem(model: GaussianLatentModel, alpha: float, data=None) -> SurrogateProblem:
     """EM variant with the log replaced by the concave alpha family (alpha != 1).
 
     The log-ratio L = a x + b of the joint densities at u and theta is affine in
     the latent x, and x is Gaussian in each cell: X ~ N(c, s2), with one cell at
-    theta_star in population mode and one per observation in sample mode.  So
-    every integrand is a tilted log-normal moment (Matsuyama, IEEE Trans. Inf.
-    Theory 2003): E[e^{alpha L}] = M = e^E with E = alpha (a c + b) +
-    alpha^2 a^2 s2 / 2, and under the tilt X ~ N(c + alpha a s2, s2).  Value,
-    grad2, hess22 and hess12 are these closed forms.  a c + b is written
+    theta_star without data (population mode) and one per observation with it
+    (sample mode).  So every integrand is a tilted log-normal moment (Matsuyama,
+    IEEE Trans. Inf. Theory 2003): E[e^{alpha L}] = M = e^E with E = alpha (a c
+    + b) + alpha^2 a^2 s2 / 2, and under the tilt X ~ N(c + alpha a s2, s2).
+    Value, grad2, hess22 and hess12 are these closed forms.  a c + b is written
     a ((c - theta) - (u - theta) / 2), whose differences are exact near the
     diagonal, and the value takes expm1(E): there the surrogate gap is
     O(|u - theta|^2), and u^2 - theta^2 or exp(E) - 1 would lose it to rounding.
@@ -210,19 +206,14 @@ def alpha_em_problem(
     sx2 = model.sigma_x2
     wx = sx2 / model.marginal_var
 
-    if mode == "population":
+    if data is None:
         # the mixed density of X (posterior at theta, data drawn at theta_star)
         # collapses to N(theta + wx (theta_star - theta), sigma_x2)
-        cells, s2 = np.array([model.theta_star]), sx2
+        mode, cells, s2 = "population", np.array([model.theta_star]), sx2
         lyapunov = em_population_problem(model).lyapunov
-    elif mode == "sample":
-        if data is None:
-            raise SurroError("sample mode requires observations")
-        cells = _observations(data)
-        s2 = model.posterior_var
-        lyapunov = lambda theta: -model.observed_loglik(float(theta[0]), data)
     else:
-        raise SurroError(f"unknown mode {mode!r}")
+        mode, cells, s2 = "sample", _observations(data), model.posterior_var
+        lyapunov = lambda theta: -model.observed_loglik(float(theta[0]), data)
     denom = (1.0 - al) * sx2
 
     def moments(theta, u):
@@ -265,13 +256,20 @@ def alpha_em_problem(
     )
 
 
+@functools.cache
+def _normal_quadrature(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-node Gauss-Hermite rule for E[f(Z)], Z ~ N(0, 1); one build."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(n)
+    return nodes, weights / math.sqrt(2.0 * math.pi)
+
+
 @dataclass(frozen=True)
 class TwoComponentMixture:
     """Symmetric mixture (1/2) N(theta, 1) + (1/2) N(-theta, 1), parametrized by theta > 0.
 
     Ships as a demonstration model: its sample curvature genuinely fluctuates
     with the data, so sample rates only approach the infinite-data rate as the
-    sample grows.  No analytic curvature is exposed.
+    sample grows.  Its hess22 is analytic; its mixed block is finite differences.
     """
 
     theta_star: float
@@ -320,10 +318,10 @@ class TwoComponentMixture:
     def population_rate(self) -> float:
         """Infinite-data rate E[Y^2 sech^2(theta* Y)], Y ~ N(theta*, 1), by 200-node
         Gauss-Hermite quadrature."""
-        nodes, weights = np.polynomial.hermite_e.hermegauss(200)
+        nodes, weights = _normal_quadrature(200)
         y = self.theta_star + nodes[None, :]  # one row: a (1, 200) @ (200,) product
         with np.errstate(over="ignore"):  # where cosh overflows, sech^2 takes its limit 0
-            val = ((y / np.cosh(self.theta_star * y)) ** 2) @ (weights / math.sqrt(2.0 * math.pi))
+            val = ((y / np.cosh(self.theta_star * y)) ** 2) @ weights
         return float(val[0])
 
     def default_theta0(self) -> np.ndarray:

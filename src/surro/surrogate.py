@@ -144,9 +144,7 @@ def minimize_smooth(domain, fun, grad, hess, x0):
     residual; termination is on that residual, at INNER_TOL relative to
     1 + max|x|, within INNER_CAP iterations.  A point accepted by the residual
     test brings the gradient and residual computed for it, so grad is called
-    once per point.  When the domain's direction basis is the identity, the
-    Newton system is solved in full coordinates: the reduction T'HT and the
-    lift T @ d would only multiply by 1 and add 0.
+    once per point.
 
     fun returns a real number, or +inf off an open set it is defined on: a
     projected start of infinite value raises SolveFailure, and a trial point of
@@ -195,13 +193,6 @@ def minimize_smooth(domain, fun, grad, hess, x0):
         tangent = domain.direction_basis()  # Newton steps respect the affine hull
     except DegenerateDomain:
         tangent = None  # point domain: the gradient path settles it
-    q = x.shape[0]
-    identity_basis = (
-        tangent is not None
-        and tangent.shape == (q, q)
-        and np.count_nonzero(tangent) == q
-        and (tangent.diagonal() == 1.0).all()
-    )
     prev_x = None
     prev_g = None
     known = None
@@ -218,12 +209,8 @@ def minimize_smooth(domain, fun, grad, hess, x0):
         candidate = None
         if hess is not None and tangent is not None:
             try:
-                if identity_basis:
-                    # + 0.0 turns -0.0 into 0.0, as the lift T @ d does
-                    direction = np.linalg.solve(hess(x), -g) + 0.0
-                else:
-                    reduced = tangent.T @ hess(x) @ tangent
-                    direction = tangent @ np.linalg.solve(reduced, -(tangent.T @ g))
+                reduced = tangent.T @ hess(x) @ tangent
+                direction = tangent @ np.linalg.solve(reduced, -(tangent.T @ g))
             except np.linalg.LinAlgError:
                 direction = None
             if direction is not None and np.isfinite(direction).all():

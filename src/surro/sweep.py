@@ -15,7 +15,7 @@ import numpy as np
 from .errors import SurroError
 from .latent import draw_data
 from .rates import curvature_at
-from .surrogate import iterate
+from .surrogate import StopReason, iterate
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,8 @@ def worker_count() -> int:
 def _run_cell(model, k: int, seed: int, rho_pop: float) -> SweepRow:
     problem = model.sample_problem(draw_data(model, k, seed))
     trace = iterate(problem, model.default_theta0())
+    if trace.stop_reason is StopReason.MAX_ITERS:
+        raise SurroError(f"sweep cell k={k}, seed={seed} stopped at max_iters, unconverged")
     theta_hat = trace.final
     rho = curvature_at(problem, theta_hat).rates.rho_sup
     return SweepRow(
@@ -70,7 +72,8 @@ def sample_rate_sweep(model, ks, seeds) -> SweepTable:
     StopRule and takes its curvature with curvature_at, which uses each analytic
     block the sample problem has (both of the gaussian model's, the mixture's A)
     and finite differences with step FD_STEP for the rest (the mixture's mixed
-    block); a cell whose reduced A~ is not positive-definite raises RatesError.
+    block).  A cell whose reduced A~ is not positive-definite raises RatesError;
+    one whose run stops at max_iters, SurroError.
     """
     ks = [int(k) for k in ks]
     seeds = [int(s) for s in seeds]

@@ -51,16 +51,16 @@ def test_alpha_index_properties():
             h = 1e-4 * x
             second = (_index(alpha, x + h) - 2 * _index(alpha, x) + _index(alpha, x - h)) / h**2
             assert second <= 1e-6
-    for mode, data in (("population", None), ("sample", [1.0])):
+    for data in (None, [1.0]):
         with pytest.raises(SurroError, match="alpha = 1 is excluded"):
-            alpha_em_problem(MODEL, 1.0, mode=mode, data=data)
+            alpha_em_problem(MODEL, 1.0, data=data)
 
 
 @pytest.mark.parametrize("alpha, model", [
     (0.25, MODEL), (0.5, MODEL), (-0.3, MODEL), (0.75, GaussianLatentModel(1.0, 1.0, 5.0)),
 ], ids=["0.25", "0.5", "-0.3", "0.75-theta_star-5"])
 def test_population_eval_matches_closed_form(alpha, model):
-    prob = alpha_em_problem(model, alpha, mode="population")
+    prob = alpha_em_problem(model, alpha)
     wx = model.sigma_x2 / model.marginal_var
     rng = CounterRNG(60)
     for _ in range(15):
@@ -76,7 +76,7 @@ def test_population_eval_matches_closed_form(alpha, model):
 def test_sample_eval_matches_closed_form(alpha):
     rng = CounterRNG(61)
     data = MODEL.sample_y(9, rng)
-    prob = alpha_em_problem(MODEL, alpha, mode="sample", data=data)
+    prob = alpha_em_problem(MODEL, alpha, data=data)
     wx = MODEL.sigma_x2 / MODEL.marginal_var
     for _ in range(10):
         t = float(1.0 + rng.gaussian(1)[0] * 0.4)
@@ -91,7 +91,7 @@ def test_population_eval_matches_double_quadrature_oracle():
     # integrate over the observation first, then the latent posterior, without
     # the single-marginal collapse used by the implementation
     alpha = 0.35
-    prob = alpha_em_problem(MODEL, alpha, mode="population")
+    prob = alpha_em_problem(MODEL, alpha)
     z, w = np.polynomial.hermite_e.hermegauss(120)
     w = w / math.sqrt(2.0 * math.pi)
     wx = MODEL.sigma_x2 / MODEL.marginal_var
@@ -113,7 +113,7 @@ def test_population_eval_matches_double_quadrature_oracle():
 
 def test_alpha_zero_reduces_to_em_up_to_diagonal_shift():
     # the ratio form subtracts the surrogate's own diagonal value
-    prob0 = alpha_em_problem(MODEL, 0.0, mode="population")
+    prob0 = alpha_em_problem(MODEL, 0.0)
     em = em_population_problem(MODEL)
     rng = CounterRNG(62)
     for _ in range(20):
@@ -127,7 +127,7 @@ def test_alpha_zero_reduces_to_em_up_to_diagonal_shift():
 def test_alpha_zero_sample_mode_matches_sample_em():
     rng = CounterRNG(63)
     data = MODEL.sample_y(7, rng)
-    prob0 = alpha_em_problem(MODEL, 0.0, mode="sample", data=data)
+    prob0 = alpha_em_problem(MODEL, 0.0, data=data)
     em = em_sample_problem(MODEL, data)
     for _ in range(10):
         t = np.array([1.0 + rng.gaussian(1)[0]])
@@ -142,10 +142,10 @@ def test_alpha_family_converges_linearly_to_the_log_form():
         (np.array([1.0 + rng.gaussian(1)[0] * 0.5]), np.array([1.0 + rng.gaussian(1)[0] * 0.5]))
         for _ in range(25)
     ]
-    prob0 = alpha_em_problem(MODEL, 0.0, mode="population")
+    prob0 = alpha_em_problem(MODEL, 0.0)
     sups = []
     for alpha in (1e-1, 1e-2, 1e-3):
-        prob = alpha_em_problem(MODEL, alpha, mode="population")
+        prob = alpha_em_problem(MODEL, alpha)
         gaps = [
             abs(prob.eval_q(t, u) - prob0.eval_q(t, u)) / (1.0 + abs(prob0.eval_q(t, u)))
             for t, u in pairs
@@ -159,7 +159,7 @@ def test_population_curvature_matches_information_formula():
     # both blocks are analytic, so they hold the formula to rounding
     eps = np.finfo(float).eps
     for alpha in (0.25, 0.5, -0.5):
-        prob = alpha_em_problem(MODEL, alpha, mode="population")
+        prob = alpha_em_problem(MODEL, alpha)
         frame = curvature_at(prob, np.array([1.0]))
         i_xy = 1.0
         i_y = 0.5
@@ -168,7 +168,7 @@ def test_population_curvature_matches_information_formula():
 
 
 def test_hess22_matches_finite_difference_of_grad2():
-    prob = alpha_em_problem(MODEL, 0.3, mode="population")
+    prob = alpha_em_problem(MODEL, 0.3)
     rng = CounterRNG(65)
     for _ in range(10):
         t = np.array([1.0 + rng.gaussian(1)[0] * 0.3])
@@ -178,11 +178,11 @@ def test_hess22_matches_finite_difference_of_grad2():
         assert prob.hess22(t, u)[0, 0] == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
 
+
 def test_sample_mode_requires_data():
-    with pytest.raises(SurroError, match="sample mode requires observations"):
-        alpha_em_problem(MODEL, 0.25, mode="sample")
+    # data given selects sample mode, which needs at least one observation
     with pytest.raises(SurroError, match="at least one observation is required"):
-        alpha_em_problem(MODEL, 0.25, mode="sample", data=[])
+        alpha_em_problem(MODEL, 0.25, data=[])
 
 
 DERIVATIVE_TOL = 1e-13  # on |float - reference| / (1 + |reference|)
@@ -227,7 +227,7 @@ def _cells(mode):
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, -0.5, 0.9])
 def test_derivatives_match_the_tilted_moment_oracle(alpha, mode):
     data, cells, scale2 = _cells(mode)
-    prob = alpha_em_problem(MODEL, alpha, mode=mode, data=data)
+    prob = alpha_em_problem(MODEL, alpha, data=data)
     grid = (-0.5, 0.4, 1.0, 1.6, 2.5)
     for t in grid:
         for u in grid:
@@ -245,7 +245,7 @@ def test_value_near_the_diagonal_matches_the_50_digit_oracle(alpha, mode):
     (theta_star, or the sample mean); written in u^2 - t^2 or exp(E) - 1, it would
     drown in the O(eps) rounding of its own terms."""
     data, cells, scale2 = _cells(mode)
-    prob = alpha_em_problem(MODEL, alpha, mode=mode, data=data)
+    prob = alpha_em_problem(MODEL, alpha, data=data)
     ref = float(np.mean(cells))
     for k in (1e-2, 1e-4, 1e-6, 1e-8):
         t, u = ref + k, ref + 2 * k

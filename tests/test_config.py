@@ -134,27 +134,36 @@ def test_assemble_em_sample_with_literal_data():
     # the EM fixed point is the sample mean
     np.testing.assert_allclose(asm.problem.closed_form_step(np.array([13 / 6])), [13 / 6],
                                rtol=1e-15)
-    aem = assemble(_base("alpha_em", **dict(AEM, mode="sample", data=y)))
+    aem = assemble(_base("alpha_em", **dict(AEM, data=y)))
     assert aem.problem.label == "alpha_em(alpha=0.25, mode=sample)"
     assert asm.problem.eval_q(np.ones(1), np.ones(1)) == assemble(
         _base("em_sample", latent_model=GAUSS, data=[0.5, 2, 4], theta0=[0.0])
     ).problem.eval_q(np.ones(1), np.ones(1))
 
 
-def test_assemble_alpha_em_requires_data_in_sample_mode():
-    cfg = _base(
-        "alpha_em",
-        latent_model={
-            "type": "gaussian_latent",
-            "sigma_x2": 1.0,
-            "sigma_y2": 1.0,
-            "theta_star": 1.0,
-        },
-        alpha=0.25,
-        mode="sample",
-    )
-    with pytest.raises(ConfigInvalid, match="alpha_em requires field data"):
+@pytest.mark.parametrize("extra", [{"mode": "population"}, {"mode": "sample", "data": [1.0]}],
+                         ids=["population", "sample"])
+def test_a_config_setting_mode_exits_1_naming_it(extra, tmp_path, capsys):
+    # alpha_em's mode is read from its data: observations given means sample mode
+    cfg = _base("alpha_em", **AEM, **extra)
+    with pytest.raises(ConfigInvalid) as info:
         assemble(cfg)
+    assert info.value.field == "mode"
+    path = tmp_path / "mode.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: unknown field 'mode' in config\n"
+
+
+def test_alpha_em_with_data_and_no_mode_runs_sample_mode(tmp_path):
+    # the data were once ignored: such a config ran population mode, fixed point theta_star 1
+    path = tmp_path / "aem.json"
+    path.write_text(json.dumps(_base("alpha_em", **dict(AEM, data=[1.5, 2.0, 2.5],
+                                                        theta0=[3.0], theta_star="auto"))))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    rates = json.loads((tmp_path / "out" / "rates.json").read_text())
+    assert rates["label"] == "alpha_em(alpha=0.25, mode=sample)"
+    assert rates["theta_star"] == pytest.approx([2.0], abs=1e-9)  # the sample mean
 
 
 def test_theta_star_auto_and_bad_strings():

@@ -21,9 +21,7 @@ from surro.domains import (
     as_vector,
 )
 from surro.errors import SurroError
-from surro.latent import (
-    GaussianLatentModel, TwoComponentMixture, alpha_em_problem, em_population_problem
-)
+from surro.latent import GaussianLatentModel, TwoComponentMixture, em_population_problem
 from surro.mirror_maps import (
     BallMap,
     NegEntropyMap,
@@ -68,8 +66,6 @@ REFUSALS = {
                                                lambda x: np.array([[1e-320]])))
         .closed_form_step(np.zeros(1)),
         SurroError, "non-finite step"),
-    "alpha_em_mode": (lambda: alpha_em_problem(GaussianLatentModel(1.0, 1.0, 0.0), 0.5, "mean"),
-                      SurroError, "unknown mode 'mean'"),
     "mixture_without_data": (lambda: TwoComponentMixture(1.0).sample_problem([]), SurroError,
                              "at least one observation"),
 }

@@ -244,7 +244,10 @@ def test_identity_basis_newton_step_keeps_the_signed_zeros_of_the_reduction():
     [[0.0, 1.0], [1.0, 0.0]],
     [[1.0, 0.0], [0.0, -1.0]],
 ], ids=["signed_identity", "rotation", "permutation", "reflection"])
-def test_only_an_identity_basis_takes_the_full_coordinate_newton_solve(basis):
+def test_basis_newton_step_equals_the_re_evaluating_solve(basis):
+    """Every Newton step goes through the direction basis; on the identity it keeps
+    the bits of the reference's full-coordinate solve."""
+
     class Basis(FullSpace):
         def direction_basis(self):
             return np.array(basis)
@@ -349,9 +352,10 @@ def test_bregman_projection_on_the_ball_matches_the_radial_closed_form():
 
 def _re_evaluating_minimize_smooth(domain, fun, grad, hess, x0, pull_inside, residual_accepts):
     """minimize_smooth as it was before it kept the gradient and residual of an
-    accepted point, with numpy's dispatching reductions and an identity matrix
-    built per call, on domains that are never degenerate.  residual_accepts counts
-    the steps the residual test takes."""
+    accepted point, with numpy's dispatching reductions, an identity matrix built
+    per call and a full-coordinate Newton solve on the identity basis, on domains
+    that are never degenerate.  residual_accepts counts the steps the residual
+    test takes."""
 
     def project(x):
         y = domain.project(x)

@@ -144,8 +144,8 @@ def _registry_problems():
         "E3_md_entropy": (mirror_descent_problem(*entropy), center),
         "E3_prox_entropy": (mirror_prox_problem(*entropy), center),
         "E4_E6_E8_E12_em": (em, np.array([1.0])),
-        "E6_alpha_half": (alpha_em_problem(model, 0.5, mode="population"), np.array([1.0])),
-        "E6_alpha_quarter": (alpha_em_problem(model, 0.25, mode="population"), np.array([1.0])),
+        "E6_alpha_half": (alpha_em_problem(model, 0.5), np.array([1.0])),
+        "E6_alpha_quarter": (alpha_em_problem(model, 0.25), np.array([1.0])),
         "E7": (newton_problem(Quartic1D()), np.zeros(1)),
         "E11_em": (em, np.array([1.1])),
         "E11_gd": (_gd([1.0, 4.0], 0.4), np.array([1.0, 1.0])),

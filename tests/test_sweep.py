@@ -76,3 +76,20 @@ def test_a_cell_without_a_rate_pair_raises_like_verdicts():
     # the sweep once wrote rho_samp 0 for such a cell
     with pytest.raises(RatesError, match="A~ is not positive-definite"):
         sample_rate_sweep(_ConcaveModel(1.0, 1.0, 0.0), [3], [0])
+
+
+class _OscillatingModel(GaussianLatentModel):
+    """The Gaussian model with a sample step theta -> -theta, which never contracts from 1."""
+
+    def sample_problem(self, data):
+        return SurrogateProblem(domain=FullSpace(1), eval_q=lambda t, u: 0.5 * float(u @ u),
+                                grad2=lambda t, u: u, closed_form_step=lambda t: -t)
+
+    def default_theta0(self):
+        return np.ones(1)
+
+
+def test_a_cell_that_stops_at_max_iters_raises_naming_k_and_seed():
+    # the sweep once wrote rho_samp at the unconverged last iterate of such a cell
+    with pytest.raises(SurroError, match=r"k=3, seed=5 stopped at max_iters"):
+        sample_rate_sweep(_OscillatingModel(1.0, 1.0, 0.0), [3], [5])
