@@ -44,7 +44,6 @@ from .linalg import (
 from .mirror_maps import (
     BallMap,
     NegEntropyMap,
-    OutsideMirrorDomain,
     QuadraticMap,
     bregman,
     bregman_project,

@@ -135,7 +135,7 @@ def _build(spec, table: dict[str, _Schema], context: str, *args):
 _OBJECTIVES = {
     "quadratic_form": _Schema(QuadraticForm, {"h": _matrix, "c": _vector}, ("h",)),
     "shifted_quadratic": _Schema(ShiftedQuadratic, {"target": _vector}, ("target",)),
-    "log_sum_exp": _Schema(SmoothLogSumExp, {"q": _int, "scale": _float}, ("q",)),
+    "log_sum_exp": _Schema(SmoothLogSumExp, {"q": _count, "scale": _float}, ("q",)),
     "quartic_1d": _Schema(Quartic1D, {}),
 }
 _MIRROR_MAPS = {  # constructed with the objective's dimension first
@@ -144,10 +144,10 @@ _MIRROR_MAPS = {  # constructed with the objective's dimension first
     "ball": _Schema(BallMap, {"r2": _float}, ("r2",)),
 }
 _DOMAINS = {
-    "full_space": _Schema(FullSpace, {"q": _int}, ("q",)),
+    "full_space": _Schema(FullSpace, {"q": _count}, ("q",)),
     "box": _Schema(Box, {"lower": _vector, "upper": _vector}, ("lower", "upper")),
     "ball": _Schema(EuclideanBall, {"center": _vector, "radius": _float}, ("center", "radius")),
-    "simplex": _Schema(Simplex, {"q": _int, "face_eps": _float}, ("q",)),
+    "simplex": _Schema(Simplex, {"q": _count, "face_eps": _float}, ("q",)),
     "affine_slice": _Schema(lambda c, b, lower, upper: AffineSlice(c, b, Box(lower, upper)),
                             dict(c=_matrix, b=_vector, lower=_vector, upper=_vector),
                             ("c", "b", "lower", "upper")),

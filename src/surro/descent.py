@@ -13,7 +13,7 @@ import numpy as np
 
 from .domains import ConvexDomain, FullSpace, as_vector
 from .errors import SurroError
-from .mirror_maps import MirrorMap, NegEntropyMap, QuadraticMap, extended_value
+from .mirror_maps import MirrorMap
 from .objectives import Objective
 from .surrogate import SurrogateProblem, inner_minimize
 
@@ -35,8 +35,9 @@ def _mirror_problem(f: Objective, phi: MirrorMap, eta: float, domain: ConvexDoma
     """Surrogate eta grad f(at(theta))' u + D_Phi(u, theta), with hess22 = Hess Phi(u).
 
     The gradient is taken at at(theta): theta for mirror descent, the memoized
-    half-step for mirror prox.  Closed-form steps: projected gradient for the
-    quadratic map, multiplicative weights for entropy on the simplex.
+    half-step for mirror prox.  The step is the map's closed_step when the map
+    has one on this domain, which is asked once, here; otherwise a numeric
+    inner solve, to which Q is +inf off the map's domain through phi.value.
 
     An inner solve evaluates Q(theta, .) many times at one theta, so the
     theta-only terms (grad f(at(theta)), Phi(theta), grad Phi(theta)) are kept
@@ -60,8 +61,7 @@ def _mirror_problem(f: Objective, phi: MirrorMap, eta: float, domain: ConvexDoma
     def eval_q(theta, u):
         th, (_, _, g, phi_theta, dphi_theta) = anchored(theta)
         uv = as_vector(u, phi.q)
-        phi_u = extended_value(phi, uv)  # +inf off the map's domain makes Q +inf there
-        return eta * float(g @ uv) + float(phi_u - phi_theta - dphi_theta @ (uv - th))
+        return eta * float(g @ uv) + float(phi.value(uv) - phi_theta - dphi_theta @ (uv - th))
 
     def grad2(theta, u):
         _, (_, eta_g, _, _, dphi_theta) = anchored(theta)
@@ -71,15 +71,9 @@ def _mirror_problem(f: Objective, phi: MirrorMap, eta: float, domain: ConvexDoma
         return phi.hess(u)
 
     closed = None
-    uniform = np.full(phi.q, 1.0 / phi.q)
-    if isinstance(phi, QuadraticMap):
+    if phi.closed_step(domain, domain.interior_point(), eta, np.zeros(phi.q)) is not None:
         def closed(theta):
-            return domain.project(theta - eta * f.grad(at(theta)))
-    elif isinstance(phi, NegEntropyMap) and phi.closed_projection(domain, uniform) is not None:
-        def closed(theta):
-            g = f.grad(at(theta))
-            # multiplicative weights; the shift leaves the normalization unchanged
-            return phi.closed_projection(domain, theta * np.exp(-eta * (g - np.min(g))))
+            return phi.closed_step(domain, theta, eta, f.grad(at(theta)))
 
     return SurrogateProblem(
         domain=domain,

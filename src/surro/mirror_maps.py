@@ -3,7 +3,9 @@
 Three maps are shipped: the quadratic map (plain Euclidean geometry), negative
 entropy on the positive orthant (simplex geometry) and a barrier-style map on
 an open ball whose gradient diverges at the boundary, suitable for globally
-convergent extragradient runs on compact sets.
+convergent extragradient runs on compact sets.  Each map owns its rules: value
+is +inf off its open domain, and closed_step is its closed-form mirror step
+where it has one; `descent` and bregman_project read a map only through them.
 """
 
 from __future__ import annotations
@@ -18,15 +20,12 @@ from .errors import SurroError
 from .surrogate import minimize_smooth
 
 
-class OutsideMirrorDomain(SurroError):
-    pass
-
-
 class MirrorMap:
     """Strictly convex map with value/grad/hess callables on an open domain.
 
-    A map implements value, grad, hess and in_domain; value raises
-    OutsideMirrorDomain off the domain, which extended_value reads as +inf.
+    A map implements value, grad, hess and in_domain, and optionally
+    closed_step.  value is +inf off the domain, so a numeric solve refuses
+    every trial point there; grad and hess raise SurroError.
     """
 
     q: int
@@ -43,8 +42,8 @@ class MirrorMap:
     def in_domain(self, x) -> bool:
         """Membership in the open domain: the one test of a map point.
 
-        Every NaN or infinite point is rejected, without raising, so _require,
-        which value, grad and hess call, has no finiteness test of its own.
+        Every NaN or infinite point is rejected, without raising, so value and
+        _require, which grad and hess call, have no finiteness test of their own.
         """
         raise NotImplementedError
 
@@ -52,14 +51,19 @@ class MirrorMap:
         """Analytic lower bound on the Hessian spectrum over the domain, if known."""
         return None
 
-    def closed_projection(self, domain: ConvexDomain, zeta) -> np.ndarray | None:
-        """Closed-form Bregman projection onto the domain, when one exists."""
+    def closed_step(self, domain: ConvexDomain, theta, eta: float, g) -> np.ndarray | None:
+        """argmin over the domain of eta g'u + D_Phi(u, theta) in closed form, or None.
+
+        Whether it is None may depend on the domain only: the mirror surrogates
+        ask once, when they are built.  With g = 0 the step is the Bregman
+        projection of theta, which bregman_project reads.
+        """
         return None
 
     def _require(self, x) -> np.ndarray:
         v = as_vector(x, self.q)
         if not self.in_domain(v):
-            raise OutsideMirrorDomain(f"point {v} is outside the mirror-map domain")
+            raise SurroError(f"point {v} is outside the mirror-map domain")
         return v
 
 
@@ -70,8 +74,8 @@ class QuadraticMap(MirrorMap):
     q: int
 
     def value(self, x):
-        v = self._require(x)
-        return 0.5 * float(v @ v)
+        v = as_vector(x, self.q)
+        return 0.5 * float(v @ v) if self.in_domain(v) else math.inf
 
     def grad(self, x):
         return self._require(x).copy()
@@ -86,8 +90,8 @@ class QuadraticMap(MirrorMap):
     def strong_convexity(self, domain):
         return 1.0
 
-    def closed_projection(self, domain, zeta):
-        return domain.project(zeta)
+    def closed_step(self, domain, theta, eta, g):
+        return domain.project(theta - eta * g)
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,8 @@ class NegEntropyMap(MirrorMap):
     q: int
 
     def value(self, x):
-        v = self._require(x)
-        return float((v * np.log(v)).sum())
+        v = as_vector(x, self.q)
+        return float((v * np.log(v)).sum()) if self.in_domain(v) else math.inf
 
     def grad(self, x):
         v = self._require(x)
@@ -119,20 +123,21 @@ class NegEntropyMap(MirrorMap):
             return float(1.0 / np.max(domain.upper))
         return None
 
-    def closed_projection(self, domain, zeta):
-        if isinstance(domain, Simplex):
-            z = as_vector(zeta, self.q)
-            out = z / float(z.sum())  # exact entropy projection of a positive vector
-            if out.min() < domain.face_eps:
-                # x_i = max(face_eps, c z_i) with c fixing the sum: the top k
-                # coordinates stay free for the largest k whose c_k z_(k) clears the bound
-                eps, u = domain.face_eps, np.sort(z)[::-1]
-                ks = np.arange(1, self.q + 1)
-                c = (1.0 - (self.q - ks) * eps) / np.cumsum(u)
-                k = int(ks[c * u > eps][-1])
-                out = np.maximum(eps, c[k - 1] * z)
-            return out
-        return None
+    def closed_step(self, domain, theta, eta, g):
+        if not isinstance(domain, Simplex):
+            return None
+        # multiplicative weights; the shift leaves the normalization unchanged
+        z = theta * np.exp(-eta * (g - np.min(g)))
+        out = z / float(z.sum())  # exact entropy projection of a positive vector
+        if out.min() < domain.face_eps:
+            # x_i = max(face_eps, c z_i) with c fixing the sum: the top k
+            # coordinates stay free for the largest k whose c_k z_(k) clears the bound
+            eps, u = domain.face_eps, np.sort(z)[::-1]
+            ks = np.arange(1, self.q + 1)
+            c = (1.0 - (self.q - ks) * eps) / np.cumsum(u)
+            k = int(ks[c * u > eps][-1])
+            out = np.maximum(eps, c[k - 1] * z)
+        return out
 
 
 @dataclass(frozen=True)
@@ -158,15 +163,16 @@ class BallMap(MirrorMap):
         v = as_vector(x, self.q)
         s = float(v @ v)
         if not s < self.r2:
-            raise OutsideMirrorDomain(f"point {v} is outside the mirror-map domain")
+            raise SurroError(f"point {v} is outside the mirror-map domain")
         return v, s
 
     def _require(self, x):
         return self._point(x)[0]
 
     def value(self, x):
-        _, s = self._point(x)
-        return s / (self.r2 - s)
+        v = as_vector(x, self.q)
+        s = float(v @ v)
+        return s / (self.r2 - s) if s < self.r2 else math.inf
 
     def grad(self, x):
         v, s = self._point(x)
@@ -193,35 +199,22 @@ class BallMap(MirrorMap):
         return 2.0 / self.r2  # attained at the origin
 
 
-def extended_value(phi: MirrorMap, x) -> float:
-    """Phi(x), and +inf off the map's open domain: the extended-value convention.
-
-    The mirror surrogates and bregman_project's objective read Phi through it,
-    so a numeric solve refuses every trial point off the domain.
-    """
-    try:
-        return phi.value(x)
-    except OutsideMirrorDomain:
-        return math.inf
-
-
 def bregman(phi: MirrorMap, x, y) -> float:
     """Bregman divergence Phi(x) - Phi(y) - <grad Phi(y), x - y>."""
-    # value and grad validate both points
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    yv = np.atleast_1d(np.asarray(y, dtype=float))
+    # both points are checked, so a point off the domain raises, never returns inf or NaN
+    xv, yv = phi._require(x), phi._require(y)
     return float(phi.value(xv) - phi.value(yv) - phi.grad(yv) @ (xv - yv))
 
 
 def bregman_project(domain: ConvexDomain, phi: MirrorMap, zeta) -> np.ndarray:
     """Unique Bregman-divergence minimizer over the domain, seen from zeta.
 
-    Uses a closed form when the map provides one (Euclidean projection for the
-    quadratic map, normalization for entropy on the simplex) and an interior
-    Newton solve otherwise.
+    Uses the map's closed step with g = 0 when it has one (Euclidean projection
+    for the quadratic map, normalization for entropy on the simplex) and an
+    interior Newton solve otherwise.
     """
     z = phi._require(zeta)
-    closed = phi.closed_projection(domain, z)
+    closed = phi.closed_step(domain, z, 0.0, np.zeros(phi.q))
     if closed is not None:
         return closed
 
@@ -229,7 +222,7 @@ def bregman_project(domain: ConvexDomain, phi: MirrorMap, zeta) -> np.ndarray:
     target = phi.grad(z)
     return minimize_smooth(
         domain=domain,
-        fun=lambda x: extended_value(phi, x) - float(target @ x),
+        fun=lambda x: phi.value(x) - float(target @ x),
         grad=lambda x: phi.grad(x) - target,
         hess=phi.hess,
         x0=domain.project(z),
@@ -240,9 +233,7 @@ __all__ = [
     "BallMap",
     "MirrorMap",
     "NegEntropyMap",
-    "OutsideMirrorDomain",
     "QuadraticMap",
     "bregman",
     "bregman_project",
-    "extended_value",
 ]

@@ -102,6 +102,8 @@ class SmoothLogSumExp(Objective):
     scale: float = 1.0
 
     def __post_init__(self):
+        if not self.q >= 1:
+            raise SurroError("dimension must be >= 1")
         if not self.scale > 0:
             raise SurroError("scale must be positive")
 

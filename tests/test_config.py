@@ -233,6 +233,11 @@ MALFORMED = {
     "theta_star_off_simplex": (_base("mirror_descent", **dict(MD, theta_star=[0.6, 0.3, 0.2])),
                                "theta_star"),
     "log_sum_exp_without_q": (_gd(objective={"type": "log_sum_exp"}), "q"),
+    "log_sum_exp_q_zero": (_gd(objective={"type": "log_sum_exp", "q": 0}), "q"),
+    "log_sum_exp_q_negative": (_gd(objective={"type": "log_sum_exp", "q": -1}), "q"),
+    "full_space_q_zero": (_gd(domain={"type": "full_space", "q": 0}), "q"),
+    "simplex_q_zero": (_base("mirror_descent", **dict(MD, domain={"type": "simplex", "q": 0})),
+                       "q"),
     "ball_domain_without_radius": (_gd(domain={"type": "ball", "center": [0.0, 0.0]}), "radius"),
     "affine_slice_without_lower": (
         _gd(domain={"type": "affine_slice", "c": [[1.0, 1.0]], "b": [0.0], "upper": [2.0, 2.0]}),

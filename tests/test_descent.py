@@ -19,7 +19,7 @@ from surro.descent import (
 )
 from surro.domains import AffineSlice, Box, EuclideanBall, FullSpace, Simplex
 from surro.errors import SurroError
-from surro.mirror_maps import BallMap, MirrorMap, NegEntropyMap, QuadraticMap
+from surro.mirror_maps import BallMap, MirrorMap, NegEntropyMap, QuadraticMap, bregman_project
 from surro.objectives import CustomObjective, QuadraticForm, Quartic1D, ShiftedQuadratic
 from surro.rates import curvature_at
 from surro.rng import CounterRNG
@@ -146,6 +146,61 @@ def test_closed_form_step_first_order_condition():
             step = prob.closed_form_step(theta)
             assert prob.domain.contains(step, tol=1e-9)
             assert float(prob.grad2(theta, step) @ (theta - step)) >= -1e-8
+
+
+class _ScaledQuadraticMap(MirrorMap):
+    """Phi(x) = c|x|^2 / 2, whose mirror step is the projected gradient step with
+    step eta / c; it records each closed step it is asked for."""
+
+    def __init__(self, q, c):
+        self.q, self.c, self.steps = q, c, []
+
+    def value(self, x):
+        v = np.asarray(x, dtype=float)
+        return 0.5 * self.c * float(v @ v) if self.in_domain(v) else math.inf
+
+    def grad(self, x):
+        return self.c * self._require(x)
+
+    def hess(self, x):
+        self._require(x)
+        return self.c * np.eye(self.q)
+
+    def in_domain(self, x):
+        return bool(np.isfinite(x).all())
+
+    def closed_step(self, domain, theta, eta, g):
+        self.steps.append((eta, np.array(g)))
+        return domain.project(theta - (eta / self.c) * g)
+
+
+def test_a_custom_map_closed_step_serves_every_mirror_step_and_the_projection():
+    f = ShiftedQuadratic(np.array([2.0, -0.4]))
+    box, eta, theta = Box([0.0, -1.0], [1.0, 1.0]), 0.5, np.array([0.2, 0.6])
+
+    def step(x):
+        return box.project(x - (eta / 4.0) * f.grad(x))
+
+    phi = _ScaledQuadraticMap(2, 4.0)
+    descent_problem = mirror_descent_problem(f, phi, eta, box)
+    phi.steps.clear()
+    assert np.array_equal(inner_minimize(descent_problem, theta), step(theta))
+    assert len(phi.steps) == 1 and np.array_equal(phi.steps[0][1], f.grad(theta))
+
+    prox = mirror_prox_problem(f, phi, eta, box)
+    phi.steps.clear()
+    half = step(theta)
+    out = inner_minimize(prox, theta)
+    assert np.array_equal(out, box.project(theta - (eta / 4.0) * f.grad(half)))
+    # the half step, then the full step with the gradient at the half step
+    assert [used for used, _ in phi.steps] == [eta, eta]
+    assert np.array_equal(phi.steps[0][1], f.grad(theta))
+    assert np.array_equal(phi.steps[1][1], f.grad(half))
+
+    phi.steps.clear()
+    z = np.array([1.5, -3.0])
+    assert np.array_equal(bregman_project(box, phi, z), [1.0, -1.0])
+    assert len(phi.steps) == 1 and phi.steps[0][0] == 0.0 and not phi.steps[0][1].any()
 
 
 def test_prox_fixed_point_coincides_with_descent_fixed_point():

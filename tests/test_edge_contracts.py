@@ -3,6 +3,7 @@
 import ast
 import builtins
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -22,12 +23,7 @@ from surro.domains import (
 )
 from surro.errors import SurroError
 from surro.latent import GaussianLatentModel, TwoComponentMixture, em_population_problem
-from surro.mirror_maps import (
-    BallMap,
-    NegEntropyMap,
-    OutsideMirrorDomain,
-    QuadraticMap,
-)
+from surro.mirror_maps import BallMap, NegEntropyMap, QuadraticMap
 from surro.objectives import (
     CustomObjective, QuadraticForm, ShiftedQuadratic, SmoothLogSumExp
 )
@@ -55,6 +51,7 @@ REFUSALS = {
                     "c must match"),
     "log_sum_exp_scale": (lambda: SmoothLogSumExp(2, scale=0.0), SurroError,
                           "scale must be positive"),
+    "log_sum_exp_dimension": (lambda: SmoothLogSumExp(0), SurroError, "dimension must be >= 1"),
     "custom_without_hessian": (lambda: _LINE.hess(np.zeros(1)), SurroError, "no Hessian"),
     "stop_residual_tol": (lambda: StopRule(residual_tol=0.0), ValueError, "residual_tol"),
     "spectral_norm_vector": (lambda: linalg.spectral_norm(np.ones(3)), linalg.LinalgError,
@@ -140,7 +137,8 @@ def test_in_domain_alone_rejects_non_finite_points(phi):
     with np.errstate(all="raise"):
         for point in _non_finite_points():
             assert not phi.in_domain(point)
-            with pytest.raises(OutsideMirrorDomain):
+            assert phi.value(point) == math.inf
+            with pytest.raises(SurroError, match="outside the mirror-map domain"):
                 phi._require(point)
 
 

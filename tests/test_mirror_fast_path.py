@@ -31,13 +31,7 @@ from surro.config import CONFIG_DIR, assemble, load_config
 from surro.descent import _MemoStep, mirror_descent_problem, mirror_prox_problem
 from surro.domains import INTERIOR_MARGIN, EuclideanBall, FullSpace, Simplex
 from surro.errors import SurroError
-from surro.mirror_maps import (
-    BallMap,
-    NegEntropyMap,
-    OutsideMirrorDomain,
-    bregman,
-    bregman_project,
-)
+from surro.mirror_maps import BallMap, NegEntropyMap, bregman, bregman_project
 from surro.objectives import CustomObjective, ShiftedQuadratic
 from surro.rng import CounterRNG
 from surro.surrogate import (
@@ -72,11 +66,13 @@ class _GenericBallMap(BallMap):
     def _require(self, x):
         v = _converting_as_vector(x, self.q)
         if not self.in_domain(v):
-            raise OutsideMirrorDomain(f"point {v} is outside the mirror-map domain")
+            raise SurroError(f"point {v} is outside the mirror-map domain")
         return v
 
     def value(self, x):
-        v = self._require(x)
+        v = _converting_as_vector(x, self.q)
+        if not self.in_domain(v):
+            return math.inf
         s = float(v @ v)
         return s / (self.r2 - s)
 
@@ -200,11 +196,13 @@ def test_ball_map_rejects_non_finite_overflowing_and_misshaped_points():
     outside = [np.array([np.nan, 0.0]), np.array([np.inf, 0.0]), np.array([0.0, -np.inf]),
                np.array([np.nan, np.inf]), np.array([2.0, 0.0])]
     for x in outside:
-        for method in (phi.value, phi.grad, phi.hess, phi._require):
-            with pytest.raises(OutsideMirrorDomain, match="outside the mirror-map domain"):
+        assert phi.value(x) == math.inf
+        for method in (phi.grad, phi.hess, phi._require):
+            with pytest.raises(SurroError, match="outside the mirror-map domain"):
                 method(x)
     with np.errstate(over="ignore"):  # |x|^2 overflows to inf, which is not < r2
-        with pytest.raises(OutsideMirrorDomain):
+        assert phi.value(np.array([1e200, 0.0])) == math.inf
+        with pytest.raises(SurroError, match="outside the mirror-map domain"):
             phi.grad(np.array([1e200, 0.0]))
     for bad in (np.zeros(3), np.zeros((1, 2)), 0.5):
         with pytest.raises(SurroError, match="expected a vector of length 2"):
@@ -539,19 +537,21 @@ class _ConvertingEntropyMap(NegEntropyMap):
     def _require(self, x):
         v = _converting_as_vector(x, self.q)
         if not self.in_domain(v):
-            raise OutsideMirrorDomain(f"point {v} is outside the mirror-map domain")
+            raise SurroError(f"point {v} is outside the mirror-map domain")
         return v
 
     def value(self, x):
-        v = self._require(x)
+        v = _converting_as_vector(x, self.q)
+        if not self.in_domain(v):
+            return math.inf
         return float(np.sum(v * np.log(v)))
 
     def in_domain(self, x):
         v = np.atleast_1d(x)
         return bool(np.all(np.isfinite(v)) and np.all(v > 0.0))
 
-    def closed_projection(self, domain, zeta):
-        z = np.atleast_1d(np.asarray(zeta, dtype=float))
+    def closed_step(self, domain, theta, eta, g):
+        z = np.atleast_1d(np.asarray(theta * np.exp(-eta * (g - np.min(g))), dtype=float))
         out = z / float(np.sum(z))
         if np.min(out) < domain.face_eps:
             out = domain.project(out)
@@ -572,8 +572,7 @@ def test_entropy_simplex_run_is_bitwise_the_converting_formulas():
     phi, dom = _ConvertingEntropyMap(3), _ConvertingSimplex(3)
 
     def closed(theta):
-        g = f.grad(theta)
-        return phi.closed_projection(dom, theta * np.exp(-eta * (g - np.min(g))))
+        return phi.closed_step(dom, theta, eta, f.grad(theta))
 
     ref = _generic_mirror_problem(f, phi, eta, dom, lambda t: t, closed_form_step=closed)
     got, want = iterate(run.problem, run.theta0, run.stop), iterate(ref, run.theta0, run.stop)

@@ -16,6 +16,7 @@ from surro.mirror_maps import NegEntropyMap, QuadraticMap
 from surro.objectives import Quartic1D, QuadraticForm, ShiftedQuadratic
 from surro.rates import (
     MIN_WINDOW_POINTS,
+    CurvatureFrame,
     RatesError,
     accelerate,
     alpha_transform,
@@ -408,6 +409,16 @@ def test_exact_regime_is_decided_without_squaring_a_huge_rho_sup(rho_sup, exact)
     assert verdicts(trace, np.zeros(2), frame, prob).verdicts["exact"] == exact
 
 
+@pytest.mark.parametrize("rho_inf, exact", [(0.25 - 1e-9, "inapplicable"), (0.25, "pass")])
+def test_exact_regime_allows_only_a_rounding_slack(rho_inf, exact):
+    # exact applies when rho_sup^2 <= rho_inf: a planted spectrum 1e-9 short of that
+    # is outside the regime, whatever the trace
+    prob = _gd([0.5, 0.75], 1.0)  # the step is diag(0.5, 0.25) theta
+    trace = iterate(prob, np.array([1.0, 1.0]))
+    frame = dataclasses.replace(curvature_at(prob, np.zeros(2)), spectrum=np.array([rho_inf, 0.5]))
+    assert verdicts(trace, np.zeros(2), frame, prob).verdicts["exact"] == exact
+
+
 def test_verdicts_population_em():
     em = em_population_problem(GaussianLatentModel(1.0, 1.0, theta_star=1.0))
     trace = iterate(em, np.array([2.0]))
@@ -424,6 +435,16 @@ def test_verdicts_fail_when_theory_is_wrong():
     rep = verdicts(trace, np.array([0.5, 0.0]), frame, prob)  # wrong fixed point
     assert rep.verdicts["upper"] == "fail"
     assert not rep.passed
+
+
+def test_a_converged_run_1e9_from_theta_star_fails_every_verdict():
+    # gd_diag converges to 0 within about 4e-14; its contraction bound puts the
+    # limit far closer to the last iterate than the given theta* at 1e-9
+    cfg = json.loads((CONFIG_DIR / "gd_diag.json").read_text())
+    asm = assemble(dict(cfg, theta_star=[1e-9, 0.0]))
+    run = analyze(asm.problem, asm.theta0, asm.theta_star, asm.stop)
+    assert run.trace.stop_reason is StopReason.CONVERGED
+    assert run.verdicts == dict.fromkeys(("upper", "lower", "exact", "q_gap"), "fail")
 
 
 def test_verdicts_boundary_point_marks_lower_inapplicable():
@@ -615,6 +636,21 @@ def test_accelerate_singular_map():
     singular = dataclasses.replace(degenerate, a_tilde=np.zeros((1, 1)))
     with pytest.raises(RatesError, match="Singular matrix"):
         accelerate(np.zeros(1), np.ones(1), singular)
+
+
+@pytest.mark.parametrize("gap, singular", [(1e-13, True), (1e-11, False)])
+def test_accelerate_refuses_a_condition_number_above_1e12(gap, singular):
+    # A~ = I and B~ = diag(0, 1 - gap): I - A~^{-1} B~ = diag(1, gap) has condition 1/gap
+    b = np.diag([0.0, 1.0 - gap])
+    frame = CurvatureFrame(a_star=np.eye(2), b_star=b, basis=np.eye(2), a_tilde=np.eye(2),
+                           b_tilde=b, asymmetry_diag=0.0, spectrum=np.array([0.0, 1.0 - gap]))
+    theta_n, theta_np1 = np.zeros(2), np.array([0.5, 1e-12])
+    if singular:
+        with pytest.raises(RatesError, match=r"I - A~\^\{-1\} B~ is numerically singular"):
+            accelerate(theta_n, theta_np1, frame)
+    else:
+        np.testing.assert_allclose(accelerate(theta_n, theta_np1, frame),
+                                   [0.5, 1e-12 / (1.0 - (1.0 - gap))], rtol=1e-15)
 
 
 def test_reparam_identity_map_is_exactly_invariant():

@@ -225,6 +225,29 @@ def test_stall_detection_terminates():
     assert len(trace) == 501
 
 
+def _sign_flips_then_fixed(flips):
+    """A sign flip at 1e-10 for the first `flips` steps, a residual at floating-point
+    resolution that never improves on the first, then an exact fixed point."""
+    steps = []
+
+    def step(t):
+        steps.append(t)
+        return -t if len(steps) <= flips else t.copy()
+
+    return surro.SurrogateProblem(domain=FullSpace(1), eval_q=None, grad2=None,
+                                  closed_form_step=step)
+
+
+@pytest.mark.parametrize("plateau, reason", [(10, StopReason.CONVERGED),
+                                             (20, StopReason.STALLED)])
+def test_a_run_stalls_after_twenty_steps_without_a_new_best_residual(plateau, reason):
+    # the first flip sets the best residual, 2e-10; each later one only equals it
+    trace = iterate(_sign_flips_then_fixed(1 + plateau), np.array([1e-10]),
+                    StopRule(max_iters=500))
+    assert trace.stop_reason is reason
+    assert len(trace) == 2 + plateau
+
+
 def test_fixed_point_residual_examples():
     prob = _gd_1d(0.5)
 
