@@ -2,7 +2,8 @@
 
 Each builder returns a `SurrogateProblem` whose inner minimization reproduces
 the textbook update, together with whatever analytic curvature the scheme
-admits at a double fixed point.
+admits at a double fixed point.  Every mirror step, the descent step and both
+Mirror Prox steps, is the mirror map's own `MirrorMap.step`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .domains import ConvexDomain, FullSpace, as_vector
+from .domains import ConvexDomain, FullSpace
 from .errors import SurroError
 from .mirror_maps import MirrorMap
 from .objectives import Objective
@@ -35,52 +36,20 @@ def _mirror_problem(f: Objective, phi: MirrorMap, eta: float, domain: ConvexDoma
     """Surrogate eta grad f(at(theta))' u + D_Phi(u, theta), with hess22 = Hess Phi(u).
 
     The gradient is taken at at(theta): theta for mirror descent, the memoized
-    half-step for mirror prox.  The step is the map's closed_step when the map
-    has one on this domain, which is asked once, here; otherwise a numeric
-    inner solve, to which Q is +inf off the map's domain through phi.value.
-
-    An inner solve evaluates Q(theta, .) many times at one theta, so the
-    theta-only terms (grad f(at(theta)), Phi(theta), grad Phi(theta)) are kept
-    for the last theta seen, keyed by its bytes; eval_q and grad2 then map
-    only u.  Each value is computed by the same expression, in the same
-    order, as bregman(phi, u, theta) and the unmemoized gradient.
+    half-step for mirror prox.  The step is the map's own, phi.step, and Q and
+    grad2 are the map's surrogate at that gradient, so Q is +inf off the map's
+    domain.
     """
-    # (theta bytes, eta grad f(at(theta)), grad f(at(theta)), Phi(theta), grad Phi(theta))
-    anchor = (None,)
 
-    def anchored(theta):
-        nonlocal anchor
-        th = as_vector(theta, phi.q)
-        key = th.tobytes()
-        memo = anchor
-        if memo[0] != key:
-            g = f.grad(at(theta))
-            memo = anchor = (key, eta * g, g, phi.value(th), phi.grad(th))
-        return th, memo
-
-    def eval_q(theta, u):
-        th, (_, _, g, phi_theta, dphi_theta) = anchored(theta)
-        uv = as_vector(u, phi.q)
-        return eta * float(g @ uv) + float(phi.value(uv) - phi_theta - dphi_theta @ (uv - th))
-
-    def grad2(theta, u):
-        _, (_, eta_g, _, _, dphi_theta) = anchored(theta)
-        return eta_g + phi.grad(u) - dphi_theta
-
-    def hess22(theta, u):
-        return phi.hess(u)
-
-    closed = None
-    if phi.closed_step(domain, domain.interior_point(), eta, np.zeros(phi.q)) is not None:
-        def closed(theta):
-            return phi.closed_step(domain, theta, eta, f.grad(at(theta)))
+    def surrogate(theta):
+        return phi.surrogate(theta, eta, f.grad(at(theta)))
 
     return SurrogateProblem(
         domain=domain,
-        eval_q=eval_q,
-        grad2=grad2,
-        hess22=hess22,
-        closed_form_step=closed,
+        eval_q=lambda theta, u: surrogate(theta)[0](u),
+        grad2=lambda theta, u: surrogate(theta)[1](u),
+        hess22=lambda theta, u: phi.hess(u),
+        closed_form_step=lambda theta: phi.step(domain, theta, eta, f.grad(at(theta))),
         **fields,
     )
 

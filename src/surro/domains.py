@@ -206,13 +206,19 @@ class Simplex(ConvexDomain):
         # shift by the face bound, project onto the shrunk standard simplex, shift back
         v = as_vector(x, self.q) - self.face_eps
         total = 1.0 - self.q * self.face_eps
-        u = np.sort(v)[::-1]
-        css = np.cumsum(u) - total
-        ks = np.arange(1, self.q + 1)
-        cond = u - css / ks > 0
-        k = int(ks[cond][-1])
-        tau = css[k - 1] / k
-        return np.maximum(v - tau, 0.0) + self.face_eps
+        if np.isfinite(v).all():
+            u = np.sort(v)[::-1]
+            css = np.cumsum(u) - total
+            ks = np.arange(1, self.q + 1)
+            cond = u - css / ks > 0
+            # a coordinate above about 2^53 times the total rounds every test to 0
+            if cond.any():
+                k = int(ks[cond][-1])
+                tau = css[k - 1] / k
+                return np.maximum(v - tau, 0.0) + self.face_eps
+        raise SurroError(
+            f"point {as_vector(x, self.q)} cannot be projected onto the simplex in floating point"
+        )
 
     def is_interior(self, x):
         v = as_vector(x, self.q)

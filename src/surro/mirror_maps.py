@@ -4,8 +4,10 @@ Three maps are shipped: the quadratic map (plain Euclidean geometry), negative
 entropy on the positive orthant (simplex geometry) and a barrier-style map on
 an open ball whose gradient diverges at the boundary, suitable for globally
 convergent extragradient runs on compact sets.  Each map owns its rules: value
-is +inf off its open domain, and closed_step is its closed-form mirror step
-where it has one; `descent` and bregman_project read a map only through them.
+is +inf off its open domain, and step is its mirror step, argmin over a domain
+of eta g'u + D_Phi(u, theta): closed_step where the map has a closed form,
+otherwise one numeric solve on the surrogate.  Mirror descent, both Mirror Prox
+steps and bregman_project (the step with g = 0) all call step.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ class MirrorMap:
     """Strictly convex map with value/grad/hess callables on an open domain.
 
     A map implements value, grad, hess and in_domain, and optionally
-    closed_step.  value is +inf off the domain, so a numeric solve refuses
+    closed_step.  value is +inf off the domain, so the numeric step refuses
     every trial point there; grad and hess raise SurroError.
     """
 
@@ -52,13 +54,38 @@ class MirrorMap:
         return None
 
     def closed_step(self, domain: ConvexDomain, theta, eta: float, g) -> np.ndarray | None:
-        """argmin over the domain of eta g'u + D_Phi(u, theta) in closed form, or None.
-
-        Whether it is None may depend on the domain only: the mirror surrogates
-        ask once, when they are built.  With g = 0 the step is the Bregman
-        projection of theta, which bregman_project reads.
-        """
+        """argmin over the domain of eta g'u + D_Phi(u, theta) in closed form, or None."""
         return None
+
+    def surrogate(self, theta, eta: float, g):
+        """(fun, grad) of u -> eta g'u + D_Phi(u, theta), the objective of the mirror step.
+
+        eta g, Phi(theta) and grad Phi(theta) are computed once, here; fun is
+        +inf off the map's domain through value.
+        """
+        th = as_vector(theta, self.q)
+        eta_g, phi_theta, dphi_theta = eta * g, self.value(th), self.grad(th)
+
+        def fun(u):
+            uv = as_vector(u, self.q)
+            return eta * float(g @ uv) + float(self.value(uv) - phi_theta - dphi_theta @ (uv - th))
+
+        def grad(u):
+            return eta_g + self.grad(u) - dphi_theta
+
+        return fun, grad
+
+    def step(self, domain: ConvexDomain, theta, eta: float, g) -> np.ndarray:
+        """argmin over the domain of eta g'u + D_Phi(u, theta): the one mirror step.
+
+        closed_step when the map has one on this domain; otherwise a Newton
+        solve from theta on the surrogate, which raises SolveFailure if it fails.
+        """
+        closed = self.closed_step(domain, theta, eta, g)
+        if closed is not None:
+            return closed
+        fun, grad = self.surrogate(theta, eta, g)
+        return minimize_smooth(domain=domain, fun=fun, grad=grad, hess=self.hess, x0=theta)
 
     def _require(self, x) -> np.ndarray:
         v = as_vector(x, self.q)
@@ -209,24 +236,11 @@ def bregman(phi: MirrorMap, x, y) -> float:
 def bregman_project(domain: ConvexDomain, phi: MirrorMap, zeta) -> np.ndarray:
     """Unique Bregman-divergence minimizer over the domain, seen from zeta.
 
-    Uses the map's closed step with g = 0 when it has one (Euclidean projection
-    for the quadratic map, normalization for entropy on the simplex) and an
-    interior Newton solve otherwise.
+    The map's step with g = 0: a closed form where the map has one (Euclidean
+    projection for the quadratic map, normalization for entropy on the
+    simplex), an interior Newton solve on D_Phi(., zeta) otherwise.
     """
-    z = phi._require(zeta)
-    closed = phi.closed_step(domain, z, 0.0, np.zeros(phi.q))
-    if closed is not None:
-        return closed
-
-    # minimize Phi(x) - <grad Phi(zeta), x> over the domain
-    target = phi.grad(z)
-    return minimize_smooth(
-        domain=domain,
-        fun=lambda x: phi.value(x) - float(target @ x),
-        grad=lambda x: phi.grad(x) - target,
-        hess=phi.hess,
-        x0=domain.project(z),
-    )
+    return phi.step(domain, phi._require(zeta), 0.0, np.zeros(phi.q))
 
 
 __all__ = [

@@ -71,7 +71,10 @@ class SurrogateProblem:
     eval_q(theta, theta') is the surrogate value, grad2 its gradient in
     theta'.  hess22/hess12 are the (optional) analytic second derivatives
     d2Q/dtheta'^2 and d2Q/(dtheta dtheta'); when absent, consumers fall back
-    to finite differences of grad2.  The dimension q is the domain's.
+    to finite differences of grad2.  closed_form_step, when given, is the
+    problem's own minimization map theta -> argmin Q(theta, .), which may itself
+    solve numerically (a mirror map's step does); inner_minimize then uses it in
+    place of its generic solve.  The dimension q is the domain's.
     """
 
     domain: ConvexDomain
@@ -241,14 +244,14 @@ def minimize_smooth(domain, fun, grad, hess, x0):
 def inner_minimize(problem: SurrogateProblem, theta) -> np.ndarray:
     """One application of the minimization map: argmin of Q(theta, .) over the domain.
 
-    The problem's closed-form step is used when present; otherwise a projected
-    Newton/gradient solve on theta' -> Q(theta, theta').
+    The problem's closed_form_step is used when present; otherwise a projected
+    Newton/gradient solve on theta' -> Q(theta, theta').  A SolveFailure from
+    either is raised as InnerSolveFailed naming theta.
     """
     th = problem.check_feasible(theta)
-    if problem.closed_form_step is not None:
-        return as_vector(problem.closed_form_step(th), problem.q)
-
     try:
+        if problem.closed_form_step is not None:
+            return as_vector(problem.closed_form_step(th), problem.q)
         return minimize_smooth(
             domain=problem.domain,
             fun=lambda x: problem.eval_q(th, x),

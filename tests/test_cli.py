@@ -153,6 +153,11 @@ def _one_point_gd(scale):
                                   theta_star=[scale, 0.0])
 
 
+def _simplex_gd_1e17(cfg):
+    del cfg["mirror_map"]
+    cfg.update(algorithm="gradient_descent", eta=1e17)
+
+
 def _huge_latent(cfg):
     cfg["latent_model"].update(theta_star=1e300)
     cfg.update(theta0=[1e300], theta_star=[5e299])
@@ -174,6 +179,10 @@ _HUGE_NORMS = {
                             "its square overflows\n"),
     # every norm can be squared: a one-point run away from theta* fails its verdicts
     "theta_star_1e150": ("gd_diag", _one_point_gd(1e150), 2, ""),
+    # the first step, 1e17 times the gradient, is too large for the simplex projection
+    "simplex_eta_1e17": ("entropy_simplex_md", _simplex_gd_1e17,
+                         1, "error: point [ 3.e+16  3.e-01 -3.e+16] cannot be projected "
+                            "onto the simplex in floating point\n"),
 }
 
 

@@ -114,9 +114,10 @@ def test_entropy_descent_on_an_affine_slice_stays_on_the_plane():
     f = ShiftedQuadratic(np.array([-0.5, 0.8, 0.7]))
     plane = AffineSlice(np.ones((1, 3)), np.ones(1), Box(np.zeros(3), np.ones(3)))
     problem = mirror_descent_problem(f, NegEntropyMap(3), 2.0, plane)
-    assert problem.closed_form_step is None
+    theta0 = np.full(3, 1.0 / 3.0)
+    assert NegEntropyMap(3).closed_step(plane, theta0, 2.0, f.grad(theta0)) is None
     closed = mirror_descent_problem(f, NegEntropyMap(3), 2.0, Simplex(3, face_eps=0.0))
-    trace = iterate(problem, np.full(3, 1.0 / 3.0))
+    trace = iterate(problem, theta0)
     assert trace.stop_reason is StopReason.CONVERGED and len(trace) == 19
     for theta, step in zip(trace.iterates, trace.iterates[1:]):
         assert plane.contains(step) and (step > 0.0).all()

@@ -1,5 +1,7 @@
 """Feasible sets: membership, projection consistency, direction bases."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,36 @@ def test_simplex_tolerance_covers_the_sum():
     assert simplex.contains([0.5, 0.5 + 5e-10], tol=1e-9)
     assert not simplex.contains([0.5, 0.5 + 5e-10])
     assert not simplex.contains([0.5, 0.5 + 2e-9], tol=1e-9)
+
+
+def _earlier_simplex_project(simplex, x):
+    """The sort-and-threshold projection as written before it refused any point."""
+    v = np.asarray(x, dtype=float) - simplex.face_eps
+    total = 1.0 - simplex.q * simplex.face_eps
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - total
+    ks = np.arange(1, simplex.q + 1)
+    k = int(ks[u - css / ks > 0][-1])
+    return np.maximum(v - css[k - 1] / k, 0.0) + simplex.face_eps
+
+
+def test_simplex_projection_refuses_a_point_it_cannot_resolve():
+    """Above about 2^53 times the simplex total, u0 - (u0 - total) rounds to 0 and
+    no threshold survives; a NaN or infinite point has none either.  Each is refused
+    without a numpy warning, and every other point keeps the earlier bits."""
+    simplex = domains.Simplex(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in ([3e16, 0.3, -3e16], [1e300, 1.0, 0.0], [np.nan, 0.5, 0.5],
+                  [np.inf, 0.0, 0.0], [-np.inf, 1.0, 0.0]):
+            with pytest.raises(SurroError, match="cannot be projected onto the simplex"):
+                simplex.project(np.array(x))
+    rng = CounterRNG(6)
+    for q, face_eps in ((3, domains.INTERIOR_MARGIN), (5, 0.0), (1, 0.1)):
+        simplex = domains.Simplex(q, face_eps=face_eps)
+        for _ in range(100):
+            z = rng.gaussian(q) * 10.0 ** float(16.0 * rng.uniform(1)[0] - 4.0)
+            assert simplex.project(z).tobytes() == _earlier_simplex_project(simplex, z).tobytes()
 
 
 def test_ball_sample_of_a_zero_draw_is_the_center():

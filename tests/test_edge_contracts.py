@@ -63,6 +63,11 @@ REFUSALS = {
                                                lambda x: np.array([[1e-320]])))
         .closed_form_step(np.zeros(1)),
         SurroError, "non-finite step"),
+    "simplex_step_1e17": (  # the projection cannot resolve a point of size 3e16
+        lambda: iterate(mirror_descent_problem(ShiftedQuadratic(np.array([0.5, 0.3, 0.2])),
+                                               QuadraticMap(3), 1e17, Simplex(3)),
+                        np.array([0.2, 0.3, 0.5])),
+        SurroError, "cannot be projected onto the simplex"),
     "mixture_without_data": (lambda: TwoComponentMixture(1.0).sample_problem([]), SurroError,
                              "at least one observation"),
 }

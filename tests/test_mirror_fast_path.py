@@ -1,8 +1,9 @@
 """The numeric mirror steps against two references.
 
-Bitwise: the ball map with one squared-norm check, the theta-anchor memo of
-the mirror surrogates and the identity-basis Newton solve must reproduce the
-generic formulas exactly, so every iterate is compared with `==`.  The inner
+Bitwise: the ball map with one squared-norm check, the map's surrogate, which
+computes its theta terms once per theta, and the identity-basis Newton solve
+must reproduce the generic formulas exactly, so every iterate is compared with
+`==`.  The inner
 solve itself, with its reuse of the gradient and residual of a point the
 line search accepted and its coercions of float vectors, is compared byte
 for byte with a copy of the earlier solve that re-evaluates and re-wraps and
@@ -172,6 +173,8 @@ def test_mirror_prox_ball_run_is_bitwise_the_generic_formulas():
 
 @pytest.mark.parametrize("prox", [False, True])
 def test_anchor_memo_is_never_stale(prox):
+    """Q and its gradient at interleaved thetas, one of them equal bytes in another
+    array, are the generic formulas at each: no theta term is carried over."""
     target, r2, eta = np.array([0.3, -0.2]), 4.0, 0.4
     f, dom = ShiftedQuadratic(target), EuclideanBall(np.zeros(2), 1.0)
     build = mirror_prox_problem if prox else mirror_descent_problem
@@ -514,11 +517,13 @@ def test_inner_solves_are_bitwise_the_re_evaluating_solve():
 
 
 def _re_evaluating_bregman_project(domain, phi, zeta):
+    """The solve on D_Phi(x, zeta) from zeta: the mirror step's objective at g = 0."""
     z = phi._require(zeta)
-    target = phi.grad(z)
-    return _re_evaluating_minimize_smooth(domain, lambda x: phi.value(x) - float(target @ x),
+    phi_z, target = phi.value(z), phi.grad(z)
+    return _re_evaluating_minimize_smooth(domain,
+                                          lambda x: float(phi.value(x) - phi_z - target @ (x - z)),
                                           lambda x: phi.grad(x) - target, phi.hess,
-                                          phi.pull_inside(domain.project(z)), phi.pull_inside, [])
+                                          z, phi.pull_inside, [])
 
 
 def test_bregman_projections_are_bitwise_the_re_evaluating_solve():

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from surro import mirror_maps, surrogate
+from surro.descent import mirror_descent_problem
 from surro.domains import Box, EuclideanBall, Simplex
 from surro.errors import SurroError
 from surro.mirror_maps import BallMap, NegEntropyMap, QuadraticMap, bregman, bregman_project
+from surro.objectives import CustomObjective
 from surro.rng import CounterRNG
 
 
@@ -212,3 +214,34 @@ def test_a_failed_numeric_projection_raises_solve_failure(monkeypatch):
     with pytest.raises(surrogate.SolveFailure,
                        match=r"iteration cap 500 reached \(residual 1\.000e-08\)"):
         bregman_project(Box([0.0, 0.0], [1.0, 1.0]), BallMap(2, r2=4.0), np.array([1.5, 0.2]))
+
+
+def _step_draws(rng):
+    """(map, domain, theta, z, u) for each shipped map on a domain of its own: z is a
+    point of the map's domain, feasible or not, and u a feasible point."""
+    simplex, ball = Simplex(3), EuclideanBall(np.zeros(2), 1.5)
+    for _ in range(20):
+        yield QuadraticMap(3), simplex, simplex.sample(rng), rng.gaussian(3), simplex.sample(rng)
+        yield (NegEntropyMap(3), simplex, simplex.sample(rng), np.exp(rng.gaussian(3)),
+               simplex.sample(rng))
+        z = rng.gaussian(2)
+        yield BallMap(2, r2=4.0), ball, ball.sample(rng), 1.9 * z / (1.0 + np.abs(z).sum()), \
+            ball.sample(rng)
+
+
+def test_one_step_serves_the_descent_step_the_projection_and_the_surrogate():
+    """MirrorMap.step is the mirror-descent step, bregman_project is the step at g = 0,
+    and the map's surrogate is the problem's Q, byte for byte."""
+    rng = CounterRNG(31)
+    for phi, dom, theta, z, u in _step_draws(rng):
+        q = phi.q
+        eta, g = 0.05 + float(rng.uniform(1)[0]), rng.gaussian(q)
+        linear = CustomObjective(q, lambda x, g=g: float(g @ x), lambda x, g=g: g)
+        problem = mirror_descent_problem(linear, phi, eta, dom)
+        step = phi.step(dom, theta, eta, g)
+        assert step.tobytes() == surrogate.inner_minimize(problem, theta).tobytes()
+        projected = bregman_project(dom, phi, z)
+        assert projected.tobytes() == phi.step(dom, z, 0.0, np.zeros(q)).tobytes()
+        fun, grad = phi.surrogate(theta, eta, g)
+        assert fun(u) == problem.eval_q(theta, u) and fun(step) == problem.eval_q(theta, step)
+        assert grad(u).tobytes() == problem.grad2(theta, u).tobytes()

@@ -513,6 +513,15 @@ def test_span_warning_on_concentrated_trace():
     assert verdicts(full, star, frame, prob).span_warning
 
 
+def test_a_faint_second_direction_still_spans_the_plane():
+    # the window's second singular value is about 9e-6 of its first: rank 2 under the 1e-8 cut
+    star = np.zeros(2)
+    pts = [0.6**k * np.array([1.0, 1e-5 * (-1) ** k]) for k in range(60)]
+    trace = Trace(iterates=pts, stop_reason=StopReason.MAX_ITERS)
+    prob = _gd([1.0, 4.0], 0.4)
+    assert not verdicts(trace, star, curvature_at(prob, star), prob).span_warning
+
+
 def test_prox_spectrum_map_values():
     frame_half = curvature_at(_gd([1.0], 1.0), np.zeros(1))
     pred = mirror_prox_spectrum_map(

@@ -336,6 +336,15 @@ def test_minimize_smooth_without_a_descent_direction_raises():
                         np.array([1.0]))
 
 
+def test_a_stagnant_solve_with_a_residual_of_1e_9_raises():
+    """A flat value with a constant gradient of norm 1e-9: no step lowers the value or
+    the residual, and 1e-9 is ten times the 100 INNER_TOL that a stagnant solve may
+    accept, so the solve fails rather than return its start."""
+    g = np.array([6e-10, 8e-10])
+    with pytest.raises(SolveFailure, match=r"no descent direction found \(residual 1\.000e-09\)"):
+        minimize_smooth(FullSpace(2), lambda x: 0.0, lambda x: g, None, np.zeros(2))
+
+
 def test_a_failed_inner_solve_in_iterate_raises_inner_solve_failed():
     bad = surro.SurrogateProblem(
         domain=FullSpace(1),
