@@ -208,10 +208,12 @@ class Simplex(ConvexDomain):
         total = 1.0 - self.q * self.face_eps
         if np.isfinite(v).all():
             u = np.sort(v)[::-1]
-            css = np.cumsum(u) - total
+            with np.errstate(over="ignore"):
+                css = np.cumsum(u) - total
             ks = np.arange(1, self.q + 1)
-            cond = u - css / ks > 0
-            # a coordinate above about 2^53 times the total rounds every test to 0
+            # a partial sum past the float range passes no test; a coordinate above about
+            # 2^53 times the total rounds every test to 0
+            cond = (u - css / ks > 0) & np.isfinite(css)
             if cond.any():
                 k = int(ks[cond][-1])
                 tau = css[k - 1] / k

@@ -163,15 +163,21 @@ def _earlier_simplex_project(simplex, x):
 
 def test_simplex_projection_refuses_a_point_it_cannot_resolve():
     """Above about 2^53 times the simplex total, u0 - (u0 - total) rounds to 0 and
-    no threshold survives; a NaN or infinite point has none either.  Each is refused
-    without a numpy warning, and every other point keeps the earlier bits."""
+    no threshold survives; a partial sum past the float range, a NaN or an infinite
+    point has none either.  Each is refused without a numpy warning, a point whose
+    overflowing sums are past its threshold is projected, and every other point keeps
+    the earlier bits."""
     simplex = domains.Simplex(3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for x in ([3e16, 0.3, -3e16], [1e300, 1.0, 0.0], [np.nan, 0.5, 0.5],
+        for x in ([3e16, 0.3, -3e16], [1e300, 1.0, 0.0], [1e308, 1e308, 0.0],
+                  [-1e308, -1e308, -1e308], [np.nan, 0.5, 0.5],
                   [np.inf, 0.0, 0.0], [-np.inf, 1.0, 0.0]):
             with pytest.raises(SurroError, match="cannot be projected onto the simplex"):
                 simplex.project(np.array(x))
+        far = simplex.project(np.array([-1e308, -1e308, 0.0]))
+        assert far.tobytes() == simplex.project(np.array([-1.0, -1.0, 0.0])).tobytes()
+        assert far.tolist() == [simplex.face_eps, simplex.face_eps, 1.0 - 2 * simplex.face_eps]
     rng = CounterRNG(6)
     for q, face_eps in ((3, domains.INTERIOR_MARGIN), (5, 0.0), (1, 0.1)):
         simplex = domains.Simplex(q, face_eps=face_eps)

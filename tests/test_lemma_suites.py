@@ -55,11 +55,12 @@ def _per_call_stacks(rng, trials, draw):
 @pytest.mark.parametrize("trials", [1, 2, 20, 150])
 @pytest.mark.parametrize("name", list(PER_CALL))
 def test_stacks_are_bitwise_the_per_call_draws(name, trials, seed):
-    # two blocks in a row from one stream, as domination draws them, then the stream position
+    # two reads of different sizes in a row from one stream, as domination draws them,
+    # then the stream position
     rng, reference = CounterRNG((seed, STREAM[name])), CounterRNG((seed, STREAM[name]))
-    for _ in range(2):
-        got = list(lemmas._stacks(rng, trials, lemmas.FIELDS[name]))
-        want = list(_per_call_stacks(reference, trials, PER_CALL[name]))
+    for size in (trials, 3 * trials + 1):
+        got = list(lemmas._stacks(rng, size, lemmas.FIELDS[name]))
+        want = list(_per_call_stacks(reference, size, PER_CALL[name]))
         assert len(got) == len(want)
         for (idx, fields), (want_idx, want_fields) in zip(got, want):
             np.testing.assert_array_equal(idx, want_idx)
@@ -99,6 +100,59 @@ def test_domination_counts_only_valid_hypotheses():
     result = lemmas.check_domination(trials=100, seed=3)
     assert result.trials == 100
     assert result.passed
+
+
+def _domination_by_blocks(trials, seed):
+    """The reference trial rule: blocks of `trials` draws, at most 100 blocks, each block
+    checked whole; the trials are the first `trials` draws that meet the hypothesis."""
+    rng = CounterRNG((seed, STREAM["domination"]))
+    held, found = [], []
+    while sum(held) < trials and len(held) < 100 * trials:
+        block = np.zeros(trials, dtype=bool)
+        for idx, (g, u, b, x, y) in lemmas._stacks(rng, trials, lemmas.FIELDS["domination"]):
+            a, x = lemmas._spd(g, u), 0.3 * x
+            xax = lemmas._quad(x, a, x)
+            h = block[idx] = xax <= lemmas._quad(x, b, y)
+            idx, a, b, x, y, xax = (z[h] for z in (idx + len(held), a, b, x, y, xax))
+            r = linalg.inv_sqrt(a)
+            rho = linalg.spectral_norm(r @ b @ r)
+            nx, ny = np.sqrt(xax), np.sqrt(lemmas._quad(y, a, y))
+            found += [(idx[k], {"a": a[k].tolist(), "b": b[k].tolist(), "x": x[k].tolist(),
+                                "y": y[k].tolist(), "norm_x": nx[k], "rho_norm_y": rho[k] * ny[k]})
+                      for k in np.flatnonzero(nx > rho * ny + 1e-9)]
+        held += block.tolist()
+    rank = np.cumsum(held, dtype=int)  # trials among the draws up to and including each
+    found = [f for f in found if rank[f[0]] <= trials]
+    return min(trials, sum(held)), lemmas._in_trial_order(found)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("trials", [1, 2, 7, 20, 150])
+def test_domination_trials_are_the_block_rule_trials(monkeypatch, trials, seed):
+    # with the weighted norm planted to 0 every trial is a record, so the records are the
+    # trial set, each trial's draws bit for bit
+    monkeypatch.setattr(linalg, "spectral_norm", lambda m: np.zeros(np.shape(m)[:-2]))
+    want_trials, want = _domination_by_blocks(trials, seed)
+    result = lemmas.check_domination(trials=trials, seed=seed)
+    assert result.trials == want_trials == trials == len(result.failures)
+    assert report.dumps(result.failures) == report.dumps(want)
+
+
+@pytest.mark.parametrize("trials", [1, 7])
+def test_domination_stops_at_100_trials_of_draws(monkeypatch, trials):
+    # A = 1e6 I: x'Ax <= x'By never holds, so every read is spent and no trial is found
+    reads = []
+    stacks = lemmas._stacks
+
+    def counted(rng, size, fields):
+        reads.append(size)
+        return stacks(rng, size, fields)
+
+    monkeypatch.setattr(lemmas, "_stacks", counted)
+    monkeypatch.setattr(lemmas, "_spd", lambda g, u: 1e6 * np.eye(g.shape[-1]) + 0.0 * g)
+    result = lemmas.check_domination(trials=trials, seed=0)
+    assert result.trials == 0 and result.passed
+    assert reads[0] == trials and sum(reads) == 100 * trials
 
 
 def test_ratio_ascent_reaches_known_extremes():
