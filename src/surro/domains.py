@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SurroError
-from .linalg import vector_norm
+from .linalg import all_finite, vector_norm
 
 MEMBERSHIP_TOL = 1e-12
 INTERIOR_MARGIN = 1e-9
@@ -86,7 +86,7 @@ class FullSpace(ConvexDomain):
             raise SurroError("dimension must be >= 1")
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
-        return bool(np.isfinite(as_vector(x, self.q)).all())
+        return all_finite(as_vector(x, self.q))
 
     def project(self, x):
         return as_vector(x, self.q).copy()

@@ -11,6 +11,9 @@ the generalized rate pair rho_inf/rho_sup read off that spectrum.
 lines, and `spectrum_rate_pair` a spectrum (d,) or a stack (..., d). They give one
 result per matrix, a float where one matrix gives a scalar; a stack with a bad
 member raises what that member raises alone.
+
+A per-point check of a q-vector takes no ufunc reduction, whose dispatch costs microseconds
+on a 2-vector: `vector_norm`, `all_finite` and `max_abs` give numpy's answer without one.
 """
 
 from __future__ import annotations
@@ -92,6 +95,18 @@ def vector_norm(v) -> float:
     """Euclidean norm of a real 1-D array: sqrt(v.dot(v)), the same floating-point
     operations as np.linalg.norm(v) without its dispatch."""
     return math.sqrt(float(v.dot(v)))
+
+
+def all_finite(v) -> bool:
+    """bool(np.isfinite(v).all()) for a real 1-D array, without the reduction."""
+    return all(map(math.isfinite, v.tolist()))
+
+
+def max_abs(v) -> float:
+    """float(np.abs(v).max()) for a real 1-D array, without the reduction; NaN when v
+    holds a NaN, as np.max gives (Python's max skips a NaN that is not the first item)."""
+    a = [abs(x) for x in v.tolist()]
+    return math.nan if math.isnan(sum(a)) else max(a)
 
 
 def finite_norms(vectors, what: str) -> np.ndarray:

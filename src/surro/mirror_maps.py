@@ -19,6 +19,7 @@ import numpy as np
 
 from .domains import Box, ConvexDomain, Simplex, as_vector
 from .errors import SurroError
+from .linalg import all_finite
 from .surrogate import minimize_smooth
 
 
@@ -102,7 +103,7 @@ class QuadraticMap(MirrorMap):
 
     def value(self, x):
         v = as_vector(x, self.q)
-        return 0.5 * float(v @ v) if self.in_domain(v) else math.inf
+        return 0.5 * float(v.dot(v)) if self.in_domain(v) else math.inf
 
     def grad(self, x):
         return self._require(x).copy()
@@ -112,7 +113,7 @@ class QuadraticMap(MirrorMap):
         return np.eye(self.q)
 
     def in_domain(self, x):
-        return bool(np.isfinite(x).all())
+        return all_finite(np.atleast_1d(x))
 
     def strong_convexity(self, domain):
         return 1.0
@@ -140,8 +141,7 @@ class NegEntropyMap(MirrorMap):
         return np.diag(1.0 / v)
 
     def in_domain(self, x):
-        v = np.asarray(x)
-        return bool(np.isfinite(v).all() and (v > 0.0).all())
+        return all(0.0 < a < math.inf for a in np.atleast_1d(x).tolist())
 
     def strong_convexity(self, domain):
         if isinstance(domain, Simplex):
@@ -188,7 +188,7 @@ class BallMap(MirrorMap):
     def _point(self, x) -> tuple[np.ndarray, float]:
         """The point as a length-q vector and its squared norm; raises outside the ball."""
         v = as_vector(x, self.q)
-        s = float(v @ v)
+        s = float(v.dot(v))
         if not s < self.r2:
             raise SurroError(f"point {v} is outside the mirror-map domain")
         return v, s
@@ -198,7 +198,7 @@ class BallMap(MirrorMap):
 
     def value(self, x):
         v = as_vector(x, self.q)
-        s = float(v @ v)
+        s = float(v.dot(v))
         return s / (self.r2 - s) if s < self.r2 else math.inf
 
     def grad(self, x):
@@ -220,7 +220,7 @@ class BallMap(MirrorMap):
 
     def in_domain(self, x):
         v = np.atleast_1d(x)
-        return float(v @ v) < self.r2
+        return float(v.dot(v)) < self.r2
 
     def strong_convexity(self, domain):
         return 2.0 / self.r2  # attained at the origin

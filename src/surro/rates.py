@@ -268,8 +268,8 @@ def verdicts(
     on one whose limit is not theta*: for rho_sup < 1, the a posteriori bound
     of a contraction puts the limit within r_N / (1 - rho_sup) of the last
     iterate (r_N the last residual), and a final error above ten times that
-    plus the numerical floor fails.  A trace without steps is its own limit,
-    so it fails on an error above ten times the floor for any rho_sup.
+    plus the numerical floor fails.  Without that bound (rho_sup >= 1), or on a
+    trace without steps (its own limit), a final error above 10 floors fails.
     Raises RatesError when A~ is not positive-definite.
     """
     star = np.atleast_1d(np.asarray(theta_star, dtype=float))
@@ -301,12 +301,12 @@ def verdicts(
         est_q = decay_estimate(np.abs(q_gaps), default_floor(q_star))
         out["q_gap"] = "pass" if est_q.rate <= theory.rho_sup + DEFAULT_RATE_TOL else "fail"
         r_last = vector_norm(trace.final - trace.iterates[-2])
-        off_limit = sup < 1.0 and errors[-1] > 10.0 * (r_last / (1.0 - sup) + floor)
+        bound = r_last / (1.0 - sup) if sup < 1.0 else 0.0
     else:  # a trace without a step is its own limit, whatever sup is
         est_q, q_gaps = None, ()
         out["q_gap"] = "inapplicable"
-        off_limit = errors[-1] > 10.0 * floor
-    if trace.stop_reason is not StopReason.CONVERGED or off_limit:
+        bound = 0.0
+    if trace.stop_reason is not StopReason.CONVERGED or errors[-1] > 10.0 * (bound + floor):
         out = dict.fromkeys(out, "fail")
 
     return RateReport(

@@ -24,7 +24,7 @@ import numpy as np
 
 from .domains import ConvexDomain, DegenerateDomain, as_vector
 from .errors import SurroError
-from .linalg import finite_norms, vector_norm
+from .linalg import all_finite, finite_norms, max_abs, vector_norm
 
 INNER_CAP = 500
 INNER_TOL = 1e-12
@@ -168,7 +168,7 @@ def minimize_smooth(domain, fun, grad, hess, x0):
         t = 1.0
         for _ in range(halvings):
             xn = domain.project(x + t * direction)
-            if not np.isfinite(xn).all() or (xn == x).all():
+            if not all_finite(xn) or xn.tolist() == x.tolist():
                 t *= 0.5
                 continue
             fn = fun(xn)
@@ -205,7 +205,7 @@ def minimize_smooth(domain, fun, grad, hess, x0):
             residual = residual_at(x, g)
         else:
             g, residual = known
-        scale = 1.0 + float(abs(x).max())
+        scale = 1.0 + max_abs(x)
         if residual <= INNER_TOL * scale:
             return x
 
@@ -216,7 +216,7 @@ def minimize_smooth(domain, fun, grad, hess, x0):
                 direction = tangent @ np.linalg.solve(reduced, -(tangent.T @ g))
             except np.linalg.LinAlgError:
                 direction = None
-            if direction is not None and np.isfinite(direction).all():
+            if direction is not None and all_finite(direction):
                 candidate = backtrack(x, fx, g, residual, direction, halvings=30)
 
         if candidate is None:
@@ -297,7 +297,7 @@ def iterate(problem: SurrogateProblem, theta0, stop: StopRule | None = None) -> 
                 if residual < best_residual:
                     best_residual = residual
                     stalled_steps = 0
-                elif best_residual <= STALL_RESOLUTION * (1.0 + float(abs(nxt).max())):
+                elif best_residual <= STALL_RESOLUTION * (1.0 + max_abs(nxt)):
                     # a pre-asymptotic rise of the residual never counts as a stall
                     stalled_steps += 1
                     if stalled_steps >= STALL_WINDOW:

@@ -412,7 +412,9 @@ _STEP_SIZE_WARNING = ("warning: step size eta=0.6 is not below gamma/beta=0.5; "
 
 def _eta_06_config(tmp_path):
     cfg = json.loads((CONFIG_DIR / "mirror_prox_ball.json").read_text())
-    cfg["eta"] = 0.6  # gamma/beta = 0.5: the run converges, but the hypothesis audit warns
+    # gamma/beta = 0.5: the hypothesis audit warns, and the run converges away from
+    # theta* at rho_sup > 1, so every verdict fails
+    cfg["eta"] = 0.6
     return _write(tmp_path, "eta.json", json.dumps(cfg))
 
 
@@ -425,7 +427,7 @@ def test_step_size_warning_is_one_line_without_a_source_location(tmp_path):
         text=True,
         env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 2
     assert proc.stderr.splitlines() == [_STEP_SIZE_WARNING]
 
 
@@ -437,6 +439,29 @@ def test_main_formats_warnings_only_while_it_runs(tmp_path):
         warnings.simplefilter("always")
         warnings.showwarning = lambda *args: shown.append(warnings.formatwarning(*args[:4]))
         before = warnings.formatwarning
-        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert warnings.formatwarning is before
     assert shown == [_STEP_SIZE_WARNING + "\n"]
+
+
+def _mirror_prox_ball_at(tmp_path, eta, **changes):
+    cfg = json.loads((CONFIG_DIR / "mirror_prox_ball.json").read_text())
+    cfg.update(eta=eta, **changes)
+    path = _write(tmp_path, "eta.json", json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the gamma/beta audit from eta = 0.5 up
+        return main(["run", "--config", path, "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("eta, code", [(0.4, 0), (0.5, 0), (0.55, 2), (0.6, 2)])
+def test_mirror_prox_past_gamma_over_beta_fails_off_the_given_minimizer(tmp_path, eta, code):
+    # gamma/beta = 0.5; from eta = 0.55 theta* is unstable (rho_sup 1.03 and 1.14) and
+    # the run settles at a spurious fixed point 0.84 and 1.03 from it, which no
+    # contraction bound can excuse
+    assert _mirror_prox_ball_at(tmp_path, eta) == code
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP.md item 15(b): with theta* 'auto' the run "
+                   "analyses the spurious fixed point it reached (rho_sup 0.978) and passes")
+def test_mirror_prox_past_gamma_over_beta_fails_at_an_auto_located_spurious_point(tmp_path):
+    assert _mirror_prox_ball_at(tmp_path, 0.55, theta_star="auto") == 2

@@ -1,5 +1,8 @@
 """Eigensolver, inverse square root, spectral norm and the rate pair."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -291,3 +294,27 @@ def test_a_stack_raises_what_its_bad_member_raises_alone():
                            (linalg.spectral_norm, (b[0, 0],), "expected a matrix")]:
         err = _raised(fn, *args)
         assert type(err) is linalg.LinalgError and text in str(err)
+
+
+# per-point vectors: every special value a check must answer for, among arbitrary floats
+_SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310,
+            1e308, -1e308]
+_point_vectors = st.lists(st.one_of(st.sampled_from(_SPECIAL), st.floats()), min_size=1,
+                         max_size=8).map(lambda xs: np.array(xs, dtype=float))
+
+
+def _same_float(a: float, b: float) -> bool:
+    """Bitwise equal, or both NaN (whose payloads no check reads)."""
+    return (math.isnan(a) and math.isnan(b)) or struct.pack("d", a) == struct.pack("d", b)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_point_vectors)
+def test_per_point_checks_give_the_numpy_reductions_answers(v):
+    assert linalg.all_finite(v) is bool(np.isfinite(v).all())
+    assert _same_float(linalg.max_abs(v), float(np.abs(v).max()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _same_float(float(v.dot(v)), float(v @ v))
+    for i in range(v.size + 1):  # a NaN in any place, not only the first
+        with_nan = np.insert(v, i, math.nan)
+        assert math.isnan(linalg.max_abs(with_nan)) and not linalg.all_finite(with_nan)

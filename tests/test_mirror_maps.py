@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surro import mirror_maps, surrogate
 from surro.descent import mirror_descent_problem
@@ -245,3 +247,30 @@ def test_one_step_serves_the_descent_step_the_projection_and_the_surrogate():
         fun, grad = phi.surrogate(theta, eta, g)
         assert fun(u) == problem.eval_q(theta, u) and fun(step) == problem.eval_q(theta, step)
         assert grad(u).tobytes() == problem.grad2(theta, u).tobytes()
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -1e-310, 1e154, 1e308, -1e308]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_SPECIAL), st.floats()), min_size=1, max_size=8))
+def test_in_domain_gives_the_numpy_reductions_answer_on_0d_list_and_nan_inputs(xs):
+    """Each map's membership test gives the answer of its numpy-reduction form."""
+    def quadratic(x):
+        return bool(np.isfinite(x).all())
+
+    def entropy(x):
+        v = np.asarray(x)
+        return bool(np.isfinite(v).all() and (v > 0.0).all())
+
+    def ball(x):
+        v = np.atleast_1d(x)
+        return float(v @ v) < 2.0
+
+    v = np.array(xs, dtype=float)
+    inputs = [v, xs, np.array(xs[0]), xs[0], np.insert(v, len(xs) // 2, math.nan)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for phi, reference in [(QuadraticMap(len(xs)), quadratic),
+                               (NegEntropyMap(len(xs)), entropy), (BallMap(len(xs), 2.0), ball)]:
+            for x in inputs:
+                assert phi.in_domain(x) is reference(x), (phi, x)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -246,6 +247,22 @@ def test_a_run_stalls_after_twenty_steps_without_a_new_best_residual(plateau, re
                     StopRule(max_iters=500))
     assert trace.stop_reason is reason
     assert len(trace) == 2 + plateau
+
+
+def test_a_nan_step_in_the_stall_regime_raises_at_the_next_step():
+    # 20 sign flips at 1e-10 leave the run one step short of a stall; the 21st step
+    # has a NaN in its second coordinate, which the stall test must not read past
+    steps = []
+
+    def step(t):
+        steps.append(t)
+        return np.array([-t[0], math.nan if len(steps) == 21 else t[1]])
+
+    prob = surro.SurrogateProblem(domain=FullSpace(2), eval_q=None, grad2=None,
+                                  closed_form_step=step)
+    with pytest.raises(SurroError, match="non-finite"):
+        iterate(prob, np.array([1e-10, 0.0]), StopRule(max_iters=500))
+    assert len(steps) == 21
 
 
 def test_fixed_point_residual_examples():
