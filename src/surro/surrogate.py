@@ -140,14 +140,16 @@ class Trace:
 def minimize_smooth(domain, fun, grad, hess, x0):
     """Projected descent for a smooth convex function over a convex set.
 
-    Tries a damped Newton step when a Hessian is available and falls back to
-    projected gradient with Barzilai-Borwein steps.  Steps are accepted either
-    by Armijo decrease of the value or, once value differences drop below
-    double-precision resolution, by halving of the projected-gradient
-    residual; termination is on that residual, at INNER_TOL relative to
-    1 + max|x|, within INNER_CAP iterations.  A point accepted by the residual
-    test brings the gradient and residual computed for it, so grad is called
-    once per point.
+    Tries a damped Newton step when a Hessian is available and its direction
+    descends (g'd < 0), and falls back to projected gradient with
+    Barzilai-Borwein steps.  A trial point is accepted for one of two reasons:
+    Armijo decrease of the value, or a value within double-precision
+    resolution of the current one (fn <= fx + 1e-12 (1 + |fx|)) together with
+    a smaller projected-gradient residual.  Termination is on that residual,
+    at INNER_TOL relative to 1 + max|x|, within INNER_CAP iterations.  A point
+    accepted by the residual test brings the gradient and residual computed
+    for it, so grad is called once per point, and only at trial points within
+    value resolution.
 
     fun returns a real number, or +inf off an open set it is defined on: a
     projected start of infinite value raises SolveFailure, and a trial point of
@@ -177,14 +179,13 @@ def minimize_smooth(domain, fun, grad, hess, x0):
                 continue
             if fn <= fx + ARMIJO_C * float(g @ (xn - x)):
                 return xn, fn, None
-            # value comparison is resolution-limited near the minimum; fall
-            # back to requiring genuine stationarity progress
-            gn = grad(xn)
-            resn = residual_at(xn, gn)
-            if resn <= 0.5 * res or (
-                fn <= fx + 1e-12 * (1.0 + abs(fx)) and resn <= res * (1.0 - 1e-6)
-            ):
-                return xn, fn, (gn, resn)
+            # value comparison is resolution-limited near the minimum; there,
+            # and only there, require genuine stationarity progress instead
+            if fn <= fx + 1e-12 * (1.0 + abs(fx)):
+                gn = grad(xn)
+                resn = residual_at(xn, gn)
+                if resn <= res * (1.0 - 1e-6):
+                    return xn, fn, (gn, resn)
             t *= 0.5
         return None
 
@@ -216,7 +217,7 @@ def minimize_smooth(domain, fun, grad, hess, x0):
                 direction = tangent @ np.linalg.solve(reduced, -(tangent.T @ g))
             except np.linalg.LinAlgError:
                 direction = None
-            if direction is not None and all_finite(direction):
+            if direction is not None and all_finite(direction) and float(g @ direction) < 0:
                 candidate = backtrack(x, fx, g, residual, direction, halvings=30)
 
         if candidate is None:

@@ -11,11 +11,13 @@ from surro.errors import SurroError
 from surro.latent import (
     GaussianLatentModel,
     alpha_em_problem,
+    draw_data,
     em_population_problem,
     em_sample_problem,
 )
 from surro.rates import curvature_at
 from surro.rng import CounterRNG
+from surro.surrogate import inner_minimize
 
 MODEL = GaussianLatentModel(1.0, 1.0, theta_star=1.0)
 
@@ -252,3 +254,39 @@ def test_value_near_the_diagonal_matches_the_50_digit_oracle(alpha, mode):
         want, *_ = _tilted_derivatives(MODEL, alpha, t, u, cells, scale2)
         got = prob.eval_q(np.array([t]), np.array([u]))
         assert abs(got - want) <= 1e-6 * abs(want), (k, got, float(want))
+
+
+@pytest.mark.parametrize("theta", [-20.0, -5.0, -3.0, 4.0, 5.0, 7.0, 20.0])
+def test_population_step_is_the_affine_argmin_from_far_starts(theta):
+    """At alpha = 1/4 the population map is u = 1 + (theta - 1)/3 from every start.  Far
+    from its well Q(theta, .) is a plateau whose gradient underflows, and at theta = 5
+    its Hessian is negative there: the inner solve must still return the argmin."""
+    prob = alpha_em_problem(MODEL, 0.25)
+    assert abs(inner_minimize(prob, [theta])[0] - (1.0 + (theta - 1.0) / 3.0)) <= 1e-10
+
+
+def _grid_q(alpha, t, us, data):
+    """Q(t, u) in sample mode at every u of us, by the log-normal moment oracle."""
+    wx = MODEL.sigma_x2 / MODEL.marginal_var
+    a, b = _log_ratio_coeffs(MODEL, t, us)
+    centers = t + wx * (data - t)
+    out = []
+    for lo in range(0, us.size, 2000):  # 2000 x len(data) at a time
+        ar, br = a[lo:lo + 2000, None], b[lo:lo + 2000, None]
+        e = alpha * (ar * centers - br) + 0.5 * (alpha * ar) ** 2 * MODEL.posterior_var
+        out.append((np.mean(np.exp(e), axis=1) - 1.0) / (alpha * (alpha - 1.0)))
+    return np.concatenate(out)
+
+
+def test_sample_step_is_the_grid_argmin_from_far_starts():
+    """k = 400 observations (data seed 0): from each start the step is no higher than
+    the least value on a 0.005 grid over [-60, 60], and lies within one grid spacing of
+    the grid's argmin (2.04 from 4, 2.73 from 6), not on the surrogate's plateau."""
+    data = draw_data(MODEL, 400, seed=0)
+    prob = alpha_em_problem(MODEL, 0.25, data=data)
+    grid = np.linspace(-60.0, 60.0, 24001)
+    for theta in (-3.0, 4.0, 6.0, 10.0):
+        u = inner_minimize(prob, [theta])
+        values = _grid_q(0.25, theta, grid, data)
+        assert _grid_q(0.25, theta, u, data)[0] <= values.min() + 1e-12, theta
+        assert abs(u[0] - grid[values.argmin()]) <= 0.005, theta

@@ -355,8 +355,9 @@ def _re_evaluating_minimize_smooth(domain, fun, grad, hess, x0, pull_inside, res
     """minimize_smooth as it was before it kept the gradient and residual of an
     accepted point, with numpy's dispatching reductions, an identity matrix built
     per call and a full-coordinate Newton solve on the identity basis, on domains
-    that are never degenerate.  residual_accepts counts the steps the residual
-    test takes."""
+    that are never degenerate.  Its acceptance rule and its descent test on the
+    Newton direction are minimize_smooth's.  residual_accepts counts the steps the
+    residual test takes."""
 
     def project(x):
         y = domain.project(x)
@@ -375,12 +376,9 @@ def _re_evaluating_minimize_smooth(domain, fun, grad, hess, x0, pull_inside, res
             fn = fun(xn)
             if np.isfinite(fn) and fn <= fx + ARMIJO_C * float(g @ (xn - x)):
                 return xn, fn
-            if np.isfinite(fn):
+            if np.isfinite(fn) and fn <= fx + 1e-12 * (1.0 + abs(fx)):
                 resn = residual_at(xn, grad(xn))
-                if resn <= 0.5 * res:
-                    residual_accepts.append(resn)
-                    return xn, fn
-                if fn <= fx + 1e-12 * (1.0 + abs(fx)) and resn <= res * (1.0 - 1e-6):
+                if resn <= res * (1.0 - 1e-6):
                     residual_accepts.append(resn)
                     return xn, fn
             t *= 0.5
@@ -410,7 +408,8 @@ def _re_evaluating_minimize_smooth(domain, fun, grad, hess, x0, pull_inside, res
             except np.linalg.LinAlgError:
                 direction = None
             if direction is not None and np.all(np.isfinite(direction)):
-                candidate = backtrack(x, fx, g, residual, direction, halvings=30)
+                if float(g @ direction) < 0:
+                    candidate = backtrack(x, fx, g, residual, direction, halvings=30)
 
         if candidate is None:
             if prev_x is not None:

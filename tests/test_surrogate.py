@@ -346,6 +346,31 @@ def test_minimize_smooth_calls_grad_only_at_points_of_finite_value():
     assert values == []
 
 
+def _well(x):
+    # -exp(-x^2/2): a well at 0 between plateaus where the value tends to 0 and the
+    # gradient underflows; convex only on |x| < 1
+    return -math.exp(-0.5 * float(x @ x))
+
+
+@pytest.mark.parametrize("x0", [0.9, 1.5], ids=["overshoot", "ascent"])
+def test_minimize_smooth_never_takes_a_plateau_point(x0):
+    """From 0.9 the Newton step lands at -3.8, higher on the plateau with a gradient
+    1/250 of the start's; from 1.5 the Hessian is negative and the Newton direction
+    climbs.  The solve must return the well's bottom, and call grad only at
+    points no higher than the start's value plus resolution."""
+    f0 = _well(np.array([x0]))
+    values = []
+
+    def grad(x):
+        values.append(_well(x))
+        return x * -_well(x)
+
+    x = minimize_smooth(FullSpace(1), _well, grad,
+                        lambda x: np.array([[(1.0 - float(x @ x)) * -_well(x)]]), np.array([x0]))
+    np.testing.assert_allclose(x, [0.0], rtol=0.0, atol=1e-11)
+    assert max(values) <= f0 + 1e-12 * (1.0 + abs(f0))
+
+
 def test_minimize_smooth_without_a_descent_direction_raises():
     # the gradient has the wrong sign: no step along -g decreases x^2 or its residual
     with pytest.raises(SolveFailure, match="no descent direction found"):
