@@ -146,10 +146,9 @@ def minimize_smooth(domain, fun, grad, hess, x0):
     Armijo decrease of the value, or a value within double-precision
     resolution of the current one (fn <= fx + 1e-12 (1 + |fx|)) together with
     a smaller projected-gradient residual.  Termination is on that residual,
-    at INNER_TOL relative to 1 + max|x|, within INNER_CAP iterations.  A point
-    accepted by the residual test brings the gradient and residual computed
-    for it, so grad is called once per point, and only at trial points within
-    value resolution.
+    at INNER_TOL relative to 1 + max|x|, within INNER_CAP iterations.  grad is
+    called at every iterate, and at a trial point only when its value is within
+    resolution.
 
     fun returns a real number, or +inf off an open set it is defined on: a
     projected start of infinite value raises SolveFailure, and a trial point of
@@ -162,30 +161,20 @@ def minimize_smooth(domain, fun, grad, hess, x0):
         return vector_norm(point - domain.project(point - gradient))
 
     def backtrack(x, fx, g, res, direction, halvings):
-        """(point, value, known) of the first accepted step, or None.
-
-        known is (gradient, residual) at the point when the residual test
-        accepted it, and None when the Armijo test did.
-        """
+        """(point, value) of the first accepted step, or None."""
         t = 1.0
         for _ in range(halvings):
             xn = domain.project(x + t * direction)
-            if not all_finite(xn) or xn.tolist() == x.tolist():
-                t *= 0.5
-                continue
-            fn = fun(xn)
-            if not math.isfinite(fn):
-                t *= 0.5
-                continue
-            if fn <= fx + ARMIJO_C * float(g @ (xn - x)):
-                return xn, fn, None
-            # value comparison is resolution-limited near the minimum; there,
-            # and only there, require genuine stationarity progress instead
-            if fn <= fx + 1e-12 * (1.0 + abs(fx)):
-                gn = grad(xn)
-                resn = residual_at(xn, gn)
-                if resn <= res * (1.0 - 1e-6):
-                    return xn, fn, (gn, resn)
+            if all_finite(xn) and xn.tolist() != x.tolist():
+                fn = fun(xn)
+                # value comparison is resolution-limited near the minimum; there,
+                # and only there, require genuine stationarity progress instead
+                if math.isfinite(fn) and (
+                    fn <= fx + ARMIJO_C * float(g @ (xn - x))
+                    or (fn <= fx + 1e-12 * (1.0 + abs(fx))
+                        and residual_at(xn, grad(xn)) <= res * (1.0 - 1e-6))
+                ):
+                    return xn, fn
             t *= 0.5
         return None
 
@@ -199,13 +188,9 @@ def minimize_smooth(domain, fun, grad, hess, x0):
         tangent = None  # point domain: the gradient path settles it
     prev_x = None
     prev_g = None
-    known = None
     for _ in range(INNER_CAP):
-        if known is None:
-            g = grad(x)
-            residual = residual_at(x, g)
-        else:
-            g, residual = known
+        g = grad(x)
+        residual = residual_at(x, g)
         scale = 1.0 + max_abs(x)
         if residual <= INNER_TOL * scale:
             return x
@@ -237,7 +222,7 @@ def minimize_smooth(domain, fun, grad, hess, x0):
             if residual <= 100.0 * INNER_TOL * scale:
                 return x
             raise SolveFailure(f"no descent direction found (residual {residual:.3e})")
-        x, fx, known = candidate
+        x, fx = candidate
 
     raise SolveFailure(f"iteration cap {INNER_CAP} reached (residual {residual:.3e})")
 

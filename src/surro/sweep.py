@@ -50,8 +50,9 @@ def worker_count() -> int:
 def _run_cell(model, k: int, seed: int, rho_pop: float) -> SweepRow:
     problem = model.sample_problem(draw_data(model, k, seed))
     trace = iterate(problem, model.default_theta0())
-    if trace.stop_reason is StopReason.MAX_ITERS:
-        raise SurroError(f"sweep cell k={k}, seed={seed} stopped at max_iters, unconverged")
+    reason = trace.stop_reason
+    if reason is not StopReason.CONVERGED:
+        raise SurroError(f"sweep cell k={k}, seed={seed} stopped at {reason.value}, unconverged")
     theta_hat = trace.final
     rho = curvature_at(problem, theta_hat).rates.rho_sup
     return SweepRow(
@@ -73,7 +74,8 @@ def sample_rate_sweep(model, ks, seeds) -> SweepTable:
     block the sample problem has (both of the gaussian model's, the mixture's A)
     and finite differences with step FD_STEP for the rest (the mixture's mixed
     block).  A cell whose reduced A~ is not positive-definite raises RatesError;
-    one whose run stops at max_iters, SurroError.
+    one whose run does not converge (it stops at max_iters or stalled),
+    SurroError naming its k, its seed and the stop reason.
     """
     ks = [int(k) for k in ks]
     seeds = [int(s) for s in seeds]

@@ -9,7 +9,9 @@ The script installs a line tracer with `sys.settrace` and
 `pytest.main` (extra arguments are passed on; the default is `tests`), then
 prints each unexecuted statement as `path:line: source` and a summary count.
 It exits 1 when an unexecuted statement is not in KNOWN, matched by path and
-stripped source (not by line number), and otherwise with pytest's status.
+stripped source (not by line number), or when a KNOWN count is left over
+because tier-1 now executes (or the source no longer has) that statement, and
+otherwise with pytest's status.
 A statement line is one that starts an `ast.stmt` node and carries bytecode,
 so docstrings, blank lines, comments and continuation lines are not counted.
 Tests that run `surro` in a subprocess are not traced: lines that only those
@@ -105,7 +107,10 @@ def main(argv: list[str]) -> int:
           f"(pytest exit {int(status)})")
     for entry in new:
         print(f"not in KNOWN: {entry}")
-    return 1 if new else int(status)
+    stale = [f"KNOWN but executed: {path}: {text}" for path, text in known.elements()]
+    for entry in stale:
+        print(entry)
+    return 1 if new or stale else int(status)
 
 
 if __name__ == "__main__":

@@ -4,10 +4,10 @@ Bitwise: the ball map with one squared-norm check, the map's surrogate, which
 computes its theta terms once per theta, and the identity-basis Newton solve
 must reproduce the generic formulas exactly, so every iterate is compared with
 `==`.  The inner
-solve itself, with its reuse of the gradient and residual of a point the
-line search accepted and its coercions of float vectors, is compared byte
-for byte with a copy of the earlier solve that re-evaluates and re-wraps and
-pulls every projected point into the map's open ball.  The drawn feasible
+solve itself, with its per-point checks and its coercions of float vectors,
+is compared byte for byte with a copy of the earlier solve that uses numpy's
+reductions and re-wraps and pulls every projected point into the map's open
+ball.  The drawn feasible
 balls lie inside the map's ball with room to spare, where that pull moves no
 point and the surrogate's +inf off the map is never met.
 
@@ -352,12 +352,11 @@ def test_bregman_projection_on_the_ball_matches_the_radial_closed_form():
 
 
 def _re_evaluating_minimize_smooth(domain, fun, grad, hess, x0, pull_inside, residual_accepts):
-    """minimize_smooth as it was before it kept the gradient and residual of an
-    accepted point, with numpy's dispatching reductions, an identity matrix built
-    per call and a full-coordinate Newton solve on the identity basis, on domains
-    that are never degenerate.  Its acceptance rule and its descent test on the
-    Newton direction are minimize_smooth's.  residual_accepts counts the steps the
-    residual test takes."""
+    """minimize_smooth with numpy's dispatching reductions, an identity matrix
+    built per call and a full-coordinate Newton solve on the identity basis, on
+    domains that are never degenerate.  Its acceptance rule and its descent test
+    on the Newton direction are minimize_smooth's.  residual_accepts counts the
+    steps the residual test takes."""
 
     def project(x):
         y = domain.project(x)
@@ -512,7 +511,7 @@ def test_inner_solves_are_bitwise_the_re_evaluating_solve():
             outcomes.append(got)
     failed = sum(isinstance(o, str) for o in outcomes)
     assert len(outcomes) == 200 and 0 < failed < 40, failed
-    assert len(accepts) > 0  # the gradient and residual of an accepted point are reused
+    assert len(accepts) > 0  # the draws reach the residual test
 
 
 def _re_evaluating_bregman_project(domain, phi, zeta):

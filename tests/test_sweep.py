@@ -1,5 +1,7 @@
 """Sample-size sweeps: determinism, exactness, shrinking deviations."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -78,18 +80,23 @@ def test_a_cell_without_a_rate_pair_raises_like_verdicts():
         sample_rate_sweep(_ConcaveModel(1.0, 1.0, 0.0), [3], [0])
 
 
+@dataclass(frozen=True)
 class _OscillatingModel(GaussianLatentModel):
-    """The Gaussian model with a sample step theta -> -theta, which never contracts from 1."""
+    """The Gaussian model with a sample step theta -> -theta from `start`, which never contracts."""
+
+    start: float = 1.0
 
     def sample_problem(self, data):
         return SurrogateProblem(domain=FullSpace(1), eval_q=lambda t, u: 0.5 * float(u @ u),
                                 grad2=lambda t, u: u, closed_form_step=lambda t: -t)
 
     def default_theta0(self):
-        return np.ones(1)
+        return np.full(1, self.start)
 
 
 def test_a_cell_that_stops_at_max_iters_raises_naming_k_and_seed():
-    # the sweep once wrote rho_samp at the unconverged last iterate of such a cell
-    with pytest.raises(SurroError, match=r"k=3, seed=5 stopped at max_iters"):
-        sample_rate_sweep(_OscillatingModel(1.0, 1.0, 0.0), [3], [5])
+    # the sweep once wrote rho_samp at the unconverged last iterate of such a cell; from
+    # 1e-10 every step is at floating-point resolution, so the run stalls instead
+    for start, reason in ((1.0, "max_iters"), (1e-10, "stalled")):
+        with pytest.raises(SurroError, match=rf"k=3, seed=5 stopped at {reason}, unconverged"):
+            sample_rate_sweep(_OscillatingModel(1.0, 1.0, 0.0, start), [3], [5])
