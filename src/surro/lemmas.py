@@ -5,8 +5,8 @@ machinery on a stream of random matrices, and reports any counterexample with
 the offending inputs so it can be replayed verbatim. Each trial reads its dimension
 and its suite's `FIELDS` in one read of the suite's own stream, in trial order; a
 read's trials of each d = 1..8 share one Box-Muller. Every suite checks each d's trials
-once, as one stack through the stacked `linalg` and `np.linalg` calls (domination once
-its reads have found its trials), and counterexamples are reported in trial order.
+once, as one stack through the stacked `linalg` and `np.linalg` calls, and
+counterexamples are reported in trial order.
 """
 
 from __future__ import annotations
@@ -228,36 +228,23 @@ def check_rate_identity(trials: int = 1000, seed: int = 0) -> SuiteResult:
 def check_domination(trials: int = 1000, seed: int = 0) -> SuiteResult:
     """x'Ax <= x'By forces |x|_A <= rho |y|_A with rho the weighted norm of B.
 
-    A draw that misses the hypothesis is no trial: the trials are the first `trials` draws
-    that meet it, among at most 100 * trials draws. The first read is `trials` draws; each
-    later read is sized by the acceptance so far: ceil(missing * drawn / max(accepted, 1)).
-    A read only tests the hypothesis; each dimension's trials are then checked as one stack.
+    Every trial sits on the hypothesis boundary, the lemma's hardest case: y is flipped
+    where x'By < 0, then x is scaled so that x'Ax = x'By. Each dimension's trials are
+    checked as one stack.
     """
-    rng, cap = CounterRNG((seed, 2)), 100 * trials
-    drawn, accepted, held = 0, 0, {}  # held: d -> each read's rows that meet the hypothesis
-    while accepted < trials and drawn < cap:
-        # ceil(missing * drawn / max(accepted, 1)), and `trials` at drawn = 0
-        size = min(cap - drawn, -(-(trials - accepted) * max(drawn, 1) // max(accepted, 1)))
-        for idx, (g, u, b, x, y) in _stacks(rng, size, FIELDS["domination"]):
-            a, x = _spd(g, u), 0.3 * x
-            xax = _quad(x, a, x)
-            h = xax <= _quad(x, b, y)
-            held.setdefault(g.shape[-1], []).append([z[h] for z in (idx + drawn, a, b, x, y, xax)])
-            accepted += int(h.sum())
-        drawn += size
-    stacks = [[np.concatenate(z) for z in zip(*parts)] for parts in held.values()]
-    if accepted > trials:  # the last read drew past the trials: keep the first `trials`
-        last = np.sort(np.concatenate([idx for idx, *_ in stacks]))[trials - 1]
-        stacks = [[z[idx <= last] for z in (idx, *rest)] for idx, *rest in stacks]
     found = []
-    for idx, a, b, x, y, xax in stacks:
+    for idx, (g, u, b, x, y) in _stacks(CounterRNG((seed, 2)), trials, FIELDS["domination"]):
+        a = _spd(g, u)
+        xby = _quad(x, b, y)
+        y[xby < 0] *= -1.0
+        x *= (np.abs(xby) / _quad(x, a, x))[:, None]
         r = linalg.inv_sqrt(a)
         rho = linalg.spectral_norm(r @ b @ r)
-        nx, ny = np.sqrt(xax), np.sqrt(_quad(y, a, y))
+        nx, ny = np.sqrt(_quad(x, a, x)), np.sqrt(_quad(y, a, y))
         found += [(idx[k], {"a": a[k].tolist(), "b": b[k].tolist(), "x": x[k].tolist(),
                             "y": y[k].tolist(), "norm_x": nx[k], "rho_norm_y": rho[k] * ny[k]})
                   for k in np.flatnonzero(nx > rho * ny + 1e-9)]
-    return SuiteResult("domination", min(trials, accepted), _in_trial_order(found))
+    return SuiteResult("domination", trials, _in_trial_order(found))
 
 
 def check_norm_perturbation(trials: int = 1000, seed: int = 0) -> SuiteResult:

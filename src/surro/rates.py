@@ -288,8 +288,8 @@ def verdicts(
     else:
         out["lower"] = "pass" if rate_emp >= theory.rho_inf - DEFAULT_RATE_TOL else "fail"
 
-    sup = theory.rho_sup  # from 2 up, sup^2 > rho_inf + 1e-12 and may overflow a float
-    exact_applicable = sup < 2.0 and sup**2 <= theory.rho_inf + 1e-12 and interior
+    sup = theory.rho_sup
+    exact_applicable = sup * sup <= theory.rho_inf + 1e-12 and interior
     if not exact_applicable or est.window_empty:
         out["exact"] = "inapplicable"
     else:

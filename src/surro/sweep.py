@@ -64,10 +64,21 @@ def _run_cell(model, k: int, seed: int, rho_pop: float) -> SweepRow:
     )
 
 
+def _integers(values, least: int, name: str) -> list[int]:
+    """`values` as ints; SurroError naming `name` unless each is a Python or numpy integer
+    (not a bool) >= least, the rule a sweep config's `ks` and `seeds` follow."""
+    values = list(values)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+            raise SurroError(f"{name} must be integers >= {least}, got {v!r}")
+    return [int(v) for v in values]
+
+
 def sample_rate_sweep(model, ks, seeds) -> SweepTable:
     """Measure the per-sample-size spread of fixed-point rates around the limit.
 
-    `ks` must be ascending and nonempty; `seeds` nonempty.  The model must
+    `ks` must be ascending integers >= 1 and nonempty; `seeds` integers >= 0 and
+    nonempty (Python or numpy integers, not bools).  The model must
     provide sample_y / sample_problem / population_rate / default_theta0
     (both shipped latent models do).  Each cell iterates under the default
     StopRule and takes its curvature with curvature_at, which uses each analytic
@@ -77,8 +88,7 @@ def sample_rate_sweep(model, ks, seeds) -> SweepTable:
     one whose run does not converge (it stops at max_iters or stalled),
     SurroError naming its k, its seed and the stop reason.
     """
-    ks = [int(k) for k in ks]
-    seeds = [int(s) for s in seeds]
+    ks, seeds = _integers(ks, 1, "ks"), _integers(seeds, 0, "seeds")
     if not ks:
         raise SurroError("ks must be nonempty")
     if ks != sorted(ks):

@@ -22,7 +22,7 @@ def _random_symmetric(rng, d):
 
 
 # The reference for `_stacks`: each suite's per-trial draws, one CounterRNG call per draw;
-# domination's 0.3 x and eigh_reconstruction's exp(2 g) are elementwise on these draws.
+# eigh_reconstruction's exp(2 g) is elementwise on these draws.
 PER_CALL = {
     "rate_identity": lambda rng, d: (
         _square(rng, d), rng.uniform(d), _square(rng, d), rng.gaussian(d)),
@@ -55,8 +55,8 @@ def _per_call_stacks(rng, trials, draw):
 @pytest.mark.parametrize("trials", [1, 2, 20, 150])
 @pytest.mark.parametrize("name", list(PER_CALL))
 def test_stacks_are_bitwise_the_per_call_draws(name, trials, seed):
-    # two reads of different sizes in a row from one stream, as domination draws them,
-    # then the stream position
+    # two reads of different sizes in a row from one stream, then the stream position:
+    # each read starts where the one before it left off
     rng, reference = CounterRNG((seed, STREAM[name])), CounterRNG((seed, STREAM[name]))
     for size in (trials, 3 * trials + 1):
         got = list(lemmas._stacks(rng, size, lemmas.FIELDS[name]))
@@ -102,57 +102,50 @@ def test_domination_counts_only_valid_hypotheses():
     assert result.passed
 
 
-def _domination_by_blocks(trials, seed):
-    """The reference trial rule: blocks of `trials` draws, at most 100 blocks, each block
-    checked whole; the trials are the first `trials` draws that meet the hypothesis."""
+def _domination_one_at_a_time(trials, seed, norm):
+    """The reference suite: per trial its `PER_CALL` draws, y flipped where x'By < 0 and x
+    scaled onto x'Ax = x'By, then the bound with rho = norm(A^-1/2 B A^-1/2)."""
     rng = CounterRNG((seed, STREAM["domination"]))
-    held, found = [], []
-    while sum(held) < trials and len(held) < 100 * trials:
-        block = np.zeros(trials, dtype=bool)
-        for idx, (g, u, b, x, y) in lemmas._stacks(rng, trials, lemmas.FIELDS["domination"]):
-            a, x = lemmas._spd(g, u), 0.3 * x
-            xax = lemmas._quad(x, a, x)
-            h = block[idx] = xax <= lemmas._quad(x, b, y)
-            idx, a, b, x, y, xax = (z[h] for z in (idx + len(held), a, b, x, y, xax))
-            r = linalg.inv_sqrt(a)
-            rho = linalg.spectral_norm(r @ b @ r)
-            nx, ny = np.sqrt(xax), np.sqrt(lemmas._quad(y, a, y))
-            found += [(idx[k], {"a": a[k].tolist(), "b": b[k].tolist(), "x": x[k].tolist(),
-                                "y": y[k].tolist(), "norm_x": nx[k], "rho_norm_y": rho[k] * ny[k]})
-                      for k in np.flatnonzero(nx > rho * ny + 1e-9)]
-        held += block.tolist()
-    rank = np.cumsum(held, dtype=int)  # trials among the draws up to and including each
-    found = [f for f in found if rank[f[0]] <= trials]
-    return min(trials, sum(held)), lemmas._in_trial_order(found)
+    lo, hi = lemmas.DIMS
+    found = []
+    for _ in range(trials):
+        g, u, b, x, y = PER_CALL["domination"](rng, lo + int(rng.uniform(1)[0] * (hi - lo + 1)))
+        a = lemmas._spd(g, u)
+        xby = x @ b @ y
+        if xby < 0:
+            y, xby = -y, -xby
+        x = x * (xby / (x @ a @ x))
+        r = linalg.inv_sqrt(a)
+        rho = norm(r @ b @ r)
+        nx, ny = np.sqrt(x @ a @ x), np.sqrt(y @ a @ y)
+        if nx > rho * ny + 1e-9:
+            found.append({"a": a.tolist(), "b": b.tolist(), "x": x.tolist(), "y": y.tolist(),
+                          "norm_x": nx, "rho_norm_y": rho * ny})
+    return found
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("trials", [1, 2, 7, 20, 150])
-def test_domination_trials_are_the_block_rule_trials(monkeypatch, trials, seed):
-    # with the weighted norm planted to 0 every trial is a record, so the records are the
-    # trial set, each trial's draws bit for bit
+def test_domination_trials_lie_on_the_hypothesis_boundary(monkeypatch, trials, seed):
+    # with the weighted norm planted to 0 every trial is a record: each record's own fields
+    # meet the hypothesis with equality, x'By >= 0 and x'Ax = x'By to rounding
     monkeypatch.setattr(linalg, "spectral_norm", lambda m: np.zeros(np.shape(m)[:-2]))
-    want_trials, want = _domination_by_blocks(trials, seed)
     result = lemmas.check_domination(trials=trials, seed=seed)
-    assert result.trials == want_trials == trials == len(result.failures)
-    assert report.dumps(result.failures) == report.dumps(want)
+    assert result.trials == trials == len(result.failures)
+    for f in result.failures:
+        a, b, x, y = (np.array(f[k]) for k in ("a", "b", "x", "y"))
+        xax, xby = x @ a @ x, x @ b @ y
+        scale = np.linalg.norm(x) * (np.linalg.norm(a) * np.linalg.norm(x)
+                                     + np.linalg.norm(b) * np.linalg.norm(y))
+        assert xby >= 0 and abs(xax - xby) <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("trials", [1, 7])
-def test_domination_stops_at_100_trials_of_draws(monkeypatch, trials):
-    # A = 1e6 I: x'Ax <= x'By never holds, so every read is spent and no trial is found
-    reads = []
-    stacks = lemmas._stacks
-
-    def counted(rng, size, fields):
-        reads.append(size)
-        return stacks(rng, size, fields)
-
-    monkeypatch.setattr(lemmas, "_stacks", counted)
-    monkeypatch.setattr(lemmas, "_spd", lambda g, u: 1e6 * np.eye(g.shape[-1]) + 0.0 * g)
-    result = lemmas.check_domination(trials=trials, seed=0)
-    assert result.trials == 0 and result.passed
-    assert reads[0] == trials and sum(reads) == 100 * trials
+@pytest.mark.parametrize("shrink", [1e-2, 1e-6])
+def test_domination_records_a_slightly_low_norm(monkeypatch, shrink):
+    # a boundary trial is the lemma's tight case: a weighted norm a hair low is a record
+    exact = linalg.spectral_norm
+    monkeypatch.setattr(linalg, "spectral_norm", lambda m: (1.0 - shrink) * exact(m))
+    assert not lemmas.check_domination(trials=20, seed=0).passed
 
 
 def test_ratio_ascent_reaches_known_extremes():
@@ -443,8 +436,8 @@ def _eigh_reconstruction_is_the_plant(f):
 
 
 @pytest.mark.parametrize("suite, target, plant, is_the_plant, count, digest", [
-    (lemmas.check_domination, "spectral_norm", _shrunk_norm, _domination_is_the_plant, 2,
-     "272ec3a29a2773ec0c9cf76fada01c37f834f351d4dccfe8bd039384f7b9ddf0"),
+    (lemmas.check_domination, "spectral_norm", _shrunk_norm, _domination_is_the_plant, 7,
+     None),
     (lemmas.check_norm_perturbation, "symmetrize", _scaled_symmetrize,
      _norm_perturbation_is_the_plant, 20,
      "e644779c9e23a54a06b8c87eee1cfe6e38d8bd44026d66afd3000b2392da7931"),
@@ -459,10 +452,15 @@ def test_each_suite_records_a_planted_defect(monkeypatch, suite, target, plant, 
     """A planted linalg defect yields failure records: each violates the suite's bound,
     and exact linalg on the record's own fields shows that the plant, not the lemma, broke it.
     The records are pinned bit for bit, as the one-trial-at-a-time suites wrote them, so a
-    suite that reorders, drops or re-rounds a record fails."""
+    suite that reorders, drops or re-rounds a record fails; domination's are checked against
+    its one-trial-at-a-time reference run with the same plant."""
     monkeypatch.setattr(linalg, target, plant)
     result = suite(trials=20, seed=0)
     monkeypatch.undo()
     assert not result.passed and len(result.failures) == count
     assert all(is_the_plant(f) for f in result.failures)
-    assert hashlib.sha256(report.dumps(result.failures).encode()).hexdigest() == digest
+    if digest is None:
+        want = report.dumps(_domination_one_at_a_time(20, 0, plant))
+        assert report.dumps(result.failures) == want
+    else:
+        assert hashlib.sha256(report.dumps(result.failures).encode()).hexdigest() == digest

@@ -59,6 +59,17 @@ def test_sweep_argument_validation():
         sample_rate_sweep(model, [400, 100], [0])
     with pytest.raises(SurroError, match="seeds must be nonempty"):
         sample_rate_sweep(model, [100], [])
+    # a size or seed that is not an integer >= its least value, as in a sweep config
+    for ks, seeds, name in [([100.9], [0], "ks"), ([100], [0.7], "seeds"),
+                            ([True], [0], "ks"), ([100], [True], "seeds"),
+                            ([0], [0], "ks"), ([-100], [0], "ks"), ([100], [-1], "seeds"),
+                            ([float("nan")], [0], "ks"), ([100], [float("nan")], "seeds"),
+                            ([np.float64(100.0)], [0], "ks"), ([100], ["0"], "seeds")]:
+        with pytest.raises(SurroError, match=f"^{name} must be integers >= "):
+            sample_rate_sweep(model, ks, seeds)
+    table = sample_rate_sweep(model, [np.int64(3)], [np.uint8(1), 2])
+    assert [(type(r.k), type(r.seed)) for r in table.rows] == [(int, int)] * 2
+    assert [r.seed for r in table.rows] == [1, 2]
 
 
 class _ConcaveModel(GaussianLatentModel):
