@@ -2,9 +2,9 @@
 
 Each suite stress-tests one identity or perturbation bound behind the rate
 machinery on a stream of random matrices, and reports any counterexample with
-the offending inputs so it can be replayed verbatim. Each trial reads its dimension
-and its suite's `FIELDS` in one read of the suite's own stream, in trial order; a
-read's trials of each d = 1..8 share one Box-Muller. Every suite checks each d's trials
+the offending inputs so it can be replayed verbatim. A suite's own stream first sets
+every trial's dimension d = 1..8 in one uniform read; then, d ascending, each of its
+`FIELDS` is one draw for all of that d's trials. Every suite checks each d's trials
 once, as one stack through the stacked `linalg` and `np.linalg` calls, and
 counterexamples are reported in trial order.
 """
@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
 from . import linalg
-from .rng import CounterRNG, box_muller
+from .rng import CounterRNG
 
 DIMS = (1, 8)
 ASCENT_STEPS = 200
@@ -35,7 +34,7 @@ class SuiteResult:
         return not self.failures
 
 
-# Each suite's draws per trial after its dimension d: ("g" normals | "u" uniforms, d -> shape)
+# Each suite's draws per trial at its dimension d: ("g" normals | "u" uniforms, d -> shape)
 _SQUARE, _NORMAL, _UNIFORM = ("g", lambda d: (d, d)), ("g", lambda d: (d,)), ("u", lambda d: (d,))
 FIELDS = {
     "rate_identity": (_SQUARE, _UNIFORM, _SQUARE, _NORMAL),
@@ -53,38 +52,20 @@ def _spd(g: np.ndarray, u: np.ndarray, cond_range=(0.3, 3.0)) -> np.ndarray:
     return linalg.symmetrize((q * np.exp(lo + (hi - lo) * u)[..., None, :]) @ q.swapaxes(-1, -2))
 
 
-@cache
-def _layout(fields, d: int):
-    """A trial's uniform count at d, Box-Muller columns (radii, then angles), fields' slices."""
-    at, radii, angles, spans = 0, [], [], []
-    for kind, shape in fields:
-        n = math.prod(shape(d))
-        spans.append((slice(at, at + n), shape(d)))
-        m = (n + 1) // 2 if kind == "g" else 0  # gaussian(n) reads m radii, then m angles
-        radii += range(at, at + m)
-        angles += range(at + m, at + 2 * m)
-        at += max(n, 2 * m)
-    return at, np.array(radii + angles, dtype=int), tuple(spans)
-
-
 def _stacks(rng: CounterRNG, trials: int, fields):
-    """Yield, d ascending, each drawn d's trial indices and `fields` stacked over its trials,
-    the bits of per-call draws in stream order: one read per trial, one Box-Muller per d."""
+    """Yield, d ascending, each drawn d's trial indices and `fields` stacked over its trials.
+
+    One `rng.uniform(trials)` sets every trial's d; then, d ascending, each field is one
+    `rng.gaussian` or `rng.uniform` call for all n_d of d's trials, shaped (n_d, *shape(d)).
+    """
     lo, hi = DIMS
-    layouts = [_layout(fields, d) for d in range(lo, hi + 1)]
-    drawn = [([], []) for _ in layouts]
-    u = rng.uniform(1)
-    for i in range(trials):
-        d = lo + int(u[-1] * (hi - lo + 1))  # the previous read's last value
-        u = rng.uniform(layouts[d - lo][0] + (i + 1 < trials))  # and the next trial's d
-        drawn[d - lo][0].append(i)
-        drawn[d - lo][1].append(u)
-    for (size, perm, spans), (idx, blocks) in zip(layouts, drawn):
-        if idx:
-            rows = np.stack([u[:size] for u in blocks])
-            blocks.clear()
-            rows[:, perm] = box_muller(rows[:, perm])
-            yield np.array(idx), [rows[:, cols].reshape(-1, *shape) for cols, shape in spans]
+    dims = lo + (rng.uniform(trials) * (hi - lo + 1)).astype(int)
+    for d in range(lo, hi + 1):
+        idx = np.flatnonzero(dims == d)
+        if len(idx):
+            yield idx, [(rng.gaussian if kind == "g" else rng.uniform)(
+                len(idx) * math.prod(shape(d))).reshape(len(idx), *shape(d))
+                for kind, shape in fields]
 
 
 def _in_trial_order(found) -> list[dict]:

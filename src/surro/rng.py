@@ -12,14 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def box_muller(u: np.ndarray) -> np.ndarray:
-    """Normals from uniforms (..., 2m): radii u[..., :m], angles u[..., m:]; cos, then sin."""
-    m = u.shape[-1] // 2
-    r = np.sqrt(-2.0 * np.log(1.0 - u[..., :m]))  # 1 - u in (0, 1] keeps the log finite
-    angle = 2.0 * np.pi * u[..., m:]
-    return np.concatenate((r * np.cos(angle), r * np.sin(angle)), axis=-1)
-
-
 class CounterRNG:
     """Deterministic stream of uniforms and Box-Muller gaussians."""
 
@@ -31,5 +23,9 @@ class CounterRNG:
         return self._bits.random(int(n))
 
     def gaussian(self, n: int) -> np.ndarray:
-        """n standard normals via Box-Muller on the next (n + 1) // 2 uniform pairs."""
-        return box_muller(self.uniform((int(n) + 1) // 2 * 2))[: int(n)]
+        """n normals by Box-Muller on (n + 1) // 2 uniform pairs: radii, then angles; cos, sin."""
+        m = (int(n) + 1) // 2
+        u = self.uniform(2 * m)
+        r = np.sqrt(-2.0 * np.log(1.0 - u[:m]))  # 1 - u in (0, 1] keeps the log finite
+        angle = 2.0 * np.pi * u[m:]
+        return np.concatenate((r * np.cos(angle), r * np.sin(angle)))[: int(n)]

@@ -101,12 +101,11 @@ def e2_exact_rate_regime() -> ExperimentResult:
     rep = _analyze(_shipped("gd_exact_rate"))
     theory = rep.frame.rates
     pair_ok = abs(theory.rho_inf - 0.4) <= 1e-9 and abs(theory.rho_sup - 0.6) <= 1e-9
-    regime_ok = theory.rho_sup**2 <= theory.rho_inf
     emp_ok = abs(np.log(rep.decay.rate) - np.log(0.6)) <= 0.02
     return ExperimentResult(
         "E2",
         "exact-rate regime diag(1,1.5) eta=0.4: limit log-rate = log 0.6",
-        passed=bool(pair_ok and regime_ok and emp_ok and rep.verdicts["exact"] == "pass"),
+        passed=bool(pair_ok and emp_ok and rep.verdicts["exact"] == "pass"),
         measured={
             "rho_inf": theory.rho_inf,
             "rho_sup": theory.rho_sup,

@@ -1,7 +1,5 @@
 """Randomized linear-algebra suites: clean runs and replayable streams."""
 
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -21,53 +19,24 @@ def _random_symmetric(rng, d):
     return linalg.symmetrize(_square(rng, d))
 
 
-# The reference for `_stacks`: each suite's per-trial draws, one CounterRNG call per draw;
-# eigh_reconstruction's exp(2 g) is elementwise on these draws.
-PER_CALL = {
-    "rate_identity": lambda rng, d: (
-        _square(rng, d), rng.uniform(d), _square(rng, d), rng.gaussian(d)),
-    "domination": lambda rng, d: (
-        _square(rng, d), rng.uniform(d), _square(rng, d), rng.gaussian(d), rng.gaussian(d)),
-    "norm_perturbation": lambda rng, d: (_square(rng, d), rng.uniform(d), *(
-        x for _ in range(3) for x in (_square(rng, d), rng.gaussian(100 * d).reshape(100, d)))),
-    "rate_perturbation": lambda rng, d: (
-        _square(rng, d), rng.uniform(d), *(_square(rng, d) for _ in range(3))),
-    "eigh_reconstruction": lambda rng, d: (_square(rng, d), rng.gaussian(1)[0]),
-}
-STREAM = {"rate_identity": 1, "domination": 2, "norm_perturbation": 3,
-          "rate_perturbation": 4, "eigh_reconstruction": 5}
-
-
-def _per_call_stacks(rng, trials, draw):
-    """The reference `_stacks`: per trial rng.uniform(1) for d, then draw(rng, d)."""
-    lo, hi = lemmas.DIMS
-    dims, drawn = [], []
-    for _ in range(trials):
-        dims.append(lo + int(rng.uniform(1)[0] * (hi - lo + 1)))
-        drawn.append(draw(rng, dims[-1]))
-    for d in range(lo, hi + 1):
-        idx = np.flatnonzero(np.array(dims) == d)
-        if len(idx):
-            yield idx, [np.stack(f) for f in zip(*(drawn[i] for i in idx))]
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("trials", [1, 2, 20, 150])
-@pytest.mark.parametrize("name", list(PER_CALL))
-def test_stacks_are_bitwise_the_per_call_draws(name, trials, seed):
-    # two reads of different sizes in a row from one stream, then the stream position:
-    # each read starts where the one before it left off
-    rng, reference = CounterRNG((seed, STREAM[name])), CounterRNG((seed, STREAM[name]))
-    for size in (trials, 3 * trials + 1):
-        got = list(lemmas._stacks(rng, size, lemmas.FIELDS[name]))
-        want = list(_per_call_stacks(reference, size, PER_CALL[name]))
-        assert len(got) == len(want)
-        for (idx, fields), (want_idx, want_fields) in zip(got, want):
-            np.testing.assert_array_equal(idx, want_idx)
-            assert len(fields) == len(want_fields) == len(lemmas.FIELDS[name])
-            for f, w in zip(fields, want_fields):
-                assert f.shape == w.shape and f.dtype == w.dtype and f.tobytes() == w.tobytes()
-    assert rng.uniform(5).tobytes() == reference.uniform(5).tobytes()
+@pytest.mark.parametrize("name", list(lemmas.FIELDS))
+def test_stacks_draw_each_field_once_per_dimension(name, trials, seed):
+    # d ascends, the first read sets every trial's d, the index sets partition the trials,
+    # each field is float64 (n_d, *shape(d)), and a seed gives the same bits twice
+    fields, (lo, hi) = lemmas.FIELDS[name], lemmas.DIMS
+    dims = lo + (CounterRNG((seed, 7)).uniform(trials) * (hi - lo + 1)).astype(int)
+    got, again = (list(lemmas._stacks(CounterRNG((seed, 7)), trials, fields)) for _ in range(2))
+    drawn = [stack[0].shape[-1] for _, stack in got]
+    assert drawn == sorted(set(dims.tolist()))
+    assert sorted(i for idx, _ in got for i in idx) == list(range(trials))
+    for d, (idx, stack), (again_idx, again_stack) in zip(drawn, got, again):
+        np.testing.assert_array_equal(idx, np.flatnonzero(dims == d))
+        assert idx.tobytes() == again_idx.tobytes() and len(stack) == len(fields)
+        for x, y, (_, shape) in zip(stack, again_stack, fields):
+            assert x.shape == (len(idx), *shape(d)) and x.dtype == np.float64
+            assert x.tobytes() == y.tobytes()
 
 
 def test_all_suites_clean_at_reduced_trial_count():
@@ -100,28 +69,6 @@ def test_domination_counts_only_valid_hypotheses():
     result = lemmas.check_domination(trials=100, seed=3)
     assert result.trials == 100
     assert result.passed
-
-
-def _domination_one_at_a_time(trials, seed, norm):
-    """The reference suite: per trial its `PER_CALL` draws, y flipped where x'By < 0 and x
-    scaled onto x'Ax = x'By, then the bound with rho = norm(A^-1/2 B A^-1/2)."""
-    rng = CounterRNG((seed, STREAM["domination"]))
-    lo, hi = lemmas.DIMS
-    found = []
-    for _ in range(trials):
-        g, u, b, x, y = PER_CALL["domination"](rng, lo + int(rng.uniform(1)[0] * (hi - lo + 1)))
-        a = lemmas._spd(g, u)
-        xby = x @ b @ y
-        if xby < 0:
-            y, xby = -y, -xby
-        x = x * (xby / (x @ a @ x))
-        r = linalg.inv_sqrt(a)
-        rho = norm(r @ b @ r)
-        nx, ny = np.sqrt(x @ a @ x), np.sqrt(y @ a @ y)
-        if nx > rho * ny + 1e-9:
-            found.append({"a": a.tolist(), "b": b.tolist(), "x": x.tolist(), "y": y.tolist(),
-                          "norm_x": nx, "rho_norm_y": rho * ny})
-    return found
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -263,8 +210,8 @@ def test_rate_identity_draws_one_start_per_trial(monkeypatch):
     monkeypatch.setattr(lemmas, "_ratio_ascent", capture)
     assert lemmas.check_rate_identity(trials=50, seed=3).passed
     (v0,) = batches
-    starts = [v for _, (*_, vs) in _per_call_stacks(
-        CounterRNG((3, 1)), 50, PER_CALL["rate_identity"]) for v in vs]
+    starts = [v for _, (*_, vs) in lemmas._stacks(
+        CounterRNG((3, 1)), 50, lemmas.FIELDS["rate_identity"]) for v in vs]
     assert len(v0) == 2 * len(starts) == 2 * 50 and len({len(v) for v in starts}) > 1
     np.testing.assert_array_equal(v0[1::2], v0[::2])
     for row, v in zip(v0[::2], starts):
@@ -435,32 +382,107 @@ def _eigh_reconstruction_is_the_plant(f):
     return f["ortho"] <= 1e-10 and f["residual"] > 1e-9 > exact_residual
 
 
-@pytest.mark.parametrize("suite, target, plant, is_the_plant, count, digest", [
-    (lemmas.check_domination, "spectral_norm", _shrunk_norm, _domination_is_the_plant, 7,
-     None),
+def _per_trial(name, stream, trials, seed):
+    """Each trial's `FIELDS` draws for suite `name` on stream (seed, stream), in trial order,
+    taken one trial at a time out of `lemmas._stacks`."""
+    inputs = [None] * trials
+    for idx, stack in lemmas._stacks(CounterRNG((seed, stream)), trials, lemmas.FIELDS[name]):
+        for k, i in enumerate(idx):
+            inputs[i] = [x[k] for x in stack]
+    return inputs
+
+
+# One-trial-at-a-time references: each suite's records, every trial computed alone with
+# whatever `linalg` holds at the call
+
+
+def _domination_one_at_a_time(trials, seed):
+    # y flipped where x'By < 0, x scaled onto x'Ax = x'By, then |x|_A <= rho |y|_A
+    found = []
+    for g, u, b, x, y in _per_trial("domination", 2, trials, seed):
+        a = lemmas._spd(g, u)
+        xby = x @ b @ y
+        if xby < 0:
+            y, xby = -y, -xby
+        x = x * (xby / (x @ a @ x))
+        r = linalg.inv_sqrt(a)
+        rho = linalg.spectral_norm(r @ b @ r)
+        nx, ny = np.sqrt(x @ a @ x), np.sqrt(y @ a @ y)
+        if nx > rho * ny + 1e-9:
+            found.append({"a": a.tolist(), "b": b.tolist(), "x": x.tolist(), "y": y.tolist(),
+                          "norm_x": nx, "rho_norm_y": rho * ny})
+    return found
+
+
+def _norm_perturbation_one_at_a_time(trials, seed):
+    # per eps, M scaled to 0.999 delta: |x|_S* within (1 +- eps) |x|_S, S = S* + M, on 100 x
+    found = []
+    for g, u, *pairs in _per_trial("norm_perturbation", 3, trials, seed):
+        s_star = lemmas._spd(g, u)
+        for eps, m, xs in zip((0.5, 0.1, 0.01), pairs[::2], pairs[1::2]):
+            delta = eps * linalg.eigh(s_star).eigenvalues[0] / 2.0
+            m = linalg.symmetrize(m)
+            m = m * (delta * 0.999 / max(linalg.spectral_norm(m), 1e-300))
+            s = linalg.symmetrize(s_star + m)
+            ns, nstar = (np.sqrt(np.einsum("ij,ij->i", xs @ t, xs)) for t in (s, s_star))
+            if not np.all((nstar >= (1 - eps) * ns - 1e-12) & (nstar <= (1 + eps) * ns + 1e-12)):
+                found.append({"s_star": s_star.tolist(), "s": s.tolist(), "eps": eps,
+                              "delta": delta})
+    return found
+
+
+def _rate_perturbation_one_at_a_time(trials, seed):
+    # per scale t: |rho(A + tM, B + tN) - rho(A, B)| <= (t + rho t) / (lambda_min(A) - t)
+    found = []
+    for g, u, b, m, n in _per_trial("rate_perturbation", 4, trials, seed):
+        a, b = lemmas._spd(g, u, (0.5, 2.0)), linalg.symmetrize(b)
+        base = linalg.generalized_rate_pair(a, b).rho_sup
+        lam_min = linalg.eigh(a).eigenvalues[0]
+        m, n = (x / max(linalg.spectral_norm(x), 1e-300) for x in map(linalg.symmetrize, (m, n)))
+        for t in (1e-2, 1e-3, 1e-4):
+            dev = abs(linalg.generalized_rate_pair(a + t * m, b + t * n).rho_sup - base)
+            envelope = (t + base * t) / (lam_min - t)
+            if dev > envelope + 1e-9:
+                found.append({"a": a.tolist(), "b": b.tolist(), "m": m.tolist(), "n": n.tolist(),
+                              "scale": t, "deviation": dev, "envelope": envelope})
+    return found
+
+
+def _eigh_reconstruction_one_at_a_time(trials, seed):
+    # eigh of S = sym(G) exp(2 g) reconstructs S, is orthonormal, solves S v = lam v, ascends
+    found = []
+    for g, scale in _per_trial("eigh_reconstruction", 5, trials, seed):
+        s = linalg.symmetrize(g) * np.exp(2.0 * scale)
+        lam, vec = linalg.eigh(s)
+        recon = np.max(np.abs((vec * lam) @ vec.T - s))
+        ortho = np.max(np.abs(vec.T @ vec - np.eye(len(s))))
+        resid = np.max(np.abs(s @ vec - vec * lam))
+        if not (recon <= 1e-9 * (1.0 + np.max(np.abs(s))) and ortho <= 1e-10
+                and resid <= 1e-9 * (1.0 + np.max(np.abs(lam))) and np.all(np.diff(lam) >= 0)):
+            found.append({"s": s.tolist(), "ortho": ortho, "residual": resid})
+    return found
+
+
+@pytest.mark.parametrize("suite, target, plant, is_the_plant, count, reference", [
+    (lemmas.check_domination, "spectral_norm", _shrunk_norm, _domination_is_the_plant, 6,
+     _domination_one_at_a_time),
     (lemmas.check_norm_perturbation, "symmetrize", _scaled_symmetrize,
-     _norm_perturbation_is_the_plant, 20,
-     "e644779c9e23a54a06b8c87eee1cfe6e38d8bd44026d66afd3000b2392da7931"),
+     _norm_perturbation_is_the_plant, 20, _norm_perturbation_one_at_a_time),
     (lemmas.check_rate_perturbation, "generalized_rate_pair", _truncated_pair,
-     _rate_perturbation_is_the_plant, 2,
-     "a73986d424e7b95fcc1e0a8f535d3b20049b770dddedd86b3b2099dfaaef6aa7"),
+     _rate_perturbation_is_the_plant, 2, _rate_perturbation_one_at_a_time),
     (lemmas.check_eigh_reconstruction, "eigh", _inflated_eigh, _eigh_reconstruction_is_the_plant,
-     20, "7a7f675e0432faf96722ea0e3d5b67faf04937949e7eb66497141ed37ea76823"),
+     20, _eigh_reconstruction_one_at_a_time),
 ], ids=["domination", "norm_perturbation", "rate_perturbation", "eigh_reconstruction"])
 def test_each_suite_records_a_planted_defect(monkeypatch, suite, target, plant, is_the_plant,
-                                             count, digest):
+                                             count, reference):
     """A planted linalg defect yields failure records: each violates the suite's bound,
     and exact linalg on the record's own fields shows that the plant, not the lemma, broke it.
-    The records are pinned bit for bit, as the one-trial-at-a-time suites wrote them, so a
-    suite that reorders, drops or re-rounds a record fails; domination's are checked against
-    its one-trial-at-a-time reference run with the same plant."""
+    The records are bit for bit those of the suite's one-trial-at-a-time reference run with
+    the same plant, so a suite that reorders, drops or re-rounds a record fails."""
     monkeypatch.setattr(linalg, target, plant)
     result = suite(trials=20, seed=0)
+    want = report.dumps(reference(20, 0))
     monkeypatch.undo()
     assert not result.passed and len(result.failures) == count
     assert all(is_the_plant(f) for f in result.failures)
-    if digest is None:
-        want = report.dumps(_domination_one_at_a_time(20, 0, plant))
-        assert report.dumps(result.failures) == want
-    else:
-        assert hashlib.sha256(report.dumps(result.failures).encode()).hexdigest() == digest
+    assert report.dumps(result.failures) == want

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from surro.rng import CounterRNG, box_muller
+from surro.rng import CounterRNG
 
 
 def _box_muller(rng: CounterRNG, n: int) -> np.ndarray:
@@ -35,19 +35,3 @@ def test_mixed_draws_follow_the_two_call_stream(seed):
         else:
             assert drawn.uniform(size).tobytes() == reference.uniform(size).tobytes()
 
-
-@pytest.mark.parametrize("d", range(1, 9))
-def test_box_muller_on_gathered_columns_is_gaussian(d):
-    """One Box-Muller over the gathered radius, then angle, columns of several gaussian
-    draws laid side by side gives each draw's bits: the sizes the lemma suites draw."""
-    sizes = (1, d, d * d, 100 * d)
-    halves = [(n + 1) // 2 for n in sizes]
-    starts = np.cumsum([0] + [2 * m for m in halves])[:-1]
-    perm = np.concatenate([np.arange(s, s + m) for s, m in zip(starts, halves)]
-                          + [np.arange(s + m, s + 2 * m) for s, m in zip(starts, halves)])
-    rows = np.stack([CounterRNG((d, row)).uniform(2 * sum(halves)) for row in range(5)])
-    rows[:, perm] = box_muller(rows[:, perm])
-    for row in range(5):
-        reference = CounterRNG((d, row))
-        for s, n in zip(starts, sizes):
-            assert rows[row, s:s + n].tobytes() == reference.gaussian(n).tobytes()
