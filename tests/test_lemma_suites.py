@@ -19,24 +19,62 @@ def _random_symmetric(rng, d):
     return linalg.symmetrize(_square(rng, d))
 
 
+# The reference for `_stacks`: each suite's draws for n trials of dimension d, one
+# CounterRNG call per field, every shape written out
+PER_CALL = {
+    "rate_identity": lambda rng, n, d: (
+        _squares(rng, n, d), _rows(rng.uniform, n, d), _squares(rng, n, d),
+        _rows(rng.gaussian, n, d)),
+    "domination": lambda rng, n, d: (
+        _squares(rng, n, d), _rows(rng.uniform, n, d), _squares(rng, n, d),
+        _rows(rng.gaussian, n, d), _rows(rng.gaussian, n, d)),
+    "norm_perturbation": lambda rng, n, d: (_squares(rng, n, d), _rows(rng.uniform, n, d), *(
+        x for _ in range(3)
+        for x in (_squares(rng, n, d), rng.gaussian(n * 100 * d).reshape(n, 100, d)))),
+    "rate_perturbation": lambda rng, n, d: (
+        _squares(rng, n, d), _rows(rng.uniform, n, d), *(_squares(rng, n, d) for _ in range(3))),
+    "eigh_reconstruction": lambda rng, n, d: (_squares(rng, n, d), rng.gaussian(n)),
+}
+
+
+def _squares(rng, n, d):
+    return rng.gaussian(n * d * d).reshape(n, d, d)
+
+
+def _rows(draw, n, d):
+    return draw(n * d).reshape(n, d)
+
+
+def _per_call_stacks(rng, trials, draw):
+    """The reference `_stacks`: rng.uniform(trials) for every d, then draw(rng, n_d, d)."""
+    lo, hi = lemmas.DIMS
+    dims = [lo + int(u * (hi - lo + 1)) for u in rng.uniform(trials)]
+    for d in range(lo, hi + 1):
+        idx = [i for i, di in enumerate(dims) if di == d]
+        if idx:
+            yield np.array(idx), list(draw(rng, len(idx), d))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("trials", [1, 2, 20, 150])
-@pytest.mark.parametrize("name", list(lemmas.FIELDS))
-def test_stacks_draw_each_field_once_per_dimension(name, trials, seed):
-    # d ascends, the first read sets every trial's d, the index sets partition the trials,
-    # each field is float64 (n_d, *shape(d)), and a seed gives the same bits twice
-    fields, (lo, hi) = lemmas.FIELDS[name], lemmas.DIMS
-    dims = lo + (CounterRNG((seed, 7)).uniform(trials) * (hi - lo + 1)).astype(int)
-    got, again = (list(lemmas._stacks(CounterRNG((seed, 7)), trials, fields)) for _ in range(2))
-    drawn = [stack[0].shape[-1] for _, stack in got]
-    assert drawn == sorted(set(dims.tolist()))
-    assert sorted(i for idx, _ in got for i in idx) == list(range(trials))
-    for d, (idx, stack), (again_idx, again_stack) in zip(drawn, got, again):
-        np.testing.assert_array_equal(idx, np.flatnonzero(dims == d))
-        assert idx.tobytes() == again_idx.tobytes() and len(stack) == len(fields)
-        for x, y, (_, shape) in zip(stack, again_stack, fields):
-            assert x.shape == (len(idx), *shape(d)) and x.dtype == np.float64
-            assert x.tobytes() == y.tobytes()
+@pytest.mark.parametrize("name", list(PER_CALL))
+def test_stacks_are_bitwise_the_per_call_draws(name, trials, seed):
+    # two reads of different sizes in a row from one stream, then the stream position:
+    # each read starts where the one before it left off
+    rng, reference = CounterRNG((seed, 7)), CounterRNG((seed, 7))
+    assert list(PER_CALL) == list(lemmas.FIELDS)
+    for size in (trials, 3 * trials + 1):
+        got = list(lemmas._stacks(rng, size, lemmas.FIELDS[name]))
+        want = list(_per_call_stacks(reference, size, PER_CALL[name]))
+        assert len(got) == len(want)
+        assert sorted(i for idx, _ in got for i in idx) == list(range(size))
+        for (idx, fields), (want_idx, want_fields) in zip(got, want):
+            assert idx.tobytes() == want_idx.astype(idx.dtype).tobytes()
+            assert len(fields) == len(want_fields) == len(lemmas.FIELDS[name])
+            for f, w in zip(fields, want_fields):
+                assert f.shape == w.shape and f.dtype == w.dtype == np.float64
+                assert f.tobytes() == w.tobytes()
+    assert rng.uniform(5).tobytes() == reference.uniform(5).tobytes()
 
 
 def test_all_suites_clean_at_reduced_trial_count():
