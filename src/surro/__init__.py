@@ -17,7 +17,6 @@ from .domains import (
     AffineSlice,
     Box,
     ConvexDomain,
-    DegenerateDomain,
     EuclideanBall,
     FullSpace,
     Simplex,

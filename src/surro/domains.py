@@ -3,7 +3,8 @@
 Every domain knows how to project a point onto itself, test membership with a
 1e-12 slack consistent with that projection, and produce an orthonormal basis
 of the span of its feasible differences (the direction space of its affine
-hull).  Every domain is closed.  A mirror map's open domain is not a feasible
+hull).  Every domain is closed and has at least one direction: a set of one
+point is refused when it is built.  A mirror map's open domain is not a feasible
 set: the mirror surrogates are +inf off it, so their numeric solves stay
 inside it without any margin here.
 """
@@ -19,10 +20,6 @@ from .linalg import all_finite, vector_norm
 
 MEMBERSHIP_TOL = 1e-12
 INTERIOR_MARGIN = 1e-9
-
-
-class DegenerateDomain(SurroError):
-    """Raised when the direction space of the domain is {0}."""
 
 
 def as_vector(x, q: int) -> np.ndarray:
@@ -191,8 +188,8 @@ class Simplex(ConvexDomain):
     face_eps: float = INTERIOR_MARGIN
 
     def __post_init__(self):
-        if self.q < 1:
-            raise SurroError("dimension must be >= 1")
+        if self.q < 2:
+            raise SurroError("dimension must be >= 2")  # a one-point simplex has no directions
         if not 0 <= self.face_eps * self.q < 1:
             raise SurroError("face epsilon too large for this dimension")
 
@@ -232,8 +229,6 @@ class Simplex(ConvexDomain):
         return np.full(self.q, 1.0 / self.q)
 
     def direction_basis(self):
-        if self.q < 2:
-            raise DegenerateDomain("simplex of dimension 1 has a trivial direction space")
         # Helmert-style orthonormal basis of the zero-sum subspace
         p = np.zeros((self.q, self.q - 1))
         for k in range(1, self.q):
@@ -266,6 +261,8 @@ class AffineSlice(ConvexDomain):
         rank = np.linalg.matrix_rank(c)
         if rank != c.shape[0]:
             raise SurroError("rows of C must be linearly independent")
+        if rank == c.shape[1]:
+            raise SurroError("constraints pin the slice to a single point")
         object.__setattr__(self, "constraints", c)
         object.__setattr__(self, "offsets", b)
         _, _, vt = np.linalg.svd(c)
@@ -315,8 +312,6 @@ class AffineSlice(ConvexDomain):
         return self.project(self.inside.interior_point())
 
     def direction_basis(self):
-        if self._null_basis.shape[1] == 0:
-            raise DegenerateDomain("constraints pin the slice to a single point")
         return self._null_basis.copy()
 
     def sample(self, rng):

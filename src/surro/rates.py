@@ -60,6 +60,12 @@ class CurvatureFrame:
         return self.basis.shape[1]
 
     @property
+    def jacobian(self) -> np.ndarray:
+        """A~^{-1} B~, the iteration map's Jacobian in the direction space;
+        np.linalg.LinAlgError when A~ is singular."""
+        return np.linalg.solve(self.a_tilde, self.b_tilde)
+
+    @property
     def rates(self) -> RatePair:
         """linalg.spectrum_rate_pair of the spectrum; RatesError when there is none."""
         return linalg.spectrum_rate_pair(_spectrum_of(self))
@@ -364,8 +370,7 @@ def accelerate(theta_n, theta_np1, frame: CurvatureFrame) -> np.ndarray:
     tn1 = np.atleast_1d(np.asarray(theta_np1, dtype=float))
     p = frame.basis
     try:
-        s = np.linalg.solve(frame.a_tilde, frame.b_tilde)
-        g = np.eye(frame.d) - s
+        g = np.eye(frame.d) - frame.jacobian
         if np.linalg.cond(g) > 1e12:
             raise RatesError("I - A~^{-1} B~ is numerically singular")
         shift = np.linalg.solve(g, p.T @ (tn1 - tn))

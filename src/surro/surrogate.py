@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .domains import ConvexDomain, DegenerateDomain, as_vector
+from .domains import ConvexDomain, as_vector
 from .errors import SurroError
 from .linalg import all_finite, finite_norms, max_abs, vector_norm
 
@@ -182,10 +182,7 @@ def minimize_smooth(domain, fun, grad, hess, x0):
     fx = fun(x)
     if not math.isfinite(fx):
         raise SolveFailure(f"start {x.tolist()} has value {fx}")
-    try:
-        tangent = domain.direction_basis()  # Newton steps respect the affine hull
-    except DegenerateDomain:
-        tangent = None  # point domain: the gradient path settles it
+    tangent = domain.direction_basis()  # Newton steps respect the affine hull
     prev_x = None
     prev_g = None
     for _ in range(INNER_CAP):
@@ -196,7 +193,7 @@ def minimize_smooth(domain, fun, grad, hess, x0):
             return x
 
         candidate = None
-        if hess is not None and tangent is not None:
+        if hess is not None:
             try:
                 reduced = tangent.T @ hess(x) @ tangent
                 direction = tangent @ np.linalg.solve(reduced, -(tangent.T @ g))

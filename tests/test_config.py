@@ -238,7 +238,14 @@ MALFORMED = {
     "full_space_q_zero": (_gd(domain={"type": "full_space", "q": 0}), "q"),
     "simplex_q_zero": (_base("mirror_descent", **dict(MD, domain={"type": "simplex", "q": 0})),
                        "q"),
+    "simplex_q_one": (_base("mirror_descent", **dict(MD, domain={"type": "simplex", "q": 1})),
+                      "domain"),
     "ball_domain_without_radius": (_gd(domain={"type": "ball", "center": [0.0, 0.0]}), "radius"),
+    "affine_slice_one_point": (
+        _gd(domain={"type": "affine_slice", "c": [[1.0, 0.0], [0.0, 1.0]], "b": [0.3, 0.4],
+                    "lower": [0.0, 0.0], "upper": [1.0, 1.0]}),
+        "domain",
+    ),
     "affine_slice_without_lower": (
         _gd(domain={"type": "affine_slice", "c": [[1.0, 1.0]], "b": [0.0], "upper": [2.0, 2.0]}),
         "lower",

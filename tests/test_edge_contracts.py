@@ -37,7 +37,8 @@ _LINE = CustomObjective(1, lambda x: float(x[0]), lambda x: np.ones(1))
 # id -> (call, error, message): each constructor or validation refusal in src/surro
 REFUSALS = {
     "full_space_dimension": (lambda: FullSpace(0), SurroError, "dimension must be >= 1"),
-    "simplex_dimension": (lambda: Simplex(0), SurroError, "dimension must be >= 1"),
+    "simplex_dimension": (lambda: Simplex(0), SurroError, "dimension must be >= 2"),
+    "simplex_one_point": (lambda: Simplex(1), SurroError, "dimension must be >= 2"),
     "box_shapes": (lambda: Box([0.0, 0.0], [1.0]), SurroError, "equal length"),
     "ball_center": (lambda: EuclideanBall(np.zeros((2, 2)), 1.0), SurroError,
                     "center must be a vector"),
@@ -46,6 +47,8 @@ REFUSALS = {
                    "row count of C"),
     "slice_columns": (lambda: AffineSlice([[1.0, 1.0, 1.0]], [1.0], _SQUARE), SurroError,
                       "C column count"),
+    "slice_one_point": (lambda: AffineSlice(np.eye(2), [0.3, 0.4], _SQUARE), SurroError,
+                        "constraints pin the slice to a single point"),
     "ball_map_r2": (lambda: BallMap(2, 0.0), SurroError, "squared radius must be positive"),
     "quadratic_c": (lambda: QuadraticForm(np.eye(2), np.ones(3)), SurroError,
                     "c must match"),

@@ -12,7 +12,7 @@ import surro
 from surro import surrogate
 from surro.config import CONFIG_DIR, assemble
 from surro.descent import mirror_descent_problem, newton_problem
-from surro.domains import AffineSlice, Box, FullSpace, Simplex
+from surro.domains import FullSpace, Simplex
 from surro.errors import SurroError
 from surro.latent import GaussianLatentModel, em_population_problem, em_sample_problem
 from surro.mirror_maps import NegEntropyMap, QuadraticMap, bregman
@@ -300,16 +300,9 @@ def test_python_float_overflow_raises_surrogate_error():
         trace.q_values(prob)
 
 
-def _unreachable_hessian(x):
-    raise AssertionError("no Newton step exists on this domain")
-
-
 def _value_off_a_wall(x):
     # (x - 0.5)^2, undefined past 1.2: the first Newton trial lands at 2.0
     return float((x[0] - 0.5) ** 2) if x[0] < 1.2 else np.inf
-
-
-_PINNED = AffineSlice(np.eye(2), [0.3, 0.4], Box([0.0, 0.0], [1.0, 1.0]))
 
 
 @pytest.mark.parametrize("domain, fun, grad, hess, x0, expected", [
@@ -319,10 +312,7 @@ _PINNED = AffineSlice(np.eye(2), [0.3, 0.4], Box([0.0, 0.0], [1.0, 1.0]))
     # a singular Hessian raises LinAlgError in the Newton solve: gradient steps take over
     (FullSpace(2), lambda x: 0.5 * float((x - 1.0) @ (x - 1.0)), lambda x: x - 1.0,
      lambda x: np.zeros((2, 2)), [3.0, -2.0], [1.0, 1.0]),
-    # a point domain has no direction basis: its point is the answer, with no Newton step
-    (_PINNED, lambda x: float(x @ x), lambda x: 2.0 * x, _unreachable_hessian, [0.9, 0.9],
-     [0.3, 0.4]),
-], ids=["non_finite_value", "singular_hessian", "point_domain"])
+], ids=["non_finite_value", "singular_hessian"])
 def test_minimize_smooth_falls_back_and_still_converges(domain, fun, grad, hess, x0, expected):
     x = minimize_smooth(domain, fun, grad, hess, np.array(x0))
     np.testing.assert_allclose(x, expected, rtol=0.0, atol=1e-11)
