@@ -20,7 +20,6 @@ from . import linalg
 from .rng import CounterRNG
 
 DIMS = (1, 8)
-ASCENT_STEPS = 200
 
 
 @dataclass
@@ -88,78 +87,55 @@ def _rows_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _ratio_ascent(a: np.ndarray, b: np.ndarray, v0: np.ndarray) -> np.ndarray:
-    """Per row, climb v'Bv / v'Av from v0; pass -B for the lower branch.
+    """Per row, the top of v'Bv / v'Av over the Krylov space grown from v0; pass -B for
+    the lower branch.
 
-    a (n, d, d) SPD, b (n, d, d) symmetric, v0 (n, d) nonzero; returns the n climbed
-    values, signed. Any start reaches the top of the pencil (A, B), so the top of (A, B)
-    and of (A, -B) climbed from one start give rho_sup = max(lam_max, -lam_min).
-    Exact 3-term Rayleigh-Ritz steps (the LOBPCG step, Knyazev, SIAM J. Sci. Comput.
-    2001), one padded batch per call: each step moves a row to the maximiser of
-    v'Bv / v'Av on span{v, u, r}, u the gradient with its v component removed and r
-    the previous iterate with its v and u components removed. On the basis
-    S = [v, u, r], the Cholesky factor L of the A-Gram S'AS whitens the B-Gram to
-    C = L^-1 S'BS L^-T; L^-T z, z the top eigenvector of C, are the Ritz vector's
-    coordinates. Where r adds no direction (the first step, d <= 2, a previous iterate
-    inside span{v, u}), r is 0 and its slot in C gets a value below the 2x2 block's
-    roots, so the step is the 2x2 step on span{v, u}. A row stops when its gradient
-    vanishes, when a step does not strictly improve it, or after ASCENT_STEPS steps.
+    a (n, d, d) SPD, b (n, d, d) symmetric, v0 (n, d) nonzero; returns the n values,
+    signed. Rayleigh-Ritz on a growing space, one padded batch per call (Parlett, The
+    Symmetric Eigenvalue Problem, 1998, ch. 11-13): the space starts as span{v0}; each
+    step takes its top Ritz vector w and appends the residual r = Bw - (w'Bw / w'Aw) Aw.
+    On an orthonormal basis S, the Cholesky factor L of the A-Gram S'AS whitens the
+    B-Gram to C = L^-1 S'BS L^-T, and L^-T z, z the top eigenvector of C, are w's
+    coordinates. The spaces are nested, so a row's value never falls. The Ritz-Galerkin
+    condition makes r orthogonal to the space, and one Gram-Schmidt pass removes what
+    rounding leaves of the space in it, so a row stops on a residual at rounding level
+    once w is an eigenvector, at the latest when its space is all of R^d: every row
+    stops within its d steps, at the top of (A, B) over the smallest invariant subspace
+    of A^-1 B holding v0: the top of (A, B) for every v0 outside a set of measure zero.
+    The tops of (A, B) and of (A, -B) from one start give rho_sup = max(lam_max, -lam_min).
 
-    A row's value is always the Rayleigh quotient v'Bv / v'Av of its own A and B, never
+    A row's value is always the Rayleigh quotient w'Bw / w'Aw of its own A and B, never
     an eigenvalue: `np.linalg.eigh` only proposes a direction. A wrong direction can
-    stall a row below the top, but cannot lift it above.
+    leave a row below the top, but cannot lift it above.
     """
-    v = v0 / np.linalg.norm(v0, axis=1, keepdims=True)
-    av, bv = _apply(a, v), _apply(b, v)
-    p, q = _rows_dot(v, bv), _rows_dot(v, av)
-    out = p / q
-    rows = np.arange(len(v))
-    prev = np.zeros_like(v)
-    for _ in range(ASCENT_STEPS):
-        if not len(rows):
-            break
-        value = p / q
-        grad = 2.0 * (bv * q[:, None] - p[:, None] * av) / (q**2)[:, None]
-        u = grad - _rows_dot(grad, v)[:, None] * v
-        unorm = np.linalg.norm(u, axis=1)
-        live = (np.linalg.norm(grad, axis=1) > 1e-14 * (1.0 + np.abs(value))) & (unorm > 0)
-        if not live.all():
-            a, b, v, prev, value, rows, u, unorm = (
-                x[live] for x in (a, b, v, prev, value, rows, u, unorm))
-        u /= unorm[:, None]
-        r = prev - _rows_dot(prev, v)[:, None] * v - _rows_dot(prev, u)[:, None] * u
-        rnorm = np.linalg.norm(r, axis=1)
-        kept = rnorm > 1e-8  # a shorter r is rounding left over from span{v, u}
-        r *= np.divide(1.0, rnorm, out=np.zeros_like(rnorm), where=kept)[:, None]
-        s = np.stack((v, u, r), axis=1)
+    s = (v0 / np.linalg.norm(v0, axis=1, keepdims=True))[:, None, :]
+    out = np.empty(len(v0))
+    rows = np.arange(len(v0))
+    for _ in range(v0.shape[1]):
         st = s.transpose(0, 2, 1)
-        gram_a, gram_b = (s @ a) @ st, (s @ b) @ st
-        # a dropped r has a zero row and column in both Grams: a33 = 1 keeps it decoupled
-        gram_a[:, 2, 2] = np.where(kept, gram_a[:, 2, 2], 1.0)
-        l_inv = np.linalg.inv(np.linalg.cholesky(gram_a))
-        c = l_inv @ gram_b @ l_inv.transpose(0, 2, 1)
-        # a dropped r's slot sits below the 2x2 block's roots (Gershgorin): the 2x2 step
-        c[:, 2, 2] = np.where(kept, c[:, 2, 2],
-                              np.minimum(c[:, 0, 0], c[:, 1, 1]) - np.abs(c[:, 0, 1]))
+        l_inv = np.linalg.inv(np.linalg.cholesky((s @ a) @ st))
+        c = l_inv @ ((s @ b) @ st) @ l_inv.transpose(0, 2, 1)
         w = _apply(st @ l_inv.transpose(0, 2, 1), np.linalg.eigh(c)[1][..., -1])
-        # w = 0 where eigh proposes a dropped r's slot; pw > value * qw then rejects it
-        wnorm = np.linalg.norm(w, axis=1, keepdims=True)
-        np.divide(w, wnorm, out=w, where=wnorm > 0)
         aw, bw = _apply(a, w), _apply(b, w)
-        pw, qw = _rows_dot(w, bw), _rows_dot(w, aw)
-        better = pw > value * qw
-        prev, v, av, bv, p, q = v, w, aw, bw, pw, qw
-        if not better.all():
-            a, b, v, prev, av, bv, p, q, rows = (
-                x[better] for x in (a, b, v, prev, av, bv, p, q, rows))
-        out[rows] = p / q
+        value = _rows_dot(w, bw) / _rows_dot(w, aw)
+        out[rows] = value
+        r = bw - value[:, None] * aw
+        r -= _apply(st, _apply(s, r))
+        rnorm = np.linalg.norm(r, axis=1)
+        # the residual cut, at rounding scale: w is an eigenvector of the row's pencil
+        live = rnorm > 1e-12 * (1.0 + np.abs(value)) * np.linalg.norm(aw, axis=1)
+        if not live.any():
+            break
+        a, b, s, r, rnorm, rows = (x[live] for x in (a, b, s, r, rnorm, rows))
+        s = np.concatenate((s, (r / rnorm[:, None])[:, None, :]), axis=1)
     return out
 
 
 def _padded(pencils) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stack (a, b, v0) rows as diag(a, I), diag(b, 0), (v0, 0) at d = DIMS[1].
 
-    The padded coordinates of v, Av, Bv and the gradient stay exactly 0, so each
-    padded row climbs as it would alone.
+    The padded coordinates of every basis vector, Ritz vector and residual stay exactly 0,
+    so each padded row steps as it would alone.
     """
     dim = DIMS[1]
     a_pad = np.tile(np.eye(dim), (len(pencils), 1, 1))
@@ -175,14 +151,15 @@ def check_rate_identity(trials: int = 1000, seed: int = 0) -> SuiteResult:
     """Four routes to the sup rate agree: two spectral radii, one norm, one searched sup.
 
     The searched sup is a Rayleigh quotient, not an eigenvalue: each trial draws one
-    start v and climbs v'Bv / v'Av to the top of the pencil (A, B) and of (A, -B) by
-    exact 3-term Rayleigh-Ritz steps (`_ratio_ascent`), the larger of the two being
-    max(lam_max, -lam_min). Its eigensolver only proposes the directions climbed along,
+    start v and takes the top of v'Bv / v'Av for the pencils (A, B) and (A, -B) by
+    Rayleigh-Ritz on the Krylov space grown from v (`_ratio_ascent`), the larger of the
+    two being max(lam_max, -lam_min). Its eigensolver only proposes the Ritz directions,
     so an eigensolver defect shared by the other routes cannot lift it above the top.
-    The rows of every trial climb together in one padded batch, to the top within
-    rounding, so the searched sup must come within 1e-6 (1 + rho) of the norm route,
-    the bound the exact routes meet. A failure records A, B and the start v, from which
-    `_ratio_ascent` on the padded rows (A, B, v) and (A, -B, v) replays it.
+    The rows of every trial step together in one padded batch, each for at most its d
+    steps, and a random start ends at the top within rounding, so the searched sup must
+    come within 1e-6 (1 + rho) of the norm route, the bound the exact routes meet. A
+    failure records A, B and the start v, from which `_ratio_ascent` on the padded rows
+    (A, B, v) and (A, -B, v) replays it.
     """
     stacks = [(idx, _spd(g, u), linalg.symmetrize(b), v) for idx, (g, u, b, v) in _stacks(
         CounterRNG((seed, 1)), trials, FIELDS["rate_identity"])]

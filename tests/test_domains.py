@@ -184,6 +184,20 @@ def test_simplex_projection_refuses_a_point_it_cannot_resolve():
             assert simplex.project(z).tobytes() == _earlier_simplex_project(simplex, z).tobytes()
 
 
+@pytest.mark.xfail(strict=True, reason="far points project off the simplex's sum (ROADMAP 17)")
+def test_simplex_projection_of_a_far_point_is_on_the_simplex():
+    """Once the coordinates reach about 1e5, the threshold u0 - (u0 - total) rounds away
+    the q * face_eps shift: [-9.1e10, -2.6e11, -2.2e11] projects to
+    [1.000000001, 1e-9, 1e-9], whose sum misses 1 by 3e-9, so `contains` rejects the
+    projection, as it does for 58 of the 100 q = 3 draws of the test above."""
+    simplex = domains.Simplex(3)
+    assert simplex.contains(simplex.project(np.array([-9.1e10, -2.6e11, -2.2e11])))
+    rng = CounterRNG(6)
+    for _ in range(100):
+        z = rng.gaussian(3) * 10.0 ** float(16.0 * rng.uniform(1)[0] - 4.0)
+        assert simplex.contains(simplex.project(z))
+
+
 def test_ball_sample_of_a_zero_draw_is_the_center():
     # a Box-Muller draw is exactly 0 when its uniform is 0, with probability 2^-53 per pair
     class ZeroDraw:

@@ -177,7 +177,7 @@ def test_ratio_ascent_matches_eigvals_oracle_padded_or_not():
     for d in range(1, 9):
         rows = [pencils[i] for i in np.flatnonzero(dims == d)]
         unpadded[dims == d] = lemmas._ratio_ascent(*(np.array(x) for x in zip(*rows)))
-    # within ASCENT_STEPS every row reaches its top, and never passes it
+    # within its d Ritz steps every row reaches its top, and never passes it
     np.testing.assert_allclose(unpadded, want, rtol=1e-9, atol=0)
     assert np.all(unpadded <= want + 1e-12 * np.abs(want))
     padded = lemmas._ratio_ascent(*lemmas._padded(pencils))
@@ -207,8 +207,7 @@ def test_rate_identity_witness_rows_reach_the_extreme(monkeypatch, seed):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_ratio_ascent_on_repeated_extremes():
     # the tops of (A, B) and (A, -B) are double roots; the first 10 rows stay in
-    # span{e1, e4}, where every previous iterate lies in span{v, u} and the step falls
-    # back to 2x2
+    # span{e1, e4}, where the residual of the second step is 0 and the row stops there
     a = np.repeat(np.eye(5)[None], 40, 0)
     b = np.repeat(np.diag([1.0, 1.0, 0.25, -0.5, -0.5])[None], 40, 0)
     starts = CounterRNG(13).gaussian(5 * 40).reshape(40, 5)
@@ -260,7 +259,7 @@ def test_rate_identity_draws_one_start_per_trial(monkeypatch):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_ratio_ascent_on_a_near_double_root(gap, sign):
     # generalized roots sign * (1, 1 - gap, d - 2 more spread over [-0.5, 0.5]): a
-    # near-double top (sign 1) or bottom (-1) of the pencil, so of the whitened 3x3 steps
+    # near-double top (sign 1) or bottom (-1) of the pencil, so of the whitened Ritz steps
     pencils, want = [], []
     for d in (3, 5, 8):
         roots = sign * np.concatenate(([1.0, 1.0 - gap], np.linspace(-0.5, 0.5, d - 2)))
@@ -324,19 +323,62 @@ def test_rate_identity_witness_catches_a_high_sup_from_every_eigensolver(monkeyp
         assert f["norm_route"] - f["searched_sup"] > 1e-6 * (1.0 + f["norm_route"])
 
 
+def _counting_eigh(monkeypatch) -> list:
+    """Patch np.linalg.eigh to record the shape of each batched call; returns the record."""
+    calls, exact_eigh = [], np.linalg.eigh
+
+    def counting(m):
+        calls.append(m.shape)
+        return exact_eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_ratio_ascent_stops_at_step_zero(monkeypatch):
+def test_ratio_ascent_takes_at_most_d_ritz_steps(monkeypatch):
+    # each step is one batched eigh and grows the space by one residual, which stays
+    # inside R^d: a stack of dimension d takes at most d steps
+    calls = _counting_eigh(monkeypatch)
     rng = CounterRNG(12)
-    # d = 1 and extreme eigenvectors of a diagonal pencil: the gradient, and so u, is 0
+    for d in range(1, 9):
+        pencils = [(_random_spd(rng, d), _random_symmetric(rng, d), rng.gaussian(d))
+                   for _ in range(6)]
+        calls.clear()
+        lemmas._ratio_ascent(*(np.array(x) for x in zip(*pencils)))
+        assert 1 <= len(calls) <= d
+    # d = 1 rows and extreme eigenvectors of a diagonal pencil: r = 0 after the first step
     pencils = [(_random_spd(rng, 1), _random_symmetric(rng, 1), rng.gaussian(1))
                for _ in range(6)]
     a, b = np.diag([0.5, 2.0, 1.0]), np.diag([0.9, -1.2, 0.1])
     pencils += [(a, b, np.eye(3)[0]), (a, b, -np.eye(3)[1]), (a, b, 3.0 * np.eye(3)[1])]
-    stacks = lemmas._padded(pencils)
-    climbed = lemmas._ratio_ascent(*stacks)
-    monkeypatch.setattr(lemmas, "ASCENT_STEPS", 0)
-    np.testing.assert_array_equal(climbed, lemmas._ratio_ascent(*stacks))
+    calls.clear()
+    climbed = lemmas._ratio_ascent(*lemmas._padded(pencils))
+    assert calls == [(9, 1, 1)]
     np.testing.assert_allclose(climbed[-3:], [1.8, -0.6, -0.6], rtol=1e-15)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_ratio_ascent_stops_on_the_full_space_of_a_stiff_pencil(monkeypatch, d):
+    # roots (-1e6, 1, d - 2 more in [-1, 0.5]): once a padded row's space is all of R^d,
+    # its residual is rounding on the scale of 1e6, above the cut's scale of the top 1.
+    # The Gram-Schmidt pass takes the space out of it, so the row stops there, where a
+    # further step would append a vector of R^d and leave the A-Gram singular
+    pencils, want = [], []
+    for i in range(10):
+        rng = CounterRNG((19, d, i))
+        a = _random_spd(rng, d)
+        q, _ = np.linalg.qr(rng.gaussian(d * d).reshape(d, d))
+        half = np.linalg.cholesky(a) @ q
+        roots = np.concatenate(([-1e6, 1.0], np.linspace(-1.0, 0.5, d - 2)))
+        v0 = rng.gaussian(d)
+        pencils += [(a, (half * roots) @ half.T, v0), (a, -(half * roots) @ half.T, v0)]
+        want += [1.0, 1e6]
+    calls = _counting_eigh(monkeypatch)
+    climbed = lemmas._ratio_ascent(*lemmas._padded(pencils))
+    assert len(calls) <= d
+    np.testing.assert_allclose(climbed, want, rtol=0, atol=1e-12 * 1e6)
 
 
 def test_ratio_ascent_reads_no_eigenvalue_from_eigh(monkeypatch):
