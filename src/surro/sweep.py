@@ -81,10 +81,9 @@ def sample_rate_sweep(model, ks, seeds) -> SweepTable:
     nonempty (Python or numpy integers, not bools).  The model must
     provide sample_y / sample_problem / population_rate / default_theta0
     (both shipped latent models do).  Each cell iterates under the default
-    StopRule and takes its curvature with curvature_at, which uses each analytic
-    block the sample problem has (both of the gaussian model's, the mixture's A)
-    and finite differences with step FD_STEP for the rest (the mixture's mixed
-    block).  A cell whose reduced A~ is not positive-definite raises RatesError;
+    StopRule and takes its curvature with curvature_at from the sample problem's
+    analytic blocks (both shipped models give both, so no cell takes finite
+    differences).  A cell whose reduced A~ is not positive-definite raises RatesError;
     one whose run does not converge (it stops at max_iters or stalled),
     SurroError naming its k, its seed and the stop reason.
     """

@@ -212,6 +212,23 @@ def test_sweep_with_a_huge_theta_star_runs_without_warning(tmp_path):
     assert float(row[2]) == 0.5 and float(row[4]) == pytest.approx(1e300)
 
 
+def test_mixture_sweep_with_a_huge_theta_star_runs_without_warning(tmp_path):
+    # both of the mixture's blocks are analytic too; at |theta_hat y| ~ 1e300 its hess12
+    # takes sech^2 = 1 / cosh^2, which overflows, as its limit 0, and the rate is 0
+    cfg = json.loads((CONFIG_DIR / "sweep_mixture.json").read_text())
+    cfg["model"]["theta_star"] = 1e150
+    cfg.update(ks=[3, 50], seeds=[0])
+    path = _write(tmp_path, "huge_mixture_sweep.json", json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:]
+    rows = [line.split(",") for line in lines]
+    assert [row[0] for row in rows] == ["3", "50"]
+    for row in rows:
+        assert float(row[2]) == 0.0 and float(row[4]) == pytest.approx(1e150)
+
+
 def test_run_with_control_characters_in_name_writes_readable_json(tmp_path):
     cfg = dict(json.loads((CONFIG_DIR / "gd_diag.json").read_text()), name="gd\tdiag\r")
     assert main(["run", "--config", _write(tmp_path, "tab.json", json.dumps(cfg)),

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,6 +11,7 @@ from surro.errors import SurroError
 from surro.latent import (
     GaussianLatentModel,
     TwoComponentMixture,
+    draw_data,
     em_population_problem,
     em_sample_problem,
     fisher_information,
@@ -175,6 +177,51 @@ def test_mixture_em_step_matches_responsibility_formula():
     assert out[0] == pytest.approx(float(np.mean(np.tanh(0.8 * data) * data)))
     numeric = inner_minimize(dataclasses.replace(prob, closed_form_step=None), theta)
     assert numeric[0] == pytest.approx(out[0], abs=1e-8)
+
+
+def _mp_responsibility_mean(y, t):
+    """mean(tanh(t y) y) over the float data y at mpmath's working precision; y is taken
+    exactly."""
+    return mpmath.fsum(mpmath.tanh(t * mpmath.mpf(v)) * mpmath.mpf(v) for v in y) / len(y)
+
+
+def _mixture_cell(k, seed):
+    """(data, sample problem, EM fixed point) of one sweep_mixture cell."""
+    mix = TwoComponentMixture(theta_star=1.0)
+    y = draw_data(mix, k, seed)
+    prob = mix.sample_problem(y)
+    return y, prob, iterate(prob, mix.default_theta0()).final
+
+
+@pytest.mark.parametrize("k, seed", [(100, 0), (400, 3), (1600, 5)])
+@pytest.mark.parametrize("where", ["zero", "theta_hat", "far"])
+def test_mixture_em_step_is_the_responsibility_mean_within_a_few_eps(k, seed, where):
+    y, prob, theta_hat = _mixture_cell(k, seed)
+    t = {"zero": 0.0, "theta_hat": float(theta_hat[0]), "far": 400.0}[where]
+    with mpmath.workdps(50):
+        ref = _mp_responsibility_mean(y, mpmath.mpf(t))
+    # every term |y| tanh(t |y|) is nonnegative, so the dot's rounding is relative
+    eps = np.finfo(float).eps
+    assert abs(prob.closed_form_step(np.array([t]))[0] - float(ref)) <= 4 * eps * abs(float(ref))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k, seed", [(100, 0), (100, 7), (400, 3)])
+@pytest.mark.parametrize("where", ["zero", "theta_hat", "cosh_overflows"])
+def test_mixture_hess12_is_the_theta_derivative_of_grad2(k, seed, where):
+    """The analytic mixed block against a 50-digit derivative of grad2 = u - mean(tanh(t y) y)
+    in theta, which shares none of the block's sech^2 form.  At theta = 400 every |theta y|
+    above 710 overflows cosh in floating point; those terms take their limit 0 silently."""
+    y, prob, theta_hat = _mixture_cell(k, seed)
+    t = {"zero": 0.0, "theta_hat": float(theta_hat[0]), "cosh_overflows": 400.0}[where]
+    if where == "cosh_overflows":
+        assert (np.abs(t * y) > 710.0).any() and (np.abs(t * y) < 710.0).any()
+    with mpmath.workdps(50):
+        ref = float(-mpmath.diff(lambda s: _mp_responsibility_mean(y, s), mpmath.mpf(t)))
+    block = prob.hess12(np.array([t]), np.array([t]))
+    assert block.shape == (1, 1)
+    # the terms y^2 sech^2(t y) are nonnegative too
+    assert abs(block[0, 0] - ref) <= 8 * np.finfo(float).eps * abs(ref)
 
 
 def test_mixture_em_lyapunov_monotone():

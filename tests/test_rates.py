@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from surro import linalg
-from surro.config import CONFIG_DIR, assemble
+from surro.config import CONFIG_DIR, assemble, assemble_sweep
 from surro.runner import analyze
 from surro.descent import mirror_descent_problem, mirror_prox_problem, newton_problem
 from surro.domains import AffineSlice, Box, FullSpace, Simplex
-from surro.latent import GaussianLatentModel, alpha_em_problem, em_population_problem
+from surro.latent import GaussianLatentModel, alpha_em_problem, draw_data, em_population_problem
 from surro.mirror_maps import NegEntropyMap, QuadraticMap
 from surro.objectives import Quartic1D, QuadraticForm, ShiftedQuadratic
 from surro.rates import (
@@ -129,9 +129,17 @@ def _e12_boundary_problem():
     )
 
 
+def _sweep_cell(name, k, seed):
+    """(sample problem, its EM fixed point) of one cell of the bundled sweep config `name`."""
+    _, model, _, _ = assemble_sweep(json.loads((CONFIG_DIR / f"{name}.json").read_text()))
+    problem = model.sample_problem(draw_data(model, k, seed))
+    return problem, iterate(problem, model.default_theta0()).final
+
+
 def _registry_problems():
-    """(problem, point) for every problem E1-E4, E6-E8, E11 and E12 take curvature of,
-    built as suite.py builds them; E11 takes it away from the fixed point."""
+    """(problem, point) for every problem E1-E8, E11 and E12 take curvature of, built as
+    suite.py builds them (E5 at one cell of each sweep); E11 takes it away from the
+    fixed point."""
     model = GaussianLatentModel(1.0, 1.0, theta_star=1.0)
     em = em_population_problem(model)
     center = np.array([0.5, 0.3, 0.2])
@@ -145,6 +153,8 @@ def _registry_problems():
         "E3_md_entropy": (mirror_descent_problem(*entropy), center),
         "E3_prox_entropy": (mirror_prox_problem(*entropy), center),
         "E4_E6_E8_E12_em": (em, np.array([1.0])),
+        "E5_mixture": _sweep_cell("sweep_mixture", 100, 0),
+        "E5_gaussian": _sweep_cell("sweep_gaussian", 100, 0),
         "E6_alpha_half": (alpha_em_problem(model, 0.5), np.array([1.0])),
         "E6_alpha_quarter": (alpha_em_problem(model, 0.25), np.array([1.0])),
         "E7": (newton_problem(Quartic1D()), np.zeros(1)),
