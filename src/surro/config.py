@@ -240,6 +240,11 @@ class Assembled:
 
 def validate(cfg: dict) -> None:
     """Schema-check a config dict; raises ConfigInvalid naming the bad field."""
+    _validated_stop(cfg)
+
+
+def _validated_stop(cfg: dict) -> StopRule:
+    """validate's checks, returning the config's stop rule."""
     if not isinstance(cfg, dict):
         raise ConfigInvalid("config must be a JSON object", field="config")
     for key in ("name", "algorithm"):
@@ -253,7 +258,7 @@ def validate(cfg: dict) -> None:
     for key in sorted(schema.required):
         if key not in cfg:
             raise ConfigInvalid(f"{algo} requires field {key}", field=key)
-    _parse(cfg.get("stop", {}), _STOP, "stop")
+    return _parse(cfg.get("stop", {}), _STOP, "stop")
 
 
 def _point(problem: SurrogateProblem, tol: float, random: bool = False) -> Callable:
@@ -272,7 +277,7 @@ def assemble(cfg: dict) -> Assembled:
     """Turn a validated config into a runnable problem and its run parameters.
 
     Floating-point overflow raises while the problem is built, so such a config is rejected."""
-    validate(cfg)
+    stop = _validated_stop(cfg)
     schema = _ALGO_FIELDS[cfg["algorithm"]]
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         problem = _parse({k: cfg[k] for k in schema.fields if k in cfg}, schema, "config")
@@ -281,7 +286,6 @@ def assemble(cfg: dict) -> Assembled:
         near = _point(problem, REFERENCE_TOL)
         theta_star = _field(cfg, "theta_star", lambda v: None if v == "auto" else near(v), "config",
                             "auto")
-    stop = _parse(cfg.get("stop", {}), _STOP, "stop")
     return Assembled(str(cfg["name"]), cfg["algorithm"], problem, theta0, theta_star, stop)
 
 

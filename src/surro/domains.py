@@ -184,6 +184,8 @@ class EuclideanBall(ConvexDomain):
 
 @dataclass(frozen=True)
 class Simplex(ConvexDomain):
+    """{x : x_i >= face_eps, sum(x) = 1}: every finite point projects, NaN or inf raises."""
+
     q: int
     face_eps: float = INTERIOR_MARGIN
 
@@ -200,24 +202,21 @@ class Simplex(ConvexDomain):
         )
 
     def project(self, x):
-        # shift by the face bound, project onto the shrunk standard simplex, shift back
-        v = as_vector(x, self.q) - self.face_eps
+        # sort and threshold relative to the top, which moves no projection (Duchi et al.,
+        # 2008; Condat, 2016): a coordinate at or below top - total lands on the face bound (>=
+        # keeps the top where top - total rounds to top); the rest lie in (-total, 0], so no
+        # partial sum overflows or cancels; the threshold is max_k (sum of top k - total) / k
+        v = as_vector(x, self.q)
+        if not all_finite(v):
+            raise SurroError(f"point {v} cannot be projected onto the simplex: it is not finite")
         total = 1.0 - self.q * self.face_eps
-        if np.isfinite(v).all():
-            u = np.sort(v)[::-1]
-            with np.errstate(over="ignore"):
-                css = np.cumsum(u) - total
-            ks = np.arange(1, self.q + 1)
-            # a partial sum past the float range passes no test; a coordinate above about
-            # 2^53 times the total rounds every test to 0
-            cond = (u - css / ks > 0) & np.isfinite(css)
-            if cond.any():
-                k = int(ks[cond][-1])
-                tau = css[k - 1] / k
-                return np.maximum(v - tau, 0.0) + self.face_eps
-        raise SurroError(
-            f"point {as_vector(x, self.q)} cannot be projected onto the simplex in floating point"
-        )
+        top = float(v.max())
+        kept = v >= top - total
+        w = v[kept] - top
+        tau = float(np.max((np.cumsum(-np.sort(-w)) - total) / np.arange(1, w.size + 1)))
+        p = np.full(self.q, self.face_eps)
+        p[kept] += np.maximum(w - tau, 0.0)
+        return p
 
     def is_interior(self, x):
         v = as_vector(x, self.q)

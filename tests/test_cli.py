@@ -15,6 +15,7 @@ jsonschema = pytest.importorskip("jsonschema")
 from surro import cli, lemmas
 from surro.cli import main
 from surro.config import CONFIG_DIR
+from surro.domains import Simplex
 
 REPO = Path(__file__).resolve().parents[1]
 DOCS = REPO / "docs"
@@ -153,11 +154,6 @@ def _one_point_gd(scale):
                                   theta_star=[scale, 0.0])
 
 
-def _simplex_gd_1e17(cfg):
-    del cfg["mirror_map"]
-    cfg.update(algorithm="gradient_descent", eta=1e17)
-
-
 def _huge_latent(cfg):
     cfg["latent_model"].update(theta_star=1e300)
     cfg.update(theta0=[1e300], theta_star=[5e299])
@@ -179,10 +175,6 @@ _HUGE_NORMS = {
                             "its square overflows\n"),
     # every norm can be squared: a one-point run away from theta* fails its verdicts
     "theta_star_1e150": ("gd_diag", _one_point_gd(1e150), 2, ""),
-    # the first step, 1e17 times the gradient, is too large for the simplex projection
-    "simplex_eta_1e17": ("entropy_simplex_md", _simplex_gd_1e17,
-                         1, "error: point [ 3.e+16  3.e-01 -3.e+16] cannot be projected "
-                            "onto the simplex in floating point\n"),
 }
 
 
@@ -196,6 +188,27 @@ def test_run_with_huge_norms_ends_without_traceback_warning_or_pass(tmp_path, ca
         warnings.simplefilter("error")  # a numpy overflow warning fails the test
         assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == code
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("eta", ["1e5", "1e6", "1e8", "1e17"])
+def test_simplex_step_too_large_for_the_set_stays_on_it_and_fails(tmp_path, capsys, eta):
+    # each gradient step, eta times the gradient, throws the iterate to a vertex: the run
+    # bounces between vertices on the simplex until max_iters and fails every verdict
+    cfg = json.loads((CONFIG_DIR / "entropy_simplex_md.json").read_text())
+    del cfg["mirror_map"]
+    cfg.update(algorithm="gradient_descent", eta=float(eta), stop={"max_iters": 20})
+    path = _write(tmp_path, "simplex.json", json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ""
+    rates = json.loads((tmp_path / "o" / "rates.json").read_text())
+    assert rates["stop_reason"] == "max_iters" and rates["n_iterates"] == 21
+    assert set(rates["verdicts"].values()) == {"fail"}
+    rows = (tmp_path / "o" / "trace.csv").read_text().splitlines()[1:]
+    assert len(rows) == 21
+    for row in rows:
+        assert Simplex(3).contains([float(v) for v in row.split(",")[1:4]])
 
 
 def test_sweep_with_a_huge_theta_star_runs_without_warning(tmp_path):

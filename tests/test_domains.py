@@ -148,54 +148,51 @@ def test_simplex_tolerance_covers_the_sum():
     assert not simplex.contains([0.5, 0.5 + 2e-9], tol=1e-9)
 
 
-def _earlier_simplex_project(simplex, x):
-    """The sort-and-threshold projection as written before it refused any point."""
-    v = np.asarray(x, dtype=float) - simplex.face_eps
-    total = 1.0 - simplex.q * simplex.face_eps
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    ks = np.arange(1, simplex.q + 1)
-    k = int(ks[u - css / ks > 0][-1])
-    return np.maximum(v - css[k - 1] / k, 0.0) + simplex.face_eps
-
-
 def test_simplex_projection_refuses_a_point_it_cannot_resolve():
-    """Above about 2^53 times the simplex total, u0 - (u0 - total) rounds to 0 and
-    no threshold survives; a partial sum past the float range, a NaN or an infinite
-    point has none either.  Each is refused without a numpy warning, a point whose
-    overflowing sums are past its threshold is projected, and every other point keeps
-    the earlier bits."""
+    """A NaN or infinite coordinate has no projection; it is refused without a numpy warning."""
     simplex = domains.Simplex(3)
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        for x in ([3e16, 0.3, -3e16], [1e300, 1.0, 0.0], [1e308, 1e308, 0.0],
-                  [-1e308, -1e308, -1e308], [np.nan, 0.5, 0.5],
-                  [np.inf, 0.0, 0.0], [-np.inf, 1.0, 0.0]):
+        for x in ([np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0], [-np.inf, 1.0, 0.0],
+                  [1e308, np.inf, -np.inf]):
             with pytest.raises(SurroError, match="cannot be projected onto the simplex"):
                 simplex.project(np.array(x))
-        far = simplex.project(np.array([-1e308, -1e308, 0.0]))
-        assert far.tobytes() == simplex.project(np.array([-1.0, -1.0, 0.0])).tobytes()
-        assert far.tolist() == [simplex.face_eps, simplex.face_eps, 1.0 - 2 * simplex.face_eps]
-    rng = CounterRNG(6)
-    for q, face_eps in ((3, domains.INTERIOR_MARGIN), (5, 0.0)):
-        simplex = domains.Simplex(q, face_eps=face_eps)
-        for _ in range(100):
-            z = rng.gaussian(q) * 10.0 ** float(16.0 * rng.uniform(1)[0] - 4.0)
-            assert simplex.project(z).tobytes() == _earlier_simplex_project(simplex, z).tobytes()
 
 
-@pytest.mark.xfail(strict=True, reason="far points project off the simplex's sum (ROADMAP 17)")
+# the free coordinates' shifts z_i - Pz_i agree within KKT_TOL (1 + max|z|); the
+# largest spread seen on 20 000 draws with q 2 to 8 and scales 1e-8 to 1e12 is 0.71 eps
+KKT_TOL = 4 * np.finfo(float).eps
+
+
+def _assert_kkt_projection(simplex, z):
+    """Pz is the projection of z onto {x >= face_eps, sum x = 1} exactly when it lies there,
+    its free coordinates (above face_eps) share one shift s = z_i - Pz_i, and each clamped
+    coordinate has z_i - face_eps <= s."""
+    p = simplex.project(z)
+    assert simplex.contains(p) and (p >= simplex.face_eps).all(), (z, p)
+    tol = KKT_TOL * (1.0 + float(np.max(np.abs(z))))
+    free = p > simplex.face_eps
+    shift = z[free] - p[free]
+    assert shift.max() - shift.min() <= tol, (z, p)
+    assert (z[~free] - simplex.face_eps <= shift.max() + tol).all(), (z, p)
+
+
 def test_simplex_projection_of_a_far_point_is_on_the_simplex():
-    """Once the coordinates reach about 1e5, the threshold u0 - (u0 - total) rounds away
-    the q * face_eps shift: [-9.1e10, -2.6e11, -2.2e11] projects to
-    [1.000000001, 1e-9, 1e-9], whose sum misses 1 by 3e-9, so `contains` rejects the
-    projection, as it does for 58 of the 100 q = 3 draws of the test above."""
-    simplex = domains.Simplex(3)
-    assert simplex.contains(simplex.project(np.array([-9.1e10, -2.6e11, -2.2e11])))
-    rng = CounterRNG(6)
-    for _ in range(100):
-        z = rng.gaussian(3) * 10.0 ** float(16.0 * rng.uniform(1)[0] - 4.0)
-        assert simplex.contains(simplex.project(z))
+    """Every finite point, of any size up to 1e308, projects onto the simplex and meets the
+    projection's KKT conditions, without a numpy warning."""
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        simplex = domains.Simplex(3)
+        for x in ([1e308, -1e308, -1e308], [3e16, 0.3, -3e16], [-9.1e10, -2.6e11, -2.2e11],
+                  [1e300, 1.0, 0.0], [1e308, 1e308, 0.0], [-1e308, -1e308, -1e308],
+                  [-1e308, -1e308, 0.0]):
+            _assert_kkt_projection(simplex, np.array(x))
+        rng = CounterRNG(6)
+        for q, face_eps in ((3, domains.INTERIOR_MARGIN), (5, 0.0)):
+            simplex = domains.Simplex(q, face_eps=face_eps)
+            for _ in range(100):
+                z = rng.gaussian(q) * 10.0 ** float(16.0 * rng.uniform(1)[0] - 4.0)
+                _assert_kkt_projection(simplex, z)
 
 
 def test_ball_sample_of_a_zero_draw_is_the_center():

@@ -29,7 +29,7 @@ from surro.objectives import (
 )
 from surro.rates import RatesError, curvature_at, verdicts
 from surro.rng import CounterRNG
-from surro.surrogate import StopRule, SurrogateProblem, inner_minimize, iterate
+from surro.surrogate import StopReason, StopRule, SurrogateProblem, inner_minimize, iterate
 
 
 _SQUARE = Box(np.zeros(2), np.ones(2))
@@ -66,11 +66,6 @@ REFUSALS = {
                                                lambda x: np.array([[1e-320]])))
         .closed_form_step(np.zeros(1)),
         SurroError, "non-finite step"),
-    "simplex_step_1e17": (  # the projection cannot resolve a point of size 3e16
-        lambda: iterate(mirror_descent_problem(ShiftedQuadratic(np.array([0.5, 0.3, 0.2])),
-                                               QuadraticMap(3), 1e17, Simplex(3)),
-                        np.array([0.2, 0.3, 0.5])),
-        SurroError, "cannot be projected onto the simplex"),
     "mixture_without_data": (lambda: TwoComponentMixture(1.0).sample_problem([]), SurroError,
                              "at least one observation"),
 }
@@ -81,6 +76,20 @@ def test_invalid_arguments_are_refused_with_their_reason(case):
     call, error, message = REFUSALS[case]
     with pytest.raises(error, match=re.escape(message)):
         call()
+
+
+def test_simplex_step_of_1e17_bounces_between_vertices_on_the_simplex():
+    # the first step lands at [3e16, 0.3, -3e16], each later one as far out: every
+    # projection is a vertex, two coordinates on the face bound
+    simplex = Simplex(3)
+    problem = mirror_descent_problem(ShiftedQuadratic(np.array([0.5, 0.3, 0.2])),
+                                     QuadraticMap(3), 1e17, simplex)
+    with np.errstate(all="raise"):
+        trace = iterate(problem, np.array([0.2, 0.3, 0.5]), StopRule(max_iters=20))
+    assert trace.stop_reason is StopReason.MAX_ITERS and len(trace) == 21
+    for point in trace.iterates[1:]:
+        assert simplex.contains(point)
+        assert np.count_nonzero(point == simplex.face_eps) == 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
